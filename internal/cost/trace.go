@@ -1,5 +1,7 @@
 package cost
 
+import "slices"
+
 // This file is the exact-replay substrate of the subtree memoization in
 // internal/simulate: a Trace records the precise charge sequence a meter
 // saw over an interval (via the Meter tap), and Play re-applies the same
@@ -84,5 +86,10 @@ func (r *Recorder) Child(c *Trace) {
 }
 
 // Trace returns the recorded trace. The recorder must not record further
-// after Trace is taken; the returned trace is shared, not copied.
-func (r *Recorder) Trace() *Trace { return &r.t }
+// after Trace is taken; the returned trace is shared, not copied, but its
+// runs are first moved to an exactly sized array, so a trace a memo keeps
+// holds none of the append slack recording left behind.
+func (r *Recorder) Trace() *Trace {
+	r.t.items = slices.Clone(r.t.items)
+	return &r.t
+}

@@ -49,22 +49,19 @@ func TestFitHelpers(t *testing.T) {
 
 func TestQuickExperimentsRun(t *testing.T) {
 	s := Scale{Quick: true}
-	for name, f := range map[string]func(context.Context, Scale) (*Table, error){
-		"P1": P1, "T2": T2, "T3": T3, "T4": T4, "T5": T5,
-		"T1D2": T1D2, "D3": D3, "MM": MM, "SStar": SStar, "Ablations": Ablations,
-		"Pipe": Pipe, "MPrime": MPrime, "Coop": Coop, "Levels": Levels, "ISA": ISA,
-		"T3D2": T3D2, "D3Multi": D3Multi, "Brent": Brent,
-		"Theta": Theta, "Fault": Fault,
-	} {
-		tab, err := f(context.Background(), s)
+	for _, j := range battery {
+		tab, err := j.run(context.Background(), s)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", j.id, err)
+		}
+		if tab.ID != j.id {
+			t.Errorf("%s: table ID %q", j.id, tab.ID)
 		}
 		if len(tab.Rows) == 0 {
-			t.Errorf("%s: no rows", name)
+			t.Errorf("%s: no rows", j.id)
 		}
-		if tab.ID == "" || tab.PaperClaim == "" {
-			t.Errorf("%s: missing metadata", name)
+		if tab.PaperClaim == "" {
+			t.Errorf("%s: missing paper claim", j.id)
 		}
 	}
 }
@@ -84,34 +81,49 @@ func TestAllContextPartialFlush(t *testing.T) {
 
 	// Mid-battery cancel: the tables of every experiment that finished
 	// are flushed in deterministic battery order — a subsequence of the
-	// full battery's output.
-	full, err := AllSequential(Scale{Quick: true})
-	if err != nil {
-		t.Fatal(err)
+	// full battery's output — and no figure table is among them. Each
+	// runner's deadline is half its own full wall time, so the critical
+	// path dispatched first has usually finished and some tables flush.
+	exercised := 0
+	for name, run := range map[string]func(context.Context, Scale) ([]*Table, error){
+		"AllContext": AllContext, "AllSequentialContext": AllSequentialContext,
+	} {
+		start := time.Now()
+		full, err := run(context.Background(), Scale{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make(map[string]int, len(full))
+		for i, tb := range full {
+			order[tb.ID] = i
+		}
+		ctx2, cancel2 := context.WithTimeout(context.Background(), time.Since(start)/2)
+		tabs2, err2 := run(ctx2, Scale{Quick: true})
+		cancel2()
+		if err2 == nil {
+			continue
+		}
+		exercised++
+		if !errors.Is(err2, context.DeadlineExceeded) {
+			t.Fatalf("%s err = %v, want context.DeadlineExceeded", name, err2)
+		}
+		last := -1
+		for _, tb := range tabs2 {
+			i, ok := order[tb.ID]
+			if !ok {
+				t.Fatalf("%s: partial flush contains unknown table %s", name, tb.ID)
+			}
+			if i >= len(experiments) {
+				t.Fatalf("%s: partial flush contains figure table %s", name, tb.ID)
+			}
+			if i <= last {
+				t.Fatalf("%s: partial flush out of battery order at %s", name, tb.ID)
+			}
+			last = i
+		}
 	}
-	order := make(map[string]int, len(full))
-	for i, tb := range full {
-		order[tb.ID] = i
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 40*time.Millisecond)
-	defer cancel2()
-	tabs2, err2 := AllSequentialContext(ctx2, Scale{Quick: true})
-	if err2 == nil {
+	if exercised == 0 {
 		t.Skip("quick battery finished inside the deadline; cancellation not exercised")
-	}
-	if !errors.Is(err2, context.DeadlineExceeded) {
-		t.Fatalf("AllSequentialContext err = %v, want context.DeadlineExceeded", err2)
-	}
-	last := -1
-	for _, tb := range tabs2 {
-		i, ok := order[tb.ID]
-		if !ok {
-			t.Fatalf("partial flush contains unknown table %s", tb.ID)
-		}
-		if i <= last {
-			t.Fatalf("partial flush out of battery order at %s", tb.ID)
-		}
-		last = i
 	}
 }
 

@@ -2,11 +2,8 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"bsmp/internal/analytic"
 	"bsmp/internal/cost"
@@ -745,8 +742,6 @@ func Brent(ctx context.Context, s Scale) (*Table, error) {
 			"including sizes only the analytic replay path can reach",
 		Header: []string{"n", "steps", "T", "work T_1", "span T_inf", "T/(vol)", "Thm3 bound", "range"},
 	}
-	defer simulate.SetMemoCapacity(simulate.MemoCapacity())
-	simulate.SetMemoCapacity(1 << 16) // analytic class count grows with log n
 	for i, sz := range sizes {
 		res, err := simulate.RunSchemeContext(ctx, "blocked-analytic", 1, sz.n, 1, m, sz.steps, prog1d(), simulate.SchemeConfig{})
 		if err != nil {
@@ -1012,93 +1007,4 @@ func Registry(ctx context.Context, s Scale) (*Table, error) {
 		"phase shares are fractions of the multiprocessor makespan Time + PrepTime",
 		"the naive scheme has no d = 3 entry; blocked/multi cover d = 3, unidc covers the m = 1 dag")
 	return t, nil
-}
-
-// allFns is the E-* experiment battery, in publication order.
-var allFns = []func(context.Context, Scale) (*Table, error){
-	P1, ISA, T2, T3, T3D2, T4, T5, T1D2, D3, D3Multi, MM, SStar, Ablations, Levels, Coop, Pipe, MPrime, Brent, Theta, Fault, Registry,
-}
-
-// All runs every E-* experiment concurrently on up to GOMAXPROCS workers
-// and returns the tables in the same order the sequential battery always
-// produced. Experiments are independent — each builds its own guests,
-// graphs, and meters; the only shared state is the simulate package's
-// bounded kernel cache. An experiment failure does not stop the others;
-// all failures are reported together via errors.Join, in battery order,
-// so the error text is deterministic.
-func All(s Scale) ([]*Table, error) {
-	return AllContext(context.Background(), s)
-}
-
-// AllContext is All under a context. On cancellation, workers stop
-// picking up new experiments, in-flight experiments abort at their next
-// cooperative checkpoint, and the battery flushes partial results: the
-// returned slice holds every experiment that completed successfully, in
-// battery order (gaps elided), alongside the context's error. Figures
-// are appended only to a complete, uncancelled battery, so the partial
-// flush is a deterministic function of which experiments finished.
-func AllContext(ctx context.Context, s Scale) ([]*Table, error) {
-	return all(ctx, s, runtime.GOMAXPROCS(0))
-}
-
-// AllSequential runs the battery on a single worker: the seed's behavior,
-// kept for benchmark comparison (BenchmarkExpAll) and for profiling runs
-// where interleaved experiments would muddy the profile.
-func AllSequential(s Scale) ([]*Table, error) {
-	return all(context.Background(), s, 1)
-}
-
-// AllSequentialContext is AllSequential under a context, with the same
-// partial-flush contract as AllContext.
-func AllSequentialContext(ctx context.Context, s Scale) ([]*Table, error) {
-	return all(ctx, s, 1)
-}
-
-func all(ctx context.Context, s Scale, workers int) ([]*Table, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(allFns) {
-		workers = len(allFns)
-	}
-	out := make([]*Table, len(allFns))
-	errs := make([]error, len(allFns))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i], errs[i] = allFns[i](ctx, s)
-			}
-		}()
-	}
-	for i := range allFns {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if ctx.Err() != nil {
-		// Partial flush: completed tables in battery order, gaps elided.
-		var done []*Table
-		for i, t := range out {
-			if errs[i] == nil && t != nil {
-				done = append(done, t)
-			}
-		}
-		return done, ctx.Err()
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	figs, err := Figures()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, figs...), nil
 }

@@ -10,8 +10,14 @@ import (
 
 // validatePartition checks that pieces exactly tile the parent and that
 // their order is topological for graph g (Definition 4 of the paper).
+// Piece ownership lives in a dense table over the parent's bounding box,
+// walked in index order for the dependency check, so the first error
+// reported is the same on every run. Predecessors outside that box —
+// unbounded stencils such as unboundedCube reach past the parent — and
+// predecessors outside the parent belong to no piece and are ignored.
 func validatePartition(g dag.Graph, parent lattice.Domain, pieces []lattice.Domain) error {
-	seen := make(map[lattice.Point]int)
+	ix := lattice.IndexerFor(parent)
+	owner := lattice.NewAddrTable(ix)
 	total := 0
 	for i, pc := range pieces {
 		var fail error
@@ -20,11 +26,11 @@ func validatePartition(g dag.Graph, parent lattice.Domain, pieces []lattice.Doma
 				fail = fmt.Errorf("piece %d point %v outside parent", i, p)
 				return false
 			}
-			if j, dup := seen[p]; dup {
+			if j, dup := owner.Get(p); dup {
 				fail = fmt.Errorf("point %v in pieces %d and %d", p, j, i)
 				return false
 			}
-			seen[p] = i
+			owner.Set(p, i)
 			total++
 			return true
 		})
@@ -36,10 +42,18 @@ func validatePartition(g dag.Graph, parent lattice.Domain, pieces []lattice.Doma
 		return fmt.Errorf("pieces cover %d of %d points", total, parent.Size())
 	}
 	var buf []lattice.Point
-	for p, i := range seen {
+	for k := 0; k < ix.Len(); k++ {
+		p := ix.Deindex(k)
+		i, in := owner.Get(p)
+		if !in {
+			continue
+		}
 		buf = g.Preds(p, buf[:0])
 		for _, q := range buf {
-			if j, in := seen[q]; in && j > i {
+			if !ix.Contains(q) {
+				continue
+			}
+			if j, in := owner.Get(q); in && j > i {
 				return fmt.Errorf("dependency violation: %v (piece %d) needs %v (piece %d)", p, i, q, j)
 			}
 		}
@@ -195,8 +209,8 @@ func (unboundedMesh) Contains(lattice.Point) bool { return true }
 func (unboundedMesh) Steps() int                  { return 1 << 30 }
 func (unboundedMesh) Nodes() int                  { return 1 << 30 }
 
-// Bounds is nominally unbounded; too large for a lattice.Indexer, which
-// validatePartition never builds.
+// Bounds is nominally unbounded; too large for a lattice.Indexer, so
+// validatePartition indexes the parent domain's bounding box instead.
 func (unboundedMesh) Bounds() lattice.Clip { return lattice.UnboundedClip() }
 
 func (unboundedMesh) Preds(v lattice.Point, buf []lattice.Point) []lattice.Point {
@@ -221,11 +235,11 @@ func (unboundedMesh) Succs(v lattice.Point, buf []lattice.Point) []lattice.Point
 	)
 }
 
-// Figures runs F1-F4 plus the d = 3 separator validation.
+// Figures runs F1-F4 plus the d = 3 separator validation, serially.
 func Figures() ([]*Table, error) {
-	var out []*Table
-	for _, f := range []func() (*Table, error){F1, F2, F3, F4, FD3} {
-		t, err := f()
+	out := make([]*Table, 0, len(figures))
+	for _, f := range figures {
+		t, err := f.fig()
 		if err != nil {
 			return nil, err
 		}
@@ -353,8 +367,8 @@ func (unboundedCube) Contains(lattice.Point) bool { return true }
 func (unboundedCube) Steps() int                  { return 1 << 30 }
 func (unboundedCube) Nodes() int                  { return 1 << 30 }
 
-// Bounds is nominally unbounded; too large for a lattice.Indexer, which
-// validatePartition never builds.
+// Bounds is nominally unbounded; too large for a lattice.Indexer, so
+// validatePartition indexes the parent domain's bounding box instead.
 func (unboundedCube) Bounds() lattice.Clip { return lattice.UnboundedClip() }
 
 func (unboundedCube) Preds(v lattice.Point, buf []lattice.Point) []lattice.Point {

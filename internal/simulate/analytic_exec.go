@@ -3,7 +3,6 @@ package simulate
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"bsmp/internal/cost"
 	"bsmp/internal/hram"
@@ -49,16 +48,40 @@ type analyticExec struct {
 	fn                        hram.AccessFunc
 	ec                        *execCtx
 
-	bcast map[lattice.Point]int
-	mem   map[lattice.Point]int
+	bcast pointAddrs
+	mem   pointAddrs
 
 	space      map[lattice.Diamond]int
 	classSpace map[subtreeKey]int
+
+	scr geomScratch
+	pts []lattice.Point // spaceNeeded's boundary scratch: only counts are kept
 
 	memoOn   bool
 	progFP   string
 	replayed int
 }
+
+// pointAddrs is a sparse Point -> address table over the d = 1 lattice
+// of an n-node line, keyed by the compact t*n + x: the analytic engine
+// visits only O(boundary) points of volumes far too large for a dense
+// lattice.AddrTable, and an int key hashes in a fraction of a Point's
+// time.
+type pointAddrs struct {
+	n     int
+	addrs map[int]int
+}
+
+func newPointAddrs(n int) pointAddrs { return pointAddrs{n, make(map[int]int)} }
+
+func (t pointAddrs) get(p lattice.Point) (int, bool) {
+	a, ok := t.addrs[p.T*t.n+p.X]
+	return a, ok
+}
+
+func (t pointAddrs) set(p lattice.Point, addr int) { t.addrs[p.T*t.n+p.X] = addr }
+
+func (t pointAddrs) del(p lattice.Point) { delete(t.addrs, p.T*t.n+p.X) }
 
 // f is the host access function — hram.Standard(1, m) itself rather
 // than a local re-derivation, so the d = 1 assumption lives in the hram
@@ -169,95 +192,147 @@ func analyticHasAt(d lattice.Diamond, x, t int) bool {
 	return ta <= t && t <= tb
 }
 
-// analyticPreboundary replicates dag.Preboundary(LineGraph(n, ·), d)
-// exactly — same points, same first-encounter order — in O(width).
-// Only vertices with t <= ta(x)+1 can have predecessors outside the
-// domain: a vertex at t >= ta(x)+2 has all three preds at t-1 >= ta(x)+1
-// inside (|ta(x±1) - ta(x)| <= 1 and t-1 <= tb(x)-1 <= tb(x±1); an empty
-// adjacent column occurs only at diamond tips, whose columns have height
-// <= 2 and are inside the band anyway, or at the machine edge, where the
-// pred is outside the graph). The band is enumerated in global (T, X)
-// vertex order with predecessors in LineGraph.Preds order (left, self,
-// right), reproducing the exact first-encounter sequence.
-func analyticPreboundary(d lattice.Diamond, n int) []lattice.Point {
-	spans := analyticColumns(d)
-	type bp struct{ x, t int }
-	var band []bp
-	for _, s := range spans {
-		top := s.ta + 1
-		if top > s.tb {
-			top = s.tb
-		}
-		for t := s.ta; t <= top; t++ {
-			band = append(band, bp{s.pos.X, t})
+// bandPoint is one vertex (x, t) of a boundary band.
+type bandPoint struct{ x, t int }
+
+// geomScratch holds the buffers the O(width) boundary enumerations reuse
+// from one domain to the next; nothing in it outlives a call.
+type geomScratch struct {
+	band, sorted []bandPoint
+	counts       []int
+	stamp        []int
+}
+
+// sortBand returns s.band, built column by column in ascending x, in
+// global (T, X) vertex order: a stable counting sort on t, O(len + t
+// range). A column's first (last) time moves by at most one from one
+// column to the next, so the t range is O(width) as well.
+func (s *geomScratch) sortBand() []bandPoint {
+	band := s.band
+	if len(band) == 0 {
+		return band
+	}
+	lo, hi := band[0].t, band[0].t
+	for _, p := range band[1:] {
+		lo, hi = min(lo, p.t), max(hi, p.t)
+	}
+	// counts[k+1] tallies t = lo+k; the prefix sum turns counts[k] into
+	// the first output slot of t = lo+k.
+	counts := append(s.counts[:0], make([]int, hi-lo+2)...)
+	for _, p := range band {
+		counts[p.t-lo+1]++
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	sorted := append(s.sorted[:0], band...)
+	for _, p := range band {
+		sorted[counts[p.t-lo]] = p
+		counts[p.t-lo]++
+	}
+	s.counts, s.sorted = counts, sorted
+	return sorted
+}
+
+// preboundary appends dag.Preboundary(LineGraph(n, ·), d) to dst
+// exactly — same points, same first-encounter order — in O(width), given
+// d's columns. Only vertices with t <= ta(x)+1 can have predecessors
+// outside the domain: a vertex at t >= ta(x)+2 has all three preds at
+// t-1 >= ta(x)+1 inside (|ta(x±1) - ta(x)| <= 1 and t-1 <= tb(x)-1 <=
+// tb(x±1); an empty adjacent column occurs only at diamond tips, whose
+// columns have height <= 2 and are inside the band anyway, or at the
+// machine edge, where the pred is outside the graph). The band is
+// enumerated in global (T, X) vertex order with predecessors in
+// LineGraph.Preds order (left, self, right), reproducing the exact
+// first-encounter sequence.
+func (s *geomScratch) preboundary(dst []lattice.Point, d lattice.Diamond, spans []colSpan, n int) []lattice.Point {
+	if len(spans) == 0 {
+		return dst
+	}
+	s.band = s.band[:0]
+	for _, c := range spans {
+		for t := c.ta; t <= min(c.ta+1, c.tb); t++ {
+			s.band = append(s.band, bandPoint{c.pos.X, t})
 		}
 	}
-	// Global (T, X) vertex order; all keys distinct.
-	sort.Slice(band, func(i, j int) bool {
-		return band[i].t < band[j].t || (band[i].t == band[j].t && band[i].x < band[j].x)
-	})
-	var out []lattice.Point
-	seen := make(map[lattice.Point]bool)
-	for _, p := range band {
+	// A predecessor (x, t-1) is reached only from band layer t, and the
+	// layers ascend, so stamp[x-x0] == t marks it emitted: one slot per
+	// column from the left neighbor of the first to the right neighbor
+	// of the last.
+	x0 := spans[0].pos.X - 1
+	stamp := append(s.stamp[:0], make([]int, spans[len(spans)-1].pos.X-x0+2)...)
+	s.stamp = stamp
+	for _, p := range s.sortBand() {
 		if p.t == 0 {
 			continue // no predecessors in the graph
 		}
 		for _, dx := range [3]int{-1, 0, 1} { // LineGraph.Preds order
 			x := p.x + dx
-			if x < 0 || x >= n {
+			if x < 0 || x >= n || analyticHasAt(d, x, p.t-1) || stamp[x-x0] == p.t {
 				continue
 			}
-			if analyticHasAt(d, x, p.t-1) {
-				continue
-			}
-			q := lattice.Point{X: x, T: p.t - 1}
-			if !seen[q] {
-				seen[q] = true
-				out = append(out, q)
-			}
+			stamp[x-x0] = p.t
+			dst = append(dst, lattice.Point{X: x, T: p.t - 1})
 		}
 	}
-	return out
+	return dst
 }
 
-// analyticLiveOut replicates dag.LiveOut(LineGraph(n, steps+1), d)
-// exactly in O(width). Only vertices with t >= tb(x)-1 can have a
-// successor outside the domain (the mirror of the preboundary band
-// argument), and the final layer t = steps is always live.
-func analyticLiveOut(d lattice.Diamond, n, steps int) []lattice.Point {
-	spans := analyticColumns(d)
-	type bp struct{ x, t int }
-	var band []bp
-	for _, s := range spans {
-		lo := s.tb - 1
-		if lo < s.ta {
-			lo = s.ta
-		}
-		for t := lo; t <= s.tb; t++ {
-			band = append(band, bp{s.pos.X, t})
+// liveOut appends dag.LiveOut(LineGraph(n, steps+1), d) to dst exactly
+// in O(width), given d's columns. Only vertices with t >= tb(x)-1 can
+// have a successor outside the domain (the mirror of the preboundary
+// band argument), and the final layer t = steps is always live.
+func (s *geomScratch) liveOut(dst []lattice.Point, d lattice.Diamond, spans []colSpan, n, steps int) []lattice.Point {
+	s.band = s.band[:0]
+	for _, c := range spans {
+		for t := max(c.tb-1, c.ta); t <= c.tb; t++ {
+			s.band = append(s.band, bandPoint{c.pos.X, t})
 		}
 	}
-	sort.Slice(band, func(i, j int) bool {
-		return band[i].t < band[j].t || (band[i].t == band[j].t && band[i].x < band[j].x)
-	})
-	var out []lattice.Point
-	for _, p := range band {
+	for _, p := range s.sortBand() {
 		if p.t == steps {
-			out = append(out, lattice.Point{X: p.x, T: p.t})
+			dst = append(dst, lattice.Point{X: p.x, T: p.t})
 			continue
 		}
 		for _, dx := range [3]int{-1, 0, 1} { // LineGraph.Succs order
 			x := p.x + dx
-			if x < 0 || x >= n {
-				continue
-			}
-			if !analyticHasAt(d, x, p.t+1) {
-				out = append(out, lattice.Point{X: p.x, T: p.t})
+			if x >= 0 && x < n && !analyticHasAt(d, x, p.t+1) {
+				dst = append(dst, lattice.Point{X: p.x, T: p.t})
 				break
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// analyticPreboundary is dag.Preboundary(LineGraph(n, ·), d) in
+// O(width); see geomScratch.preboundary.
+func analyticPreboundary(d lattice.Diamond, n int) []lattice.Point {
+	var s geomScratch
+	return s.preboundary(nil, d, analyticColumns(d), n)
+}
+
+// analyticLiveOut is dag.LiveOut(LineGraph(n, steps+1), d) in O(width);
+// see geomScratch.liveOut.
+func analyticLiveOut(d lattice.Diamond, n, steps int) []lattice.Point {
+	var s geomScratch
+	return s.liveOut(nil, d, analyticColumns(d), n, steps)
+}
+
+// diamondGeom is the geometry one visit of a domain needs: its columns,
+// preboundary and live-out set, each computed once.
+type diamondGeom struct {
+	cols      []colSpan
+	pre, live []lattice.Point
+}
+
+func (a *analyticExec) geom(d lattice.Diamond) diamondGeom {
+	cols := analyticColumns(d)
+	return diamondGeom{
+		cols: cols,
+		pre:  a.scr.preboundary(nil, d, cols, a.n),
+		live: a.scr.liveOut(nil, d, cols, a.n, a.steps),
+	}
 }
 
 func (a *analyticExec) isLeaf(d lattice.Diamond) bool {
@@ -304,7 +379,8 @@ func (a *analyticExec) spaceNeeded(d lattice.Diamond) int {
 		}
 	}
 	spans := analyticColumns(d)
-	in := len(analyticPreboundary(d, a.n)) + a.iw*memInCount(spans)
+	a.pts = a.scr.preboundary(a.pts[:0], d, spans, a.n)
+	in := len(a.pts) + a.iw*memInCount(spans)
 	var out int
 	if a.isLeaf(d) {
 		out = len(spans)*a.iw + d.Size() + in
@@ -312,10 +388,10 @@ func (a *analyticExec) spaceNeeded(d lattice.Diamond) int {
 		smax, stage := 0, 0
 		for _, kd := range d.Children() {
 			kid := kd.(lattice.Diamond)
-			if s := a.spaceNeeded(kid); s > smax {
-				smax = s
-			}
-			stage += len(analyticLiveOut(kid, a.n, a.steps)) + a.iw*len(analyticColumns(kid))
+			smax = max(smax, a.spaceNeeded(kid))
+			kidSpans := analyticColumns(kid)
+			a.pts = a.scr.liveOut(a.pts[:0], kid, kidSpans, a.n, a.steps)
+			stage += len(a.pts) + a.iw*len(kidSpans)
 		}
 		out = smax + stage + in
 	}
@@ -332,23 +408,19 @@ func (a *analyticExec) spaceNeeded(d lattice.Diamond) int {
 // operands, writes of the updated cell and the broadcast word. prog.Init
 // and prog.Step are never called — charges are value-independent.
 func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
-	next := 0
-	base := make(map[int]int, len(spans))
-	for _, s := range spans {
-		base[s.pos.X] = next
-		next += a.iw
-	}
-	for _, s := range spans {
+	// Column i's image base is i*iw; the broadcast words follow.
+	next := len(spans) * a.iw
+	for i, s := range spans {
 		if s.ta < 1 {
 			continue
 		}
 		k := memKey(s.pos, s.ta)
-		src, ok := a.mem[k]
+		src, ok := a.mem.get(k)
 		if !ok {
 			return fmt.Errorf("simulate: analytic image %v unavailable in leaf %v", k, d)
 		}
-		a.blockCopy(base[s.pos.X], src, a.iw)
-		a.mem[k] = base[s.pos.X]
+		a.blockCopy(i*a.iw, src, a.iw)
+		a.mem.set(k, i*a.iw)
 	}
 	tmin, tmax := spans[0].ta, spans[0].tb
 	for _, s := range spans {
@@ -360,7 +432,7 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 		}
 	}
 	for t := tmin; t <= tmax; t++ { // global (T, X) vertex order
-		for _, s := range spans {
+		for i, s := range spans {
 			if t < s.ta || t > s.tb {
 				continue
 			}
@@ -371,7 +443,7 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 				// broadcast value costs one op and one write.
 				a.op()
 				a.access(next)
-				a.bcast[p] = next
+				a.bcast.set(p, next)
 				next++
 				continue
 			}
@@ -379,7 +451,7 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 			if cellOff >= a.iw {
 				return fmt.Errorf("simulate: address %d beyond declared live memory %d", cellOff, a.iw)
 			}
-			addr := base[x] + cellOff
+			addr := i*a.iw + cellOff
 			a.access(addr) // read addressed cell
 			// Operand reads in netPreds order: self, left, right.
 			for _, dx := range [3]int{0, -1, 1} {
@@ -388,7 +460,7 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 					continue
 				}
 				q := lattice.Point{X: qx, T: t - 1}
-				qa, ok := a.bcast[q]
+				qa, ok := a.bcast.get(q)
 				if !ok {
 					return fmt.Errorf("simulate: analytic operand %v of %v unavailable", q, p)
 				}
@@ -397,27 +469,27 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 			a.op()
 			a.access(addr) // write updated cell
 			a.access(next) // write broadcast word
-			a.bcast[p] = next
+			a.bcast.set(p, next)
 			next++
 		}
 	}
 	if err := a.ec.step(d.Size()); err != nil {
 		return err
 	}
-	for _, s := range spans {
-		delete(a.mem, memKey(s.pos, s.ta))
-		a.mem[memKey(s.pos, s.tb+1)] = base[s.pos.X]
+	for i, s := range spans {
+		a.mem.del(memKey(s.pos, s.ta))
+		a.mem.set(memKey(s.pos, s.tb+1), i*a.iw)
 	}
 	return nil
 }
 
-// exec mirrors blockedExec.exec with summed-delta memoization.
-func (a *analyticExec) exec(d lattice.Diamond, space int) error {
-	spans := analyticColumns(d)
+// exec mirrors blockedExec.exec with summed-delta memoization; g is d's
+// geometry, computed by the caller's visit.
+func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 	if a.isLeaf(d) {
-		return a.execLeaf(d, spans)
+		return a.execLeaf(d, g.cols)
 	}
-	stagePtr := space - (len(analyticPreboundary(d, a.n)) + a.iw*memInCount(spans))
+	stagePtr := space - (len(g.pre) + a.iw*memInCount(g.cols))
 	for _, kd := range d.Children() {
 		kid := kd.(lattice.Diamond)
 		if err := a.ec.checkpoint(); err != nil {
@@ -442,9 +514,8 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 		if sp != nil {
 			vt0 = float64(a.meter.Now())
 		}
-		kidSpans := analyticColumns(kid)
-		kidGin := analyticPreboundary(kid, a.n)
-		live := analyticLiveOut(kid, a.n, a.steps)
+		kg := a.geom(kid)
+		kidSpans, kidGin, live := kg.cols, kg.pre, kg.live
 		skid := a.spaceNeeded(kid)
 
 		var overrides []savedAddr
@@ -457,23 +528,23 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 				continue
 			}
 			k := memKey(s.pos, s.ta)
-			src, ok := a.mem[k]
+			src, ok := a.mem.get(k)
 			if !ok {
 				return fmt.Errorf("simulate: analytic image %v unavailable for %v", k, kid)
 			}
 			a.blockCopy(dst, src, a.iw)
 			overrides = append(overrides, savedAddr{k, src, true})
-			a.mem[k] = dst
+			a.mem.set(k, dst)
 			dst += a.iw
 		}
 		for _, q := range kidGin {
-			src, ok := a.bcast[q]
+			src, ok := a.bcast.get(q)
 			if !ok {
 				return fmt.Errorf("simulate: analytic broadcast %v unavailable for %v", q, kid)
 			}
 			a.moveWord(dst, src)
 			overrides = append(overrides, savedAddr{q, src, false})
-			a.bcast[q] = dst
+			a.bcast.set(q, dst)
 			dst++
 		}
 
@@ -482,10 +553,10 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 			// rebind products to their recorded child-frame addresses.
 			a.meter.ApplyDelta(rec.dt, &rec.ledger)
 			for i, s := range kidSpans {
-				a.mem[memKey(s.pos, s.tb+1)] = rec.imgAddrs[i]
+				a.mem.set(memKey(s.pos, s.tb+1), rec.imgAddrs[i])
 			}
 			for i, v := range live {
-				a.bcast[v] = rec.outAddrs[i]
+				a.bcast.set(v, rec.outAddrs[i])
 			}
 			a.replayed++
 			if err := a.ec.step(kid.Size()); err != nil {
@@ -494,7 +565,7 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 		} else {
 			t0 := a.meter.Now()
 			led0 := a.meter.Ledger
-			if err := a.exec(kid, skid); err != nil {
+			if err := a.exec(kid, kg, skid); err != nil {
 				return err // no publication on error: no poisoned records
 			}
 			if keyOK {
@@ -505,7 +576,7 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 				}
 				okAll := true
 				for i, s := range kidSpans {
-					addr, ok := a.mem[memKey(s.pos, s.tb+1)]
+					addr, ok := a.mem.get(memKey(s.pos, s.tb+1))
 					if !ok {
 						okAll = false
 						break
@@ -513,7 +584,7 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 					nr.imgAddrs[i] = addr
 				}
 				for i, v := range live {
-					addr, ok := a.bcast[v]
+					addr, ok := a.bcast.get(v)
 					if !ok {
 						okAll = false
 						break
@@ -528,7 +599,7 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 
 		for _, s := range kidSpans {
 			k := memKey(s.pos, s.tb+1)
-			src, ok := a.mem[k]
+			src, ok := a.mem.get(k)
 			if !ok {
 				return fmt.Errorf("simulate: analytic produced image %v missing after %v", k, kid)
 			}
@@ -537,10 +608,10 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 				return fmt.Errorf("simulate: analytic staging underflow in %v", d)
 			}
 			a.blockCopy(stagePtr, src, a.iw)
-			a.mem[k] = stagePtr
+			a.mem.set(k, stagePtr)
 		}
 		for _, v := range live {
-			src, ok := a.bcast[v]
+			src, ok := a.bcast.get(v)
 			if !ok {
 				return fmt.Errorf("simulate: analytic live-out %v missing after %v", v, kid)
 			}
@@ -549,18 +620,18 @@ func (a *analyticExec) exec(d lattice.Diamond, space int) error {
 				return fmt.Errorf("simulate: analytic staging underflow in %v", d)
 			}
 			a.moveWord(stagePtr, src)
-			a.bcast[v] = stagePtr
+			a.bcast.set(v, stagePtr)
 		}
 		for _, s := range overrides {
 			if s.mem {
-				a.mem[s.p] = s.add
+				a.mem.set(s.p, s.add)
 			} else {
-				a.bcast[s.p] = s.add
+				a.bcast.set(s.p, s.add)
 			}
 		}
 		for _, s := range kidSpans {
 			if s.ta >= 1 {
-				delete(a.mem, memKey(s.pos, s.ta))
+				a.mem.del(memKey(s.pos, s.ta))
 			}
 		}
 		// Interior broadcast cleanup intentionally skipped — see the file
@@ -604,7 +675,7 @@ func AnalyticBlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 		n: n, m: m, iw: iw, steps: steps, leafSpan: leafWidth,
 		prog: prog, meter: &meter, fn: hram.Standard(1, m),
 		ec:    newExecCtx(ctx),
-		bcast: make(map[lattice.Point]int), mem: make(map[lattice.Point]int),
+		bcast: newPointAddrs(n), mem: newPointAddrs(n),
 		space: make(map[lattice.Diamond]int), classSpace: make(map[subtreeKey]int),
 	}
 	if memoEnabled(ctx) {
@@ -615,7 +686,7 @@ func AnalyticBlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 	}
 	root := lattice.DiamondAround(n, steps+1)
 	space := a.spaceNeeded(root)
-	if err := a.exec(root, space); err != nil {
+	if err := a.exec(root, a.geom(root), space); err != nil {
 		return Result{}, err
 	}
 	if err := a.ec.flush(); err != nil {

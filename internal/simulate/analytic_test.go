@@ -124,10 +124,10 @@ func TestAnalyticBoundaryMatchesDag(t *testing.T) {
 // bound is the same recursion invariant.
 func TestAnalyticMatchesExact(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		n, m     int
-		steps    int
-		memo     bool
+		name  string
+		n, m  int
+		steps int
+		memo  bool
 	}{
 		{"mixca-memo", 64, 4, 16, true},
 		{"mixca-nomemo", 64, 4, 16, false},

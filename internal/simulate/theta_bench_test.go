@@ -53,7 +53,7 @@ func BenchmarkSparseWaveBarrier(b *testing.B) {
 		for r := 0; r < sparseRounds; r++ {
 			base := (r * sparseActive) % sparseProcs
 			for k := 0; k < sparseActive; k++ {
-				bank.Proc((base + k) % sparseProcs).Charge(cost.Transfer, 8)
+				bank.Proc((base+k)%sparseProcs).Charge(cost.Transfer, 8)
 			}
 			bank.Barrier()
 		}
