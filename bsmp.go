@@ -436,6 +436,16 @@ func WithProgress(ctx context.Context, p *Progress) context.Context {
 // ProgressFrom returns the Progress attached to ctx, or nil.
 func ProgressFrom(ctx context.Context) *Progress { return simulate.ProgressFrom(ctx) }
 
+// WithSharedReplay returns a context carrying a fresh replay share:
+// runs of registry entries with SharedReplay set, started under it, that
+// replay the same guest — equal (d, n, m, steps) and program, any p, Θ
+// or fault density — step it once and copy the stored outputs after
+// that. Results are exactly those of unshared runs. The share keeps one
+// guest state; scope it to one family of runs.
+func WithSharedReplay(ctx context.Context) context.Context {
+	return simulate.WithSharedReplay(ctx)
+}
+
 // Span tracing.
 
 // Tracer records a per-run tree of timed spans: every context-aware

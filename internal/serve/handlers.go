@@ -122,6 +122,13 @@ type RunResponse struct {
 	Phases        []PhaseTime `json:"phases,omitempty"`
 	// Ledger attributes Time by cost category.
 	Ledger map[string]float64 `json:"ledger"`
+	// OutputsDigest fingerprints the guest's final state: a 64-bit
+	// FNV-1a, word by word, over the broadcast outputs and then each
+	// node's memory, as 16 hex digits. Outputs depend on the guest
+	// alone, so one guest has one digest at every p, Θ and fault
+	// density. Omitted when the scheme reports no outputs
+	// (blocked-analytic).
+	OutputsDigest string `json:"outputs_digest,omitempty"`
 
 	// RunID names this execution's record in the run registry; join it
 	// against GET /v1/runs/{id} for the full lifecycle record (queue and
@@ -607,6 +614,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		StripWidth: res.StripWidth, Span: res.Span,
 		Regime1Levels: res.Regime1Levels, Domains: res.Domains,
 		Phases: phases, Ledger: ledger,
+		OutputsDigest: outputsDigest(res.Outputs, res.Memories),
 	}
 	// The inline timeline stays opt-in: untraced runs may still carry a
 	// registry tracer for the flight recorder, but their responses (and
@@ -616,6 +624,24 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		resp.traceEpoch = tr.Epoch()
 	}
 	return resp, nil
+}
+
+// outputsDigest renders RunResponse.OutputsDigest; "" when outs is nil.
+func outputsDigest(outs []bsmp.Word, mems [][]bsmp.Word) string {
+	if outs == nil {
+		return ""
+	}
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, w := range outs {
+		h = (h ^ w) * prime
+	}
+	for _, mem := range mems {
+		for _, w := range mem {
+			h = (h ^ w) * prime
+		}
+	}
+	return fmt.Sprintf("%016x", h)
 }
 
 // handleBounds serves GET /v1/bounds?d=&n=&p=&m= — the closed-form

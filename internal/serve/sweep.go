@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,9 @@ import (
 // The grid expands into a deterministic work plan, deduplicates against
 // itself and the LRU result cache, runs the misses on the shared worker
 // pool (one guest calibration, one memo store, one flight group across
-// all points — and across concurrent /v1/run traffic), and streams rows
-// back as NDJSON the moment each completes. A dropped connection cancels
+// all points — and across concurrent /v1/run traffic — and one guest
+// replay per replay group), and streams rows back as NDJSON the moment
+// each completes. A dropped connection cancels
 // every in-flight grid point through the request context and releases
 // their pool slots.
 
@@ -422,17 +424,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 
 	start := time.Now()
-	results := make(chan sweepRowOut)
-	var wg sync.WaitGroup
+	// Every unit yields exactly one row, so no producer ever blocks on
+	// the writer. Invalid points and cache hits stream at once; the rest
+	// go to the dispatcher in replay groups.
+	results := make(chan sweepRowOut, len(units))
+	var pending []*sweepUnit
 	for _, u := range units {
-		wg.Add(1)
-		go func(u *sweepUnit) {
-			defer wg.Done()
-			results <- s.runSweepUnit(ctx, u, trace)
-		}(u)
+		if out, ok := s.resolveSweepUnit(u, trace); ok {
+			results <- out
+			continue
+		}
+		pending = append(pending, u)
 	}
 	go func() {
-		wg.Wait()
+		s.dispatchSweep(ctx, groupSweep(pending), trace, results)
 		close(results)
 	}()
 
@@ -504,33 +509,112 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runSweepUnit resolves one deduplicated grid unit: cache probe, then a
-// pool-backed execution shared with identical concurrent runs or sweep
-// units through the flight group.
-func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) sweepRowOut {
-	if u.err != nil {
-		return sweepRowOut{unit: u, err: u.err}
-	}
-	creq := u.req.canonical()
-	if !trace {
-		if v, ok := s.cache.Get(u.key); ok {
-			resp := *v.(*RunResponse)
-			resp.Cached = true
-			// The row keeps the original execution's run_id; attribute the
-			// hit to that record rather than minting a new one.
-			s.registry.Get(resp.RunID).AddCacheHit()
-			return sweepRowOut{unit: u, resp: &resp, hit: true}
+// sweepGuest identifies the guest a grid point runs: everything but the
+// host-side knobs (scheme, p, Θ, faults and the other config fields).
+type sweepGuest struct {
+	d, n, m, steps int
+	guest          string
+	seed           uint64
+}
+
+// groupSweep partitions the units left to execute into groups, the units
+// of dispatch, and orders them. Units of replaying schemes
+// (bsmp.Scheme.SharedReplay) with one guest form a replay group, whose
+// units share one functional replay; every other unit is a group of one.
+// The order is largest first — descending n·steps, ties in grid order —
+// the battery's critical-path-first rule: a group is lumpier work than a
+// row, and a large one dispatched last would run alone at the end of the
+// sweep.
+func groupSweep(units []*sweepUnit) [][]*sweepUnit {
+	groups := make([][]*sweepUnit, 0, len(units))
+	byGuest := make(map[sweepGuest]int)
+	for _, u := range units {
+		r := u.req
+		if sc, err := bsmp.SchemeByName(r.Scheme, r.D); err == nil && sc.SharedReplay {
+			k := sweepGuest{r.D, r.N, r.M, r.Steps, r.Guest, r.Seed}
+			if i, ok := byGuest[k]; ok {
+				groups[i] = append(groups[i], u)
+				continue
+			}
+			byGuest[k] = len(groups)
 		}
+		groups = append(groups, []*sweepUnit{u})
 	}
-	select {
-	case s.sweepSem <- struct{}{}:
-		defer func() { <-s.sweepSem }()
-	case <-ctx.Done():
+	size := func(g []*sweepUnit) int { return g[0].req.N * g[0].req.Steps }
+	sort.SliceStable(groups, func(i, j int) bool { return size(groups[i]) > size(groups[j]) })
+	return groups
+}
+
+// resolveSweepUnit answers a unit that needs no execution: an invalid
+// point's error row, or a result-cache hit. Neither takes a slot.
+func (s *Server) resolveSweepUnit(u *sweepUnit, trace bool) (sweepRowOut, bool) {
+	if u.err != nil {
+		return sweepRowOut{unit: u, err: u.err}, true
+	}
+	if trace {
+		return sweepRowOut{}, false
+	}
+	v, ok := s.cache.Get(u.key)
+	if !ok {
+		return sweepRowOut{}, false
+	}
+	resp := *v.(*RunResponse)
+	resp.Cached = true
+	// The row keeps the original execution's run_id; attribute the hit to
+	// that record rather than minting a new one.
+	s.registry.Get(resp.RunID).AddCacheHit()
+	return sweepRowOut{unit: u, resp: &resp, hit: true}, true
+}
+
+// dispatchSweep hands the groups, in order, to sweepSem slots. A group
+// holds its slot until its last unit finishes: the units run back to
+// back under one replay share (bsmp.WithSharedReplay), dropped when the
+// group ends, so a sweep holds at most one extra guest state per held
+// slot. Units never take a slot of their own — with -sweep-parallel 1 a
+// second acquire would deadlock. Once ctx is done, every unit not yet
+// started gets a cancellation row.
+func (s *Server) dispatchSweep(ctx context.Context, groups [][]*sweepUnit, trace bool, out chan<- sweepRowOut) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	cancelled := func(u *sweepUnit) sweepRowOut {
 		_, detail := s.classifyRunError(ctx.Err())
 		return sweepRowOut{unit: u, err: &detail}
 	}
+	for i, g := range groups {
+		select {
+		case s.sweepSem <- struct{}{}:
+		case <-ctx.Done():
+			for _, g := range groups[i:] {
+				for _, u := range g {
+					out <- cancelled(u)
+				}
+			}
+			return
+		}
+		wg.Add(1)
+		go func(g []*sweepUnit) {
+			defer wg.Done()
+			defer func() { <-s.sweepSem }()
+			gctx := ctx
+			if len(g) > 1 {
+				gctx = bsmp.WithSharedReplay(ctx)
+			}
+			for _, u := range g {
+				if ctx.Err() != nil {
+					out <- cancelled(u)
+					continue
+				}
+				out <- s.runSweepUnit(gctx, u, trace)
+			}
+		}(g)
+	}
+}
+
+// runSweepUnit executes one grid unit on the pool, shared with identical
+// concurrent runs or sweep units through the flight group.
+func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) sweepRowOut {
 	start := time.Now()
-	rreq := creq
+	rreq := u.req.canonical()
 	rreq.Trace = trace
 	v, err, shared := s.flight.Do(ctx, u.key, func() (any, error) {
 		// One registry record per executed grid point, shared with any

@@ -130,7 +130,7 @@ func largestShapedDivisor(d, n, limit int) int {
 // mesh geometry.
 func multiFaultyScheme(d int) Scheme {
 	return Scheme{
-		Name: "multi-faulty", D: d, Multiproc: true,
+		Name: "multi-faulty", D: d, Multiproc: true, SharedReplay: true,
 		Description: "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds",
 		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
 			if cfg.Multi.Theta != 0 {

@@ -41,4 +41,8 @@ func TestDiamondKernelProgramDependence(t *testing.T) {
 	if progFingerprint(narrow) == progFingerprint(wide) {
 		t.Fatal("distinct programs share a fingerprint")
 	}
+	// Equal field values under distinct guest types are distinct programs.
+	if progFingerprint(guest.AsNetwork{G: guest.MixCA{Seed: 13}}) == progFingerprint(guest.AsNetwork{G: guest.Rule90{Seed: 13}}) {
+		t.Fatal("MixCA and Rule90 guests with one seed share a fingerprint")
+	}
 }

@@ -198,6 +198,28 @@ func MultiD1(n, p, m, steps int, prog network.Program, opts MultiOptions) (Multi
 // Progress. Checks are host-side only, so a never-cancelled run's
 // virtual times are bit-identical to MultiD1's.
 func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
+	ec := newExecCtx(ctx)
+	res, err := multiD1Schedule(ec, n, p, m, steps, prog, opts)
+	if err != nil || p == 1 {
+		// A failure, or the p = 1 fallback, which executed the guest
+		// itself.
+		return res, err
+	}
+	// Functional execution (exact): the schedule is a topological
+	// execution of the same dag, so the state evolution is the guest's.
+	res.Outputs, res.Memories, err = replayGuest(ec, 1, n, m, steps, prog)
+	if err != nil {
+		return MultiResult{}, err
+	}
+	return res, nil
+}
+
+// multiD1Schedule is MultiD1Context without the functional replay: it
+// validates the tuple, plans Theorem 4's schedule and charges it,
+// returning a result whose outputs the caller fills. The degenerate
+// p = 1 case runs the Theorem 3 machinery instead, which executes the
+// guest and so returns its outputs too.
+func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	if p < 1 || n < p || n%p != 0 {
 		return MultiResult{}, fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
 	}
@@ -213,10 +235,9 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 	if p == 1 {
 		// Degenerate case: Theorem 3's machinery. A single processor
 		// exchanges no messages, so the delay model is immaterial.
-		r, err := BlockedD1Context(ctx, n, m, steps, 0, prog)
+		r, err := BlockedD1Context(ec.ctx, n, m, steps, 0, prog)
 		return MultiResult{Result: r, StripWidth: n}, err
 	}
-	ec := newExecCtx(ctx)
 	s := opts.StripWidth
 	if s <= 0 {
 		s = analytic.RoundToPow2Divisor(analytic.OptimalS(n, m, p), n/p)
@@ -236,7 +257,7 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 	// constants; to keep the phases commensurate — as they would be if
 	// one machine executed all of them — they are scaled by the kernel's
 	// measured-over-theoretical constant κ.
-	kernel, err := diamondKernel(ctx, s, m, prog)
+	kernel, err := diamondKernel(ec.ctx, s, m, prog)
 	if err != nil {
 		return MultiResult{}, err
 	}
@@ -318,25 +339,11 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 	}, opts.delayModel())
 	elapsed := bank.MaxNow() - prep
 
-	// Functional execution (exact): the schedule above is a topological
-	// execution of the same dag, so the state evolution is the guest's.
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(1, n, m, steps, prog, ec.hook())
-	if err != nil {
-		return MultiResult{}, err
-	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(steps))
-		replay.End()
-	}
-
 	return MultiResult{
 		Result: Result{
-			Outputs:  outs,
-			Memories: mems,
-			Time:     elapsed,
-			Ledger:   bank.Ledgers(),
-			Steps:    steps,
+			Time:   elapsed,
+			Ledger: bank.Ledgers(),
+			Steps:  steps,
 		},
 		PrepTime:      prep,
 		StripWidth:    s,
@@ -359,30 +366,23 @@ func MultiD1Cycles(n, p, m, cycles int, prog network.Program, opts MultiOptions)
 }
 
 // MultiD1CyclesContext is MultiD1Cycles under a context; see
-// MultiD1Context for the cancellation and progress contract.
+// MultiD1Context for the cancellation and progress contract. The n-step
+// schedule is charged once and the guest is replayed once, for all
+// cycles·n steps.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	if cycles < 1 {
 		return MultiResult{}, fmt.Errorf("simulate: cycles %d < 1", cycles)
 	}
-	one, err := MultiD1Context(ctx, n, p, m, n, prog, opts)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	total := one.PrepTime + cost.Time(cycles)*one.Time
 	ec := newExecCtx(ctx)
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(1, n, m, cycles*n, prog, ec.hook())
+	res, err := multiD1Schedule(ec, n, p, m, n, prog, opts)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(cycles*n))
-		replay.End()
+	res.Outputs, res.Memories, err = replayGuest(ec, 1, n, m, cycles*n, prog)
+	if err != nil {
+		return MultiResult{}, err
 	}
-	res := one
-	res.Outputs = outs
-	res.Memories = mems
-	res.Time = total
+	res.Time = res.PrepTime + cost.Time(cycles)*res.Time
 	res.Steps = cycles * n
 	return res, nil
 }

@@ -141,12 +141,14 @@ func kernelStore(k kernelKey, v float64) {
 	memo.store(memoKernel, memoLevel(k.s), k, v)
 }
 
-// progFingerprint renders a program's identity for kernel-cache keying.
-// Programs here are small comparable config structs (guest.AsNetwork
-// values and the like), so %T plus the printed field values identify the
-// cost-relevant behavior.
+// progFingerprint renders a program's identity for the memo and replay
+// keys. Programs here are small comparable config structs
+// (guest.AsNetwork values and the like), so the Go-syntax rendering
+// identifies their behavior. It must name the types of nested interface
+// values too: plain %+v prints AsNetwork{G: MixCA{Seed: 5}} and
+// AsNetwork{G: Rule90{Seed: 5}} alike.
 func progFingerprint(prog network.Program) string {
-	return fmt.Sprintf("%T:%+v", prog, prog)
+	return fmt.Sprintf("%#v", prog)
 }
 
 // calFlight coalesces concurrent measurements of the same kernel key.
@@ -173,10 +175,15 @@ func (g *multiGeom) kernel(ctx context.Context, s, m int, prog network.Program) 
 	calProg := g.calProg(cal, prog)
 	key := kernelKey{g.d, s, m, progFingerprint(calProg)}
 	for {
+		// The memo check and the leader election share one critical
+		// section. A leader stores its kernel before it removes its
+		// flight under this lock, so no goroutine can miss just before
+		// the store and then, finding no flight, measure again.
+		calFlight.mu.Lock()
 		if v, ok := kernelLoad(key); ok {
+			calFlight.mu.Unlock()
 			return v, nil
 		}
-		calFlight.mu.Lock()
 		if ch, ok := calFlight.m[key]; ok {
 			// Another goroutine is measuring this key: wait for it, then
 			// re-check the cache. A leader that failed (cancellation)
@@ -468,14 +475,9 @@ func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog netwo
 		exchCat: cost.Message,
 	}, opts.delayModel())
 
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(g.d, n, m, steps, prog, ec.hook())
+	outs, mems, err := replayGuest(ec, g.d, n, m, steps, prog)
 	if err != nil {
 		return MultiResult{}, err
-	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(steps))
-		replay.End()
 	}
 	return MultiResult{
 		Result: Result{

@@ -33,6 +33,12 @@ type Scheme struct {
 	D int
 	// Multiproc reports whether the scheme exploits p > 1.
 	Multiproc bool
+	// SharedReplay reports that the scheme charges a modelled schedule
+	// and takes its outputs from one functional replay of the guest
+	// (replayGuest), so runs of one guest that differ only in p, Θ or
+	// fault density can share that replay under WithSharedReplay. The
+	// naive and uniprocessor schemes execute the guest for real.
+	SharedReplay bool
 	// Description is a one-line summary with the scheme's slowdown.
 	Description string
 	// Validate checks the scheme-specific parameter constraints beyond
@@ -161,7 +167,7 @@ func analyticScheme() Scheme {
 
 func multiScheme(d int) Scheme {
 	return Scheme{
-		Name: "multi", D: d, Multiproc: true,
+		Name: "multi", D: d, Multiproc: true, SharedReplay: true,
 		Description: "multiprocessor rearrangement + cooperating mode (Thm. 4 / Thm. 1), slowdown Θ((n/p)·A(n, m, p))",
 		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
 			if cfg.Multi.Theta != 0 {
@@ -195,7 +201,7 @@ func multiScheme(d int) Scheme {
 // scheme, not a separate model.
 func multiThetaScheme(d int) Scheme {
 	return Scheme{
-		Name: "multi-theta", D: d, Multiproc: true,
+		Name: "multi-theta", D: d, Multiproc: true, SharedReplay: true,
 		Description: "event-driven Θ-model multi: seeded delays in [dist, Θ·dist]; Θ = 1 recovers lockstep exactly",
 		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
 			if e := validateTheta("multi-theta", cfg.Multi.Theta); e != nil {

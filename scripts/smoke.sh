@@ -176,6 +176,15 @@ ROWS=$(grep -c '"result"' "$S1" || true)
 [ "$ROWS" = 8 ] || fail "sweep streamed $ROWS result rows, want 8: $(cat "$S1")"
 grep -q '"done":true' "$S1" || fail "sweep missing done summary: $(cat "$S1")"
 grep -q '"errors":0' "$S1" || fail "sweep reported errors: $(cat "$S1")"
+# Outputs do not depend on p: the rows of each m carry one
+# outputs_digest, and a fresh (traced, so uncached) /v1/run of one of
+# those points reproduces it.
+DIGESTS=$(sed -En 's/.*"m":([0-9]+),.*"outputs_digest":"([0-9a-f]{16})".*/\1 \2/p' "$S1" | sort -u)
+[ "$(echo "$DIGESTS" | wc -l)" = 2 ] || fail "sweep rows do not carry one outputs_digest per m: $DIGESTS"
+[ "$(echo "$DIGESTS" | cut -d' ' -f1 | sort -u | tr '\n' ' ')" = "16 4 " ] || fail "outputs_digest per m malformed: $DIGESTS"
+D4=$(echo "$DIGESTS" | sed -En 's/^4 //p')
+RD=$(curl -fsS -X POST --data '{"scheme": "multi", "d": 1, "n": 256, "p": 4, "m": 4, "steps": 32}' "$BASE/v1/run?trace=1") || fail "digest reference run errored"
+echo "$RD" | grep -q "\"outputs_digest\":\"$D4\"" || fail "/v1/run outputs_digest differs from the sweep's m=4 rows ($D4): $RD"
 S2="$(mktemp)"
 curl -fsS -N -X POST --data "$SWEEP" "$BASE/v1/sweep" > "$S2" || fail "repeat sweep errored"
 HITS=$(grep -c '"cached":true' "$S2" || true)
