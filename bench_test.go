@@ -8,11 +8,13 @@ package bsmp
 // runs the full-size sweeps.
 
 import (
+	"context"
 	"testing"
 
 	"bsmp/internal/analytic"
 	"bsmp/internal/exp"
 	"bsmp/internal/guest"
+	"bsmp/internal/hram"
 	"bsmp/internal/simulate"
 )
 
@@ -24,11 +26,11 @@ func BenchmarkNaiveSlowdownD1(b *testing.B) {
 	n := 128
 	var slow float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.Naive(1, n, 1, 1, 8, benchProg())
+		res, err := simulate.NaiveContext(context.Background(), 1, n, 1, 1, 8, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := simulate.GuestTime(1, n, 1, 8, benchProg())
+		tn, _ := simulate.GuestTimeContext(context.Background(), 1, n, 1, 8, benchProg())
 		slow = float64(res.Time) / float64(tn)
 	}
 	b.ReportMetric(slow, "slowdown")
@@ -41,11 +43,11 @@ func BenchmarkNaiveSlowdownD2(b *testing.B) {
 	var slow float64
 	for i := 0; i < b.N; i++ {
 		prog := AsNetwork{G: MixCA{Seed: 9}, Side: side}
-		res, err := simulate.Naive(2, n, 1, 1, 4, prog)
+		res, err := simulate.NaiveContext(context.Background(), 2, n, 1, 1, 4, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := simulate.GuestTime(2, n, 1, 4, prog)
+		tn, _ := simulate.GuestTimeContext(context.Background(), 2, n, 1, 4, prog)
 		slow = float64(res.Time) / float64(tn)
 	}
 	b.ReportMetric(slow, "slowdown")
@@ -59,7 +61,7 @@ func BenchmarkTheorem2(b *testing.B) {
 	prog := Rule90{Seed: 1}
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		res, err := UniDC(1, n, n, 8, prog)
+		res, err := simulate.UniDCContext(context.Background(), 1, n, n, 8, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,11 +77,11 @@ func BenchmarkTheorem3(b *testing.B) {
 	n, m, steps := 128, 16, 32
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := BlockedD1(n, m, steps, 0, benchProg())
+		res, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := GuestTime(1, n, m, steps, benchProg())
+		tn, _ := GuestTimeContext(context.Background(), 1, n, m, steps, benchProg())
 		ratio = float64(res.Time) / float64(tn) / analytic.Theorem3Slowdown(n, m)
 	}
 	b.ReportMetric(ratio, "meas/bound")
@@ -91,11 +93,11 @@ func BenchmarkTheorem3D2(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, Side: side}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := BlockedD2(side*side, m, steps, 0, prog)
+		res, err := simulate.BlockedD2Context(context.Background(), side*side, m, steps, 0, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := GuestTime(2, side*side, m, steps, prog)
+		tn, _ := GuestTimeContext(context.Background(), 2, side*side, m, steps, prog)
 		ratio = float64(res.Time) / float64(tn)
 	}
 	b.ReportMetric(ratio, "slowdown")
@@ -108,11 +110,11 @@ func BenchmarkTheorem1D1(b *testing.B) {
 	n, p, m, steps := 256, 8, 16, 64
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := MultiD1(n, p, m, steps, benchProg(), MultiOptions{})
+		res, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := GuestTime(1, n, m, steps, benchProg())
+		tn, _ := GuestTimeContext(context.Background(), 1, n, m, steps, benchProg())
 		ameas = float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 	}
 	b.ReportMetric(ameas, "A_meas")
@@ -126,7 +128,7 @@ func BenchmarkTheorem5(b *testing.B) {
 	prog := Rule90{Seed: 2}
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		res, err := UniDC(2, side*side, side, 8, prog)
+		res, err := simulate.UniDCContext(context.Background(), 2, side*side, side, 8, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,11 +144,11 @@ func BenchmarkTheorem1D2(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, Side: side}
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := MultiD2(n, p, m, steps, prog, Multi2Options{})
+		res, err := simulate.MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := GuestTime(2, n, m, steps, prog)
+		tn, _ := GuestTimeContext(context.Background(), 2, n, m, steps, prog)
 		ameas = float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 	}
 	b.ReportMetric(ameas, "A_meas")
@@ -177,7 +179,7 @@ func BenchmarkOptimalS(b *testing.B) {
 		best := -1.0
 		var bestT Time
 		for sw := 1; sw <= n/p; sw *= 2 {
-			res, err := MultiD1(n, p, m, steps, benchProg(), MultiOptions{StripWidth: sw})
+			res, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{StripWidth: sw})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -196,15 +198,15 @@ func BenchmarkAblations(b *testing.B) {
 	n, p, m, steps := 256, 8, 16, 64
 	var noRe, noCoop float64
 	for i := 0; i < b.N; i++ {
-		full, err := MultiD1(n, p, m, steps, benchProg(), MultiOptions{})
+		full, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1, err := MultiD1(n, p, m, steps, benchProg(), MultiOptions{NoRearrange: true})
+		r1, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{NoRearrange: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := MultiD1(n, p, m, steps, benchProg(), MultiOptions{NoCooperate: true})
+		r2, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{NoCooperate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,11 +223,11 @@ func BenchmarkPipelinedBlocks(b *testing.B) {
 	n, m, steps := 128, 16, 32
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		std, err := BlockedD1(n, m, steps, 0, benchProg())
+		std, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
-		pipe, err := BlockedD1(n, m, steps, 0, benchProg(), PipelinedBlocks())
+		pipe, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg(), hram.WithPipelinedBlocks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,11 +242,11 @@ func BenchmarkRestrictedMemory(b *testing.B) {
 	n, m, steps := 128, 64, 32
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		full, err := BlockedD1(n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: m})
+		full, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: m})
 		if err != nil {
 			b.Fatal(err)
 		}
-		small, err := BlockedD1(n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: 4})
+		small, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +260,7 @@ func BenchmarkRestrictedMemory(b *testing.B) {
 func BenchmarkCooperatingMode(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.CoopBlock(1024, 8, 16, 16, 16, benchProg())
+		res, err := simulate.CoopBlockContext(context.Background(), 1024, 8, 16, 16, 16, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +310,7 @@ func BenchmarkConjectureD3(b *testing.B) {
 	prog := guest.Rule90{Seed: 3}
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.UniDC(3, side*side*side, side, 8, prog)
+		res, err := simulate.UniDCContext(context.Background(), 3, side*side*side, side, 8, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,11 +328,11 @@ func BenchmarkConjectureD3Multi(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, CubeSide: side}
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := MultiD3(n, p, m, steps, prog, Multi3Options{})
+		res, err := simulate.MultiD3Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := GuestTime(3, n, m, steps, prog)
+		tn, _ := GuestTimeContext(context.Background(), 3, n, m, steps, prog)
 		ameas = float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 	}
 	b.ReportMetric(ameas, "A_meas")
@@ -343,7 +345,7 @@ func BenchmarkSeparatorExecutor(b *testing.B) {
 	n := 64
 	prog := guest.Rule90{Seed: 1}
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.UniDC(1, n, n, 8, prog); err != nil {
+		if _, err := simulate.UniDCContext(context.Background(), 1, n, n, 8, prog); err != nil {
 			b.Fatal(err)
 		}
 	}

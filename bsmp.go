@@ -93,180 +93,37 @@ type MultiResult = simulate.MultiResult
 // planning stretch factors).
 type FaultReport = simulate.FaultReport
 
-// Multi2Options configures the d = 2 multiprocessor model.
-type Multi2Options = simulate.Multi2Options
-
-// Multi2Result reports the d = 2 multiprocessor run.
-type Multi2Result = simulate.Multi2Result
-
 // RunGuest executes prog for steps steps on the fully parallel machine
 // (P == N) with cost accounting, returning outputs and elapsed time Tn.
 func RunGuest(m *Machine, prog Program, steps int) ([]Word, Time) {
-	return network.RunGuest(m, prog, steps)
+	out, elapsed, _ := network.RunGuest(m, prog, steps, nil)
+	return out, elapsed
 }
 
-// GuestTime measures Tn for Md(n, n, m) running prog — the denominator of
-// every slowdown in the paper.
-func GuestTime(d, n, m, steps int, prog Program) Time {
-	return simulate.GuestTime(d, n, m, steps, prog)
-}
-
-// GuestTimeContext is GuestTime under a context: the run polls
-// cancellation cooperatively and reports progress to any attached
-// Progress. A never-cancelled run measures the same time.
+// GuestTimeContext measures Tn for Md(n, n, m) running prog — the
+// denominator of every slowdown in the paper. The run polls cancellation
+// cooperatively and reports progress to any attached Progress; a
+// never-cancelled run measures the same time.
 func GuestTimeContext(ctx context.Context, d, n, m, steps int, prog Program) (Time, error) {
 	return simulate.GuestTimeContext(ctx, d, n, m, steps, prog)
 }
 
-// Naive runs the naive simulation of Proposition 1 (and its parallel
-// version): slowdown Θ((n/p)^(1+1/d)).
-func Naive(d, n, p, m, steps int, prog Program) (Result, error) {
-	return simulate.Naive(d, n, p, m, steps, prog)
-}
-
-// NaiveContext is Naive under a context: cancellation is polled
-// cooperatively between charged operations, so a never-cancelled run's
-// virtual times are bit-identical to Naive's.
-func NaiveContext(ctx context.Context, d, n, p, m, steps int, prog Program) (Result, error) {
-	return simulate.NaiveContext(ctx, d, n, p, m, steps, prog)
-}
-
-// UniDC runs the uniprocessor divide-and-conquer simulation of Theorem 2
-// (d = 1) or Theorem 5 (d = 2) for m = 1: slowdown Θ(n log n).
-func UniDC(d, n, steps, leafSize int, prog DagProgram) (Result, error) {
-	return simulate.UniDC(d, n, steps, leafSize, prog)
-}
-
-// UniDCContext is UniDC under a context.
-func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog DagProgram) (Result, error) {
-	return simulate.UniDCContext(ctx, d, n, steps, leafSize, prog)
-}
-
-// UniNaive runs the unsophisticated uniprocessor baseline over the same
-// dag: slowdown Θ(n^(1+1/d)).
-func UniNaive(d, n, steps int, prog DagProgram) (Result, error) {
-	return simulate.UniNaiveDag(d, n, steps, prog)
-}
-
-// UniNaiveContext is UniNaive under a context.
+// UniNaiveContext runs the unsophisticated uniprocessor baseline over
+// the m = 1 guest dag that scheme "unidc" divides and conquers: slowdown
+// Θ(n^(1+1/d)).
 func UniNaiveContext(ctx context.Context, d, n, steps int, prog DagProgram) (Result, error) {
 	return simulate.UniNaiveDagContext(ctx, d, n, steps, prog)
 }
-
-// MachineOption configures the underlying H-RAMs (e.g. PipelinedBlocks).
-type MachineOption = hram.Option
-
-// PipelinedBlocks makes block relocations cost latency + length instead of
-// per-word latency — the paper's concluding "pipelinable memory"
-// alternative, under which the locality slowdown largely disappears.
-func PipelinedBlocks() MachineOption { return hram.WithPipelinedBlocks() }
 
 // RestrictMem declares a guest that touches only m' < m memory words per
 // node — the conclusions' extra-locality scenario.
 type RestrictMem = guest.RestrictMem
 
-// BlockedD1 runs Theorem 3's blocked uniprocessor simulation for general
-// m: slowdown Θ(n·min(n, m·Log(n/m))). leafWidth 0 selects the paper's
-// executable-diamond width m. Options configure the host memory (e.g.
-// PipelinedBlocks).
-func BlockedD1(n, m, steps, leafWidth int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD1(n, m, steps, leafWidth, prog, opts...)
-}
-
-// BlockedD1Context is BlockedD1 under a context: cancellation is polled
-// at every recursion boundary and (amortized) per executed leaf vertex.
-func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD1Context(ctx, n, m, steps, leafWidth, prog, opts...)
-}
-
-// BlockedD2 is the d = 2 analogue of BlockedD1: the blocked simulation
-// over octahedral domains (n = side² must be a perfect square).
-func BlockedD2(n, m, steps, leafSpan int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD2(n, m, steps, leafSpan, prog, opts...)
-}
-
-// BlockedD2Context is BlockedD2 under a context.
-func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD2Context(ctx, n, m, steps, leafSpan, prog, opts...)
-}
-
-// BlockedD3 completes the d = 3 extension for general m over the Box6
-// separator (n = side³ must be a perfect cube).
-func BlockedD3(n, m, steps, leafSpan int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD3(n, m, steps, leafSpan, prog, opts...)
-}
-
-// BlockedD3Context is BlockedD3 under a context.
-func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog Program, opts ...MachineOption) (Result, error) {
-	return simulate.BlockedD3Context(ctx, n, m, steps, leafSpan, prog, opts...)
-}
-
-// AnalyticBlockedD1 computes BlockedD1's virtual time, cost ledger, and
-// space bound analytically: no machine state is materialized and
-// congruent recursion subtrees replay as memoized cost deltas, so
-// lattice volumes of 10^9+ vertices (n = 2^20 × steps = 2^10) finish in
-// seconds. The result carries no guest outputs (Outputs/Memories nil);
-// validate against the work/span laws and the Theorem 3 bound instead.
-func AnalyticBlockedD1(n, m, steps, leafWidth int, prog Program) (Result, error) {
-	return simulate.AnalyticBlockedD1(n, m, steps, leafWidth, prog)
-}
-
-// AnalyticBlockedD1Context is AnalyticBlockedD1 under a context, with
-// BlockedD1Context's cancellation and progress contract.
-func AnalyticBlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog Program) (Result, error) {
-	return simulate.AnalyticBlockedD1Context(ctx, n, m, steps, leafWidth, prog)
-}
-
-// MultiD1 runs Theorem 4's multiprocessor simulation: slowdown
-// Θ((n/p)·A(n, m, p)).
-func MultiD1(n, p, m, steps int, prog Program, opts MultiOptions) (MultiResult, error) {
-	return simulate.MultiD1(n, p, m, steps, prog, opts)
-}
-
-// MultiD1Context is MultiD1 under a context: cancellation is polled at
-// every phase boundary and (amortized) through the kernel calibrations
-// and the verification replay.
-func MultiD1Context(ctx context.Context, n, p, m, steps int, prog Program, opts MultiOptions) (MultiResult, error) {
-	return simulate.MultiD1Context(ctx, n, p, m, steps, prog, opts)
-}
-
-// MultiD1Cycles repeats the n-step Theorem 4 simulation to cover
-// cycles·n guest steps, amortizing the one-time rearrangement.
-func MultiD1Cycles(n, p, m, cycles int, prog Program, opts MultiOptions) (MultiResult, error) {
-	return simulate.MultiD1Cycles(n, p, m, cycles, prog, opts)
-}
-
-// MultiD1CyclesContext is MultiD1Cycles under a context.
+// MultiD1CyclesContext repeats the n-step Theorem 4 simulation (scheme
+// "multi", d = 1) to cover cycles·n guest steps, amortizing the one-time
+// rearrangement.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog Program, opts MultiOptions) (MultiResult, error) {
 	return simulate.MultiD1CyclesContext(ctx, n, p, m, cycles, prog, opts)
-}
-
-// MultiD2 runs the d = 2 case of Theorem 1 (model-grade orchestration;
-// see DESIGN.md).
-func MultiD2(n, p, m, steps int, prog Program, opts Multi2Options) (Multi2Result, error) {
-	return simulate.MultiD2(n, p, m, steps, prog, opts)
-}
-
-// MultiD2Context is MultiD2 under a context.
-func MultiD2Context(ctx context.Context, n, p, m, steps int, prog Program, opts Multi2Options) (Multi2Result, error) {
-	return simulate.MultiD2Context(ctx, n, p, m, steps, prog, opts)
-}
-
-// Multi3Options configures the d = 3 multiprocessor model.
-type Multi3Options = simulate.Multi3Options
-
-// Multi3Result reports the d = 3 multiprocessor run.
-type Multi3Result = simulate.Multi3Result
-
-// MultiD3 evaluates the conjectured d = 3 case of Theorem 1 (model-grade,
-// with kernels measured by BlockedD3; see DESIGN.md).
-func MultiD3(n, p, m, steps int, prog Program, opts Multi3Options) (Multi3Result, error) {
-	return simulate.MultiD3(n, p, m, steps, prog, opts)
-}
-
-// MultiD3Context is MultiD3 under a context.
-func MultiD3Context(ctx context.Context, n, p, m, steps int, prog Program, opts Multi3Options) (Multi3Result, error) {
-	return simulate.MultiD3Context(ctx, n, p, m, steps, prog, opts)
 }
 
 // VerifyDag checks a dag-level result against the reference execution.
@@ -274,9 +131,10 @@ func VerifyDag(r Result, d, n int, prog DagProgram) error {
 	return simulate.VerifyDag(r, d, n, prog)
 }
 
-// Scheme registry: the paper's simulation algorithms selectable by name
-// ("naive", "unidc", "blocked", "multi") and dimension instead of
-// hard-wired function calls.
+// Scheme registry: the paper's simulation algorithms ("naive", "unidc",
+// "blocked", "blocked-analytic", "multi", "multi-theta", "multi-faulty"),
+// selected by name and dimension. RunSchemeContext is the package's one
+// entry point for running them.
 
 // Scheme is a named simulation algorithm entry.
 type Scheme = simulate.Scheme
@@ -308,16 +166,12 @@ func SchemeTable() string {
 // SchemeByName returns the registered scheme for (name, d).
 func SchemeByName(name string, d int) (Scheme, error) { return simulate.SchemeByName(name, d) }
 
-// RunScheme looks up (name, d) in the registry and runs it. Parameters
-// are validated before any machinery is constructed: a malformed tuple
-// yields a *ParamError, never a panic.
-func RunScheme(name string, d, n, p, m, steps int, prog Program, cfg SchemeConfig) (MultiResult, error) {
-	return simulate.RunScheme(name, d, n, p, m, steps, prog, cfg)
-}
-
-// RunSchemeContext is RunScheme under a context: the selected scheme
-// polls cancellation cooperatively (returning the context's error) and
-// reports step progress to any Progress attached with WithProgress.
+// RunSchemeContext looks up (name, d) in the registry and runs it under
+// ctx. It is the entry point of every registered engine. Parameters are
+// validated before any machinery is constructed: a malformed tuple
+// yields a *ParamError, never a panic. The selected scheme polls
+// cancellation cooperatively (returning the context's error) and reports
+// step progress to any Progress attached with WithProgress.
 func RunSchemeContext(ctx context.Context, name string, d, n, p, m, steps int, prog Program, cfg SchemeConfig) (MultiResult, error) {
 	return simulate.RunSchemeContext(ctx, name, d, n, p, m, steps, prog, cfg)
 }
@@ -391,22 +245,10 @@ func BlockedMatmul(sq int, a, b []Word) ([]Word, Time) { return guest.BlockedMat
 // ExperimentTable is one experiment's formatted output.
 type ExperimentTable = exp.Table
 
-// RunAllExperiments reproduces every table and figure of the paper
-// (quick selects reduced sizes). Experiments run concurrently on up to
-// GOMAXPROCS workers; output order matches the sequential battery.
-func RunAllExperiments(quick bool) ([]*ExperimentTable, error) {
-	return exp.All(exp.Scale{Quick: quick})
-}
-
-// RunAllExperimentsSequential is RunAllExperiments on a single worker,
-// for profiling runs where interleaved experiments would muddy the
-// profile.
-func RunAllExperimentsSequential(quick bool) ([]*ExperimentTable, error) {
-	return exp.AllSequential(exp.Scale{Quick: quick})
-}
-
-// RunAllExperimentsContext is RunAllExperiments under a context: once the
-// context is cancelled no new experiment starts, in-flight experiments
+// RunAllExperimentsContext reproduces every table and figure of the
+// paper (quick selects reduced sizes). Experiments run concurrently on
+// up to GOMAXPROCS workers; output order matches the sequential battery.
+// Once ctx is cancelled no new experiment starts, in-flight experiments
 // stop at their next checkpoint, and the tables of every experiment that
 // finished are returned (in battery order) alongside the context's error.
 func RunAllExperimentsContext(ctx context.Context, quick bool) ([]*ExperimentTable, error) {
@@ -414,7 +256,8 @@ func RunAllExperimentsContext(ctx context.Context, quick bool) ([]*ExperimentTab
 }
 
 // RunAllExperimentsSequentialContext is RunAllExperimentsContext on a
-// single worker.
+// single worker, for profiling runs where interleaved experiments would
+// muddy the profile.
 func RunAllExperimentsSequentialContext(ctx context.Context, quick bool) ([]*ExperimentTable, error) {
 	return exp.AllSequentialContext(ctx, exp.Scale{Quick: quick})
 }

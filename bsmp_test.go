@@ -1,20 +1,21 @@
 package bsmp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestFacadeGuestAndNaive(t *testing.T) {
 	prog := AsNetwork{G: MixCA{Seed: 1}}
-	res, err := Naive(1, 16, 4, 2, 8, prog)
+	res, err := RunSchemeContext(context.Background(), "naive", 1, 16, 4, 2, 8, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Verify(1, 16, 2, prog); err != nil {
 		t.Fatal(err)
 	}
-	tn := GuestTime(1, 16, 2, 8, prog)
+	tn, _ := GuestTimeContext(context.Background(), 1, 16, 2, 8, prog)
 	if tn <= 0 || res.Time <= Time(0) {
 		t.Fatal("non-positive times")
 	}
@@ -25,18 +26,18 @@ func TestFacadeGuestAndNaive(t *testing.T) {
 
 func TestFacadeUniDC(t *testing.T) {
 	prog := Rule90{Seed: 2}
-	res, err := UniDC(1, 16, 16, 8, prog)
+	res, err := RunSchemeContext(context.Background(), "unidc", 1, 16, 1, 1, 16, AsNetwork{G: prog}, SchemeConfig{Leaf: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyDag(res, 1, 16, prog); err != nil {
+	if err := VerifyDag(res.Result, 1, 16, prog); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFacadeMulti(t *testing.T) {
 	prog := AsNetwork{G: MixCA{Seed: 3}}
-	res, err := MultiD1(32, 4, 2, 16, prog, MultiOptions{})
+	res, err := RunSchemeContext(context.Background(), "multi", 1, 32, 4, 2, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFacadeMachine(t *testing.T) {
 }
 
 func TestFacadeExperimentsQuick(t *testing.T) {
-	tabs, err := RunAllExperiments(true)
+	tabs, err := RunAllExperimentsContext(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestSuperlinearSpeedupHeadline(t *testing.T) {
 func TestFacadeRemainingSurface(t *testing.T) {
 	prog := AsNetwork{G: MixCA{Seed: 4}}
 
-	// UniNaive + BlockedD1 with the pipelined-memory option.
-	un, err := UniNaive(1, 8, 8, Rule90{Seed: 1})
+	// UniNaiveContext + the blocked scheme.
+	un, err := UniNaiveContext(context.Background(), 1, 8, 8, Rule90{Seed: 1})
 	if err != nil || VerifyDag(un, 1, 8, Rule90{Seed: 1}) != nil {
-		t.Fatalf("UniNaive: %v", err)
+		t.Fatalf("UniNaiveContext: %v", err)
 	}
-	bl, err := BlockedD1(16, 2, 8, 0, prog, PipelinedBlocks())
+	bl, err := RunSchemeContext(context.Background(), "blocked", 1, 16, 1, 2, 8, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +124,20 @@ func TestFacadeRemainingSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// MultiD1Cycles and MultiD2.
-	mc, err := MultiD1Cycles(16, 2, 1, 2, prog, MultiOptions{})
+	// MultiD1CyclesContext and multi at d = 2.
+	mc, err := MultiD1CyclesContext(context.Background(), 16, 2, 1, 2, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mc.Verify(1, 16, 1, prog); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := MultiD2(64, 4, 1, 4, AsNetwork{G: MixCA{Seed: 4}, Side: 8}, Multi2Options{})
+	m2, err := RunSchemeContext(context.Background(), "multi", 2, 64, 4, 1, 4, AsNetwork{G: MixCA{Seed: 4}, Side: 8}, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.Time <= 0 {
-		t.Fatal("MultiD2 time")
+		t.Fatal("multi d=2 time")
 	}
 
 	// Bounds surface.
@@ -145,7 +146,7 @@ func TestFacadeRemainingSurface(t *testing.T) {
 	}
 
 	// RestrictMem through the facade.
-	rm, err := BlockedD1(16, 4, 8, 0, RestrictMem{P: MixCA{Seed: 4}, Words: 2})
+	rm, err := RunSchemeContext(context.Background(), "blocked", 1, 16, 1, 4, 8, RestrictMem{P: MixCA{Seed: 4}, Words: 2}, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,23 @@
 package bsmp_test
 
 import (
+	"context"
 	"fmt"
 
 	"bsmp"
 )
 
-// ExampleUniDC simulates a linear-array cellular automaton on one
-// processor via the topological-separator technique (Theorem 2) and
-// verifies it against the direct execution.
-func ExampleUniDC() {
+// ExampleRunSchemeContext simulates a linear-array cellular automaton on
+// one processor via the topological-separator technique (scheme "unidc",
+// Theorem 2) and verifies it against the direct execution.
+func ExampleRunSchemeContext() {
 	prog := bsmp.Rule90{Seed: 7}
-	res, err := bsmp.UniDC(1, 32, 32, 8, prog)
+	res, err := bsmp.RunSchemeContext(context.Background(), "unidc", 1, 32, 1, 1, 32,
+		bsmp.AsNetwork{G: prog}, bsmp.SchemeConfig{Leaf: 8})
 	if err != nil {
 		panic(err)
 	}
-	if err := bsmp.VerifyDag(res, 1, 32, prog); err != nil {
+	if err := bsmp.VerifyDag(res.Result, 1, 32, prog); err != nil {
 		panic(err)
 	}
 	fmt.Println("verified:", len(res.Outputs), "outputs")
@@ -36,12 +38,12 @@ func ExampleA() {
 	// m=2048  A=64.0
 }
 
-// ExampleMultiD1 runs the full Theorem 4 multiprocessor simulation —
-// rearrangement, Regime 1 relocation, Regime 2 cooperating execution —
-// and checks the guest state is reproduced exactly.
-func ExampleMultiD1() {
+// ExampleRunSchemeContext_multi runs the full Theorem 4 multiprocessor
+// simulation — rearrangement, Regime 1 relocation, Regime 2 cooperating
+// execution — and checks the guest state is reproduced exactly.
+func ExampleRunSchemeContext_multi() {
 	prog := bsmp.AsNetwork{G: bsmp.MixCA{Seed: 3}}
-	res, err := bsmp.MultiD1(64, 4, 2, 32, prog, bsmp.MultiOptions{})
+	res, err := bsmp.RunSchemeContext(context.Background(), "multi", 1, 64, 4, 2, 32, prog, bsmp.SchemeConfig{})
 	if err != nil {
 		panic(err)
 	}

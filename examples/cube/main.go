@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog := bsmp.Rule90{Seed: 9}
 
 	fmt.Println("The open question of Bilardi-Preparata '95, executable:")
@@ -29,14 +31,14 @@ func main() {
 		"side", "n", "T_separator", "T/(k·log k)", "T_naive", "naive/sep")
 	for _, side := range []int{4, 8, 12, 16} {
 		n := side * side * side
-		sep, err := bsmp.UniDC(3, n, side, 8, prog)
+		sep, err := bsmp.RunSchemeContext(ctx, "unidc", 3, n, 1, 1, side, bsmp.AsNetwork{G: prog}, bsmp.SchemeConfig{Leaf: 8})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := bsmp.VerifyDag(sep, 3, n, prog); err != nil {
+		if err := bsmp.VerifyDag(sep.Result, 3, n, prog); err != nil {
 			log.Fatal(err)
 		}
-		naive, err := bsmp.UniNaive(3, n, side, prog)
+		naive, err := bsmp.UniNaiveContext(ctx, 3, n, side, prog)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog := bsmp.Rule90{Seed: 2026}
 
 	fmt.Println("Bounded-speed message propagation quickstart (Bilardi-Preparata, SPAA'95)")
@@ -22,16 +24,19 @@ func main() {
 
 	for _, n := range []int{32, 64, 128, 256} {
 		// The guest: n processors, n steps, one word of memory each.
-		guestTime := bsmp.GuestTime(1, n, 1, n, bsmp.AsNetwork{G: prog})
+		guestTime, err := bsmp.GuestTimeContext(ctx, 1, n, 1, n, bsmp.AsNetwork{G: prog})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Host 1: naive step-by-step simulation — slowdown Θ(n²).
-		naive, err := bsmp.UniNaive(1, n, n, prog)
+		naive, err := bsmp.UniNaiveContext(ctx, 1, n, n, prog)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// Host 2: the paper's divide-and-conquer — slowdown Θ(n log n).
-		sep, err := bsmp.UniDC(1, n, n, 8, prog)
+		sep, err := bsmp.RunSchemeContext(ctx, "unidc", 1, n, 1, 1, n, bsmp.AsNetwork{G: prog}, bsmp.SchemeConfig{Leaf: 8})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -39,7 +44,7 @@ func main() {
 		if err := bsmp.VerifyDag(naive, 1, n, prog); err != nil {
 			log.Fatalf("naive verification: %v", err)
 		}
-		if err := bsmp.VerifyDag(sep, 1, n, prog); err != nil {
+		if err := bsmp.VerifyDag(sep.Result, 1, n, prog); err != nil {
 			log.Fatalf("separator verification: %v", err)
 		}
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	n, p, steps := 256, 8, 64
 	prog := bsmp.AsNetwork{G: bsmp.MixCA{Seed: 11}}
 
@@ -23,22 +25,27 @@ func main() {
 		"m", "s*", "levels", "A_measured", "A_bound", "T_noRearr", "T_noCoop")
 
 	for _, m := range []int{1, 4, 16, 64, 256, 1024} {
-		full, err := bsmp.MultiD1(n, p, m, steps, prog, bsmp.MultiOptions{})
+		full, err := bsmp.RunSchemeContext(ctx, "multi", 1, n, p, m, steps, prog, bsmp.SchemeConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := full.Verify(1, n, m, prog); err != nil {
 			log.Fatalf("m=%d: %v", m, err)
 		}
-		noRe, err := bsmp.MultiD1(n, p, m, steps, prog, bsmp.MultiOptions{NoRearrange: true})
+		noRe, err := bsmp.RunSchemeContext(ctx, "multi", 1, n, p, m, steps, prog,
+			bsmp.SchemeConfig{Multi: bsmp.MultiOptions{NoRearrange: true}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		noCoop, err := bsmp.MultiD1(n, p, m, steps, prog, bsmp.MultiOptions{NoCooperate: true})
+		noCoop, err := bsmp.RunSchemeContext(ctx, "multi", 1, n, p, m, steps, prog,
+			bsmp.SchemeConfig{Multi: bsmp.MultiOptions{NoCooperate: true}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		tn := bsmp.GuestTime(1, n, m, steps, prog)
+		tn, err := bsmp.GuestTimeContext(ctx, 1, n, m, steps, prog)
+		if err != nil {
+			log.Fatal(err)
+		}
 		aMeas := float64(full.Time) / float64(tn) / (float64(n) / float64(p))
 		fmt.Printf("%6d %8d %6d %12.1f %12.1f %12.2fx %12.2fx\n",
 			m, full.StripWidth, full.Regime1Levels,

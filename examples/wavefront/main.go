@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog := bsmp.Rule90{Seed: 5}
 
 	fmt.Println("Theorem 5: simulating the mesh M2(n, n, 1) on M2(n, 1, 1)")
@@ -21,14 +23,14 @@ func main() {
 	fmt.Printf("%6s %8s %14s %14s %12s\n", "side", "n", "T_separator", "T_naive", "naive/sep")
 	for _, side := range []int{8, 16, 32} {
 		n := side * side
-		sep, err := bsmp.UniDC(2, n, side, 8, prog)
+		sep, err := bsmp.RunSchemeContext(ctx, "unidc", 2, n, 1, 1, side, bsmp.AsNetwork{G: prog}, bsmp.SchemeConfig{Leaf: 8})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := bsmp.VerifyDag(sep, 2, n, prog); err != nil {
+		if err := bsmp.VerifyDag(sep.Result, 2, n, prog); err != nil {
 			log.Fatal(err)
 		}
-		naive, err := bsmp.UniNaive(2, n, side, prog)
+		naive, err := bsmp.UniNaiveContext(ctx, 2, n, side, prog)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bsmp_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -30,7 +31,7 @@ func fuzzGuest(d, n int) bsmp.Program {
 }
 
 // FuzzRunScheme is the panic-free-boundary fuzz target: for arbitrary
-// (scheme, d, n, p, m, steps) tuples, ValidateParams and RunScheme must
+// (scheme, d, n, p, m, steps) tuples, ValidateParams and RunSchemeContext must
 // agree and neither may panic. The seed corpus covers every scheme, every
 // dimension, and the historical panic reproducers (non-square n for the
 // d = 2 schemes, non-cube n for d = 3, overflow-scale parameters); CI
@@ -77,17 +78,17 @@ func FuzzRunScheme(f *testing.F) {
 		if verr == nil && !small {
 			return
 		}
-		res, err := bsmp.RunScheme(name, d, n, p, m, steps, fuzzGuest(d, n), bsmp.SchemeConfig{})
+		res, err := bsmp.RunSchemeContext(context.Background(), name, d, n, p, m, steps, fuzzGuest(d, n), bsmp.SchemeConfig{})
 		if verr != nil && err == nil {
-			t.Fatalf("RunScheme(%s, %d, %d, %d, %d, %d) succeeded on a tuple ValidateParams rejected with %v",
+			t.Fatalf("RunSchemeContext(%s, %d, %d, %d, %d, %d) succeeded on a tuple ValidateParams rejected with %v",
 				name, d, n, p, m, steps, verr)
 		}
 		if verr == nil && err != nil {
-			t.Fatalf("RunScheme(%s, %d, %d, %d, %d, %d) = %v on a tuple ValidateParams accepted",
+			t.Fatalf("RunSchemeContext(%s, %d, %d, %d, %d, %d) = %v on a tuple ValidateParams accepted",
 				name, d, n, p, m, steps, err)
 		}
 		if err == nil && len(res.Outputs) != n {
-			t.Fatalf("RunScheme(%s, %d, %d, %d, %d, %d): %d outputs, want %d",
+			t.Fatalf("RunSchemeContext(%s, %d, %d, %d, %d, %d): %d outputs, want %d",
 				name, d, n, p, m, steps, len(res.Outputs), n)
 		}
 	})

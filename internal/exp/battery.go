@@ -65,37 +65,29 @@ func criticalFirst(id string) []int {
 	return append(head, rest...)
 }
 
-// All runs the battery — every E-* experiment and figure validation —
-// as one job pool on up to GOMAXPROCS workers and returns the tables in
-// battery order, identical to the sequential path. Jobs are independent:
-// each builds its own guests, graphs and meters, and none mutates
-// process-wide settings; the only shared state is the simulate
-// package's bounded memo store. A job failure does not stop the others;
-// all failures are reported together via errors.Join, in battery order,
-// so the error text is deterministic.
-func All(s Scale) ([]*Table, error) {
-	return AllContext(context.Background(), s)
-}
-
-// AllContext is All under a context. On cancellation, workers stop
-// picking up new jobs, in-flight experiments abort at their next
-// cooperative checkpoint, and the battery flushes partial results: the
-// returned slice holds every experiment that completed successfully, in
-// battery order (gaps elided), alongside the context's error. Figures
-// belong only to a complete, uncancelled battery, so the partial flush
-// is a deterministic function of which experiments finished.
+// AllContext runs the battery — every E-* experiment and figure
+// validation — as one job pool on up to GOMAXPROCS workers and returns
+// the tables in battery order, identical to the sequential path. Jobs
+// are independent: each builds its own guests, graphs and meters, and
+// none mutates process-wide settings; the only shared state is the
+// simulate package's bounded memo store. A job failure does not stop the
+// others; all failures are reported together via errors.Join, in
+// battery order, so the error text is deterministic.
+//
+// On cancellation, workers stop picking up new jobs, in-flight
+// experiments abort at their next cooperative checkpoint, and the
+// battery flushes partial results: the returned slice holds every
+// experiment that completed successfully, in battery order (gaps
+// elided), alongside the context's error. Figures belong only to a
+// complete, uncancelled battery, so the partial flush is a deterministic
+// function of which experiments finished.
 func AllContext(ctx context.Context, s Scale) ([]*Table, error) {
 	return runPool(ctx, s, runtime.GOMAXPROCS(0), battery, dispatch)
 }
 
-// AllSequential runs the same job list on a single worker, kept for
-// benchmark comparison (BenchmarkExpAll) and for profiling runs where
-// interleaved jobs would muddy the profile.
-func AllSequential(s Scale) ([]*Table, error) {
-	return AllSequentialContext(context.Background(), s)
-}
-
-// AllSequentialContext is AllSequential under a context, with the same
+// AllSequentialContext runs the same job list on a single worker, kept
+// for benchmark comparison (BenchmarkExpAll) and for profiling runs
+// where interleaved jobs would muddy the profile. It has the same
 // partial-flush contract as AllContext.
 func AllSequentialContext(ctx context.Context, s Scale) ([]*Table, error) {
 	return runPool(ctx, s, 1, battery, dispatch)

@@ -65,7 +65,7 @@ func TestBatteryMatchesPinnedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := AllSequential(Scale{Quick: true})
+	seq, err := AllSequentialContext(context.Background(), Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // BenchmarkExpAll compares the concurrent experiment battery against the
 // single-worker path on the quick scale. On a multi-core host the
@@ -12,7 +15,7 @@ func BenchmarkExpAll(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := All(Scale{Quick: true}); err != nil {
+			if _, err := AllContext(context.Background(), Scale{Quick: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -20,7 +23,7 @@ func BenchmarkExpAll(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := AllSequential(Scale{Quick: true}); err != nil {
+			if _, err := AllSequentialContext(context.Background(), Scale{Quick: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -51,7 +51,10 @@ func P1(ctx context.Context, s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(1, n, 1, 8, prog1d())
+		tn, err := simulate.GuestTimeContext(ctx, 1, n, 1, 8, prog1d())
+		if err != nil {
+			return nil, err
+		}
 		slow := float64(res.Time) / float64(tn)
 		bound := analytic.NaiveSlowdown(1, n, 1)
 		t.Rows = append(t.Rows, []string{"1", d(n), f1(slow), f1(bound), f2(slow / bound)})
@@ -66,7 +69,10 @@ func P1(ctx context.Context, s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(2, n, 1, 4, prog2d(side))
+		tn, err := simulate.GuestTimeContext(ctx, 2, n, 1, 4, prog2d(side))
+		if err != nil {
+			return nil, err
+		}
 		slow := float64(res.Time) / float64(tn)
 		bound := analytic.NaiveSlowdown(2, n, 1)
 		t.Rows = append(t.Rows, []string{"2", d(n), f1(slow), f1(bound), f2(slow / bound)})
@@ -140,7 +146,10 @@ func T3(ctx context.Context, s Scale) (*Table, error) {
 		if err := res.Verify(1, n, m, prog1d()); err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(1, n, m, steps, prog1d())
+		tn, err := simulate.GuestTimeContext(ctx, 1, n, m, steps, prog1d())
+		if err != nil {
+			return nil, err
+		}
 		slow := float64(res.Time) / float64(tn)
 		bound := analytic.Theorem3Slowdown(n, m)
 		t.Rows = append(t.Rows, []string{d(m), f1(slow), f1(bound), f2(slow / bound)})
@@ -183,7 +192,10 @@ func T3D2(ctx context.Context, s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(2, n, m, steps, prog)
+		tn, err := simulate.GuestTimeContext(ctx, 2, n, m, steps, prog)
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			d(m), f1(float64(def.Time) / float64(tn)),
 			g3(float64(def.Time)), g3(float64(forced.Time)),
@@ -218,7 +230,10 @@ func T4(ctx context.Context, s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(1, n, m, steps, prog1d())
+		tn, err := simulate.GuestTimeContext(ctx, 1, n, m, steps, prog1d())
+		if err != nil {
+			return nil, err
+		}
 		ameas := float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 		abound := analytic.A(1, n, m, p)
 		t.Rows = append(t.Rows, []string{
@@ -290,11 +305,14 @@ func T1D2(ctx context.Context, s Scale) (*Table, error) {
 		Header: []string{"m", "range", "span", "A_meas", "A_bound", "ratio"},
 	}
 	for _, m := range ms {
-		res, err := simulate.MultiD2Context(ctx, n, p, m, steps, prog2d(side), simulate.Multi2Options{})
+		res, err := simulate.MultiD2Context(ctx, n, p, m, steps, prog2d(side), simulate.MultiOptions{})
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(2, n, m, steps, prog2d(side))
+		tn, err := simulate.GuestTimeContext(ctx, 2, n, m, steps, prog2d(side))
+		if err != nil {
+			return nil, err
+		}
 		ameas := float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 		abound := analytic.A(2, n, m, p)
 		t.Rows = append(t.Rows, []string{
@@ -419,11 +437,14 @@ func D3Multi(ctx context.Context, s Scale) (*Table, error) {
 	}
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: side}
 	for _, m := range ms {
-		res, err := simulate.MultiD3Context(ctx, n, p, m, steps, prog, simulate.Multi3Options{})
+		res, err := simulate.MultiD3Context(ctx, n, p, m, steps, prog, simulate.MultiOptions{})
 		if err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(3, n, m, steps, prog)
+		tn, err := simulate.GuestTimeContext(ctx, 3, n, m, steps, prog)
+		if err != nil {
+			return nil, err
+		}
 		ameas := float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 		abound := analytic.A(3, n, m, p)
 		t.Rows = append(t.Rows, []string{
@@ -619,7 +640,10 @@ func MPrime(ctx context.Context, s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tnFull := simulate.GuestTime(1, n, m, steps, guest.RestrictMem{P: base, Words: m})
+	tnFull, err := simulate.GuestTimeContext(ctx, 1, n, m, steps, guest.RestrictMem{P: base, Words: m})
+	if err != nil {
+		return nil, err
+	}
 	full := float64(fullRes.Time) / float64(tnFull)
 	for _, mp := range mps {
 		prog := guest.RestrictMem{P: base, Words: mp}
@@ -630,7 +654,10 @@ func MPrime(ctx context.Context, s Scale) (*Table, error) {
 		if err := res.Verify(1, n, m, prog); err != nil {
 			return nil, err
 		}
-		tn := simulate.GuestTime(1, n, m, steps, prog)
+		tn, err := simulate.GuestTimeContext(ctx, 1, n, m, steps, prog)
+		if err != nil {
+			return nil, err
+		}
 		slow := float64(res.Time) / float64(tn)
 		t.Rows = append(t.Rows, []string{d(mp), f1(slow), f2(slow / full)})
 	}

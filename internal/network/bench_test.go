@@ -6,7 +6,7 @@ func BenchmarkRunGuestStep(b *testing.B) {
 	ma := New(1, 256, 256, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunGuest(ma, caProg{}, 1)
+		RunGuest(ma, caProg{}, 1, nil)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestRunGuestEventsLockstepBound(t *testing.T) {
 		{2, 16, 2, 8},
 	} {
 		sync := New(tc.d, tc.n, tc.n, tc.m)
-		_, tSync := RunGuest(sync, caProg{}, tc.steps)
+		_, tSync, _ := RunGuest(sync, caProg{}, tc.steps, nil)
 		ev := New(tc.d, tc.n, tc.n, tc.m)
 		_, tEv := RunGuestEvents(ev, caProg{}, tc.steps)
 		if tEv > tSync {

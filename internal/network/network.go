@@ -14,8 +14,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"bsmp/internal/cost"
 	"bsmp/internal/hram"
@@ -186,198 +184,167 @@ type Program interface {
 	Step(node, step int, cell hram.Word, prev []hram.Word) (out, cellOut hram.Word)
 }
 
+// StepHook is polled by the guest stepper once per synchronous step,
+// before the step, with the number of node-steps (vertices) it is about
+// to execute. Returning a non-nil error stops the run with that error.
+// Hooks run between steps and never touch the cost meters, so a run
+// whose hook always returns nil is bit-identical to an unhooked one.
+type StepHook func(vertices int) error
+
+// Guest is a synchronous guest computation held between steps: the
+// broadcast values of the last step and of the one before it, every
+// node's m-word memory in one n·m backing array, the cell each node
+// addressed at the last step, and the static neighbor lists of the
+// guest's topology. Its Step is the one loop that applies Definition 3's
+// step rule; the pure replay, the accounted run that measures Tn and the
+// naive engine drive it and add only their own charges.
+type Guest struct {
+	prog      Program
+	m         int
+	nbr       [][]int
+	out, prev []hram.Word
+	mem       []hram.Word
+	addr      []int
+	ops       []hram.Word
+	steps     int
+}
+
+// NewGuest loads prog on the nodes of topo with m memory words each. The
+// initial load (prog.Init, the values of the dag vertices (v, 0)) is
+// free: inputs are assumed in place, as in the paper's model.
+func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
+	n := topo.Nodes()
+	g := &Guest{
+		prog: prog,
+		m:    m,
+		nbr:  neighborLists(topo, n),
+		out:  make([]hram.Word, n),
+		prev: make([]hram.Word, n),
+		mem:  make([]hram.Word, n*m),
+		addr: make([]int, n),
+		ops:  make([]hram.Word, 0, 7),
+	}
+	for v := range g.out {
+		g.out[v] = prog.Init(v, g.mem[v*m:(v+1)*m:(v+1)*m])
+	}
+	return g
+}
+
+// Step executes one synchronous step: every node v reads its addressed
+// cell and combines it with the previous broadcast values of v and its
+// neighbors, in neighbor order, then rewrites the cell and its broadcast
+// value. It is kept out of line so the drivers' hook and charge code
+// never shares a register allocation with the vertex loop.
+//
+//go:noinline
+func (g *Guest) Step() {
+	t := g.steps + 1
+	g.out, g.prev = g.prev, g.out
+	prog, m, nbr, mem, out, prev, addr := g.prog, g.m, g.nbr, g.mem, g.out, g.prev, g.addr
+	ops := g.ops
+	for v, base := 0, 0; v < len(out); v, base = v+1, base+m {
+		a := prog.Address(v, t, m)
+		cells := mem[base : base+m]
+		ops = append(ops[:0], prev[v])
+		for _, u := range nbr[v] {
+			ops = append(ops, prev[u])
+		}
+		out[v], cells[a] = prog.Step(v, t, cells[a], ops)
+		addr[v] = a
+	}
+	g.ops = ops
+	g.steps = t
+}
+
+// Run advances the guest to step steps, polling hook (when non-nil)
+// before every step with the node count.
+func (g *Guest) Run(steps int, hook StepHook) error {
+	for g.steps < steps {
+		if hook != nil {
+			if err := hook(len(g.out)); err != nil {
+				return err
+			}
+		}
+		g.Step()
+	}
+	return nil
+}
+
+// Steps reports how many steps the guest has executed.
+func (g *Guest) Steps() int { return g.steps }
+
+// Outputs returns the broadcast values of the last step (the initial
+// values before the first). The slice is the guest's own: a later Step
+// overwrites it.
+func (g *Guest) Outputs() []hram.Word { return g.out }
+
+// Memory returns every node's memory, node v's m words at [v·m, (v+1)·m).
+// The slice is the guest's own.
+func (g *Guest) Memory() []hram.Word { return g.mem }
+
+// Memories returns per-node views of Memory.
+func (g *Guest) Memories() [][]hram.Word { return NodeMemories(g.mem, g.m) }
+
+// Neighbors returns node v's neighbor list, in operand order.
+func (g *Guest) Neighbors(v int) []int { return g.nbr[v] }
+
+// Addr reports the cell node v addressed at the last step.
+func (g *Guest) Addr(v int) int { return g.addr[v] }
+
+// Cell reports the content node v wrote to its addressed cell at the
+// last step.
+func (g *Guest) Cell(v int) hram.Word { return g.mem[v*g.m+g.addr[v]] }
+
+// NodeMemories splits a flat memory of m words per node into per-node
+// views that share its backing array.
+func NodeMemories(mem []hram.Word, m int) [][]hram.Word {
+	mems := make([][]hram.Word, len(mem)/m)
+	for v := range mems {
+		mems[v] = mem[v*m : (v+1)*m : (v+1)*m]
+	}
+	return mems
+}
+
 // RunGuest executes prog for steps synchronous steps on the fully parallel
-// machine (P == N required), with full cost accounting: per step each node
-// charges the addressed access, one unit of compute, and the neighbor
-// exchange at distance Spacing(); a barrier closes each step. It returns
-// the final broadcast values and the elapsed virtual time.
+// machine (P == N required), with full cost accounting: after each step
+// every node, in node order, charges the addressed read, one unit of
+// compute, the write-back and the neighbor exchange at distance
+// Spacing(); a barrier closes the step. hook, when non-nil, is polled
+// before every step (see StepHook); simulate uses it for cooperative
+// cancellation and progress metering. RunGuest returns the final
+// broadcast values and the elapsed virtual time; the machine's H-RAMs
+// end up holding the guest's final memories.
 //
 // This is the guest computation of the paper's theorems: its elapsed time
 // is the Tn in every slowdown ratio Tp/Tn.
-func RunGuest(ma *Machine, prog Program, steps int) ([]hram.Word, cost.Time) {
+func RunGuest(ma *Machine, prog Program, steps int, hook StepHook) ([]hram.Word, cost.Time, error) {
 	if ma.P != ma.N {
 		panic(fmt.Sprintf("network: RunGuest needs P == N, got P=%d N=%d", ma.P, ma.N))
 	}
 	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
-	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		// Initial loading is free (Poke): inputs are assumed in place,
-		// as in the paper's model where (v, 0) holds the initial value.
-		for a := range raw {
-			raw[a] = 0
-		}
-		b[i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
+	m := ma.NodeMemory()
+	g := NewGuest(ma.topo, m, prog)
+	for v, node := range ma.Nodes {
+		for a, w := range g.mem[v*m : (v+1)*m] {
+			node.Poke(a, w)
 		}
 	}
-	prevB := make([]hram.Word, ma.P)
-	nbr := neighborLists(ma.topo, ma.P)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for v := 0; v < ma.P; v++ {
-			addr := prog.Address(v, t, memSize)
-			cell := ma.Nodes[v].Read(addr)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, cell, ops)
-			ma.Nodes[v].Op()
-			ma.Nodes[v].Write(addr, cellOut)
-			// Neighbor exchange: receiving 2d values over distance
-			// Spacing() in parallel costs one link traversal.
-			ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-			b[v] = out
-		}
-		ma.Bank.Barrier()
-	}
-	return b, ma.Elapsed() - start
-}
-
-// StepHook is polled by the hooked guest executors once per completed
-// synchronous step, with the number of node-steps (vertices) just
-// executed. Returning a non-nil error aborts the run with that error.
-// Hooks run between steps and never touch the cost meters, so a run
-// whose hook always returns nil is bit-identical to the unhooked one.
-type StepHook func(vertices int) error
-
-// RunGuestHook is RunGuest with an optional per-step hook (nil runs
-// RunGuest itself). simulate uses the hook for cooperative cancellation
-// and progress metering.
-//
-// The hooked loop below mirrors RunGuest's step loop verbatim and must
-// stay in lockstep with it. The duplication is deliberate: folding the
-// hook branch into RunGuest's loop costs ~10% on the replay-bound
-// multiprocessor benchmarks even when the hook is nil — the extra exit
-// path degrades register allocation for the inner vertex loop — so the
-// nil case delegates to the pristine loop instead.
-// TestHookedExecutorsMatchUnhooked pins the equivalence.
-func RunGuestHook(ma *Machine, prog Program, steps int, hook StepHook) ([]hram.Word, cost.Time, error) {
-	if hook == nil {
-		b, t := RunGuest(ma, prog, steps)
-		return b, t, nil
-	}
-	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuestHook needs P == N, got P=%d N=%d", ma.P, ma.N))
-	}
-	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
-	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		// Initial loading is free (Poke): inputs are assumed in place,
-		// as in the paper's model where (v, 0) holds the initial value.
-		for a := range raw {
-			raw[a] = 0
-		}
-		b[i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
-		}
-	}
-	prevB := make([]hram.Word, ma.P)
-	nbr := neighborLists(ma.topo, ma.P)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		if err := hook(ma.P); err != nil {
+	for g.steps < steps {
+		if err := g.Run(g.steps+1, hook); err != nil {
 			return nil, 0, err
 		}
-		copy(prevB, b)
-		for v := 0; v < ma.P; v++ {
-			addr := prog.Address(v, t, memSize)
-			cell := ma.Nodes[v].Read(addr)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, cell, ops)
-			ma.Nodes[v].Op()
-			ma.Nodes[v].Write(addr, cellOut)
+		for v, node := range ma.Nodes {
+			a := g.addr[v]
+			node.Read(a)
+			node.Op()
+			node.Write(a, g.Cell(v))
 			// Neighbor exchange: receiving 2d values over distance
 			// Spacing() in parallel costs one link traversal.
-			ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-			b[v] = out
+			ma.Bank.Proc(v).Charge(cost.Message, ma.spacing)
 		}
 		ma.Bank.Barrier()
 	}
-	return b, ma.Elapsed() - start, nil
-}
-
-// RunGuestParallel is RunGuest with the per-step node loop spread across
-// workers OS threads (0 = GOMAXPROCS). The model semantics are identical
-// — each node charges only its own meter and writes only its own memory
-// and broadcast slot, and the layers are separated by barriers — so
-// outputs and every node's virtual clock match the serial run exactly;
-// only wall-clock time changes. This is the executor the benchmarks use
-// for large guests.
-func RunGuestParallel(ma *Machine, prog Program, steps, workers int) ([]hram.Word, cost.Time) {
-	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuestParallel needs P == N, got P=%d N=%d", ma.P, ma.N))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > ma.P {
-		workers = ma.P
-	}
-	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
-	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		for a := range raw {
-			raw[a] = 0
-		}
-		b[i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
-		}
-	}
-	prevB := make([]hram.Word, ma.P)
-	nbr := neighborLists(ma.topo, ma.P)
-	chunk := (ma.P + workers - 1) / workers
-	var wg sync.WaitGroup
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > ma.P {
-				hi = ma.P
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				ops := make([]hram.Word, 0, 7)
-				for v := lo; v < hi; v++ {
-					addr := prog.Address(v, t, memSize)
-					cell := ma.Nodes[v].Read(addr)
-					ops = ops[:0]
-					ops = append(ops, prevB[v])
-					for _, u := range nbr[v] {
-						ops = append(ops, prevB[u])
-					}
-					out, cellOut := prog.Step(v, t, cell, ops)
-					ma.Nodes[v].Op()
-					ma.Nodes[v].Write(addr, cellOut)
-					ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-					b[v] = out
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		ma.Bank.Barrier()
-	}
-	return b, ma.Elapsed() - start
+	return g.out, ma.Elapsed() - start, nil
 }
 
 // RunGuestPure executes prog functionally with no cost accounting — the
@@ -386,75 +353,9 @@ func RunGuestParallel(ma *Machine, prog Program, steps, workers int) ([]hram.Wor
 // comes from a bare topology mesh: no machine (and no O(n·m) H-RAM
 // memory) is ever built for the functional replay.
 func RunGuestPure(d, n, m, steps int, prog Program) ([]hram.Word, [][]hram.Word) {
-	nbr := neighborLists(topology.NewMesh(d, n, n), n)
-	memSize := m // NodeMemory of the fully parallel machine: m·(n/n)
-	mems := make([][]hram.Word, n)
-	b := make([]hram.Word, n)
-	for i := 0; i < n; i++ {
-		mems[i] = make([]hram.Word, memSize)
-		b[i] = prog.Init(i, mems[i])
-	}
-	prevB := make([]hram.Word, n)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for v := 0; v < n; v++ {
-			addr := prog.Address(v, t, memSize)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, mems[v][addr], ops)
-			mems[v][addr] = cellOut
-			b[v] = out
-		}
-	}
-	return b, mems
-}
-
-// RunGuestPureHook is RunGuestPure with an optional per-step hook (nil
-// runs RunGuestPure itself). The functional replay is the CPU-dominant
-// part of the multiprocessor schemes, so this is where their
-// cancellation latency is bounded.
-//
-// As with RunGuestHook, the hooked loop duplicates RunGuestPure's loop
-// verbatim rather than branching inside it: the replay is this package's
-// hottest loop, and carrying the hook's error-exit path in it costs ~10%
-// even when nil. TestHookedExecutorsMatchUnhooked pins the equivalence.
-func RunGuestPureHook(d, n, m, steps int, prog Program, hook StepHook) ([]hram.Word, [][]hram.Word, error) {
-	if hook == nil {
-		b, mems := RunGuestPure(d, n, m, steps, prog)
-		return b, mems, nil
-	}
-	nbr := neighborLists(topology.NewMesh(d, n, n), n)
-	memSize := m // NodeMemory of the fully parallel machine: m·(n/n)
-	mems := make([][]hram.Word, n)
-	b := make([]hram.Word, n)
-	for i := 0; i < n; i++ {
-		mems[i] = make([]hram.Word, memSize)
-		b[i] = prog.Init(i, mems[i])
-	}
-	prevB := make([]hram.Word, n)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		if err := hook(n); err != nil {
-			return nil, nil, err
-		}
-		copy(prevB, b)
-		for v := 0; v < n; v++ {
-			addr := prog.Address(v, t, memSize)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, mems[v][addr], ops)
-			mems[v][addr] = cellOut
-			b[v] = out
-		}
-	}
-	return b, mems, nil
+	g := NewGuest(topology.NewMesh(d, n, n), m, prog)
+	g.Run(steps, nil)
+	return g.out, g.Memories()
 }
 
 func intSqrt(n int) int {

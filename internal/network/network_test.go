@@ -1,10 +1,13 @@
 package network
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"bsmp/internal/hram"
+	"bsmp/internal/topology"
 )
 
 // caProg is a width-1-memory cellular-automaton-like program with exactly
@@ -123,7 +126,7 @@ func TestRunGuestNeedsFullParallel(t *testing.T) {
 		}
 	}()
 	ma := New(1, 8, 2, 1)
-	RunGuest(ma, caProg{}, 1)
+	RunGuest(ma, caProg{}, 1, nil)
 }
 
 func TestRunGuestMatchesPure(t *testing.T) {
@@ -134,7 +137,7 @@ func TestRunGuestMatchesPure(t *testing.T) {
 		{2, 16, 3, 6},
 	} {
 		ma := New(tc.d, tc.n, tc.n, tc.m)
-		got, elapsed := RunGuest(ma, caProg{}, tc.steps)
+		got, elapsed, _ := RunGuest(ma, caProg{}, tc.steps, nil)
 		want, _ := RunGuestPure(tc.d, tc.n, tc.m, tc.steps, caProg{})
 		if len(got) != len(want) {
 			t.Fatalf("%+v: length mismatch", tc)
@@ -154,7 +157,7 @@ func TestRunGuestTimeLinearInSteps(t *testing.T) {
 	// The guest machine runs in Θ(1) per step: Tn(2T) ≈ 2·Tn(T).
 	run := func(steps int) float64 {
 		ma := New(1, 16, 16, 4)
-		_, el := RunGuest(ma, caProg{}, steps)
+		_, el, _ := RunGuest(ma, caProg{}, steps, nil)
 		return float64(el)
 	}
 	t8, t16 := run(8), run(16)
@@ -170,7 +173,7 @@ func TestRunGuestStepCostConstantInN(t *testing.T) {
 	// exchange (spacing 1).
 	perStep := func(n int) float64 {
 		ma := New(1, n, n, 4)
-		_, el := RunGuest(ma, caProg{}, 8)
+		_, el, _ := RunGuest(ma, caProg{}, 8, nil)
 		return float64(el) / 8
 	}
 	a, b := perStep(8), perStep(64)
@@ -183,7 +186,7 @@ func TestRunGuestFinalMemoriesMatch(t *testing.T) {
 	// The machine's H-RAM memories after RunGuest equal the pure run's.
 	d, n, m, steps := 1, 8, 4, 10
 	ma := New(d, n, n, m)
-	RunGuest(ma, caProg{}, steps)
+	RunGuest(ma, caProg{}, steps, nil)
 	_, mems := RunGuestPure(d, n, m, steps, caProg{})
 	for v := 0; v < n; v++ {
 		for a := 0; a < ma.NodeMemory(); a++ {
@@ -237,89 +240,97 @@ func TestPropertyIndexCoordInverse(t *testing.T) {
 	}
 }
 
-func TestRunGuestParallelMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 100} {
-		serial := New(1, 64, 64, 4)
-		outS, elS := RunGuest(serial, caProg{}, 16)
-		par := New(1, 64, 64, 4)
-		outP, elP := RunGuestParallel(par, caProg{}, 16, workers)
-		if elS != elP {
-			t.Fatalf("workers=%d: elapsed %v vs %v", workers, elS, elP)
-		}
-		for i := range outS {
-			if outS[i] != outP[i] {
-				t.Fatalf("workers=%d: node %d: %d vs %d", workers, i, outS[i], outP[i])
+// TestGuestStepperLaws pins the one guest step loop and its drivers:
+// the accounted run reproduces the pure replay (outputs and every node's
+// final H-RAM memory); a live always-nil hook is polled once per step
+// with n and changes no output, clock or ledger; a hook failing before
+// step k returns its error with every clock where a (k-1)-step run
+// leaves it; and stepping k steps then the rest equals stepping at once,
+// which is what lets a replay resume from a held state.
+func TestGuestStepperLaws(t *testing.T) {
+	const steps, k = 12, 5
+	for _, d := range []int{1, 2, 3} {
+		n := []int{0, 16, 16, 27}[d]
+		for _, m := range []int{1, 4} {
+			name := fmt.Sprintf("d=%d/m=%d", d, m)
+			wantOut, wantMem := RunGuestPure(d, n, m, steps, caProg{})
+
+			base := New(d, n, n, m)
+			out, elapsed, err := RunGuest(base, caProg{}, steps, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		// Per-node clocks identical too.
-		for i := 0; i < serial.P; i++ {
-			if serial.Bank.Proc(i).Now() != par.Bank.Proc(i).Now() {
-				t.Fatalf("workers=%d: node %d clock mismatch", workers, i)
+			for v := 0; v < n; v++ {
+				if out[v] != wantOut[v] {
+					t.Fatalf("%s: node %d output %d, pure %d", name, v, out[v], wantOut[v])
+				}
+				for a := 0; a < m; a++ {
+					if got := base.Nodes[v].Peek(a); got != wantMem[v][a] {
+						t.Fatalf("%s: node %d cell %d = %d, pure %d", name, v, a, got, wantMem[v][a])
+					}
+				}
 			}
-		}
-	}
-}
 
-func TestRunGuestParallel2D(t *testing.T) {
-	serial := New(2, 64, 64, 2)
-	outS, _ := RunGuest(serial, caProg{}, 8)
-	par := New(2, 64, 64, 2)
-	outP, _ := RunGuestParallel(par, caProg{}, 8, 0)
-	for i := range outS {
-		if outS[i] != outP[i] {
-			t.Fatalf("node %d mismatch", i)
-		}
-	}
-}
+			hooked := New(d, n, n, m)
+			calls := 0
+			outH, elapsedH, err := RunGuest(hooked, caProg{}, steps, func(vertices int) error {
+				calls++
+				if vertices != n {
+					t.Fatalf("%s: hook vertices = %d, want %d", name, vertices, n)
+				}
+				return nil
+			})
+			if err != nil || calls != steps || elapsedH != elapsed {
+				t.Fatalf("%s: hooked run err %v, %d polls (want %d), elapsed %v (want %v)",
+					name, err, calls, steps, elapsedH, elapsed)
+			}
+			if hooked.Bank.Ledgers() != base.Bank.Ledgers() {
+				t.Fatalf("%s: hooked ledger %v, unhooked %v", name, hooked.Bank.Ledgers(), base.Bank.Ledgers())
+			}
+			for v := 0; v < n; v++ {
+				if outH[v] != out[v] || hooked.Bank.Proc(v).Now() != base.Bank.Proc(v).Now() {
+					t.Fatalf("%s: node %d differs under a nil-returning hook", name, v)
+				}
+			}
 
-// The hooked executors duplicate the unhooked step loops for performance
-// (see RunGuestHook's doc comment); this pins the two copies together:
-// with a live always-nil hook, outputs, memories, virtual times, and
-// per-node clocks are bit-identical, and the hook observes every step.
-func TestHookedExecutorsMatchUnhooked(t *testing.T) {
-	const d, n, m, steps = 1, 32, 4, 16
+			stop := errors.New("stop")
+			failed := New(d, n, n, m)
+			polls := 0
+			if _, _, err := RunGuest(failed, caProg{}, steps, func(int) error {
+				if polls++; polls == k {
+					return stop
+				}
+				return nil
+			}); err != stop {
+				t.Fatalf("%s: failing hook returned %v, want %v", name, err, stop)
+			}
+			short := New(d, n, n, m)
+			if _, _, err := RunGuest(short, caProg{}, k-1, nil); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for v := 0; v < n; v++ {
+				if failed.Bank.Proc(v).Now() != short.Bank.Proc(v).Now() {
+					t.Fatalf("%s: node %d clock %v after a failure before step %d, want %v",
+						name, v, failed.Bank.Proc(v).Now(), k, short.Bank.Proc(v).Now())
+				}
+			}
 
-	base := New(d, n, n, m)
-	outB, timeB := RunGuest(base, caProg{}, steps)
-	hooked := New(d, n, n, m)
-	calls := 0
-	outH, timeH, err := RunGuestHook(hooked, caProg{}, steps, func(vertices int) error {
-		calls++
-		if vertices != n {
-			t.Fatalf("hook vertices = %d, want %d", vertices, n)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != steps {
-		t.Fatalf("hook ran %d times, want %d", calls, steps)
-	}
-	if timeH != timeB {
-		t.Fatalf("hooked time %v != unhooked %v", timeH, timeB)
-	}
-	for i := range outB {
-		if outB[i] != outH[i] {
-			t.Fatalf("node %d broadcast mismatch", i)
-		}
-		if base.Bank.Proc(i).Now() != hooked.Bank.Proc(i).Now() {
-			t.Fatalf("node %d clock mismatch", i)
-		}
-	}
-
-	outP, memsP := RunGuestPure(d, n, m, steps, caProg{})
-	outPH, memsPH, err := RunGuestPureHook(d, n, m, steps, caProg{}, func(int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outP {
-		if outP[i] != outPH[i] {
-			t.Fatalf("pure node %d broadcast mismatch", i)
-		}
-		for a := range memsP[i] {
-			if memsP[i][a] != memsPH[i][a] {
-				t.Fatalf("pure node %d mem[%d] mismatch", i, a)
+			g := NewGuest(topology.NewMesh(d, n, n), m, caProg{})
+			if err := g.Run(k, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Run(steps, nil); err != nil || g.Steps() != steps {
+				t.Fatalf("%s: resumed run err %v at step %d", name, err, g.Steps())
+			}
+			for v := 0; v < n; v++ {
+				if g.Outputs()[v] != wantOut[v] {
+					t.Fatalf("%s: resumed node %d output differs", name, v)
+				}
+			}
+			for i, w := range g.Memory() {
+				if w != wantMem[i/m][i%m] {
+					t.Fatalf("%s: resumed memory word %d differs", name, i)
+				}
 			}
 		}
 	}

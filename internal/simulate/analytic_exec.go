@@ -645,17 +645,14 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 	return nil
 }
 
-// AnalyticBlockedD1 computes BlockedD1's virtual time, ledger, and space
+// AnalyticBlockedD1Context computes BlockedD1's virtual time, ledger, and space
 // analytically — no machine state, no guest values, memoized subtree
 // replay — making volumes far beyond the exact engine's reach tractable.
 // Result.Outputs and Result.Memories are nil (there is nothing to
 // verify guest-side; validate against the work/span laws instead).
-func AnalyticBlockedD1(n, m, steps, leafWidth int, prog network.Program) (Result, error) {
-	return AnalyticBlockedD1Context(context.Background(), n, m, steps, leafWidth, prog)
-}
-
-// AnalyticBlockedD1Context is AnalyticBlockedD1 under a context, with
-// the same cancellation and progress contract as BlockedD1Context.
+//
+// It has the same cancellation and progress contract as
+// BlockedD1Context.
 func AnalyticBlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program) (Result, error) {
 	if e := validateBlocked(1, n, m, steps); e != nil {
 		return Result{}, e

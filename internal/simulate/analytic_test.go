@@ -220,7 +220,7 @@ func TestAnalyticLargeN(t *testing.T) {
 	defer SetMemoCapacity(MemoCapacity())
 	SetMemoCapacity(1 << 16)
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
-	res, err := AnalyticBlockedD1(n, m, steps, 0, prog)
+	res, err := AnalyticBlockedD1Context(context.Background(), n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

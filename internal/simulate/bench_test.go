@@ -10,7 +10,7 @@ import (
 func BenchmarkBlockedD1Small(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := BlockedD1(64, 4, 32, 0, prog); err != nil {
+		if _, err := BlockedD1Context(context.Background(), 64, 4, 32, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -19,7 +19,7 @@ func BenchmarkBlockedD1Small(b *testing.B) {
 func BenchmarkNaiveD1Small(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := Naive(1, 64, 4, 2, 16, prog); err != nil {
+		if _, err := NaiveContext(context.Background(), 1, 64, 4, 2, 16, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkNaiveD1Small(b *testing.B) {
 func BenchmarkCoopBlock(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := CoopBlock(256, 8, 4, 8, 16, prog); err != nil {
+		if _, err := CoopBlockContext(context.Background(), 256, 8, 4, 8, 16, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkCoopBlock(b *testing.B) {
 func BenchmarkMultiD1(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1(256, 8, 16, 64, prog, MultiOptions{}); err != nil {
+		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkMultiD1(b *testing.B) {
 func BenchmarkMultiD2(b *testing.B) {
 	prog := netProg(16)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD2(256, 4, 8, 8, prog, Multi2Options{}); err != nil {
+		if _, err := MultiD2Context(context.Background(), 256, 4, 8, 8, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkMultiD2(b *testing.B) {
 func BenchmarkMultiD3(b *testing.B) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD3(512, 8, 4, 8, prog, Multi3Options{}); err != nil {
+		if _, err := MultiD3Context(context.Background(), 512, 8, 4, 8, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func BenchmarkAnalyticD1Huge(b *testing.B) {
 func BenchmarkRunSchemeMultiD1(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunScheme("multi", 1, 256, 8, 16, 64, prog, SchemeConfig{}); err != nil {
+		if _, err := RunSchemeContext(context.Background(), "multi", 1, 256, 8, 16, 64, prog, SchemeConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

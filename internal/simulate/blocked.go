@@ -10,7 +10,7 @@ import (
 	"bsmp/internal/network"
 )
 
-// BlockedD1 runs Theorem 3's uniprocessor simulation of M1(n, n, m) for
+// BlockedD1Context runs Theorem 3's uniprocessor simulation of M1(n, n, m) for
 // general m: the divide-and-conquer of Theorem 2 where the unit of
 // relocation is a node's entire m-word private memory, recursing on
 // diamonds down to "executable diamonds" of width ~m that are simulated
@@ -41,15 +41,11 @@ import (
 // The recursion itself lives in blocked_exec.go, shared with BlockedD2
 // and BlockedD3; this wrapper supplies the line geometry: node id = x,
 // operand stencil (self, left, right), columns sorted by ascending x.
-func BlockedD1(n, m, steps, leafWidth int, prog network.Program, opts ...hram.Option) (Result, error) {
-	return BlockedD1Context(context.Background(), n, m, steps, leafWidth, prog, opts...)
-}
-
-// BlockedD1Context is BlockedD1 under a context: cancellation is checked
-// at every recursion boundary and (amortized) every checkInterval leaf
-// vertices, and step progress is reported to any attached Progress. The
-// checks are host-side only, so a never-cancelled run's virtual times
-// are bit-identical to BlockedD1's.
+//
+// Cancellation is checked at every recursion boundary and (amortized)
+// every checkInterval leaf vertices, and step progress is reported to
+// any attached Progress. The checks are host-side only, so a
+// never-cancelled run's virtual times do not depend on ctx.
 func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program, opts ...hram.Option) (Result, error) {
 	if e := validateBlocked(1, n, m, steps); e != nil {
 		return Result{}, e
@@ -82,6 +78,7 @@ func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog netw
 		sortCols: true,
 	}
 	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafWidth, geom)
+	defer b.ec.publish()
 	root := g.Domain()
 	space, err := b.spaceNeeded(root)
 	if err != nil {
@@ -95,16 +92,7 @@ func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog netw
 	if err := b.exec(root, space, 0); err != nil {
 		return Result{}, err
 	}
-	// Replayed subtrees charge the meter without writing machine memory,
-	// so when any subtree replayed the outputs are recomputed guest-side
-	// (value-independent charges make this sound; Verify still works).
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(1, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
+	out, mems, err := b.collect(1, n)
 	if err != nil {
 		return Result{}, err
 	}

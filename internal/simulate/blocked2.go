@@ -11,7 +11,7 @@ import (
 	"bsmp/internal/topology"
 )
 
-// BlockedD2 is the d = 2 analogue of BlockedD1: Theorem 3's blocked
+// BlockedD2Context is the d = 2 analogue of BlockedD1: Theorem 3's blocked
 // simulation of the mesh guest M2(n, n, m) on the uniprocessor
 // M2(n, 1, m), recursing on the octahedron/tetrahedron domains of
 // Section 5 with whole node memories as the unit of relocation, down to
@@ -32,12 +32,8 @@ import (
 // The recursion lives in blocked_exec.go, shared across dimensions; this
 // wrapper supplies the mesh geometry: node id = y*side+x, operand stencil
 // (self, W, E, S, N), columns in first-seen (T, X, Y) order.
-func BlockedD2(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
-	return BlockedD2Context(context.Background(), n, m, steps, leafSpan, prog, opts...)
-}
-
-// BlockedD2Context is BlockedD2 under a context; see BlockedD1Context
-// for the cancellation and progress contract.
+//
+// See BlockedD1Context for the cancellation and progress contract.
 func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
 	if e := validateBlocked(2, n, m, steps); e != nil {
 		return Result{}, e
@@ -84,6 +80,7 @@ func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 		side: side,
 	}
 	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, geom)
+	defer b.ec.publish()
 	root := g.Domain()
 	space, err := b.spaceNeeded(root)
 	if err != nil {
@@ -97,15 +94,7 @@ func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 	if err := b.exec(root, space, 0); err != nil {
 		return Result{}, err
 	}
-	// See BlockedD1Context: replay leaves machine memory stale, so any
-	// replayed subtree switches output collection to the pure guest run.
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(2, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
+	out, mems, err := b.collect(2, n)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func TestBlockedD2Functional(t *testing.T) {
 	} {
 		n := tc.side * tc.side
 		prog := netProg(tc.side)
-		res, err := BlockedD2(n, tc.m, tc.steps, tc.leaf, prog)
+		res, err := BlockedD2Context(context.Background(), n, tc.m, tc.steps, tc.leaf, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -31,11 +32,11 @@ func TestBlockedD2MatchesNaive(t *testing.T) {
 	side, m, steps := 4, 3, 6
 	n := side * side
 	prog := netProg(side)
-	blk, err := BlockedD2(n, m, steps, 0, prog)
+	blk, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := Naive(2, n, 1, m, steps, prog)
+	nv, err := NaiveContext(context.Background(), 2, n, 1, m, steps, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestBlockedD2TimeGrowsWithM(t *testing.T) {
 	prog := netProg(side)
 	var times []float64
 	for _, m := range []int{4, 16, 64} {
-		res, err := BlockedD2(n, m, steps, leaf, prog)
+		res, err := BlockedD2Context(context.Background(), n, m, steps, leaf, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,11 @@ func TestBlockedD2LargeMCollapsesToNaive(t *testing.T) {
 	side, steps, m := 16, 8, 64
 	n := side * side
 	prog := netProg(side)
-	def, err := BlockedD2(n, m, steps, 0, prog) // leaf = m: one naive leaf
+	def, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog) // leaf = m: one naive leaf
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := BlockedD2(n, m, steps, 4, prog) // deep recursion
+	forced, err := BlockedD2Context(context.Background(), n, m, steps, 4, prog) // deep recursion
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestBlockedD2RestrictedMemory(t *testing.T) {
 	side, m, steps := 4, 6, 5
 	n := side * side
 	prog := guest.RestrictMem{P: guest.MixCA{Seed: 21}, Words: 2, Side: side}
-	res, err := BlockedD2(n, m, steps, 0, prog)
+	res, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestPropertyBlockedD2MatchesReference(t *testing.T) {
 		m := int(mRaw%4) + 1
 		steps := int(tRaw%6) + 1
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}, Side: side}
-		res, err := BlockedD2(side*side, m, steps, 0, prog)
+		res, err := BlockedD2Context(context.Background(), side*side, m, steps, 0, prog)
 		if err != nil {
 			return false
 		}

@@ -11,7 +11,7 @@ import (
 	"bsmp/internal/topology"
 )
 
-// BlockedD3 completes the d = 3 extension for general m: the blocked
+// BlockedD3Context completes the d = 3 extension for general m: the blocked
 // simulation of the cube-mesh guest M3(n, n, m) on the uniprocessor
 // M3(n, 1, m), recursing on the four-dimensional Box6 separator down to
 // executable domains of span ~m. Together with the m = 1 result of
@@ -25,12 +25,8 @@ import (
 // wrapper supplies the cube geometry: node id = (z*side+y)*side+x,
 // operand stencil self then the six cube neighbors in Neighbors order
 // (W, E, S, N, D, U), columns in first-seen (T, X, Y, Z) order.
-func BlockedD3(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
-	return BlockedD3Context(context.Background(), n, m, steps, leafSpan, prog, opts...)
-}
-
-// BlockedD3Context is BlockedD3 under a context; see BlockedD1Context
-// for the cancellation and progress contract.
+//
+// See BlockedD1Context for the cancellation and progress contract.
 func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
 	if e := validateBlocked(3, n, m, steps); e != nil {
 		return Result{}, e
@@ -84,6 +80,7 @@ func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 		side: side,
 	}
 	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, geom)
+	defer b.ec.publish()
 	root := g.Domain()
 	space, err := b.spaceNeeded(root)
 	if err != nil {
@@ -97,15 +94,7 @@ func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 	if err := b.exec(root, space, 0); err != nil {
 		return Result{}, err
 	}
-	// See BlockedD1Context: replay leaves machine memory stale, so any
-	// replayed subtree switches output collection to the pure guest run.
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(3, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
+	out, mems, err := b.collect(3, n)
 	if err != nil {
 		return Result{}, err
 	}

@@ -604,8 +604,18 @@ func (b *blockedExec) drainLeaf(spans []colSpan, err error) error {
 }
 
 // collect gathers the final broadcast values and memory images in node
-// index order after the root execution.
-func (b *blockedExec) collect(n int) ([]hram.Word, [][]hram.Word, error) {
+// index order after the root execution of a d-dimensional run. Replayed
+// subtrees charge the meter without writing machine memory, so when any
+// subtree replayed the outputs are recomputed guest-side instead
+// (value-independent charges make this sound; Verify still works).
+func (b *blockedExec) collect(d, n int) ([]hram.Word, [][]hram.Word, error) {
+	if b.replayed > 0 {
+		g, err := stepGuest(b.ec, d, n, b.m, b.steps, b.prog)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g.Outputs(), g.Memories(), nil
+	}
 	out := make([]hram.Word, n)
 	mems := make([][]hram.Word, n)
 	staticBuf := make([]hram.Word, b.m)

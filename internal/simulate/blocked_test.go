@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestBlockedD1Functional(t *testing.T) {
 		{32, 2, 24, 0},
 	} {
 		prog := netProg(0)
-		res, err := BlockedD1(tc.n, tc.m, tc.steps, tc.leaf, prog)
+		res, err := BlockedD1Context(context.Background(), tc.n, tc.m, tc.steps, tc.leaf, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -30,11 +31,11 @@ func TestBlockedD1Functional(t *testing.T) {
 
 func TestBlockedD1MatchesNaiveFunctionally(t *testing.T) {
 	prog := netProg(0)
-	blk, err := BlockedD1(16, 3, 12, 0, prog)
+	blk, err := BlockedD1Context(context.Background(), 16, 3, 12, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := Naive(1, 16, 1, 3, 12, prog)
+	nv, err := NaiveContext(context.Background(), 1, 16, 1, 3, 12, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestBlockedD1TimeGrowsWithM(t *testing.T) {
 	var times []float64
 	ms := []int{4, 16, 64}
 	for _, m := range ms {
-		res, err := BlockedD1(256, m, 64, 0, prog)
+		res, err := BlockedD1Context(context.Background(), 256, m, 64, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +89,11 @@ func TestBlockedD1ShapeVersusNaive(t *testing.T) {
 	prog := netProg(0)
 	var logN, logB, logNv []float64
 	for _, n := range []int{16, 32, 64} {
-		blk, err := BlockedD1(n, 2, n, 0, prog)
+		blk, err := BlockedD1Context(context.Background(), n, 2, n, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := Naive(1, n, 1, 2, n, prog)
+		nv, err := NaiveContext(context.Background(), 1, n, 1, 2, n, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +116,12 @@ func TestBlockedD1LeafWidthAblation(t *testing.T) {
 	// nearby leaf width (it's the optimized knob).
 	prog := netProg(0)
 	n, m := 32, 4
-	def, err := BlockedD1(n, m, n, 0, prog)
+	def, err := BlockedD1Context(context.Background(), n, m, n, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []int{2, 16} {
-		alt, err := BlockedD1(n, m, n, leaf, prog)
+		alt, err := BlockedD1Context(context.Background(), n, m, n, leaf, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +137,11 @@ func TestBlockedD1Rule90MatchesDagForM1(t *testing.T) {
 	// agree with the dag-level separator executor.
 	r := guest.Rule90{Seed: 8}
 	n := 16
-	blk, err := BlockedD1(n, 1, n-1, 0, guest.AsNetwork{G: r})
+	blk, err := BlockedD1Context(context.Background(), n, 1, n-1, 0, guest.AsNetwork{G: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := UniDC(1, n, n, 8, r)
+	dc, err := UniDCContext(context.Background(), 1, n, n, 8, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestPreCancelledContextStopsEveryEngine(t *testing.T) {
 // the done == nil fast path).
 func TestGoldenTimesBitIdenticalUnderLiveContext(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 3}}
-	base, err := BlockedD1(64, 4, 16, 0, prog)
+	base, err := BlockedD1Context(context.Background(), 64, 4, 16, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGoldenTimesBitIdenticalUnderLiveContext(t *testing.T) {
 		t.Error("Progress.Phases never advanced during the run")
 	}
 
-	mbase, err := MultiD1(64, 4, 4, 64, prog, MultiOptions{})
+	mbase, err := MultiD1Context(context.Background(), 64, 4, 4, 64, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestKernelCacheBounded(t *testing.T) {
 func TestProgressMonotoneWhileLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
 	const n, p_, m, steps = 256, 8, 16, 64
-	if _, err := MultiD1(n, p_, m, steps, prog, MultiOptions{}); err != nil {
+	if _, err := MultiD1Context(context.Background(), n, p_, m, steps, prog, MultiOptions{}); err != nil {
 		t.Fatal(err) // cache warm-up
 	}
 	var ref Progress
@@ -291,5 +291,51 @@ sampling:
 	}
 	if lastV > live.Vertices.Load() || lastP > live.Phases.Load() {
 		t.Error("final totals below the last live sample")
+	}
+}
+
+// A run that returns must have published every vertex it counted, not
+// only whole checkInterval windows: the serving registry samples Progress
+// once a run finishes. Every tuple below stays under checkInterval
+// vertices, so nothing reaches the meter unless the engine publishes on
+// return. Naive and the guest-time run count exactly n·steps.
+func TestFinishedRunsPublishProgress(t *testing.T) {
+	const n, m, steps = 64, 4, 8
+	for _, s := range Schemes {
+		p := map[int]int{1: 4, 2: 4, 3: 8}[s.D]
+		if !s.Multiproc || s.Name == "unidc" {
+			p = 1
+		}
+		mm := m
+		if s.Name == "unidc" {
+			mm = 1
+		}
+		prog := guest.AsNetwork{G: guest.Rule90{Seed: 5}}
+		switch s.D {
+		case 2:
+			prog.Side = 8
+		case 3:
+			prog.CubeSide = 4
+		}
+		var pm Progress
+		ctx := WithoutMemo(WithProgress(context.Background(), &pm))
+		if _, err := RunSchemeContext(ctx, s.Name, s.D, n, p, mm, steps, prog, SchemeConfig{}); err != nil {
+			t.Fatalf("%s d=%d: %v", s.Name, s.D, err)
+		}
+		got := pm.Vertices.Load()
+		if got <= 0 {
+			t.Errorf("%s d=%d: finished run reported %d vertices", s.Name, s.D, got)
+		}
+		if s.Name == "naive" && got != n*steps {
+			t.Errorf("naive d=%d: finished run reported %d vertices, want %d", s.D, got, n*steps)
+		}
+	}
+	var pm Progress
+	line := guest.AsNetwork{G: guest.MixCA{Seed: 5}}
+	if _, err := GuestTimeContext(WithProgress(context.Background(), &pm), 1, n, m, steps, line); err != nil {
+		t.Fatal(err)
+	}
+	if got := pm.Vertices.Load(); got != n*steps {
+		t.Errorf("GuestTimeContext reported %d vertices, want %d", got, n*steps)
 	}
 }

@@ -38,19 +38,16 @@ type CoopResult struct {
 	Outputs []hram.Word
 }
 
-// CoopBlock simulates steps steps of an s-column slice of the guest
+// CoopBlockContext simulates steps steps of an s-column slice of the guest
 // M1(n, n, m) that straddles the boundary between two adjacent processors
 // of the host M1(n, p, m), both ways, and verifies the runs against each
 // other. The slice is treated as isolated (reflecting ends), which keeps
 // the comparison self-contained; s must be even and >= 2.
-func CoopBlock(n, p, m, s, steps int, prog network.Program) (CoopResult, error) {
-	return CoopBlockContext(context.Background(), n, p, m, s, steps, prog)
-}
-
-// CoopBlockContext is CoopBlock under a context: both the cooperative
-// and the solo run poll cancellation once per simulated step, and report
-// step progress to any attached Progress. Checks are host-side only, so
-// a never-cancelled run's virtual times are bit-identical to CoopBlock's.
+//
+// Both the cooperative and the solo run poll cancellation once per
+// simulated step, and report step progress to any attached Progress.
+// Checks are host-side only, so a never-cancelled run's virtual times do
+// not depend on ctx.
 func CoopBlockContext(ctx context.Context, n, p, m, s, steps int, prog network.Program) (CoopResult, error) {
 	if s < 2 || s%2 != 0 {
 		return CoopResult{}, fmt.Errorf("simulate: CoopBlock needs even s >= 2, got %d", s)
@@ -100,6 +97,7 @@ func CoopBlockContext(ctx context.Context, n, p, m, s, steps int, prog network.P
 	}
 
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	prevB := make([]hram.Word, s)
 	ops := make([]hram.Word, 0, 3)
 	for t := 1; t <= steps; t++ {

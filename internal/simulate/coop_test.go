@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +11,10 @@ import (
 
 func TestCoopBlockValidation(t *testing.T) {
 	prog := netProg(0)
-	if _, err := CoopBlock(64, 8, 1, 3, 4, prog); err == nil {
+	if _, err := CoopBlockContext(context.Background(), 64, 8, 1, 3, 4, prog); err == nil {
 		t.Fatal("odd s did not error")
 	}
-	if _, err := CoopBlock(64, 1, 1, 4, 4, prog); err == nil {
+	if _, err := CoopBlockContext(context.Background(), 64, 1, 1, 4, 4, prog); err == nil {
 		t.Fatal("p=1 did not error")
 	}
 }
@@ -24,7 +25,7 @@ func TestCoopBlockRunsAgree(t *testing.T) {
 	for _, tc := range []struct{ m, s, steps int }{
 		{1, 8, 8}, {4, 8, 16}, {16, 4, 8},
 	} {
-		if _, err := CoopBlock(256, 8, tc.m, tc.s, tc.steps, netProg(0)); err != nil {
+		if _, err := CoopBlockContext(context.Background(), 256, 8, tc.m, tc.s, tc.steps, netProg(0)); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 	}
@@ -35,7 +36,7 @@ func TestCoopBlockAgainstPureSlice(t *testing.T) {
 	// against RunGuestPure on that smaller machine.
 	m, s, steps := 3, 8, 10
 	prog := netProg(0)
-	res, err := CoopBlock(256, 8, m, s, steps, prog)
+	res, err := CoopBlockContext(context.Background(), 256, 8, m, s, steps, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestCoopCrossoverInM(t *testing.T) {
 	prog := netProg(0)
 	var prevAdv float64
 	for i, m := range []int{1, 8, 64} {
-		res, err := CoopBlock(n, p, m, s, steps, prog)
+		res, err := CoopBlockContext(context.Background(), n, p, m, s, steps, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestCoopCrossoverInM(t *testing.T) {
 		prevAdv = adv
 	}
 	// At large m cooperation must win outright.
-	res, err := CoopBlock(n, p, 64, s, steps, prog)
+	res, err := CoopBlockContext(context.Background(), n, p, 64, s, steps, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestPropertyCoopSoloAgree(t *testing.T) {
 		s := (int(sRaw%6) + 1) * 2
 		steps := int(tRaw%10) + 1
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		_, err := CoopBlock(64, 4, m, s, steps, prog)
+		_, err := CoopBlockContext(context.Background(), 64, 4, m, s, steps, prog)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -99,14 +100,14 @@ func TestCoopCrossoverBothDirections(t *testing.T) {
 	// dominates and cooperation must win. Same geometry, only m moves.
 	n, p, s, steps := 1024, 8, 4, 64
 	prog := netProg(0)
-	lo, err := CoopBlock(n, p, 1, s, steps, prog)
+	lo, err := CoopBlockContext(context.Background(), n, p, 1, s, steps, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lo.SoloTime >= lo.CoopTime {
 		t.Errorf("m=1: solo %v not cheaper than coop %v", lo.SoloTime, lo.CoopTime)
 	}
-	hi, err := CoopBlock(n, p, 64, s, steps, prog)
+	hi, err := CoopBlockContext(context.Background(), n, p, 64, s, steps, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

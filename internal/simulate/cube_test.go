@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestUniDCFunctionalD3(t *testing.T) {
 	prog := guest.MixCA{Seed: 7}
 	for _, side := range []int{2, 3, 4} {
 		n := side * side * side
-		res, err := UniDC(3, n, side, 8, prog)
+		res, err := UniDCContext(context.Background(), 3, n, side, 8, prog)
 		if err != nil {
 			t.Fatalf("side=%d: %v", side, err)
 		}
@@ -28,7 +29,7 @@ func TestUniDCFunctionalD3(t *testing.T) {
 
 func TestUniNaiveDagFunctionalD3(t *testing.T) {
 	prog := guest.MixCA{Seed: 8}
-	res, err := UniNaiveDag(3, 27, 3, prog)
+	res, err := UniNaiveDagContext(context.Background(), 3, 27, 3, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestD3GuestTimeMatchesDagView(t *testing.T) {
 	side := 3
 	n := side * side * side
 	r := guest.Rule90{Seed: 5}
-	tn := GuestTime(3, n, 1, side, guest.AsNetwork{G: r, CubeSide: side})
+	tn, _ := GuestTimeContext(context.Background(), 3, n, 1, side, guest.AsNetwork{G: r, CubeSide: side})
 	if tn <= 0 {
 		t.Fatal("non-positive d=3 guest time")
 	}
-	res, err := UniDC(3, n, side+1, 8, r)
+	res, err := UniDCContext(context.Background(), 3, n, side+1, 8, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestD3SeparatorBeatsNaiveExponent(t *testing.T) {
 	var logN, nv, nvOverDC, dcNorm []float64
 	for _, side := range []int{4, 8, 14} {
 		n := side * side * side
-		r, err := UniDC(3, n, side, 8, prog)
+		r, err := UniDCContext(context.Background(), 3, n, side, 8, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := UniNaiveDag(3, n, side, prog)
+		rn, err := UniNaiveDagContext(context.Background(), 3, n, side, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +100,11 @@ func TestD3SpaceScalesAsThreeQuarters(t *testing.T) {
 	// σ(k) = O(k^(3/4)) for the γ = 3/4 separator: machine space stays
 	// near the guest's own n·m = side³ words.
 	prog := guest.Rule90{Seed: 3}
-	res4, err := UniDC(3, 64, 4, 8, prog)
+	res4, err := UniDCContext(context.Background(), 3, 64, 4, 8, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res8, err := UniDC(3, 512, 8, 8, prog)
+	res8, err := UniDCContext(context.Background(), 3, 512, 8, 8, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,11 +77,8 @@ func (e *execCtx) step(n int) error {
 }
 
 // hook returns e.step as a network.StepHook, or nil when the context
-// can never be cancelled and carries no meter — then the hooked guest
-// executors skip the per-step indirect call entirely and run the exact
-// pre-hook loop. Callers that replay large guests should prefer this
-// over passing e.step directly: a cancelled context is observed either
-// way, but the common context.Background() path stays overhead-free.
+// can never be cancelled and carries no meter — then the guest stepper
+// skips the per-step indirect call entirely.
 func (e *execCtx) hook() func(int) error {
 	if e.done == nil && e.prog == nil {
 		return nil
@@ -120,10 +117,7 @@ func (e *execCtx) checkpoint() error {
 // flush publishes pending vertex counts and performs one non-blocking
 // poll of the done channel.
 func (e *execCtx) flush() error {
-	if e.prog != nil && e.pending > 0 {
-		e.prog.Vertices.Add(int64(e.pending))
-	}
-	e.pending = 0
+	e.publish()
 	if e.done == nil {
 		return nil
 	}
@@ -133,4 +127,14 @@ func (e *execCtx) flush() error {
 	default:
 		return nil
 	}
+}
+
+// publish hands pending vertex counts to the meter without polling
+// cancellation. Every engine entry defers it, so a run that returns has
+// published every vertex it counted, not just whole checkIntervals.
+func (e *execCtx) publish() {
+	if e.prog != nil && e.pending > 0 {
+		e.prog.Vertices.Add(int64(e.pending))
+	}
+	e.pending = 0
 }

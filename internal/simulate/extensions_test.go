@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 
 	"bsmp/internal/guest"
@@ -13,7 +14,7 @@ import (
 
 func TestBlockedD1PipelinedFunctional(t *testing.T) {
 	prog := netProg(0)
-	res, err := BlockedD1(32, 4, 24, 0, prog, hram.WithPipelinedBlocks())
+	res, err := BlockedD1Context(context.Background(), 32, 4, 24, 0, prog, hram.WithPipelinedBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestBlockedD1PipelinedFaster(t *testing.T) {
 	prog := netProg(0)
 	n, steps := 128, 32
 	for _, m := range []int{4, 16, 64} {
-		std, err := BlockedD1(n, m, steps, 0, prog)
+		std, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := BlockedD1(n, m, steps, 0, prog, hram.WithPipelinedBlocks())
+		pipe, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog, hram.WithPipelinedBlocks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +52,11 @@ func TestBlockedD1PipelinedRemovesLocalityGrowth(t *testing.T) {
 	prog := netProg(0)
 	n, steps := 256, 64
 	ratio := func(opts ...hram.Option) float64 {
-		a, err := BlockedD1(n, 4, steps, 0, prog, opts...)
+		a, err := BlockedD1Context(context.Background(), n, 4, steps, 0, prog, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BlockedD1(n, 64, steps, 0, prog, opts...)
+		b, err := BlockedD1Context(context.Background(), n, 64, steps, 0, prog, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestRestrictMemFunctional(t *testing.T) {
 	base := guest.MixCA{Seed: 13}
 	for _, mp := range []int{1, 3, 8} {
 		prog := guest.RestrictMem{P: base, Words: mp}
-		res, err := BlockedD1(16, 8, 12, 0, prog)
+		res, err := BlockedD1Context(context.Background(), 16, 8, 12, 0, prog)
 		if err != nil {
 			t.Fatalf("m'=%d: %v", mp, err)
 		}
@@ -95,7 +96,7 @@ func TestRestrictMemImprovesLocality(t *testing.T) {
 	var prev float64
 	for i, mp := range []int{4, 16, 64} {
 		prog := guest.RestrictMem{P: base, Words: mp}
-		res, err := BlockedD1(n, m, steps, 0, prog)
+		res, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestRestrictMemImprovesLocality(t *testing.T) {
 func TestRestrictMemAddressViolationCaught(t *testing.T) {
 	// A program that lies about its live region must fail loudly.
 	prog := lyingMemUser{}
-	if _, err := BlockedD1(8, 4, 4, 0, prog); err == nil {
+	if _, err := BlockedD1Context(context.Background(), 8, 4, 4, 0, prog); err == nil {
 		t.Fatal("out-of-region address not caught")
 	}
 }
@@ -143,17 +144,17 @@ func TestSimulatorsPreserveSortingInvariant(t *testing.T) {
 			}
 		}
 	}
-	blk, err := BlockedD1(n, 1, n, 0, prog)
+	blk, err := BlockedD1Context(context.Background(), n, 1, n, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSorted("blocked", blk.Outputs)
-	mu, err := MultiD1(n, 4, 1, n, prog, MultiOptions{})
+	mu, err := MultiD1Context(context.Background(), n, 4, 1, n, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSorted("multi", mu.Outputs)
-	nv, err := Naive(1, n, 4, 1, n, prog)
+	nv, err := NaiveContext(context.Background(), 1, n, 4, 1, n, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // the given density and seed.
 func runFaulty(t *testing.T, density float64, seed uint64) MultiResult {
 	t.Helper()
-	mr, err := RunScheme("multi-faulty", 1, 64, 4, 16, 16,
+	mr, err := RunSchemeContext(context.Background(), "multi-faulty", 1, 64, 4, 16, 16,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}},
 		SchemeConfig{Multi: MultiOptions{Faults: density, FaultSeed: seed}})
 	if err != nil {
@@ -42,7 +43,7 @@ func TestMultiFaultyGoldenAtZero(t *testing.T) {
 		t.Errorf("d=1 zero-density report = %+v, want all-alive identity", r)
 	}
 
-	m2, err := RunScheme("multi-faulty", 2, 256, 4, 8, 8,
+	m2, err := RunSchemeContext(context.Background(), "multi-faulty", 2, 256, 4, 8, 8,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16},
 		SchemeConfig{})
 	if err != nil {
@@ -52,7 +53,7 @@ func TestMultiFaultyGoldenAtZero(t *testing.T) {
 		t.Errorf("d=2 Time = %v, golden 121540.75244594147", m2.Time)
 	}
 
-	m3, err := RunScheme("multi-faulty", 3, 512, 8, 4, 8,
+	m3, err := RunSchemeContext(context.Background(), "multi-faulty", 3, 512, 8, 4, 8,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8},
 		SchemeConfig{})
 	if err != nil {
@@ -68,11 +69,11 @@ func TestMultiFaultyGoldenAtZero(t *testing.T) {
 // per-phase breakdown, and outputs.
 func TestMultiFaultyMatchesLockstepLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 4}}
-	lock, err := RunScheme("multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	lock, err := RunSchemeContext(context.Background(), "multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := RunScheme("multi-faulty", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	fa, err := RunSchemeContext(context.Background(), "multi-faulty", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestMultiFaultyMatchesLockstepLive(t *testing.T) {
 // processor (the mask errors when none survives).
 func runFaultyP(t *testing.T, density float64, seed uint64) MultiResult {
 	t.Helper()
-	mr, err := RunScheme("multi-faulty", 1, 64, 8, 16, 16,
+	mr, err := RunSchemeContext(context.Background(), "multi-faulty", 1, 64, 8, 16, 16,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}},
 		SchemeConfig{Multi: MultiOptions{Faults: density, FaultSeed: seed}})
 	if err != nil {
@@ -211,8 +212,8 @@ func TestFaultsValidation(t *testing.T) {
 		if !errors.As(err, &pe) || pe.Field != "faults" {
 			t.Fatalf("ValidateParams(faults=%v) = %v, want ParamError on faults", f, err)
 		}
-		if _, err := RunScheme("multi-faulty", 1, 64, 4, 4, 16, prog, cfg); !errors.As(err, &pe) {
-			t.Fatalf("RunScheme(faults=%v) = %v, want ParamError", f, err)
+		if _, err := RunSchemeContext(context.Background(), "multi-faulty", 1, 64, 4, 4, 16, prog, cfg); !errors.As(err, &pe) {
+			t.Fatalf("RunSchemeContext(faults=%v) = %v, want ParamError", f, err)
 		}
 	}
 	// Valid densities pass; the zero config is the fault-free identity.
@@ -254,7 +255,7 @@ func TestMultiFaultyNonzeroRuns(t *testing.T) {
 		{3, 512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}},
 	} {
 		run := func(f float64) MultiResult {
-			mr, err := RunScheme("multi-faulty", tc.d, tc.n, tc.p, tc.m, tc.steps, tc.prog,
+			mr, err := RunSchemeContext(context.Background(), "multi-faulty", tc.d, tc.n, tc.p, tc.m, tc.steps, tc.prog,
 				SchemeConfig{Multi: MultiOptions{Faults: f, FaultSeed: 11}})
 			if err != nil {
 				t.Fatalf("d=%d faults=%v: %v", tc.d, f, err)

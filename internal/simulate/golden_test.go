@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestGoldenUniDC(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := UniDC(c.d, c.n, c.stp, c.leaf, guest.Rule90{Seed: c.seed})
+			r, err := UniDCContext(context.Background(), c.d, c.n, c.stp, c.leaf, guest.Rule90{Seed: c.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,17 +66,17 @@ func TestGoldenBlocked(t *testing.T) {
 		}
 	}
 
-	r, err := BlockedD1(64, 4, 16, 0, p1)
+	r, err := BlockedD1Context(context.Background(), 64, 4, 16, 0, p1)
 	check("BlockedD1 n=64 m=4", r, err, 1.59814675e+06, 0)
-	r, err = BlockedD1(64, 16, 16, 3, p1)
+	r, err = BlockedD1Context(context.Background(), 64, 16, 16, 3, p1)
 	check("BlockedD1 n=64 m=16 leaf=3", r, err, 3.7769246875e+06, 0)
-	r, err = BlockedD2(64, 4, 8, 0, p2)
+	r, err = BlockedD2Context(context.Background(), 64, 4, 8, 0, p2)
 	check("BlockedD2 n=64 m=4", r, err, 172983.02430326765, 2604)
-	r, err = BlockedD2(64, 4, 8, 4, p2)
+	r, err = BlockedD2Context(context.Background(), 64, 4, 8, 4, p2)
 	check("BlockedD2 n=64 m=4 leaf=4", r, err, 172983.02430326765, 2604)
-	r, err = BlockedD3(64, 4, 4, 0, p3)
+	r, err = BlockedD3Context(context.Background(), 64, 4, 4, 0, p3)
 	check("BlockedD3 n=64 m=4", r, err, 39704.06681616664, 2128)
-	r, err = BlockedD3(64, 4, 4, 2, p3)
+	r, err = BlockedD3Context(context.Background(), 64, 4, 4, 2, p3)
 	check("BlockedD3 n=64 m=4 leaf=2", r, err, 58759.92294148945, 2264)
 }
 
@@ -111,7 +112,7 @@ func TestGoldenMulti(t *testing.T) {
 		}
 	}
 
-	mr, err := MultiD1(64, 4, 16, 16, p1, MultiOptions{})
+	mr, err := MultiD1Context(context.Background(), 64, 4, 16, 16, p1, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestGoldenMulti(t *testing.T) {
 	}
 	checkPhases("MultiD1", mr)
 
-	m2, err := MultiD2(256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, Multi2Options{})
+	m2, err := MultiD2Context(context.Background(), 256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestGoldenMulti(t *testing.T) {
 	}
 	checkPhases("MultiD2", m2)
 
-	m3, err := MultiD3(512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}, Multi3Options{})
+	m3, err := MultiD3Context(context.Background(), 512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestGoldenMulti(t *testing.T) {
 	}
 	checkPhases("MultiD3", m3)
 
-	cr, err := CoopBlock(64, 4, 8, 8, 8, p1)
+	cr, err := CoopBlockContext(context.Background(), 64, 4, 8, 8, 8, p1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,11 @@ func TestSpanKernelFixedGuestD2(t *testing.T) {
 	if ka != kb {
 		t.Errorf("d=2 kernel depends on the caller's guest: %v vs %v", ka, kb)
 	}
-	ra, err := MultiD2(64, 4, 4, 8, a, Multi2Options{})
+	ra, err := MultiD2Context(context.Background(), 64, 4, 4, 8, a, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MultiD2(64, 4, 4, 8, b, Multi2Options{})
+	rb, err := MultiD2Context(context.Background(), 64, 4, 4, 8, b, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestSpanKernelFixedGuestD3(t *testing.T) {
 	if ka != kb {
 		t.Errorf("d=3 kernel depends on the caller's guest: %v vs %v", ka, kb)
 	}
-	ra, err := MultiD3(64, 8, 4, 4, a, Multi3Options{})
+	ra, err := MultiD3Context(context.Background(), 64, 8, 4, 4, a, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MultiD3(64, 8, 4, 4, b, Multi3Options{})
+	rb, err := MultiD3Context(context.Background(), 64, 8, 4, 4, b, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ import (
 )
 
 // MultiOptions configure the multiprocessor simulations; the zero value
-// is the paper's full scheme. One struct serves every dimension (the
-// aliases Multi2Options/Multi3Options keep the historical names): d = 1
+// is the paper's full scheme. One struct serves every dimension: d = 1
 // reads StripWidth and NoCooperate, d = 2/3 read SpanOverride, all read
 // NoRearrange. The ablation flags disable individual mechanisms to
 // measure how load-bearing each one is (DESIGN.md § 6).
@@ -97,14 +96,8 @@ func (o MultiOptions) delayModel() cost.DelayModel {
 	return dm
 }
 
-// Multi2Options configures the d = 2 multiprocessor model.
-type Multi2Options = MultiOptions
-
-// Multi3Options configures the d = 3 multiprocessor model.
-type Multi3Options = MultiOptions
-
 // MultiResult extends Result with the multiprocessor-specific accounting.
-// One struct serves every dimension (aliases Multi2Result/Multi3Result):
+// One struct serves every dimension:
 // StripWidth/PrepTime/Domains are d = 1 fields, Span is d = 2/3.
 type MultiResult struct {
 	Result
@@ -128,12 +121,6 @@ type MultiResult struct {
 	// nil for every fault-free scheme.
 	Faults *FaultReport
 }
-
-// Multi2Result reports the d = 2 multiprocessor run.
-type Multi2Result = MultiResult
-
-// Multi3Result reports the d = 3 multiprocessor run.
-type Multi3Result = MultiResult
 
 // multiGeomD1 is the d = 1 geometry spec: the Theorem 4 scheme. The
 // span-model fields are nil because the d = 1 planner below implements
@@ -167,7 +154,7 @@ func diamondKernel(ctx context.Context, s, m int, prog network.Program) (float64
 	return multiGeomD1.kernel(ctx, s, m, prog)
 }
 
-// MultiD1 runs Theorem 4's simulation of M1(n, n, m) on M1(n, p, m):
+// MultiD1Context runs Theorem 4's simulation of M1(n, n, m) on M1(n, p, m):
 //
 //  1. the initial data, viewed as q = n/s strips of width s, is
 //     rearranged by π = π2·π1 so that originally adjacent strips are
@@ -188,17 +175,14 @@ func diamondKernel(ctx context.Context, s, m int, prog network.Program) (float64
 // and the relocation/exchange phases charged at the word-and-distance
 // granularity derived in the comments below. See DESIGN.md's fidelity
 // ladder.
-func MultiD1(n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	return MultiD1Context(context.Background(), n, p, m, steps, prog, opts)
-}
-
-// MultiD1Context is MultiD1 under a context: the kernel calibration run,
-// the span search, and the functional guest replay all poll cancellation
-// cooperatively, and replay progress is reported to any attached
-// Progress. Checks are host-side only, so a never-cancelled run's
-// virtual times are bit-identical to MultiD1's.
+//
+// The kernel calibration run, the span search, and the functional guest
+// replay all poll cancellation cooperatively, and replay progress is
+// reported to any attached Progress. Checks are host-side only, so a
+// never-cancelled run's virtual times do not depend on ctx.
 func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	res, err := multiD1Schedule(ec, n, p, m, steps, prog, opts)
 	if err != nil || p == 1 {
 		// A failure, or the p = 1 fallback, which executed the guest
@@ -353,7 +337,7 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 	}, nil
 }
 
-// MultiD1Cycles simulates cycles·n guest steps by repeating the n-step
+// MultiD1CyclesContext simulates cycles·n guest steps by repeating the n-step
 // simulation of MultiD1 (the paper's "for larger values of Tn, it is
 // sufficient to repeat the n-step simulation ⌈Tn/n⌉ times"), so the
 // one-time rearrangement cost amortizes: the reported Time includes the
@@ -361,19 +345,16 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 // converges to the steady-state (n/p)·A(n, m, p) as cycles grows — "its
 // cost gives a contribution to the slowdown that vanishes as the number
 // of simulated steps increases" (Section 4.2).
-func MultiD1Cycles(n, p, m, cycles int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	return MultiD1CyclesContext(context.Background(), n, p, m, cycles, prog, opts)
-}
-
-// MultiD1CyclesContext is MultiD1Cycles under a context; see
-// MultiD1Context for the cancellation and progress contract. The n-step
-// schedule is charged once and the guest is replayed once, for all
-// cycles·n steps.
+//
+// See MultiD1Context for the cancellation and progress contract. The
+// n-step schedule is charged once and the guest is replayed once, for
+// all cycles·n steps.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	if cycles < 1 {
 		return MultiResult{}, fmt.Errorf("simulate: cycles %d < 1", cycles)
 	}
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	res, err := multiD1Schedule(ec, n, p, m, n, prog, opts)
 	if err != nil {
 		return MultiResult{}, err

@@ -60,7 +60,7 @@ var multiGeomD2 = &multiGeom{
 	},
 }
 
-// MultiD2 runs the d = 2 case of Theorem 1: simulating M2(n, n, m) on
+// MultiD2Context runs the d = 2 case of Theorem 1: simulating M2(n, n, m) on
 // M2(n, p, m). The paper states the d = 2 bound and the octahedral
 // separator (Section 5) but defers the multiprocessor orchestration to the
 // companion technical report, so this implementation composes the same
@@ -81,12 +81,8 @@ var multiGeomD2 = &multiGeom{
 // two (the implementation analog of the paper's s* analysis); pass
 // SpanOverride to ablate. Functionally the guest advances exactly.
 // n and p must be perfect squares with p | n.
-func MultiD2(n, p, m, steps int, prog network.Program, opts Multi2Options) (Multi2Result, error) {
-	return MultiD2Context(context.Background(), n, p, m, steps, prog, opts)
-}
-
-// MultiD2Context is MultiD2 under a context; see MultiD1Context for the
-// cancellation and progress contract.
-func MultiD2Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts Multi2Options) (Multi2Result, error) {
+//
+// See MultiD1Context for the cancellation and progress contract.
+func MultiD2Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	return multiSpan(ctx, multiGeomD2, n, p, m, steps, prog, opts)
 }

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"bsmp/internal/analytic"
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestMultiD2Functional(t *testing.T) {
 	} {
 		side := analytic.IntSqrtExact(tc.n)
 		prog := netProg(side)
-		res, err := MultiD2(tc.n, tc.p, tc.m, tc.steps, prog, Multi2Options{})
+		res, err := MultiD2Context(context.Background(), tc.n, tc.p, tc.m, tc.steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -27,11 +28,11 @@ func TestMultiD2Functional(t *testing.T) {
 func TestMultiD2MoreProcessorsFaster(t *testing.T) {
 	prog := netProg(16)
 	n, m, steps := 256, 2, 16
-	t4, err := MultiD2(n, 4, m, steps, prog, Multi2Options{})
+	t4, err := MultiD2Context(context.Background(), n, 4, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := MultiD2(n, 16, m, steps, prog, Multi2Options{})
+	t16, err := MultiD2Context(context.Background(), n, 16, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +46,12 @@ func TestMultiD2ChosenSpanBeatsOverrides(t *testing.T) {
 	// forced power-of-two span (it was chosen by minimizing).
 	prog := netProg(32)
 	n, p, m, steps := 1024, 16, 4, 16
-	opt, err := MultiD2(n, p, m, steps, prog, Multi2Options{})
+	opt, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{2, 8} {
-		forced, err := MultiD2(n, p, m, steps, prog, Multi2Options{SpanOverride: s})
+		forced, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{SpanOverride: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +65,11 @@ func TestMultiD2ChosenSpanBeatsOverrides(t *testing.T) {
 func TestMultiD2RearrangementHelps(t *testing.T) {
 	prog := netProg(32)
 	n, p, m, steps := 1024, 16, 8, 16
-	full, err := MultiD2(n, p, m, steps, prog, Multi2Options{})
+	full, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRe, err := MultiD2(n, p, m, steps, prog, Multi2Options{NoRearrange: true})
+	noRe, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{NoRearrange: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestMultiD2MeasuredATracksTheoremShapeD2(t *testing.T) {
 	ref := 8
 	ameas := make(map[int]float64)
 	for _, m := range ms {
-		res, err := MultiD2(n, p, m, steps, prog, Multi2Options{})
+		res, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		tn := GuestTime(2, n, m, steps, prog)
+		tn, _ := GuestTimeContext(context.Background(), 2, n, m, steps, prog)
 		ameas[m] = float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 	}
 	for _, m := range ms {

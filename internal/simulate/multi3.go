@@ -53,7 +53,7 @@ var multiGeomD3 = &multiGeom{
 	},
 }
 
-// MultiD3 evaluates the conjectured d = 3 case of Theorem 1: simulating
+// MultiD3Context evaluates the conjectured d = 3 case of Theorem 1: simulating
 // M3(n, n, m) on M3(n, p, m). The paper only conjectures this case; with
 // the Box6 separator in hand (lattice), the same three mechanisms compose
 // in three-dimensional geometry:
@@ -71,12 +71,8 @@ var multiGeomD3 = &multiGeom{
 // (DESIGN.md fidelity level L2); its value is making the conjectured
 // four-range structure of A(3, n, m, p) measurable. n and p must be
 // perfect cubes with p | n.
-func MultiD3(n, p, m, steps int, prog network.Program, opts Multi3Options) (Multi3Result, error) {
-	return MultiD3Context(context.Background(), n, p, m, steps, prog, opts)
-}
-
-// MultiD3Context is MultiD3 under a context; see MultiD1Context for the
-// cancellation and progress contract.
-func MultiD3Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts Multi3Options) (Multi3Result, error) {
+//
+// See MultiD1Context for the cancellation and progress contract.
+func MultiD3Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	return multiSpan(ctx, multiGeomD3, n, p, m, steps, prog, opts)
 }

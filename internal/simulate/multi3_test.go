@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 
 	"bsmp/internal/analytic"
@@ -10,7 +11,7 @@ func TestMultiD3Functional(t *testing.T) {
 	side, pside := 4, 2 // n = 64, p = 8
 	n, p := side*side*side, pside*pside*pside
 	prog := cubeProg(side, 9)
-	res, err := MultiD3(n, p, 2, 8, prog, Multi3Options{})
+	res, err := MultiD3Context(context.Background(), n, p, 2, 8, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +27,11 @@ func TestMultiD3MoreProcessorsFaster(t *testing.T) {
 	side := 8 // n = 512
 	n := side * side * side
 	prog := cubeProg(side, 9)
-	t8, err := MultiD3(n, 8, 2, 8, prog, Multi3Options{})
+	t8, err := MultiD3Context(context.Background(), n, 8, 2, 8, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t64, err := MultiD3(n, 64, 2, 8, prog, Multi3Options{})
+	t64, err := MultiD3Context(context.Background(), n, 64, 2, 8, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestMultiD3RearrangementHelps(t *testing.T) {
 	n := side * side * side
 	p := 64
 	prog := cubeProg(side, 9)
-	full, err := MultiD3(n, p, 8, 8, prog, Multi3Options{})
+	full, err := MultiD3Context(context.Background(), n, p, 8, 8, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRe, err := MultiD3(n, p, 8, 8, prog, Multi3Options{NoRearrange: true})
+	noRe, err := MultiD3Context(context.Background(), n, p, 8, 8, prog, MultiOptions{NoRearrange: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestMultiD3AGrowsAndSaturates(t *testing.T) {
 	prog := cubeProg(side, 9)
 	var last float64
 	for _, m := range []int{1, 8, 64} {
-		res, err := MultiD3(n, p, m, 8, prog, Multi3Options{})
+		res, err := MultiD3Context(context.Background(), n, p, m, 8, prog, MultiOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn := GuestTime(3, n, m, 8, prog)
+		tn, _ := GuestTimeContext(context.Background(), 3, n, m, 8, prog)
 		a := float64(res.Time) / float64(tn) / (float64(n) / float64(p))
 		if a <= 0 {
 			t.Fatalf("m=%d: non-positive A", m)

@@ -444,6 +444,7 @@ func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog netwo
 	bestLevels := 0
 	var bestBreak [3]float64
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	// The span search is traced as one "plan" span; the kernel
 	// calibrations it triggers nest their "calibrate" spans underneath.
 	plan := ec.tr.Start("plan")

@@ -4,14 +4,13 @@ import (
 	"context"
 
 	"bsmp/internal/analytic"
-	"bsmp/internal/hram"
 	"bsmp/internal/network"
 	"bsmp/internal/topology"
 )
 
-// Naive runs the naive simulation of Proposition 1 (p = 1) and its
-// parallel version from Section 4.2 (p > 1): host processor i mimics the
-// guest nodes of its region step by step, holding their full state —
+// NaiveContext runs the naive simulation of Proposition 1 (p = 1) and
+// its parallel version from Section 4.2 (p > 1): host processor i mimics
+// the guest nodes of its region step by step, holding their full state —
 // m memory cells plus the broadcast value — in its own hierarchical
 // memory and paying the access function on every touched word.
 //
@@ -27,14 +26,13 @@ import (
 // The expected slowdown is Θ((n/p)^(1+1/d)): per guest step, each host
 // processor performs n/p block accesses at average address Θ((n/p)·m),
 // i.e. average latency Θ((n/p)^(1/d)).
-func Naive(d, n, p, m, steps int, prog network.Program) (Result, error) {
-	return NaiveContext(context.Background(), d, n, p, m, steps, prog)
-}
-
-// NaiveContext is Naive under a context: cancellation is checked once
-// per simulated guest step (n vertices of work), and step progress is
-// reported to any attached Progress. Checks are host-side only, so a
-// never-cancelled run's virtual times are bit-identical to Naive's.
+//
+// The guest itself advances on the network stepper, one step at a time;
+// this engine adds only the host's charges for each step. Cancellation is
+// checked once per simulated guest step (n vertices of work), and step
+// progress is reported to any attached Progress. Checks are host-side
+// only, so a never-cancelled run's virtual times are those of a run
+// without a context.
 func NaiveContext(ctx context.Context, d, n, p, m, steps int, prog network.Program) (Result, error) {
 	if e := validateCommon("naive", d, n, p, m, steps); e != nil {
 		return Result{}, e
@@ -44,113 +42,81 @@ func NaiveContext(ctx context.Context, d, n, p, m, steps int, prog network.Progr
 	}
 	host := network.New(d, n, p, m+1)
 	perHost := n / p
-	b := make([]hram.Word, n)
-	prevB := make([]hram.Word, n)
 
 	// Guest adjacency and coordinates live on the guest's own mesh, not
 	// the host's — a bare topology, since no guest machine is built.
-	guest := topology.NewMesh(d, n, n)
+	topo := topology.NewMesh(d, n, n)
+	g := network.NewGuest(topo, m, prog)
 
-	// regionOf maps a guest node to (host index, local index).
-	var regionOf func(v int) (hostIdx, local int)
+	// hostOf and baseOf map a guest node to its host index and the base
+	// address of its block there.
+	hostOf := make([]int, n)
+	baseOf := make([]int, n)
 	var patch int
-	if d == 1 {
-		regionOf = func(v int) (int, int) { return v / perHost, v % perHost }
-	} else {
+	if d > 1 {
 		patch = analytic.IntSqrtExact(perHost)
-		regionOf = func(v int) (int, int) {
-			gx, gy := guest.Coord(v)
-			hi := host.Index(gx/patch, gy/patch)
-			local := (gy%patch)*patch + gx%patch
-			return hi, local
-		}
 	}
-	blockOf := func(v int) (hostIdx, base int) {
-		hi, l := regionOf(v)
-		return hi, l * (m + 1)
+	for v := 0; v < n; v++ {
+		local := v % perHost
+		if d == 1 {
+			hostOf[v] = v / perHost
+		} else {
+			gx, gy := topo.Coord(v)
+			hostOf[v] = host.Index(gx/patch, gy/patch)
+			local = (gy%patch)*patch + gx%patch
+		}
+		baseOf[v] = local * (m + 1)
 	}
 
 	// Load initial state (free, as in the guest machine's convention).
-	mem := make([]hram.Word, m)
-	for v := 0; v < n; v++ {
-		for i := range mem {
-			mem[i] = 0
+	for v, w := range g.Outputs() {
+		node, base := host.Nodes[hostOf[v]], baseOf[v]
+		for i, c := range g.Memory()[v*m : (v+1)*m] {
+			node.Poke(base+i, c)
 		}
-		b[v] = prog.Init(v, mem)
-		hi, base := blockOf(v)
-		for i, w := range mem {
-			host.Nodes[hi].Poke(base+i, w)
-		}
-		host.Nodes[hi].Poke(base+m, b[v])
+		node.Poke(base+m, w)
 	}
 
-	var nbuf []int
-	ops := make([]hram.Word, 0, 5)
-
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	start := host.Elapsed()
-	for t := 1; t <= steps; t++ {
-		if err := ec.step(n); err != nil {
+	for g.Steps() < steps {
+		if err := g.Run(g.Steps()+1, ec.hook()); err != nil {
 			return Result{}, err
 		}
-		copy(prevB, b)
 		// Boundary exchange: for every guest edge crossing host regions,
 		// the owning hosts send each other the broadcast values.
 		for v := 0; v < n; v++ {
-			hv, _ := regionOf(v)
-			nbuf = guest.Neighbors(v, nbuf[:0])
-			for _, u := range nbuf {
-				if hu, _ := regionOf(u); hu != hv {
+			for _, u := range g.Neighbors(v) {
+				if hostOf[u] != hostOf[v] {
 					// u's value travels to v's host.
-					host.Send(hu, hv, 1)
+					host.Send(hostOf[u], hostOf[v], 1)
 				}
 			}
 		}
 		// Local simulation of each region.
-		for v := 0; v < n; v++ {
-			hv, base := blockOf(v)
-			node := host.Nodes[hv]
-			addr := base + prog.Address(v, t, m)
-			cell := node.Read(addr)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			nbuf = guest.Neighbors(v, nbuf[:0])
-			for _, u := range nbuf {
-				if hu, baseU := blockOf(u); hu == hv {
-					// Charge the stored-value read; the value used is
-					// the previous step's (the host double-buffers
-					// broadcast words, same cost up to a constant).
-					node.Read(baseU + m)
-					ops = append(ops, prevB[u])
-				} else {
-					// Received by message this step; already charged.
-					ops = append(ops, prevB[u])
+		for v, out := range g.Outputs() {
+			node, base := host.Nodes[hostOf[v]], baseOf[v]
+			addr := base + g.Addr(v)
+			node.Read(addr)
+			for _, u := range g.Neighbors(v) {
+				// Charge the stored-value read of a local neighbor (the
+				// host double-buffers broadcast words, same cost up to a
+				// constant); a remote one arrived by message this step.
+				if hostOf[u] == hostOf[v] {
+					node.Read(baseOf[u] + m)
 				}
 			}
-			out, cellOut := prog.Step(v, t, cell, ops)
 			node.Op()
-			node.Write(addr, cellOut)
+			node.Write(addr, g.Cell(v))
 			node.Write(base+m, out)
-			b[v] = out
 		}
 		host.Bank.Barrier()
 	}
-	elapsed := host.Elapsed() - start
-
-	out := make([]hram.Word, n)
-	copy(out, b)
-	mems := make([][]hram.Word, n)
-	for v := 0; v < n; v++ {
-		hi, base := blockOf(v)
-		mems[v] = make([]hram.Word, m)
-		for i := 0; i < m; i++ {
-			mems[v][i] = host.Nodes[hi].Peek(base + i)
-		}
-	}
 	return Result{
-		Outputs:  out,
-		Memories: mems,
-		Time:     elapsed,
+		Outputs:  g.Outputs(),
+		Memories: g.Memories(),
+		Time:     host.Elapsed() - start,
 		Ledger:   host.Bank.Ledgers(),
 		Steps:    steps,
 	}, nil

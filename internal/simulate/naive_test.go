@@ -4,6 +4,7 @@ import (
 	"bsmp/internal/analytic"
 	"bsmp/internal/guest"
 	"bsmp/internal/network"
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestNaiveFunctionalD1(t *testing.T) {
 		{8, 1, 1, 8}, {8, 2, 1, 8}, {16, 4, 3, 10}, {16, 16, 2, 5}, {12, 3, 1, 7},
 	} {
 		prog := netProg(0)
-		res, err := Naive(1, tc.n, tc.p, tc.m, tc.steps, prog)
+		res, err := NaiveContext(context.Background(), 1, tc.n, tc.p, tc.m, tc.steps, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -36,7 +37,7 @@ func TestNaiveFunctionalD2(t *testing.T) {
 	} {
 		side := analytic.IntSqrtExact(tc.n)
 		prog := netProg(side)
-		res, err := Naive(2, tc.n, tc.p, tc.m, tc.steps, prog)
+		res, err := NaiveContext(context.Background(), 2, tc.n, tc.p, tc.m, tc.steps, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -51,11 +52,11 @@ func TestNaiveSlowdownShapeD1(t *testing.T) {
 	var logN, logS []float64
 	for _, n := range []int{16, 32, 64, 128} {
 		prog := netProg(0)
-		res, err := Naive(1, n, 1, 1, 8, prog)
+		res, err := NaiveContext(context.Background(), 1, n, 1, 1, 8, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		guestT := GuestTime(1, n, 1, 8, prog)
+		guestT, _ := GuestTimeContext(context.Background(), 1, n, 1, 8, prog)
 		slow := float64(res.Time) / float64(guestT)
 		logN = append(logN, math.Log2(float64(n)))
 		logS = append(logS, math.Log2(slow))
@@ -72,11 +73,11 @@ func TestNaiveSlowdownShapeD2(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
 		side := analytic.IntSqrtExact(n)
 		prog := netProg(side)
-		res, err := Naive(2, n, 1, 1, 4, prog)
+		res, err := NaiveContext(context.Background(), 2, n, 1, 1, 4, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		guestT := GuestTime(2, n, 1, 4, prog)
+		guestT, _ := GuestTimeContext(context.Background(), 2, n, 1, 4, prog)
 		slow := float64(res.Time) / float64(guestT)
 		logN = append(logN, math.Log2(float64(n)))
 		logS = append(logS, math.Log2(slow))
@@ -91,7 +92,7 @@ func TestNaiveMoreProcessorsFaster(t *testing.T) {
 	prog := netProg(0)
 	var prev float64 = math.Inf(1)
 	for _, p := range []int{1, 2, 4, 8} {
-		res, err := Naive(1, 64, p, 2, 8, prog)
+		res, err := NaiveContext(context.Background(), 1, 64, p, 2, 8, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

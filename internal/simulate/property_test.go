@@ -6,6 +6,7 @@ package simulate
 // scheduling, preboundary, staging, or relocation bug surfaces here.
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ func TestPropertyUniDCMatchesReferenceD1(t *testing.T) {
 		steps := int(tRaw%24) + 2
 		leaf := int(leafRaw%16) + 1
 		prog := guest.MixCA{Seed: uint64(seed)}
-		res, err := UniDC(1, n, steps, leaf, prog)
+		res, err := UniDCContext(context.Background(), 1, n, steps, leaf, prog)
 		if err != nil {
 			return false
 		}
@@ -34,7 +35,7 @@ func TestPropertyUniDCMatchesReferenceD2(t *testing.T) {
 		side := int(sideRaw%6) + 2
 		steps := int(tRaw%8) + 2
 		prog := guest.MixCA{Seed: uint64(seed)}
-		res, err := UniDC(2, side*side, steps, 8, prog)
+		res, err := UniDCContext(context.Background(), 2, side*side, steps, 8, prog)
 		if err != nil {
 			return false
 		}
@@ -50,7 +51,7 @@ func TestPropertyUniDCMatchesReferenceD3(t *testing.T) {
 		side := int(sideRaw%3) + 2
 		steps := int(tRaw%5) + 2
 		prog := guest.MixCA{Seed: uint64(seed)}
-		res, err := UniDC(3, side*side*side, steps, 8, prog)
+		res, err := UniDCContext(context.Background(), 3, side*side*side, steps, 8, prog)
 		if err != nil {
 			return false
 		}
@@ -68,7 +69,7 @@ func TestPropertyBlockedD1MatchesReference(t *testing.T) {
 		steps := int(tRaw%16) + 1
 		leaf := int(leafRaw % 12) // 0 = paper's default
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		res, err := BlockedD1(n, m, steps, leaf, prog)
+		res, err := BlockedD1Context(context.Background(), n, m, steps, leaf, prog)
 		if err != nil {
 			return false
 		}
@@ -86,7 +87,7 @@ func TestPropertyBlockedD1RestrictedMatchesReference(t *testing.T) {
 		mp := int(mpRaw)%m + 1
 		steps := int(tRaw%12) + 1
 		prog := guest.RestrictMem{P: guest.MixCA{Seed: uint64(seed)}, Words: mp}
-		res, err := BlockedD1(n, m, steps, 0, prog)
+		res, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog)
 		if err != nil {
 			return false
 		}
@@ -106,7 +107,7 @@ func TestPropertyNaiveMatchesReference(t *testing.T) {
 		m := int(mRaw%4) + 1
 		steps := int(tRaw%10) + 1
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		res, err := Naive(1, n, p, m, steps, prog)
+		res, err := NaiveContext(context.Background(), 1, n, p, m, steps, prog)
 		if err != nil {
 			return false
 		}
@@ -124,7 +125,7 @@ func TestPropertyMultiD1MatchesReference(t *testing.T) {
 		m := 1 << (mRaw % 4)         // 1..8
 		steps := int(tRaw%3)*8 + 8   // 8..24
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		res, err := MultiD1(n, p, m, steps, prog, MultiOptions{})
+		res, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			return false
 		}
@@ -142,11 +143,11 @@ func TestPropertyTimeDeterminism(t *testing.T) {
 		n := int(nRaw%16) + 2
 		steps := int(tRaw%12) + 2
 		prog := guest.MixCA{Seed: uint64(seed)}
-		a, err := UniDC(1, n, steps, 8, prog)
+		a, err := UniDCContext(context.Background(), 1, n, steps, 8, prog)
 		if err != nil {
 			return false
 		}
-		b, err := UniDC(1, n, steps, 8, prog)
+		b, err := UniDCContext(context.Background(), 1, n, steps, 8, prog)
 		if err != nil {
 			return false
 		}

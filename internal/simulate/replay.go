@@ -6,6 +6,7 @@ import (
 
 	"bsmp/internal/hram"
 	"bsmp/internal/network"
+	"bsmp/internal/topology"
 )
 
 // This file is the functional guest replay the multiprocessor engines
@@ -36,7 +37,7 @@ type replayShare struct {
 	mu   sync.Mutex
 	key  replayKey
 	outs []hram.Word // nil until a replay is stored
-	mems [][]hram.Word
+	mem  []hram.Word // the guest's flat n·m memory
 }
 
 type replayShareKeyType struct{}
@@ -65,33 +66,31 @@ func (s *replayShare) load(key replayKey) ([]hram.Word, [][]hram.Word, bool) {
 	if s.outs == nil || s.key != key {
 		return nil, nil, false
 	}
-	outs, mems := cloneGuestState(s.outs, s.mems)
-	return outs, mems, true
+	outs, mem := cloneGuestState(s.outs, s.mem)
+	return outs, network.NodeMemories(mem, key.m), true
 }
 
 // store keeps a copy of a successful replay of key, replacing the slot.
-func (s *replayShare) store(key replayKey, outs []hram.Word, mems [][]hram.Word) {
-	outs, mems = cloneGuestState(outs, mems)
+func (s *replayShare) store(key replayKey, outs, mem []hram.Word) {
+	outs, mem = cloneGuestState(outs, mem)
 	s.mu.Lock()
-	s.key, s.outs, s.mems = key, outs, mems
+	s.key, s.outs, s.mem = key, outs, mem
 	s.mu.Unlock()
 }
 
-// cloneGuestState deep-copies a guest state, the memories into one
-// backing array.
-func cloneGuestState(outs []hram.Word, mems [][]hram.Word) ([]hram.Word, [][]hram.Word) {
-	total := 0
-	for _, mem := range mems {
-		total += len(mem)
+// cloneGuestState copies a guest's outputs and flat memory.
+func cloneGuestState(outs, mem []hram.Word) ([]hram.Word, []hram.Word) {
+	return append([]hram.Word(nil), outs...), append([]hram.Word(nil), mem...)
+}
+
+// stepGuest advances a fresh guest on the d-dimensional n-node mesh
+// exactly for steps steps under ec's cancellation hook.
+func stepGuest(ec *execCtx, d, n, m, steps int, prog network.Program) (*network.Guest, error) {
+	g := network.NewGuest(topology.NewMesh(d, n, n), m, prog)
+	if err := g.Run(steps, ec.hook()); err != nil {
+		return nil, err
 	}
-	flat := make([]hram.Word, 0, total)
-	cm := make([][]hram.Word, len(mems))
-	for i, mem := range mems {
-		lo := len(flat)
-		flat = append(flat, mem...)
-		cm[i] = flat[lo:len(flat):len(flat)]
-	}
-	return append([]hram.Word(nil), outs...), cm
+	return g, nil
 }
 
 // replayGuest advances the guest functionally (exactly) for steps steps
@@ -114,13 +113,13 @@ func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.
 		}
 		sp.SetAttr("shared", 0)
 	}
-	outs, mems, err := network.RunGuestPureHook(d, n, m, steps, prog, ec.hook())
+	g, err := stepGuest(ec, d, n, m, steps, prog)
 	if err != nil {
 		return nil, nil, err
 	}
 	if share != nil {
-		share.store(key, outs, mems)
+		share.store(key, g.Outputs(), g.Memory())
 	}
 	sp.SetAttr("vertices", float64(n)*float64(steps))
-	return outs, mems, nil
+	return g.Outputs(), g.Memories(), nil
 }

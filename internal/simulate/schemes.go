@@ -255,12 +255,6 @@ func SchemeByName(name string, d int) (Scheme, error) {
 	return Scheme{}, fmt.Errorf("simulate: no scheme %q for d=%d", name, d)
 }
 
-// RunScheme looks up (name, d) in the registry and runs it under
-// context.Background().
-func RunScheme(name string, d, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-	return RunSchemeContext(context.Background(), name, d, n, p, m, steps, prog, cfg)
-}
-
 // RunSchemeContext looks up (name, d) in the registry and runs it under
 // ctx: the selected scheme polls cancellation cooperatively at its
 // recursion/phase/step boundaries, reports progress to any Progress

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,11 +57,11 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 	// must report the exact virtual time of the direct call it wraps.
 	prog := netProg(0)
 
-	direct, err := MultiD1(64, 4, 4, 16, prog, MultiOptions{})
+	direct, err := MultiD1Context(context.Background(), 64, 4, 4, 16, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReg, err := RunScheme("multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	viaReg, err := RunSchemeContext(context.Background(), "multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 			viaReg.Time, viaReg.PrepTime, direct.Time, direct.PrepTime)
 	}
 
-	db, err := BlockedD1(64, 4, 16, 0, prog)
+	db, err := BlockedD1Context(context.Background(), 64, 4, 16, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunScheme("blocked", 1, 64, 1, 4, 16, prog, SchemeConfig{})
+	rb, err := RunSchemeContext(context.Background(), "blocked", 1, 64, 1, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 		t.Errorf("blocked d=1: registry %v != direct %v", rb.Time, db.Time)
 	}
 
-	dn, err := Naive(1, 64, 4, 4, 16, prog)
+	dn, err := NaiveContext(context.Background(), 1, 64, 4, 4, 16, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := RunScheme("naive", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	rn, err := RunSchemeContext(context.Background(), "naive", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 	}
 
 	dagGuest := guest.Rule90{Seed: 1}
-	du, err := UniDC(1, 64, 64, 8, dagGuest)
+	du, err := UniDCContext(context.Background(), 1, 64, 64, 8, dagGuest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := RunScheme("unidc", 1, 64, 1, 1, 64, guest.AsNetwork{G: dagGuest}, SchemeConfig{Leaf: 8})
+	ru, err := RunSchemeContext(context.Background(), "unidc", 1, 64, 1, 1, 64, guest.AsNetwork{G: dagGuest}, SchemeConfig{Leaf: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,31 +119,31 @@ func TestRunSchemeErrors(t *testing.T) {
 		want  string
 	}{
 		{"unknown name", func() error {
-			_, err := RunScheme("fancy", 1, 64, 1, 1, 16, prog, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "fancy", 1, 64, 1, 1, 16, prog, SchemeConfig{})
 			return err
 		}, "no scheme"},
 		{"unregistered dimension", func() error {
-			_, err := RunScheme("multi", 4, 64, 4, 1, 16, prog, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "multi", 4, 64, 4, 1, 16, prog, SchemeConfig{})
 			return err
 		}, "no scheme"},
 		{"naive has no d=3 entry", func() error {
-			_, err := RunScheme("naive", 3, 64, 4, 1, 16, prog, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "naive", 3, 64, 4, 1, 16, prog, SchemeConfig{})
 			return err
 		}, "no scheme"},
 		{"unidc is uniprocessor", func() error {
-			_, err := RunScheme("unidc", 1, 64, 2, 1, 16, guest.AsNetwork{G: guest.Rule90{Seed: 1}}, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "unidc", 1, 64, 2, 1, 16, guest.AsNetwork{G: guest.Rule90{Seed: 1}}, SchemeConfig{})
 			return err
 		}, "uniprocessor"},
 		{"unidc needs m=1", func() error {
-			_, err := RunScheme("unidc", 1, 64, 1, 2, 16, guest.AsNetwork{G: guest.Rule90{Seed: 1}}, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "unidc", 1, 64, 1, 2, 16, guest.AsNetwork{G: guest.Rule90{Seed: 1}}, SchemeConfig{})
 			return err
 		}, "m=1"},
 		{"unidc needs a dag view", func() error {
-			_, err := RunScheme("unidc", 1, 64, 1, 1, 16, guest.RestrictMem{P: guest.MixCA{Seed: 1}, Words: 1}, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "unidc", 1, 64, 1, 1, 16, guest.RestrictMem{P: guest.MixCA{Seed: 1}, Words: 1}, SchemeConfig{})
 			return err
 		}, "dag view"},
 		{"blocked is uniprocessor", func() error {
-			_, err := RunScheme("blocked", 1, 64, 2, 4, 16, prog, SchemeConfig{})
+			_, err := RunSchemeContext(context.Background(), "blocked", 1, 64, 2, 4, 16, prog, SchemeConfig{})
 			return err
 		}, "uniprocessor"},
 	}

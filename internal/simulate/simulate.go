@@ -78,21 +78,15 @@ func (r Result) Verify(d, n, m int, prog network.Program) error {
 	return nil
 }
 
-// GuestTime measures Tn: the elapsed virtual time of the guest machine
-// Md(n, n, m) itself running prog for steps steps — the denominator of
-// every slowdown ratio.
-func GuestTime(d, n, m, steps int, prog network.Program) cost.Time {
-	t, _ := GuestTimeContext(context.Background(), d, n, m, steps, prog)
-	return t
-}
-
-// GuestTimeContext is GuestTime under a context: the guest run polls
-// cancellation once per synchronous step and reports progress to any
-// attached Progress. A never-cancelled run measures the same time.
+// GuestTimeContext measures Tn: the elapsed virtual time of the guest
+// machine Md(n, n, m) itself running prog for steps steps — the
+// denominator of every slowdown ratio. The guest run polls cancellation
+// once per synchronous step and reports progress to any attached
+// Progress; a never-cancelled run measures the same time.
 func GuestTimeContext(ctx context.Context, d, n, m, steps int, prog network.Program) (cost.Time, error) {
-	ma := network.New(d, n, n, m)
 	ec := newExecCtx(ctx)
-	_, elapsed, err := network.RunGuestHook(ma, prog, steps, ec.hook())
+	defer ec.publish()
+	_, elapsed, err := network.RunGuest(network.New(d, n, n, m), prog, steps, ec.hook())
 	if err != nil {
 		return 0, err
 	}

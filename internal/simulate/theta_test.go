@@ -14,7 +14,7 @@ import (
 // the given Θ and seed.
 func runTheta(t *testing.T, theta float64, seed uint64) MultiResult {
 	t.Helper()
-	mr, err := RunScheme("multi-theta", 1, 64, 4, 16, 16,
+	mr, err := RunSchemeContext(context.Background(), "multi-theta", 1, 64, 4, 16, 16,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}},
 		SchemeConfig{Multi: MultiOptions{Theta: theta, ThetaSeed: seed}})
 	if err != nil {
@@ -37,7 +37,7 @@ func TestMultiThetaGoldenAtOne(t *testing.T) {
 		t.Errorf("d=1 PrepTime = %v, golden 45232", mr.PrepTime)
 	}
 
-	m2, err := RunScheme("multi-theta", 2, 256, 4, 8, 8,
+	m2, err := RunSchemeContext(context.Background(), "multi-theta", 2, 256, 4, 8, 8,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16},
 		SchemeConfig{Multi: MultiOptions{Theta: 1}})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestMultiThetaGoldenAtOne(t *testing.T) {
 		t.Errorf("d=2 Time = %v, golden 121540.75244594147", m2.Time)
 	}
 
-	m3, err := RunScheme("multi-theta", 3, 512, 8, 4, 8,
+	m3, err := RunSchemeContext(context.Background(), "multi-theta", 3, 512, 8, 4, 8,
 		guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8},
 		SchemeConfig{Multi: MultiOptions{Theta: 1}})
 	if err != nil {
@@ -63,11 +63,11 @@ func TestMultiThetaGoldenAtOne(t *testing.T) {
 // and the per-phase breakdown, entry by entry.
 func TestMultiThetaMatchesLockstepLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 4}}
-	lock, err := RunScheme("multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	lock, err := RunSchemeContext(context.Background(), "multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := RunScheme("multi-theta", 1, 64, 4, 4, 16, prog, SchemeConfig{})
+	ev, err := RunSchemeContext(context.Background(), "multi-theta", 1, 64, 4, 4, 16, prog, SchemeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMultiThetaD2D3Run(t *testing.T) {
 		{3, 512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}},
 	} {
 		run := func(theta float64) MultiResult {
-			mr, err := RunScheme("multi-theta", tc.d, tc.n, tc.p, tc.m, tc.steps, tc.prog,
+			mr, err := RunSchemeContext(context.Background(), "multi-theta", tc.d, tc.n, tc.p, tc.m, tc.steps, tc.prog,
 				SchemeConfig{Multi: MultiOptions{Theta: theta, ThetaSeed: 11}})
 			if err != nil {
 				t.Fatalf("d=%d theta=%v: %v", tc.d, theta, err)
@@ -207,8 +207,8 @@ func TestThetaValidation(t *testing.T) {
 		if !errors.As(err, &pe) || pe.Field != "theta" {
 			t.Fatalf("ValidateParams(theta=%v) = %v, want ParamError on theta", theta, err)
 		}
-		if _, err := RunScheme("multi-theta", 1, 64, 4, 4, 16, prog, cfg); !errors.As(err, &pe) {
-			t.Fatalf("RunScheme(theta=%v) = %v, want ParamError", theta, err)
+		if _, err := RunSchemeContext(context.Background(), "multi-theta", 1, 64, 4, 4, 16, prog, cfg); !errors.As(err, &pe) {
+			t.Fatalf("RunSchemeContext(theta=%v) = %v, want ParamError", theta, err)
 		}
 		if _, err := MultiD1Context(context.Background(), 64, 4, 4, 16, prog, MultiOptions{Theta: theta}); !errors.As(err, &pe) {
 			t.Fatalf("MultiD1Context(theta=%v) = %v, want ParamError", theta, err)

@@ -12,7 +12,7 @@ import (
 	"fmt"
 )
 
-// UniDC runs the uniprocessor divide-and-conquer simulation for m = 1:
+// UniDCContext runs the uniprocessor divide-and-conquer simulation for m = 1:
 // Theorem 2 (d = 1, guest M1(n, n, 1)) or Theorem 5 (d = 2, guest
 // M2(n, n, 1), n = side²), executing the guest's T-step computation dag on
 // a single f(x) = x^(1/d) H-RAM via the topological-separator technique
@@ -22,15 +22,12 @@ import (
 // The returned Result carries the final dag layer as Outputs; verify with
 // VerifyDag. The expected slowdown over the guest's Θ(T) time is
 // Θ(n·Log n) — the n for lost parallelism times Log n for lost locality.
-func UniDC(d, n, steps, leafSize int, prog dag.Program) (Result, error) {
-	return UniDCContext(context.Background(), d, n, steps, leafSize, prog)
-}
-
-// UniDCContext is UniDC under a context: the separator executor polls
-// cancellation at every partition boundary and (amortized) per executed
-// leaf via its Check hook, and reports step progress to any attached
-// Progress. The hook runs between charged operations, so a
-// never-cancelled run's virtual times are bit-identical to UniDC's.
+//
+// The separator executor polls cancellation at every partition boundary
+// and (amortized) per executed leaf via its Check hook, and reports step
+// progress to any attached Progress. The hook runs between charged
+// operations, so a never-cancelled run's virtual times do not depend on
+// ctx.
 func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Program) (Result, error) {
 	g, root, err := guestDag(d, n, steps)
 	if err != nil {
@@ -39,7 +36,9 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 	space := separator.SpaceNeeded(g, root, leafSize)
 	var meter cost.Meter
 	mach := hram.New(space, hram.Standard(d, 1), &meter)
-	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize, Check: checkHook(ctx)}
+	ec := newExecCtx(ctx)
+	defer ec.publish()
+	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize, Check: ec.separatorCheck}
 	res, err := ex.Execute(mach, root)
 	if err != nil {
 		return Result{}, err
@@ -53,24 +52,21 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 	}, nil
 }
 
-// UniNaiveDag executes the same m = 1 guest dag on the same uniprocessor
+// UniNaiveDagContext executes the same m = 1 guest dag on the same uniprocessor
 // host but in plain row-major order with the guest's natural memory layout
 // (node v's value at address v), the unsophisticated baseline of
 // Proposition 1: every operand access pays the full Θ(n^(1/d)) average
 // latency. Expected slowdown Θ(n^(1+1/d)) — the curve UniDC must beat.
-func UniNaiveDag(d, n, steps int, prog dag.Program) (Result, error) {
-	return UniNaiveDagContext(context.Background(), d, n, steps, prog)
-}
-
-// UniNaiveDagContext is UniNaiveDag under a context: cancellation is
-// checked once per dag layer (n vertices of work) and progress reported
-// to any attached Progress.
+//
+// Cancellation is checked once per dag layer (n vertices of work) and
+// progress reported to any attached Progress.
 func UniNaiveDagContext(ctx context.Context, d, n, steps int, prog dag.Program) (Result, error) {
 	g, _, err := guestDag(d, n, steps)
 	if err != nil {
 		return Result{}, err
 	}
 	ec := newExecCtx(ctx)
+	defer ec.publish()
 	var meter cost.Meter
 	// Two layers resident: previous and current, each n words.
 	mach := hram.New(2*n, hram.Standard(d, 1), &meter)
@@ -142,17 +138,14 @@ func VerifyDag(r Result, d, n int, prog dag.Program) error {
 	return nil
 }
 
-// checkHook adapts an execution context to the separator executor's
-// Check hook: vertices = 0 marks a phase boundary (unconditional poll),
-// a positive count is amortized vertex progress.
-func checkHook(ctx context.Context) func(int) error {
-	ec := newExecCtx(ctx)
-	return func(vertices int) error {
-		if vertices == 0 {
-			return ec.checkpoint()
-		}
-		return ec.step(vertices)
+// separatorCheck is the separator executor's Check hook: vertices = 0
+// marks a phase boundary (unconditional poll), a positive count is
+// amortized vertex progress.
+func (e *execCtx) separatorCheck(vertices int) error {
+	if vertices == 0 {
+		return e.checkpoint()
 	}
+	return e.step(vertices)
 }
 
 // guestDag builds the guest's computation dag and its full domain.

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestUniDCFunctionalD1(t *testing.T) {
 	prog := guest.MixCA{Seed: 4}
 	for _, n := range []int{8, 16, 32, 48} {
-		res, err := UniDC(1, n, n, 8, prog)
+		res, err := UniDCContext(context.Background(), 1, n, n, 8, prog)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -24,7 +25,7 @@ func TestUniDCFunctionalD2(t *testing.T) {
 	prog := guest.MixCA{Seed: 5}
 	for _, side := range []int{3, 4, 6, 8} {
 		n := side * side
-		res, err := UniDC(2, n, side, 8, prog)
+		res, err := UniDCContext(context.Background(), 2, n, side, 8, prog)
 		if err != nil {
 			t.Fatalf("side=%d: %v", side, err)
 		}
@@ -36,14 +37,14 @@ func TestUniDCFunctionalD2(t *testing.T) {
 
 func TestUniNaiveDagFunctional(t *testing.T) {
 	prog := guest.MixCA{Seed: 6}
-	res, err := UniNaiveDag(1, 16, 16, prog)
+	res, err := UniNaiveDagContext(context.Background(), 1, 16, 16, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyDag(res, 1, 16, prog); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := UniNaiveDag(2, 16, 4, prog)
+	res2, err := UniNaiveDagContext(context.Background(), 2, 16, 4, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestTheorem2ShapeBeatsNaiveAsymptotically(t *testing.T) {
 	prog := guest.Rule90{Seed: 1}
 	var logN, logDC, logNv []float64
 	for _, n := range []int{16, 32, 64, 128} {
-		dc, err := UniDC(1, n, n, 8, prog)
+		dc, err := UniDCContext(context.Background(), 1, n, n, 8, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := UniNaiveDag(1, n, n, prog)
+		nv, err := UniNaiveDagContext(context.Background(), 1, n, n, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +91,11 @@ func TestTheorem5ShapeD2(t *testing.T) {
 	var logN, logDC, logNv, boundRatios []float64
 	for _, side := range []int{8, 16, 32} {
 		n := side * side
-		dc, err := UniDC(2, n, side, 8, prog)
+		dc, err := UniDCContext(context.Background(), 2, n, side, 8, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := UniNaiveDag(2, n, side, prog)
+		nv, err := UniNaiveDagContext(context.Background(), 2, n, side, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +124,8 @@ func TestTheorem5ShapeD2(t *testing.T) {
 
 func TestGuestTimePositiveAndLinear(t *testing.T) {
 	prog := netProg(0)
-	t8 := GuestTime(1, 32, 2, 8, prog)
-	t16 := GuestTime(1, 32, 2, 16, prog)
+	t8, _ := GuestTimeContext(context.Background(), 1, 32, 2, 8, prog)
+	t16, _ := GuestTimeContext(context.Background(), 1, 32, 2, 16, prog)
 	if t8 <= 0 || t16 <= 0 {
 		t.Fatal("non-positive guest time")
 	}
@@ -134,7 +135,7 @@ func TestGuestTimePositiveAndLinear(t *testing.T) {
 }
 
 func TestUniDCBadDimension(t *testing.T) {
-	if _, err := UniDC(4, 8, 8, 8, guest.Rule90{}); err == nil {
+	if _, err := UniDCContext(context.Background(), 4, 8, 8, 8, guest.Rule90{}); err == nil {
 		t.Fatal("d=4 did not error")
 	}
 }

@@ -112,7 +112,7 @@ func TestRunSchemeRejectsWithoutPanic(t *testing.T) {
 					t.Errorf("%s: RunScheme panicked: %v", c.label, r)
 				}
 			}()
-			if _, err := RunScheme(c.scheme, c.d, c.n, c.p, c.m, c.steps, prog, SchemeConfig{}); err == nil {
+			if _, err := RunSchemeContext(context.Background(), c.scheme, c.d, c.n, c.p, c.m, c.steps, prog, SchemeConfig{}); err == nil {
 				t.Errorf("%s: RunScheme accepted a malformed tuple", c.label)
 			}
 		}()
