@@ -936,7 +936,7 @@ func Fault(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // Registry runs every entry of the scheme registry once at a small
-// common scale through simulate.RunScheme — the exact call path
+// common scale through simulate.RunSchemeContext — the exact call path
 // cmd/tradeoff uses — verifying outputs wherever the scheme is
 // executable-grade and reporting, for the multiprocessor rows, the
 // per-phase attribution of the makespan (rearrangement, Regime 1

@@ -242,14 +242,17 @@ func (g *Guest) Step() {
 	g.out, g.prev = g.prev, g.out
 	prog, m, nbr, mem, out, prev, addr := g.prog, g.m, g.nbr, g.mem, g.out, g.prev, g.addr
 	ops := g.ops
-	for v, base := 0, 0; v < len(out); v, base = v+1, base+m {
+	for v := range out {
 		a := prog.Address(v, t, m)
-		cells := mem[base : base+m]
+		if uint(a) >= uint(m) {
+			panic(fmt.Sprintf("network: node %d addressed cell %d of %d at step %d", v, a, m, t))
+		}
 		ops = append(ops[:0], prev[v])
 		for _, u := range nbr[v] {
 			ops = append(ops, prev[u])
 		}
-		out[v], cells[a] = prog.Step(v, t, cells[a], ops)
+		c := v*m + a
+		out[v], mem[c] = prog.Step(v, t, mem[c], ops)
 		addr[v] = a
 	}
 	g.ops = ops

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the analytic fast path of the blocked d = 1 recursion:
-// AnalyticBlockedD1 computes the virtual time and cost ledger of the
-// BlockedD1 simulation WITHOUT materializing the machine — no hram
+// AnalyticBlockedD1Context computes the virtual time and cost ledger of the
+// BlockedD1Context simulation WITHOUT materializing the machine — no hram
 // memory, no guest values, no O(volume) state. Charges are derived from
 // the same formulas hram.Machine uses (f(x) = max(1, x/m) per access,
 // per-word block transfers), addresses are tracked in sparse maps, and
@@ -645,11 +645,11 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 	return nil
 }
 
-// AnalyticBlockedD1Context computes BlockedD1's virtual time, ledger, and space
-// analytically — no machine state, no guest values, memoized subtree
+// AnalyticBlockedD1Context computes BlockedD1Context's virtual time, ledger,
+// and space analytically — no machine state, no guest values, memoized subtree
 // replay — making volumes far beyond the exact engine's reach tractable.
-// Result.Outputs and Result.Memories are nil (there is nothing to
-// verify guest-side; validate against the work/span laws instead).
+// Result.Outputs and Result.Memories are nil (there is nothing to verify
+// guest-side; validate against the work/span laws instead).
 //
 // It has the same cancellation and progress contract as
 // BlockedD1Context.

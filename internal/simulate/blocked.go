@@ -38,8 +38,8 @@ import (
 // length instead of length times latency, and the locality slowdown
 // largely disappears (experiment E-PIPE).
 //
-// The recursion itself lives in blocked_exec.go, shared with BlockedD2
-// and BlockedD3; this wrapper supplies the line geometry: node id = x,
+// The recursion itself lives in blocked_exec.go, shared with BlockedD2Context
+// and BlockedD3Context; this wrapper supplies the line geometry: node id = x,
 // operand stencil (self, left, right), columns sorted by ascending x.
 //
 // Cancellation is checked at every recursion boundary and (amortized)

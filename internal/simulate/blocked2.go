@@ -11,11 +11,11 @@ import (
 	"bsmp/internal/topology"
 )
 
-// BlockedD2Context is the d = 2 analogue of BlockedD1: Theorem 3's blocked
-// simulation of the mesh guest M2(n, n, m) on the uniprocessor
-// M2(n, 1, m), recursing on the octahedron/tetrahedron domains of
-// Section 5 with whole node memories as the unit of relocation, down to
-// "executable octahedra" of span ~m simulated naively in place.
+// BlockedD2Context is the d = 2 analogue of BlockedD1Context: Theorem 3's
+// blocked simulation of the mesh guest M2(n, n, m) on the uniprocessor M2(n, 1,
+// m), recursing on the octahedron/tetrahedron domains of Section 5 with whole
+// node memories as the unit of relocation, down to "executable octahedra" of
+// span ~m simulated naively in place.
 //
 // The same two value kinds flow as in the d = 1 scheme — broadcast words
 // per dag vertex and m-word node images keyed by (x, y, entry time) —

@@ -15,7 +15,7 @@ import (
 // simulation of the cube-mesh guest M3(n, n, m) on the uniprocessor
 // M3(n, 1, m), recursing on the four-dimensional Box6 separator down to
 // executable domains of span ~m. Together with the m = 1 result of
-// simulate.UniDC(3, ...) this makes the full Theorem 3 mechanism
+// simulate.UniDCContext(ctx, 3, ...) this makes the full Theorem 3 mechanism
 // available in three dimensions — the regime the paper's conclusions
 // conjecture about.
 //

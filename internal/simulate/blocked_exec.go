@@ -11,15 +11,14 @@ import (
 	"bsmp/internal/network"
 )
 
-// This file is the engine shared by BlockedD1, BlockedD2, and BlockedD3:
-// one Proposition 2 recursion over the two-kind value flow (broadcast
-// words and whole column images), generic over the mesh dimension. The
-// seed carried three near-identical copies keyed by per-dimension structs
-// (bkey/b2key/b3key) hashed into maps on the innermost loops; here both
-// value kinds are addressed by dense lattice.AddrTable arrays indexed
-// over the dag's bounding box, and all scratch (live-sets, column
-// indices, override stacks) is arena-allocated once per run and reused
-// across every recursion level.
+// This file is the engine shared by BlockedD1Context, BlockedD2Context, and
+// BlockedD3Context: one Proposition 2 recursion over the two-kind value flow
+// (broadcast words and whole column images), generic over the mesh dimension.
+// The seed carried three near-identical copies keyed by per-dimension structs
+// (bkey/b2key/b3key) hashed into maps on the innermost loops; here both value
+// kinds are addressed by dense lattice.AddrTable arrays indexed over the dag's
+// bounding box, and all scratch (live-sets, column indices, override stacks) is
+// arena-allocated once per run and reused across every recursion level.
 //
 // Address-table layout. A broadcast value lives at its dag vertex
 // (x, t) (d = 2: (x, y, t); d = 3: (x, y, z, t)). A column image is keyed

@@ -11,7 +11,7 @@ import (
 
 // This file validates the cooperating execution mode of Section 4.2 from
 // first principles, on real machines rather than via the phase model of
-// MultiD1: a block of the guest computation straddling the boundary
+// MultiD1Context: a block of the guest computation straddling the boundary
 // between two host processors is executed either
 //
 //   - cooperatively: each processor simulates its half on its own H-RAM,

@@ -18,7 +18,7 @@ import (
 //   - the surviving machine is operated as the largest fault-free
 //     sub-configuration: pEff = the largest d-shaped divisor of n not
 //     exceeding the live processor count, so the existing rearrangement
-//     machinery applies verbatim — MultiD1 builds its π = π2·π1 strip
+//     machinery applies verbatim — MultiD1Context builds its π = π2·π1 strip
 //     permutation (internal/perm) for q = n/s strips over pEff
 //     processors, which is exactly the Regime-1 rearrangement "around"
 //     the dead modules: the image simply never lands on them;

@@ -171,7 +171,7 @@ func diamondKernel(ctx context.Context, s, m int, prog network.Program) (float64
 //
 // Fidelity: the guest state advances functionally (exactly); costs are
 // charged per phase, with the per-diamond execution kernel measured by a
-// real BlockedD1 run of the same (s, m) geometry (per-address fidelity),
+// real BlockedD1Context run of the same (s, m) geometry (per-address fidelity),
 // and the relocation/exchange phases charged at the word-and-distance
 // granularity derived in the comments below. See DESIGN.md's fidelity
 // ladder.
@@ -338,7 +338,7 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 }
 
 // MultiD1CyclesContext simulates cycles·n guest steps by repeating the n-step
-// simulation of MultiD1 (the paper's "for larger values of Tn, it is
+// simulation of MultiD1Context (the paper's "for larger values of Tn, it is
 // sufficient to repeat the n-step simulation ⌈Tn/n⌉ times"), so the
 // one-time rearrangement cost amortizes: the reported Time includes the
 // preprocessing once plus cycles executions, and the effective slowdown

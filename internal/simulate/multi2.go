@@ -15,14 +15,13 @@ import (
 // hold ~σ³ dag vertices and exchange ~σ² face values; the 2-D
 // rearrangement buys a √p distance reduction.
 //
-// Kernel calibration: a real BlockedD2 run of a span-σ, σ-step guest with
-// density m, halved (the σ × σ × σ box holds about two octahedra's worth
-// of vertices). Spans are capped at 16 for calibration (the machinery
-// constant has converged by then) and scaled by volume. Unlike d = 1, the
-// calibration guest is fixed internally — never supplied by the caller —
-// so cache entries depend only on (σ, m) plus the fixed fingerprint; the
-// assumption is explicit in the unified cache key and pinned by
-// TestSpanKernelFixedGuest.
+// Kernel calibration: a real BlockedD2Context run of a span-σ, σ-step guest
+// with density m, halved (the σ × σ × σ box holds about two octahedra's worth
+// of vertices). Spans are capped at 16 for calibration (the machinery constant
+// has converged by then) and scaled by volume. Unlike d = 1, the calibration
+// guest is fixed internally — never supplied by the caller — so cache entries
+// depend only on (σ, m) plus the fixed fingerprint; the assumption is explicit
+// in the unified cache key and pinned by TestSpanKernelFixedGuest.
 var multiGeomD2 = &multiGeom{
 	d:           2,
 	kernelFloor: 8,
@@ -64,7 +63,7 @@ var multiGeomD2 = &multiGeom{
 // M2(n, p, m). The paper states the d = 2 bound and the octahedral
 // separator (Section 5) but defers the multiprocessor orchestration to the
 // companion technical report, so this implementation composes the same
-// three mechanisms as MultiD1 in two-dimensional geometry:
+// three mechanisms as MultiD1Context in two-dimensional geometry:
 //
 //   - Regime 1 relocation: at every level, the total (data × distance)
 //     moved is Θ(V·m/√p) (V = n·steps dag vertices; distances shrink by
@@ -72,7 +71,7 @@ var multiGeomD2 = &multiGeom{
 //     per level;
 //   - Regime 2 execution: Θ(V/σ³) octahedral/tetrahedral kernels of span
 //     σ, p at a time; the kernel cost is measured for every (σ, m) by the
-//     real d = 2 blocked executor (BlockedD2) running a σ-sided,
+//     real d = 2 blocked executor (BlockedD2Context) running a σ-sided,
 //     σ-step guest;
 //   - cooperation: each kernel exchanges its Θ(σ²) face values with
 //     neighbor processors at the host spacing (n/p)^(1/2).

@@ -15,7 +15,7 @@ import (
 // separator hold ~σ⁴ dag vertices and exchange ~σ³ face values; the 3-D
 // rearrangement buys a p^(1/3) distance reduction.
 //
-// Kernel calibration: a real BlockedD3 run of a span-σ, σ-step cube
+// Kernel calibration: a real BlockedD3Context run of a span-σ, σ-step cube
 // guest, halved; spans are capped at 8 (the machinery constant has
 // converged) and scaled by volume. As with d = 2, the calibration guest
 // is the fixed internal MixCA program, so cache entries depend only on
@@ -62,12 +62,12 @@ var multiGeomD3 = &multiGeom{
 //     Θ(V·m/p^(1/3)) with the 3-D rearrangement's distance reduction,
 //     i.e. Θ(V·m/p^(4/3)) wall time per level;
 //   - Regime 2 execution: Θ(V/σ⁴) span-σ kernels, p at a time, each
-//     measured by the real d = 3 blocked executor (BlockedD3);
+//     measured by the real d = 3 blocked executor (BlockedD3Context);
 //   - cooperation: each kernel exchanges its Θ(σ³) face values with
 //     neighbors at the host spacing (n/p)^(1/3).
 //
 // The span σ is cost-minimized over powers of two. Functionally the guest
-// advances exactly. This is model-grade in the same sense as MultiD2
+// advances exactly. This is model-grade in the same sense as MultiD2Context
 // (DESIGN.md fidelity level L2); its value is making the conjectured
 // four-range structure of A(3, n, m, p) measurable. n and p must be
 // perfect cubes with p | n.

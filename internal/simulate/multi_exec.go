@@ -12,12 +12,13 @@ import (
 	"bsmp/internal/obs"
 )
 
-// This file is the multiprocessor orchestration engine shared by MultiD1,
-// MultiD2 and MultiD3, mirroring what blocked_exec.go does for the
-// uniprocessor executors: the per-dimension files supply a geometry spec
-// (multiGeom) and the engine owns kernel calibration + memoization, the
-// span-minimizing phase-cost model for d >= 2, and the charging of the
-// chosen schedule into a cost.Bank with per-phase attribution marks.
+// This file is the multiprocessor orchestration engine shared by
+// MultiD1Context, MultiD2Context and MultiD3Context, mirroring what
+// blocked_exec.go does for the uniprocessor executors: the per-dimension files
+// supply a geometry spec (multiGeom) and the engine owns kernel calibration +
+// memoization, the span-minimizing phase-cost model for d >= 2, and the
+// charging of the chosen schedule into a cost.Bank with per-phase attribution
+// marks.
 //
 // Virtual-time contract: golden_test.go pins every multiprocessor Time
 // bit-identical to the historical per-dimension orchestrators. Float
@@ -374,7 +375,7 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 		return 0, 0, [3]float64{}, err
 	}
 	// κ keeps the relocation/exchange phases commensurate with the
-	// measured kernel's machinery constant (same rationale as MultiD1).
+	// measured kernel's machinery constant (same rationale as MultiD1Context).
 	theory := g.theoryExec(sf, mf)
 	kap := kernel / theory
 	if kap < 1 {

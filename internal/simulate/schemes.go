@@ -13,7 +13,7 @@ import (
 // SchemeConfig carries the per-run knobs a registered scheme may consume.
 // The zero value selects every scheme's default (paper-optimal) settings.
 type SchemeConfig struct {
-	// Leaf is the uniprocessor recursion leaf (UniDC leafSize, blocked
+	// Leaf is the uniprocessor recursion leaf (UniDCContext leafSize, blocked
 	// leafWidth/leafSpan); 0 selects the scheme default.
 	Leaf int
 	// Multi configures the multiprocessor schemes (strip/span overrides
@@ -71,7 +71,7 @@ func dagView(prog network.Program) (dag.Program, bool) {
 // withValidation wraps a registry entry's Run so it checks the common
 // and scheme-specific constraints before dispatching — the panic-free
 // boundary holds even for callers that grab a Scheme and invoke Run
-// directly instead of going through RunScheme.
+// directly instead of going through RunSchemeContext.
 func withValidation(s Scheme) Scheme {
 	inner := s.Run
 	s.Run = func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
@@ -232,7 +232,7 @@ func multiThetaScheme(d int) Scheme {
 // Schemes is the registry of named simulation schemes, one entry per
 // (algorithm, dimension) the repository implements: naive (d = 1, 2),
 // unidc and blocked and multi and multi-theta and multi-faulty
-// (d = 1, 2, 3). Callers — bsmp.RunScheme, cmd/tradeoff,
+// (d = 1, 2, 3). Callers — bsmp.RunSchemeContext, cmd/tradeoff,
 // cmd/experiments, the E-REG experiment — select simulations by name
 // and dimension instead of hard-wiring function calls.
 var Schemes = []Scheme{

@@ -56,7 +56,7 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 // host but in plain row-major order with the guest's natural memory layout
 // (node v's value at address v), the unsophisticated baseline of
 // Proposition 1: every operand access pays the full Θ(n^(1/d)) average
-// latency. Expected slowdown Θ(n^(1+1/d)) — the curve UniDC must beat.
+// latency. Expected slowdown Θ(n^(1+1/d)) — the curve UniDCContext must beat.
 //
 // Cancellation is checked once per dag layer (n vertices of work) and
 // progress reported to any attached Progress.

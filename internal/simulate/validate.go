@@ -14,7 +14,7 @@ import (
 // bsmpd daemon all feed it caller-controlled tuples — so every constraint
 // a constructor would enforce by panicking is re-checked here first and
 // reported as a typed ParamError. The contract, pinned by the fuzz test
-// at the repository root: RunScheme never panics on any (name, d, n, p,
+// at the repository root: RunSchemeContext never panics on any (name, d, n, p,
 // m, steps); panics that remain in internal packages are unreachable
 // through the registry and serve as invariant assertions only.
 
@@ -206,9 +206,9 @@ func validateNaiveShape(d, n, p int) *ParamError {
 	return nil
 }
 
-// validateBlocked checks the panic preconditions of the direct BlockedD1,
-// BlockedD2 and BlockedD3 entry points (the registry path adds the full
-// common checks on top).
+// validateBlocked checks the panic preconditions of the direct
+// BlockedD1Context, BlockedD2Context and BlockedD3Context entry points (the
+// registry path adds the full common checks on top).
 func validateBlocked(d, n, m, steps int) *ParamError {
 	if n < 1 {
 		return perr("blocked", "n", "machine volume must be >= 1", n)
@@ -240,7 +240,7 @@ func uniprocOnly(scheme string, d int) func(n, p, m, steps int, cfg SchemeConfig
 // returning nil or a typed *ParamError (or the registry's lookup error
 // for an unknown (name, d) pair). The optional cfg carries the per-run
 // knobs some schemes constrain (the multi-theta delay ratio Θ); omitting
-// it validates against the zero config. RunScheme calls it before
+// it validates against the zero config. RunSchemeContext calls it before
 // dispatching, so no parameter combination reachable through the
 // registry can trip an internal constructor panic.
 func ValidateParams(name string, d, n, p, m, steps int, cfg ...SchemeConfig) error {
