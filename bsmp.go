@@ -96,7 +96,7 @@ type FaultReport = simulate.FaultReport
 // RunGuest executes prog for steps steps on the fully parallel machine
 // (P == N) with cost accounting, returning outputs and elapsed time Tn.
 func RunGuest(m *Machine, prog Program, steps int) ([]Word, Time) {
-	out, elapsed, _ := network.RunGuest(m, prog, steps, nil)
+	out, elapsed, _ := network.RunGuest(m, prog, steps, nil) // a nil hook never fails
 	return out, elapsed
 }
 

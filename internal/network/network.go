@@ -222,8 +222,12 @@ func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 		prev: make([]hram.Word, n),
 		mem:  make([]hram.Word, n*m),
 		addr: make([]int, n),
-		ops:  make([]hram.Word, 0, 7),
 	}
+	deg := 0
+	for _, nb := range g.nbr {
+		deg = max(deg, len(nb))
+	}
+	g.ops = make([]hram.Word, 1+deg)
 	for v := range g.out {
 		g.out[v] = prog.Init(v, g.mem[v*m:(v+1)*m:(v+1)*m])
 	}
@@ -234,28 +238,32 @@ func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 // cell and combines it with the previous broadcast values of v and its
 // neighbors, in neighbor order, then rewrites the cell and its broadcast
 // value. It is kept out of line so the drivers' hook and charge code
-// never shares a register allocation with the vertex loop.
+// never shares a register allocation with the vertex loop. The operands
+// go into a buffer sized once to 1 + the topology's largest degree and
+// filled by index: appending to it kept a grow path in the loop and made
+// the served replay measurably slower.
 //
 //go:noinline
 func (g *Guest) Step() {
 	t := g.steps + 1
 	g.out, g.prev = g.prev, g.out
-	prog, m, nbr, mem, out, prev, addr := g.prog, g.m, g.nbr, g.mem, g.out, g.prev, g.addr
-	ops := g.ops
-	for v := range out {
+	n := len(g.out)
+	prog, m, mem, ops := g.prog, g.m, g.mem, g.ops
+	nbr, out, prev, addr := g.nbr[:n], g.out[:n], g.prev[:n], g.addr[:n]
+	for v := 0; v < n; v++ {
 		a := prog.Address(v, t, m)
 		if uint(a) >= uint(m) {
 			panic(fmt.Sprintf("network: node %d addressed cell %d of %d at step %d", v, a, m, t))
 		}
-		ops = append(ops[:0], prev[v])
-		for _, u := range nbr[v] {
-			ops = append(ops, prev[u])
+		nb := nbr[v]
+		ops[0] = prev[v]
+		for i, u := range nb {
+			ops[i+1] = prev[u]
 		}
 		c := v*m + a
-		out[v], mem[c] = prog.Step(v, t, mem[c], ops)
+		out[v], mem[c] = prog.Step(v, t, mem[c], ops[:len(nb)+1])
 		addr[v] = a
 	}
-	g.ops = ops
 	g.steps = t
 }
 
