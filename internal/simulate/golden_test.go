@@ -2,7 +2,9 @@ package simulate
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"bsmp/internal/cost"
@@ -152,4 +154,114 @@ func TestGoldenMulti(t *testing.T) {
 	if cr.SoloTime != 3754 {
 		t.Errorf("CoopBlock: SoloTime = %v, golden 3754", cr.SoloTime)
 	}
+}
+
+// TestGoldenMultiThetaFaults pins the Θ > 1 and fault-masked runs of
+// the multiprocessor schedule bit-exactly, as TestGoldenMulti pins the
+// lockstep ones: Time, PrepTime, every ledger category's total and
+// count, and every phase entry's name, time and ledger. Each case is
+// rendered with shortest round-trip float formatting, so two renderings
+// are equal exactly when every pinned number is bit-identical.
+func TestGoldenMultiThetaFaults(t *testing.T) {
+	tuples := map[int]struct {
+		n, p, m, steps int
+		prog           guest.AsNetwork
+	}{
+		1: {64, 4, 16, 16, guest.AsNetwork{G: guest.MixCA{Seed: 9}}},
+		2: {256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}},
+		3: {512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}},
+	}
+	cases := []struct {
+		scheme string
+		d      int
+		opts   MultiOptions
+		want   string
+	}{
+		{"multi-theta", 1, MultiOptions{Theta: 1.5, ThetaSeed: 7},
+			"time=102346.25359553429 prep=66491.92066412831 compute=64314.25/52 transfer=465133.89466690115/12 message=93158.68806032685/52 sync=52745.8643114224/45; " +
+				"rearrange=66491.92066412831 transfer=238480.31591126055/4 sync=27487.366745252693/3; " +
+				"regime1=60344.02945846977 transfer=226653.5787556406/8 sync=14722.539078238464/3; " +
+				"regime2-exec=16078.562500000015 compute=64314.25/52; " +
+				"regime2-exchange=25923.661637064506 message=93158.68806032685/52 sync=10535.958487931246/39"},
+		{"multi-theta", 1, MultiOptions{Theta: 4, ThetaSeed: 7},
+			"time=215647.20907320574 prep=172791.52398476985 compute=64314.25/52 transfer=981523.3680014069/12 message=191442.12836196113/52 sync=316475.18586853426/45; " +
+				"rearrange=172791.52398476985 transfer=526241.8954675633/4 sync=164924.20047151615/3; " +
+				"regime1=135904.1767508186 transfer=455281.4725338436/8 sync=88335.2344694307/3; " +
+				"regime2-exec=16078.5625 compute=64314.25/52; " +
+				"regime2-exchange=63664.46982238715 message=191442.12836196113/52 sync=63215.75092758742/39"},
+		{"multi-faulty", 1, MultiOptions{Faults: 0.3, FaultSeed: 11},
+			"time=103791.73914670659 prep=69337.67664670659 compute=64314.25/52 transfer=554701.4131736527/12 message=73502/52; " +
+				"rearrange=69337.67664670659 transfer=277350.70658682636/4; " +
+				"regime1=69337.67664670659 transfer=277350.70658682636/8; " +
+				"regime2-exec=16078.5625 compute=64314.25/52; " +
+				"regime2-exchange=18375.5 message=73502/52"},
+		{"multi-theta", 2, MultiOptions{Theta: 1.5, ThetaSeed: 7},
+			"time=162175.39022681292 prep=0 compute=138903.71708107597/4 transfer=274632.46980077727/4 message=164737.96556517284/4 sync=70427.40846022553/6; " +
+				"rearrange=0; " +
+				"regime1=76571.68820835438 transfer=274632.46980077727/4 sync=31654.283032640225/3; " +
+				"regime2-exec=34725.929270269 compute=138903.71708107597/4; " +
+				"regime2-exchange=50877.77274818954 message=164737.96556517284/4 sync=38773.125427585306/3"},
+		{"multi-theta", 2, MultiOptions{Theta: 4, ThetaSeed: 7},
+			"time=365348.57913117006 prep=0 compute=138903.71708107597/4 transfer=606016.9406965938/4 message=293909.20798565715/4 sync=422564.4507613532/6; " +
+				"rearrange=0; " +
+				"regime1=198985.65972310884 transfer=606016.9406965938/4 sync=189925.69819584145/3; " +
+				"regime2-exec=34725.929270269 compute=138903.71708107597/4; " +
+				"regime2-exchange=131636.99013779222 message=293909.20798565715/4 sync=232638.75256551174/3"},
+		{"multi-faulty", 2, MultiOptions{Faults: 0.3, FaultSeed: 11},
+			"time=146309.2466660901 prep=0 compute=138903.71708107597/4 transfer=307429.55250220845/4 message=138903.71708107597/4; " +
+				"rearrange=0; " +
+				"regime1=76857.38812555211 transfer=307429.55250220845/4; " +
+				"regime2-exec=34725.929270268985 compute=138903.71708107597/4; " +
+				"regime2-exchange=34725.929270269 message=138903.71708107597/4"},
+		{"multi-theta", 3, MultiOptions{Theta: 1.5, ThetaSeed: 7},
+			"time=210950.127642649 prep=0 compute=189120.4922267101/8 transfer=599858.1183669064/8 message=680578.5635559814/8 sync=218043.84699159395/14; " +
+				"rearrange=0; " +
+				"regime1=83403.24172112202 transfer=599858.1183669064/8 sync=67367.81540206971/7; " +
+				"regime2-exec=23640.061528338774 compute=189120.4922267101/8; " +
+				"regime2-exchange=103906.8243931882 message=680578.5635559814/8 sync=150676.03158952424/7"},
+		{"multi-theta", 3, MultiOptions{Theta: 4, ThetaSeed: 7},
+			"time=509218.79694905336 prep=0 compute=189120.4922267101/8 transfer=1.3297028034809171e+06/8 message=1.246663997935236e+06/8 sync=1.3082630819495637e+06/14; " +
+				"rearrange=0; " +
+				"regime1=216738.71198666695 transfer=1.3297028034809171e+06/8 sync=404206.8924124186/7; " +
+				"regime2-exec=23640.06152833876 compute=189120.4922267101/8; " +
+				"regime2-exchange=268840.02343404765 message=1.246663997935236e+06/8 sync=904056.1895371451/7"},
+		{"multi-faulty", 3, MultiOptions{Faults: 0.3, FaultSeed: 11},
+			"time=7.980788444131043e+06 prep=0 compute=3.755665150179314e+06/1 transfer=0/1 message=4.225123293951728e+06/1; " +
+				"rearrange=0; " +
+				"regime1=0 transfer=0/1; " +
+				"regime2-exec=3.755665150179314e+06 compute=3.755665150179314e+06/1; " +
+				"regime2-exchange=4.225123293951729e+06 message=4.225123293951728e+06/1"},
+	}
+	for _, c := range cases {
+		tu := tuples[c.d]
+		mr, err := RunSchemeContext(context.Background(), c.scheme, c.d, tu.n, tu.p, tu.m, tu.steps, tu.prog,
+			SchemeConfig{Multi: c.opts})
+		if err != nil {
+			t.Fatalf("%s d=%d %+v: %v", c.scheme, c.d, c.opts, err)
+		}
+		if got := renderGoldenMulti(mr); got != c.want {
+			t.Errorf("%s d=%d %+v:\n got: %s\nwant: %s", c.scheme, c.d, c.opts, got, c.want)
+		}
+	}
+}
+
+// renderGoldenMulti renders a run's times, ledger and phase breakdown
+// for TestGoldenMultiThetaFaults. A ledger category with neither time
+// nor charges is omitted, which loses nothing.
+func renderGoldenMulti(mr MultiResult) string {
+	ledger := func(l cost.Ledger) string {
+		var b strings.Builder
+		for _, c := range cost.Categories() {
+			if l.Total(c) != 0 || l.Count(c) != 0 {
+				fmt.Fprintf(&b, " %s=%v/%d", c, l.Total(c), l.Count(c))
+			}
+		}
+		return b.String()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "time=%v prep=%v%s", mr.Time, mr.PrepTime, ledger(mr.Ledger))
+	for _, ph := range mr.Phases {
+		fmt.Fprintf(&b, "; %s=%v%s", ph.Name, ph.Time, ledger(ph.Ledger))
+	}
+	return b.String()
 }
