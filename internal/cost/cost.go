@@ -339,7 +339,7 @@ type Bank struct {
 	marks  []phaseMark
 
 	// dm, when set, stretches distance-proportional charges
-	// (ChargeDelayed, SendDelayed) by bounded per-charge factors; nil is
+	// (ChargeDelayed) by bounded per-charge factors; nil is
 	// the lockstep machine. delaySeq holds the per-processor draw
 	// counters the model is keyed on.
 	dm       DelayModel

@@ -6,19 +6,19 @@ import (
 )
 
 // DelayModel is the pluggable message-propagation policy of the
-// Θ-model engines: every distance-proportional charge (block transfers,
-// messages, link latencies) is stretched by a per-charge factor in
-// [1, Θ]. The lockstep machines of the paper are the identity model
-// (every factor exactly 1); the theta model draws seeded factors so a
-// run is reproducible and sweepable.
+// Θ-model schedule: every distance-proportional charge (block transfers
+// and messages) is stretched by a per-charge factor in [1, Θ]. The
+// lockstep machines of the paper are a bank with no model (every factor
+// exactly 1); the theta model draws seeded factors so a run is
+// reproducible and sweepable.
 //
-// Factor must be a pure function of (proc, seq): the engines assign
-// each processor a monotone per-processor sequence number, so the
-// stretch applied to the k-th delayed charge of processor i is the same
-// in every run with the same model — and, because the factor is
-// 1 + (Θ-1)·u with u fixed by (seed, proc, seq), it is monotone
-// non-decreasing in Θ. That is what makes slowdown degrade gracefully
-// (monotonically) as Θ grows.
+// Factor must be a pure function of (proc, seq): the bank assigns each
+// processor a monotone per-processor sequence number, so the stretch
+// applied to the k-th delayed charge of processor i is the same in
+// every run with the same model, whatever order the processors are
+// charged in — and, because the factor is 1 + (Θ-1)·u with u fixed by
+// (seed, proc, seq), it is monotone non-decreasing in Θ. That is what
+// makes slowdown degrade gracefully (monotonically) as Θ grows.
 type DelayModel interface {
 	// Factor returns the multiplicative stretch (>= 1) for the seq-th
 	// distance-proportional charge of processor proc.
@@ -26,18 +26,6 @@ type DelayModel interface {
 	// Theta reports the model's worst-case delay ratio Θ >= 1.
 	Theta() float64
 }
-
-// Lockstep is the identity DelayModel: every message propagates in
-// exactly its distance, as in the paper's Md machines. A Bank with a
-// nil model behaves identically; Lockstep exists so callers can pass an
-// explicit model where one is required.
-type Lockstep struct{}
-
-// Factor returns 1.
-func (Lockstep) Factor(int, uint64) float64 { return 1 }
-
-// Theta returns 1.
-func (Lockstep) Theta() float64 { return 1 }
 
 // ThetaModel is the bounded-delay-ratio model (the theta-model of the
 // PSync line of work): each distance-proportional charge of base cost d
@@ -63,9 +51,8 @@ func NewThetaModel(theta float64, seed uint64) (*ThetaModel, error) {
 func (t *ThetaModel) Theta() float64 { return t.theta }
 
 // Factor returns 1 + (Θ-1)·u with u = u(seed, proc, seq) ∈ [0, 1).
-// At Θ = 1 it returns exactly 1 — not a value that rounds to 1 — so the
-// event-driven engines recover the lockstep charge sequences
-// bit-identically.
+// At Θ = 1 it returns exactly 1 — not a value that rounds to 1 — so a
+// Θ = 1 run charges the lockstep charge sequences bit-identically.
 func (t *ThetaModel) Factor(proc int, seq uint64) float64 {
 	if t.theta == 1 {
 		return 1
@@ -92,8 +79,8 @@ func mix64(x uint64) uint64 {
 
 // SetDelayModel installs (or clears, with nil) the bank's delay model
 // and resets the per-processor delay sequence counters. Only
-// ChargeDelayed and Send consult the model; plain Charge/ChargeN are
-// never stretched (compute is not a propagating activity).
+// ChargeDelayed consults the model; plain Charge/ChargeN are never
+// stretched (compute is not a propagating activity).
 func (b *Bank) SetDelayModel(dm DelayModel) {
 	b.dm = dm
 	if dm == nil {
@@ -103,52 +90,20 @@ func (b *Bank) SetDelayModel(dm DelayModel) {
 	b.delaySeq = make([]uint64, len(b.meters))
 }
 
-// DelayModel reports the installed delay model (nil = lockstep).
-func (b *Bank) DelayModel() DelayModel { return b.dm }
-
-// delayFactor draws the next stretch factor for processor i, advancing
-// its delay sequence counter. With no model it returns 1 without
-// consuming a draw.
-func (b *Bank) delayFactor(i int) float64 {
-	if b.dm == nil {
-		return 1
-	}
-	f := b.dm.Factor(i, b.delaySeq[i])
-	b.delaySeq[i]++
-	return f
-}
-
 // ChargeDelayed charges processor i under cat for a
 // distance-proportional activity of base duration dt, stretched by the
-// bank's delay model. A unit factor (no model, Lockstep, or Θ = 1)
-// charges exactly dt through the exact same code path as Meter.Charge,
-// so lockstep charge sequences — and therefore virtual times — are
+// bank's delay model, whose factor it draws from processor i's next
+// delay sequence number. A unit factor (no model, or Θ = 1) charges
+// exactly dt through the exact same code path as Meter.Charge, so
+// lockstep charge sequences — and therefore virtual times — are
 // recovered bit-identically. It returns the stretched duration charged.
 func (b *Bank) ChargeDelayed(i int, cat Category, dt Time) Time {
-	if f := b.delayFactor(i); f != 1 {
-		dt *= f
+	if b.dm != nil {
+		if f := b.dm.Factor(i, b.delaySeq[i]); f != 1 {
+			dt *= f
+		}
+		b.delaySeq[i]++
 	}
 	b.meters[i].Charge(cat, dt)
 	return dt
-}
-
-// StretchDistance draws the next delay factor for processor src and
-// returns dist stretched by it — the link latency an event-driven
-// executor should use when scheduling a delivery event. With no model
-// (or a unit factor) it returns dist exactly, bit-identical to the
-// lockstep latency.
-func (b *Bank) StretchDistance(src int, dist Time) Time {
-	if f := b.delayFactor(src); f != 1 {
-		dist *= f
-	}
-	return dist
-}
-
-// SendDelayed is Send with the link's distance latency stretched by the
-// bank's delay model: the message still occupies the sender for
-// wordCount units, but arrives at sender.Now() + f·dist with
-// f ∈ [1, Θ] drawn from the sender's delay sequence. With no model (or
-// a unit factor) it is exactly Send.
-func (b *Bank) SendDelayed(src, dst int, dist Time, wordCount int64) {
-	b.Send(src, dst, b.StretchDistance(src, dist), wordCount)
 }

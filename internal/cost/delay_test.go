@@ -105,28 +105,3 @@ func TestChargeDelayedStretch(t *testing.T) {
 		t.Fatalf("replay after Reset: %v != %v", b.Proc(0).Now(), first)
 	}
 }
-
-// TestSendDelayed checks the stretched link arrival bound.
-func TestSendDelayed(t *testing.T) {
-	tm, _ := NewThetaModel(2, 5)
-	b := NewBank(2)
-	b.SetDelayModel(tm)
-	b.SendDelayed(0, 1, 10, 1)
-	// Sender charged 1 word of occupancy; receiver idles to arrival in
-	// [send end + 10, send end + 20).
-	sendEnd := b.Proc(0).Now()
-	if sendEnd != 1 {
-		t.Fatalf("sender clock %v, want 1", sendEnd)
-	}
-	arr := b.Proc(1).Now()
-	if arr < sendEnd+10 || arr >= sendEnd+20 {
-		t.Fatalf("arrival %v outside [%v, %v)", arr, sendEnd+10, sendEnd+20)
-	}
-	// Without a model, SendDelayed is exactly Send.
-	c, d := NewBank(2), NewBank(2)
-	c.SendDelayed(0, 1, 10, 3)
-	d.Send(0, 1, 10, 3)
-	if c.Proc(1).Now() != d.Proc(1).Now() {
-		t.Fatalf("modelless SendDelayed %v != Send %v", c.Proc(1).Now(), d.Proc(1).Now())
-	}
-}

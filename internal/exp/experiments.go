@@ -813,11 +813,11 @@ func Brent(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // Theta validates the Θ-model degradation path end to end: the
-// event-driven multi-theta scheme at Θ = 1 reproduces the lockstep
-// multi run exactly (same Time, same PrepTime — the event queue and the
-// phase barrier are two executions of the same charge sequence), and as
-// Θ grows the makespan grows monotonically while idle (Sync) time
-// appears: desynchronized processors wait at each wave join.
+// multi-theta scheme at Θ = 1 reproduces the lockstep multi run exactly
+// (same Time, same PrepTime — every delay factor is exactly 1, so the
+// one schedule player charges the lockstep sequence), and as Θ grows
+// the makespan grows monotonically while idle (Sync) time appears:
+// desynchronized processors wait at each wave join.
 func Theta(ctx context.Context, s Scale) (*Table, error) {
 	n, p, m, steps := 1024, 8, 16, 16
 	if s.Quick {
@@ -1005,7 +1005,7 @@ func Registry(ctx context.Context, s Scale) (*Table, error) {
 				return nil, fmt.Errorf("scheme unidc d=%d: %w", sc.D, err)
 			}
 			check = "dag"
-		case (sc.Name == "multi" || sc.Name == "multi-theta" || sc.Name == "multi-faulty") && sc.D >= 2:
+		case sc.SharedReplay && sc.D >= 2:
 			check = "model"
 		case sc.Name == "blocked-analytic":
 			// The analytic path produces no guest outputs by design; its

@@ -357,9 +357,9 @@ func (s *Server) checkCaps(req RunRequest) *bsmp.ParamError {
 // collapses spellings the engines treat identically:
 //
 //   - guest "" is the documented mixca default;
-//   - theta 1 is exactly the lockstep default the multi-theta scheme
-//     normalizes an unset (0) theta to, bit-identical by the Θ = 1
-//     golden tests;
+//   - theta 1 is lockstep, exactly as an unset (0) theta is: every
+//     delay factor is exactly 1, so the engine installs no delay model
+//     (bit-identical by the Θ = 1 golden tests);
 //   - theta_seed selects delay draws only when a Θ-model is active
 //     (theta != 0 after the rule above), so under lockstep it is inert
 //     and resets to 0;
@@ -585,9 +585,9 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 	}
 	s.latHist.Observe(elapsed.Seconds())
 	if cfg.Multi.Theta != 0 {
-		// Θ-model runs get their own latency series: the event queue has a
-		// different cost profile than the lockstep barrier, and mixing the
-		// two in one histogram would hide a regression in either.
+		// Θ-model runs also get their own latency series, so a Θ
+		// workload's latency can be watched apart from the lockstep runs
+		// it is mixed with.
 		s.thetaHist.Observe(elapsed.Seconds())
 	}
 	s.sizeHist.Observe(float64(req.N) * float64(req.Steps))

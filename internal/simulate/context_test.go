@@ -248,7 +248,11 @@ func TestProgressMonotoneWhileLive(t *testing.T) {
 
 	var live Progress
 	done := make(chan error, 1)
+	// The run starts only once the sampler below has taken its first
+	// sample, so a run that finishes quickly cannot leave it with none.
+	sampled := make(chan struct{})
 	go func() {
+		<-sampled
 		_, err := MultiD1Context(WithProgress(context.Background(), &live), n, p_, m, steps, prog, MultiOptions{})
 		done <- err
 	}()
@@ -277,6 +281,9 @@ sampling:
 		}
 		lastV, lastP = v, ph
 		samples++
+		if samples == 1 {
+			close(sampled)
+		}
 	}
 	if samples == 0 {
 		t.Fatal("sampled the progress meter zero times")

@@ -1,10 +1,8 @@
 package simulate
 
 import (
-	"context"
 	"fmt"
 
-	"bsmp/internal/network"
 	"bsmp/internal/topology"
 )
 
@@ -36,6 +34,10 @@ import (
 // falls back to the uniprocessor Theorem 3 machinery like multi does;
 // that fallback runs no message schedule, so the stretch factors have
 // nothing to multiply and are intentionally not applied there.
+//
+// The fault knob is independent of Θ: multi-faulty also admits a delay
+// ratio, and the one schedule player then stretches the fault-stretched
+// distance charges by the seeded delay draws as well.
 
 // FaultReport carries the fault-mask accounting of a multi-faulty run.
 type FaultReport struct {
@@ -121,51 +123,4 @@ func largestShapedDivisor(d, n, limit int) int {
 		return k
 	}
 	return 1
-}
-
-// multiFaultyScheme registers the fault-masked variant of multi for one
-// dimension; see the file comment for the regime. Like multi it is
-// lockstep-only (Θ belongs to multi-theta), and it additionally
-// requires a d-shaped p so the fault mask samples over the actual host
-// mesh geometry.
-func multiFaultyScheme(d int) Scheme {
-	return Scheme{
-		Name: "multi-faulty", D: d, Multiproc: true, SharedReplay: true,
-		Description: "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds",
-		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
-			if cfg.Multi.Theta != 0 {
-				return perrF("multi-faulty", "theta", "lockstep scheme takes no delay ratio; use scheme multi-theta", cfg.Multi.Theta)
-			}
-			if e := validateFaults("multi-faulty", cfg.Multi.Faults); e != nil {
-				return e
-			}
-			if e := shapeError("multi-faulty", "n", d, n); e != nil {
-				return e
-			}
-			return shapeError("multi-faulty", "p", d, p)
-		},
-		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			plan, err := planFaults(d, n, p, m, cfg.Multi.Faults, cfg.Multi.FaultSeed)
-			if err != nil {
-				return MultiResult{}, err
-			}
-			opts := cfg.Multi
-			opts.Faults, opts.FaultSeed = 0, 0 // consumed: the plan carries them
-			opts.faultDistMul, opts.faultMemMul = plan.distMul, plan.memMul
-			var res MultiResult
-			switch d {
-			case 1:
-				res, err = MultiD1Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			case 2:
-				res, err = MultiD2Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			default:
-				res, err = MultiD3Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			}
-			if err != nil {
-				return MultiResult{}, err
-			}
-			res.Faults = plan.report()
-			return res, nil
-		},
-	}
 }

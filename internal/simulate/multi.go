@@ -33,13 +33,12 @@ type MultiOptions struct {
 	// processor, which must pull the remote half of the preboundary —
 	// s·m memory words instead of s broadcast words.
 	NoCooperate bool
-	// Theta is the Θ-model bounded delay ratio: when > 0, the schedule
-	// is played by the event-driven engine (internal/sched) with every
-	// distance-proportional charge stretched by a seeded factor in
-	// [1, Θ]. 0 selects the lockstep barrier engine; 1 runs the event
-	// engine with every factor exactly 1, reproducing the lockstep
-	// virtual times bit-identically. Values in (0, 1), NaN and Inf are
-	// rejected with a typed ParamError.
+	// Theta is the Θ-model bounded delay ratio: when > 1, every
+	// distance-proportional charge of the schedule is stretched by a
+	// seeded factor in [1, Θ] and each wave ends in a join that idles
+	// stragglers. 0 and 1 both select lockstep: at Θ = 1 every factor is
+	// exactly 1, so the run is bit-identical to Θ = 0. Values in (0, 1),
+	// NaN and Inf are rejected with a typed ParamError.
 	Theta float64
 	// ThetaSeed seeds the Θ-model delay draws. Runs with equal
 	// (Theta, ThetaSeed) are deterministic, and a Θ-sweep at a fixed
@@ -49,9 +48,11 @@ type MultiOptions struct {
 	// Faults is the static fault density for the multi-faulty scheme:
 	// the fraction of processors and memory cells sampled dead at
 	// construction (topology.FaultMask). Must lie in [0, 1); 0 means
-	// fault-free. The fault-free schemes reject a nonzero value with a
-	// typed ParamError — faults change the planned distances, so a
-	// silent ignore would misattribute every charge.
+	// fault-free. Only the fault-admitting registry row plans a mask, so
+	// the fault-free schemes and the engine entry points (MultiD1Context
+	// and its siblings) reject a nonzero value with a typed ParamError —
+	// faults change the planned distances, so a silent ignore would
+	// misattribute every charge.
 	Faults float64
 	// FaultSeed seeds the fault draws. Sampling is threshold-based, so
 	// a density sweep at a fixed seed has NESTED dead sets and the
@@ -82,11 +83,12 @@ func (o MultiOptions) faultMuls() (distMul, memMul float64) {
 	return distMul, memMul
 }
 
-// delayModel builds the cost.DelayModel the options select: nil for the
-// lockstep engine (Theta 0), a seeded ThetaModel otherwise. Callers
-// validate Theta first (validateTheta), so construction cannot fail.
+// delayModel builds the cost.DelayModel the options select: nil for
+// lockstep (Theta 0, or 1, where every factor is exactly 1), a seeded
+// ThetaModel otherwise. Callers validate Theta first (validateTheta), so
+// construction cannot fail.
 func (o MultiOptions) delayModel() cost.DelayModel {
-	if o.Theta == 0 {
+	if o.Theta == 0 || o.Theta == 1 {
 		return nil
 	}
 	dm, err := cost.NewThetaModel(o.Theta, o.ThetaSeed)
@@ -204,17 +206,8 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 // p = 1 case runs the Theorem 3 machinery instead, which executes the
 // guest and so returns its outputs too.
 func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if p < 1 || n < p || n%p != 0 {
-		return MultiResult{}, fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
-	}
-	if m < 1 {
-		return MultiResult{}, perr("multi", "m", "memory density must be >= 1", m)
-	}
-	if steps < 1 {
-		return MultiResult{}, perr("multi", "steps", "guest step count must be >= 1", steps)
-	}
-	if e := validateTheta("multi", opts.Theta); e != nil {
-		return MultiResult{}, e
+	if err := validateMulti(n, p, m, steps, opts); err != nil {
+		return MultiResult{}, err
 	}
 	if p == 1 {
 		// Degenerate case: Theorem 3's machinery. A single processor
@@ -307,19 +300,18 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 		stageExtra = kappa * multiGeomD1.faceSize(sf) * exchDist
 	}
 
-	bank, prep := playScheduleAuto(ec.tr, p, multiSchedule{
+	bank, prep := playSchedule(ec.tr, p, multiSchedule{
 		// Phase 0: rearrangement. n·m words move distance Θ(n) with
 		// p-fold parallelism: per processor, (n·m/p) words at average
 		// distance n/2 — stretched by the fault detour and packing
 		// factors like every other transfer.
-		prep:         kappa * nf * (mf * memMul) / pf * (nf * distMul) / 2,
-		hasPrep:      true,
-		regime1:      regime1,
-		domains:      numDomains,
-		exec:         (solo + coop) * kernel,
-		exch:         coop * stageExtra,
-		exchCat:      exchCat,
-		roundBarrier: true,
+		prep:    kappa * nf * (mf * memMul) / pf * (nf * distMul) / 2,
+		hasPrep: true,
+		regime1: regime1,
+		domains: numDomains,
+		exec:    (solo + coop) * kernel,
+		exch:    coop * stageExtra,
+		exchCat: exchCat,
 	}, opts.delayModel())
 	elapsed := bank.MaxNow() - prep
 

@@ -246,11 +246,11 @@ func (g *multiGeom) measureKernel(ctx context.Context, key kernelKey, cal, s, m 
 // multiSchedule is the evaluated orchestration of one multiprocessor run:
 // the identical per-processor charge quantities of each phase of the
 // Theorem 4 / Theorem 1 schedule. The d = 1 planner emits per-level and
-// per-domain charges with a barrier after every domain; the d >= 2 span
-// model emits one aggregated charge per phase.
+// per-domain charges; the d >= 2 span model emits one aggregated charge
+// per phase.
 type multiSchedule struct {
 	// prep is the one-time rearrangement Transfer charge per processor;
-	// hasPrep gates the phase (and its barrier) entirely.
+	// hasPrep gates the phase (and its join) entirely.
 	prep    float64
 	hasPrep bool
 	// regime1 holds the Regime 1 relocation Transfer charges per
@@ -262,16 +262,32 @@ type multiSchedule struct {
 	exec    float64
 	exch    float64
 	exchCat cost.Category
-	// roundBarrier synchronizes after every Regime 2 round (the d = 1
-	// domains are sequential); otherwise one final barrier closes the
-	// run.
-	roundBarrier bool
 }
 
 // playSchedule charges sch into a fresh p-processor bank with phase marks
-// and returns the bank and the preprocessing finish time (0 without
-// prep). Charges are phase-major but per-processor order matches the
-// historical orchestrators exactly (see the contract note above).
+// under delay model dm (nil = lockstep) and returns the bank and the
+// preprocessing finish time (0 without prep). It is the one schedule
+// player, for lockstep and the Θ model alike.
+//
+// The schedule runs as communication-closed waves, one per segment.
+// Every distance-proportional charge (rearrangement and Regime 1
+// transfers, Regime 2 exchanges) goes through Bank.ChargeDelayed, which
+// stretches it by a factor in [1, Θ] drawn from (seed, proc, seq);
+// compute charges are never stretched — bounded-speed propagation delays
+// messages, not local work. A Barrier join closes the rearrangement
+// wave, the Regime 1 wave and every exchange wave, idling stragglers to
+// the wave's completion and charging the wait to Sync inside that wave's
+// phase. The compute wave needs no join: it starts from joined clocks
+// and charges every processor the same unstretched amount.
+//
+// Why this is exact: charges are phase-major, but each processor sees
+// the same charges in the same order as in the historical per-processor
+// orchestrators, so each clock sums the same floats in the same order
+// (see the contract note above). Delay draws are keyed by processor and
+// per-processor sequence, so the order in which processors are visited
+// cannot change a draw. Without a model (or at Θ = 1, where every factor
+// is exactly 1) every processor's charges are identical, each join meets
+// equal clocks, and Barrier charges nothing.
 //
 // When tr is non-nil, every schedule segment is additionally wrapped in
 // a "phase:<name>" span under one "schedule" parent, annotated with the
@@ -282,8 +298,9 @@ type multiSchedule struct {
 // bank snapshots and never charges anything, so the charge sequence —
 // and with it every golden virtual time — is identical with tr nil or
 // attached.
-func playSchedule(tr *obs.Tracer, p int, sch multiSchedule) (*cost.Bank, cost.Time) {
+func playSchedule(tr *obs.Tracer, p int, sch multiSchedule, dm cost.DelayModel) (*cost.Bank, cost.Time) {
 	bank := cost.NewBank(p)
+	bank.SetDelayModel(dm)
 	sched := tr.Start("schedule")
 	// phase runs one schedule segment under a span; with no tracer it
 	// is a plain call.
@@ -312,7 +329,7 @@ func playSchedule(tr *obs.Tracer, p int, sch multiSchedule) (*cost.Bank, cost.Ti
 	phase(cost.PhaseRearrange, func() {
 		if sch.hasPrep {
 			for i := 0; i < p; i++ {
-				bank.Proc(i).Charge(cost.Transfer, sch.prep)
+				bank.ChargeDelayed(i, cost.Transfer, sch.prep)
 			}
 			prep = bank.Barrier()
 		}
@@ -321,9 +338,10 @@ func playSchedule(tr *obs.Tracer, p int, sch multiSchedule) (*cost.Bank, cost.Ti
 	phase(cost.PhaseRegime1, func() {
 		for _, c := range sch.regime1 {
 			for i := 0; i < p; i++ {
-				bank.Proc(i).Charge(cost.Transfer, c)
+				bank.ChargeDelayed(i, cost.Transfer, c)
 			}
 		}
+		bank.Barrier()
 	})
 	for r := 0; r < sch.domains; r++ {
 		bank.Mark(cost.PhaseRegime2Exec)
@@ -335,21 +353,17 @@ func playSchedule(tr *obs.Tracer, p int, sch multiSchedule) (*cost.Bank, cost.Ti
 		bank.Mark(cost.PhaseRegime2Exchange)
 		phase(cost.PhaseRegime2Exchange, func() {
 			for i := 0; i < p; i++ {
-				bank.Proc(i).Charge(sch.exchCat, sch.exch)
+				bank.ChargeDelayed(i, sch.exchCat, sch.exch)
 			}
-			if sch.roundBarrier {
-				// The round barrier's stalls are attributed to the
-				// exchange phase, matching the Mark bookkeeping.
-				bank.Barrier()
-			}
+			bank.Barrier()
 		})
-	}
-	if !sch.roundBarrier {
-		bank.Barrier()
 	}
 	if sched != nil {
 		sched.SetAttr("vtime", bank.MaxNow())
 		sched.SetAttr("domains", float64(sch.domains))
+		if dm != nil {
+			sched.SetAttr("theta", dm.Theta())
+		}
 		sched.End()
 	}
 	return bank, prep
@@ -403,22 +417,36 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 	return reloc + exec + exch, levels, [3]float64{reloc, exec, exch}, nil
 }
 
+// validateMulti makes the checks every multiprocessor engine entry
+// point shares: p | n, m >= 1, steps >= 1 and a valid Θ. It also
+// refuses a fault density: only the fault-admitting registry row plans
+// a mask, and it consumes Faults before it calls an engine.
+func validateMulti(n, p, m, steps int, opts MultiOptions) error {
+	if p < 1 || n < p || n%p != 0 {
+		return fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
+	}
+	if m < 1 {
+		return perr("multi", "m", "memory density must be >= 1", m)
+	}
+	if steps < 1 {
+		return perr("multi", "steps", "guest step count must be >= 1", steps)
+	}
+	if e := validateTheta("multi", opts.Theta); e != nil {
+		return e
+	}
+	if opts.Faults != 0 {
+		return perrF("multi", "faults", "engine entry points take no fault density; use scheme multi-faulty", opts.Faults)
+	}
+	return nil
+}
+
 // multiSpan is the shared d >= 2 orchestrator: validate the mesh shape,
 // minimize multiSpanCost over power-of-two spans (or the override),
 // charge the chosen schedule with phase attribution, and advance the
 // guest functionally (exactly).
 func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if p < 1 || n < p || n%p != 0 {
-		return MultiResult{}, fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
-	}
-	if m < 1 {
-		return MultiResult{}, perr("multi", "m", "memory density must be >= 1", m)
-	}
-	if steps < 1 {
-		return MultiResult{}, perr("multi", "steps", "guest step count must be >= 1", steps)
-	}
-	if e := validateTheta("multi", opts.Theta); e != nil {
-		return MultiResult{}, e
+	if err := validateMulti(n, p, m, steps, opts); err != nil {
+		return MultiResult{}, err
 	}
 	if e := g.checkShape(n); e != nil {
 		return MultiResult{}, e
@@ -469,7 +497,7 @@ func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog netwo
 
 	// Charge the chosen schedule into a bank for ledger and phase
 	// attribution.
-	bank, _ := playScheduleAuto(ec.tr, p, multiSchedule{
+	bank, _ := playSchedule(ec.tr, p, multiSchedule{
 		regime1: []float64{bestBreak[0]},
 		domains: 1,
 		exec:    bestBreak[1],

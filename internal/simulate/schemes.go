@@ -165,66 +165,77 @@ func analyticScheme() Scheme {
 	}
 }
 
-func multiScheme(d int) Scheme {
-	return Scheme{
-		Name: "multi", D: d, Multiproc: true, SharedReplay: true,
-		Description: "multiprocessor rearrangement + cooperating mode (Thm. 4 / Thm. 1), slowdown Θ((n/p)·A(n, m, p))",
-		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
-			if cfg.Multi.Theta != 0 {
-				return perrF("multi", "theta", "lockstep scheme takes no delay ratio; use scheme multi-theta", cfg.Multi.Theta)
-			}
-			if cfg.Multi.Faults != 0 {
-				return perrF("multi", "faults", "fault-free scheme takes no fault density; use scheme multi-faulty", cfg.Multi.Faults)
-			}
-			return shapeError("multi", "n", d, n)
-		},
-		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			switch d {
-			case 1:
-				return MultiD1Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			case 2:
-				return MultiD2Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			default:
-				return MultiD3Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			}
-		},
-	}
+// multiVariant is one registry name over the one multiprocessor engine:
+// the knobs, Θ and the fault density, that the name admits. The knobs
+// are independent settings of the same schedule player, so a name that
+// admits both runs Θ delays on the fault-masked mesh.
+type multiVariant struct {
+	name, description string
+	theta, faults     bool
 }
 
-// multiThetaScheme registers the Θ-model variant of multi: the same
-// Theorem 4 / Theorem 1 schedule, played by the event-driven scheduler
-// core with every distance-proportional charge stretched by a seeded
-// delay factor in [1, Θ] (cfg.Multi.Theta, default 1; cfg.Multi.ThetaSeed
-// picks the draw). At Θ = 1 every factor is exactly 1 and the virtual
-// times are bit-identical to the lockstep multi scheme — the golden
-// tests pin this — so the lockstep results are the Θ → 1 limit of this
-// scheme, not a separate model.
-func multiThetaScheme(d int) Scheme {
+// multiVariants lists the multiprocessor names in registry order.
+var multiVariants = []multiVariant{
+	{"multi", "multiprocessor rearrangement + cooperating mode (Thm. 4 / Thm. 1), slowdown Θ((n/p)·A(n, m, p))", false, false},
+	{"multi-theta", "Θ-model multi: seeded delays in [dist, Θ·dist]; Θ = 1 recovers lockstep exactly", true, false},
+	{"multi-faulty", "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds", true, true},
+}
+
+// multiEngines holds the multiprocessor engine entry point of each
+// dimension d at index d.
+var multiEngines = [...]func(context.Context, int, int, int, int, network.Program, MultiOptions) (MultiResult, error){
+	1: MultiD1Context, 2: MultiD2Context, 3: MultiD3Context,
+}
+
+// multiScheme registers variant v of the multiprocessor engine for
+// dimension d. A name refuses each knob it does not admit with a typed
+// ParamError on that field. A fault-admitting name samples the fault
+// mask (even at density 0, so its report is always attached), requires
+// a d-shaped p so the mask covers the actual host mesh, and runs on the
+// mask's effective processor count; see faulty.go for the regime.
+func multiScheme(d int, v multiVariant) Scheme {
 	return Scheme{
-		Name: "multi-theta", D: d, Multiproc: true, SharedReplay: true,
-		Description: "event-driven Θ-model multi: seeded delays in [dist, Θ·dist]; Θ = 1 recovers lockstep exactly",
+		Name: v.name, D: d, Multiproc: true, SharedReplay: true,
+		Description: v.description,
 		Validate: func(n, p, m, steps int, cfg SchemeConfig) *ParamError {
-			if e := validateTheta("multi-theta", cfg.Multi.Theta); e != nil {
+			if !v.theta && cfg.Multi.Theta != 0 {
+				return perrF(v.name, "theta", "lockstep scheme takes no delay ratio; use scheme multi-theta", cfg.Multi.Theta)
+			}
+			if e := validateTheta(v.name, cfg.Multi.Theta); e != nil {
 				return e
 			}
-			if cfg.Multi.Faults != 0 {
-				return perrF("multi-theta", "faults", "fault-free scheme takes no fault density; use scheme multi-faulty", cfg.Multi.Faults)
+			if !v.faults && cfg.Multi.Faults != 0 {
+				return perrF(v.name, "faults", "fault-free scheme takes no fault density; use scheme multi-faulty", cfg.Multi.Faults)
 			}
-			return shapeError("multi-theta", "n", d, n)
+			if e := validateFaults(v.name, cfg.Multi.Faults); e != nil {
+				return e
+			}
+			if e := shapeError(v.name, "n", d, n); e != nil {
+				return e
+			}
+			if v.faults {
+				return shapeError(v.name, "p", d, p)
+			}
+			return nil
 		},
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
 			opts := cfg.Multi
-			if opts.Theta == 0 {
-				opts.Theta = 1
+			var report *FaultReport
+			if v.faults {
+				plan, err := planFaults(d, n, p, m, opts.Faults, opts.FaultSeed)
+				if err != nil {
+					return MultiResult{}, err
+				}
+				p, report = plan.pEff, plan.report()
+				opts.Faults, opts.FaultSeed = 0, 0 // consumed: the plan carries them
+				opts.faultDistMul, opts.faultMemMul = plan.distMul, plan.memMul
 			}
-			switch d {
-			case 1:
-				return MultiD1Context(ctx, n, p, m, steps, prog, opts)
-			case 2:
-				return MultiD2Context(ctx, n, p, m, steps, prog, opts)
-			default:
-				return MultiD3Context(ctx, n, p, m, steps, prog, opts)
+			res, err := multiEngines[d](ctx, n, p, m, steps, prog, opts)
+			if err != nil {
+				return MultiResult{}, err
 			}
+			res.Faults = report
+			return res, nil
 		},
 	}
 }
@@ -235,15 +246,20 @@ func multiThetaScheme(d int) Scheme {
 // (d = 1, 2, 3). Callers — bsmp.RunSchemeContext, cmd/tradeoff,
 // cmd/experiments, the E-REG experiment — select simulations by name
 // and dimension instead of hard-wiring function calls.
-var Schemes = []Scheme{
-	withValidation(naiveScheme(1)), withValidation(naiveScheme(2)),
-	withValidation(unidcScheme(1)), withValidation(unidcScheme(2)), withValidation(unidcScheme(3)),
-	withValidation(blockedScheme(1)), withValidation(blockedScheme(2)), withValidation(blockedScheme(3)),
-	withValidation(analyticScheme()),
-	withValidation(multiScheme(1)), withValidation(multiScheme(2)), withValidation(multiScheme(3)),
-	withValidation(multiThetaScheme(1)), withValidation(multiThetaScheme(2)), withValidation(multiThetaScheme(3)),
-	withValidation(multiFaultyScheme(1)), withValidation(multiFaultyScheme(2)), withValidation(multiFaultyScheme(3)),
-}
+var Schemes = func() []Scheme {
+	s := []Scheme{
+		withValidation(naiveScheme(1)), withValidation(naiveScheme(2)),
+		withValidation(unidcScheme(1)), withValidation(unidcScheme(2)), withValidation(unidcScheme(3)),
+		withValidation(blockedScheme(1)), withValidation(blockedScheme(2)), withValidation(blockedScheme(3)),
+		withValidation(analyticScheme()),
+	}
+	for _, v := range multiVariants {
+		for d := 1; d <= 3; d++ {
+			s = append(s, withValidation(multiScheme(d, v)))
+		}
+	}
+	return s
+}()
 
 // SchemeByName returns the registered scheme for (name, d).
 func SchemeByName(name string, d int) (Scheme, error) {

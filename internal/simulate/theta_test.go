@@ -23,11 +23,10 @@ func runTheta(t *testing.T, theta float64, seed uint64) MultiResult {
 	return mr
 }
 
-// TestMultiThetaGoldenAtOne is the acceptance pin: the event-driven
-// engine at Θ = 1 reproduces the lockstep golden virtual times
-// BIT-identically, for every dimension — same Time, same PrepTime, same
-// ledger, same phase breakdown. The event queue and the barrier are
-// then two executions of the same charge sequence.
+// TestMultiThetaGoldenAtOne is the acceptance pin: multi-theta at
+// Θ = 1 reproduces the lockstep golden virtual times BIT-identically,
+// for every dimension — every delay factor is exactly 1, so the one
+// schedule player charges the lockstep sequence.
 func TestMultiThetaGoldenAtOne(t *testing.T) {
 	mr := runTheta(t, 1, 0)
 	if mr.Time != 79686.0625 {
@@ -58,8 +57,8 @@ func TestMultiThetaGoldenAtOne(t *testing.T) {
 	}
 }
 
-// TestMultiThetaMatchesLockstepLive compares the Θ = 1 event engine
-// against a live lockstep run in full: times, ledger totals and counts,
+// TestMultiThetaMatchesLockstepLive compares a default (Θ = 1)
+// multi-theta run against a live lockstep run in full: times, ledger totals and counts,
 // and the per-phase breakdown, entry by entry.
 func TestMultiThetaMatchesLockstepLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 4}}
