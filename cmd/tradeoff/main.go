@@ -36,7 +36,7 @@ func main() {
 	measure := flag.Bool("measure", false, "also run the executable simulation")
 	scheme := flag.String("scheme", "multi", "simulation scheme to measure (see bsmp.Schemes)")
 	steps := flag.Int("steps", 64, "guest steps to simulate when measuring")
-	theta := flag.Float64("theta", 0, "Θ-model delay ratio for -scheme multi-theta or multi-faulty: delays in [dist, Θ·dist] (0 or 1 = lockstep)")
+	theta := flag.Float64("theta", 0, "Θ-model delay ratio for -scheme multi-theta: delays in [dist, Θ·dist] (0 or 1 = lockstep)")
 	thetaSeed := flag.Uint64("theta-seed", 0, "seed for the Θ-model delay draws")
 	faults := flag.Float64("faults", 0, "dead-component density in [0, 1) for -scheme multi-faulty (0 = fault-free)")
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the fault mask draws")

@@ -342,7 +342,7 @@ type Bank struct {
 	// (ChargeDelayed) by bounded per-charge factors; nil is
 	// the lockstep machine. delaySeq holds the per-processor draw
 	// counters the model is keyed on.
-	dm       DelayModel
+	dm       *ThetaModel
 	delaySeq []uint64
 }
 

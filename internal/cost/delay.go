@@ -5,34 +5,23 @@ import (
 	"math"
 )
 
-// DelayModel is the pluggable message-propagation policy of the
-// Θ-model schedule: every distance-proportional charge (block transfers
-// and messages) is stretched by a per-charge factor in [1, Θ]. The
-// lockstep machines of the paper are a bank with no model (every factor
-// exactly 1); the theta model draws seeded factors so a run is
-// reproducible and sweepable.
-//
-// Factor must be a pure function of (proc, seq): the bank assigns each
-// processor a monotone per-processor sequence number, so the stretch
-// applied to the k-th delayed charge of processor i is the same in
-// every run with the same model, whatever order the processors are
-// charged in — and, because the factor is 1 + (Θ-1)·u with u fixed by
-// (seed, proc, seq), it is monotone non-decreasing in Θ. That is what
-// makes slowdown degrade gracefully (monotonically) as Θ grows.
-type DelayModel interface {
-	// Factor returns the multiplicative stretch (>= 1) for the seq-th
-	// distance-proportional charge of processor proc.
-	Factor(proc int, seq uint64) float64
-	// Theta reports the model's worst-case delay ratio Θ >= 1.
-	Theta() float64
-}
-
 // ThetaModel is the bounded-delay-ratio model (the theta-model of the
-// PSync line of work): each distance-proportional charge of base cost d
-// takes an adversarially chosen but bounded time in [d, Θ·d]. The
-// adversary here is a seeded hash — deterministic in (seed, proc, seq),
-// uniform over [d, Θ·d) — so runs are reproducible and a Θ-sweep with a
-// fixed seed varies only the bound, not the draw.
+// PSync line of work) of the Θ-model schedule: every
+// distance-proportional charge (block transfers and messages) of base
+// cost d takes an adversarially chosen but bounded time in [d, Θ·d].
+// The lockstep machines of the paper are a bank with no model (every
+// factor exactly 1). The adversary here is a seeded hash —
+// deterministic in (seed, proc, seq), uniform over [d, Θ·d) — so runs
+// are reproducible and a Θ-sweep with a fixed seed varies only the
+// bound, not the draw.
+//
+// The bank assigns each processor a monotone per-processor sequence
+// number, so the stretch applied to the k-th delayed charge of
+// processor i is the same in every run with the same model, whatever
+// order the processors are charged in — and, because the factor is
+// 1 + (Θ-1)·u with u fixed by (seed, proc, seq), it is monotone
+// non-decreasing in Θ. That is what makes slowdown degrade gracefully
+// (monotonically) as Θ grows.
 type ThetaModel struct {
 	theta float64
 	seed  uint64
@@ -47,10 +36,12 @@ func NewThetaModel(theta float64, seed uint64) (*ThetaModel, error) {
 	return &ThetaModel{theta: theta, seed: seed}, nil
 }
 
-// Theta reports the model's delay ratio.
+// Theta reports the model's delay ratio Θ >= 1.
 func (t *ThetaModel) Theta() float64 { return t.theta }
 
-// Factor returns 1 + (Θ-1)·u with u = u(seed, proc, seq) ∈ [0, 1).
+// Factor returns the multiplicative stretch 1 + (Θ-1)·u for the seq-th
+// distance-proportional charge of processor proc, with
+// u = u(seed, proc, seq) ∈ [0, 1).
 // At Θ = 1 it returns exactly 1 — not a value that rounds to 1 — so a
 // Θ = 1 run charges the lockstep charge sequences bit-identically.
 func (t *ThetaModel) Factor(proc int, seq uint64) float64 {
@@ -81,7 +72,7 @@ func mix64(x uint64) uint64 {
 // and resets the per-processor delay sequence counters. Only
 // ChargeDelayed consults the model; plain Charge/ChargeN are never
 // stretched (compute is not a propagating activity).
-func (b *Bank) SetDelayModel(dm DelayModel) {
+func (b *Bank) SetDelayModel(dm *ThetaModel) {
 	b.dm = dm
 	if dm == nil {
 		b.delaySeq = nil

@@ -46,9 +46,10 @@ type RunConfig struct {
 	SpanOverride int  `json:"span_override,omitempty"`
 	NoRearrange  bool `json:"no_rearrange,omitempty"`
 	NoCooperate  bool `json:"no_cooperate,omitempty"`
-	// Theta is the Θ-model delay ratio for the multi-theta scheme:
-	// message delays are drawn in [distance, Θ·distance]. Must be a
-	// finite value >= 1; 0 leaves the scheme default (Θ = 1).
+	// Theta is the Θ-model delay ratio, accepted only by the multi-theta
+	// scheme: message delays are drawn in [distance, Θ·distance]. Must
+	// be 0 or a finite value >= 1; 0 and 1 both mean lockstep (no delay
+	// model is installed).
 	Theta float64 `json:"theta,omitempty"`
 	// ThetaSeed selects the deterministic delay draw sequence.
 	ThetaSeed uint64 `json:"theta_seed,omitempty"`

@@ -35,9 +35,7 @@ import (
 // that fallback runs no message schedule, so the stretch factors have
 // nothing to multiply and are intentionally not applied there.
 //
-// The fault knob is independent of Θ: multi-faulty also admits a delay
-// ratio, and the one schedule player then stretches the fault-stretched
-// distance charges by the seeded delay draws as well.
+// Like multi, multi-faulty is lockstep-only: Θ belongs to multi-theta.
 
 // FaultReport carries the fault-mask accounting of a multi-faulty run.
 type FaultReport struct {

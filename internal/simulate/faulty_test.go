@@ -231,8 +231,13 @@ func TestFaultsValidation(t *testing.T) {
 			t.Fatalf("%s with faults: err = %v, want ParamError on faults", name, err)
 		}
 	}
+	// multi-faulty is lockstep-only, like multi.
+	err := ValidateParams("multi-faulty", 1, 64, 4, 4, 16, SchemeConfig{Multi: MultiOptions{Theta: 2}})
+	if !errors.As(err, &pe) || pe.Field != "theta" {
+		t.Fatalf("multi-faulty with theta: err = %v, want ParamError on theta", err)
+	}
 	// d = 2 requires a square p: the mask needs the real host mesh.
-	err := ValidateParams("multi-faulty", 2, 256, 8, 4, 8)
+	err = ValidateParams("multi-faulty", 2, 256, 8, 4, 8)
 	if !errors.As(err, &pe) || pe.Field != "p" {
 		t.Fatalf("multi-faulty d=2 p=8: err = %v, want ParamError on p", err)
 	}
@@ -293,84 +298,6 @@ func TestEngineEntryPointsRejectFaults(t *testing.T) {
 		var pe *ParamError
 		if !errors.As(err, &pe) || pe.Field != "faults" {
 			t.Errorf("%s with faults 0.3: err = %v, want ParamError on faults", name, err)
-		}
-	}
-}
-
-// TestMultiFaultyThetaComposes checks that Θ and the fault density are
-// independent knobs of one engine. Multi-faulty admits a delay ratio
-// (and still refuses an invalid one); at density 0 it equals
-// multi-theta bit for bit; on a real fault mask, Time + PrepTime is
-// monotone non-decreasing in Θ at fixed seeds, and delays never change
-// the outputs.
-func TestMultiFaultyThetaComposes(t *testing.T) {
-	ctx := context.Background()
-	var pe *ParamError
-	if err := ValidateParams("multi-faulty", 1, 64, 4, 4, 16, SchemeConfig{Multi: MultiOptions{Theta: 2, Faults: 0.1}}); err != nil {
-		t.Fatalf("multi-faulty with theta 2: %v", err)
-	}
-	err := ValidateParams("multi-faulty", 1, 64, 4, 4, 16, SchemeConfig{Multi: MultiOptions{Theta: 0.5}})
-	if !errors.As(err, &pe) || pe.Field != "theta" {
-		t.Fatalf("multi-faulty with theta 0.5: err = %v, want ParamError on theta", err)
-	}
-
-	for _, tc := range []struct {
-		d, n, p, m, steps int
-		prog              guest.AsNetwork
-	}{
-		{1, 64, 8, 16, 16, guest.AsNetwork{G: guest.MixCA{Seed: 9}}},
-		{2, 256, 16, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}},
-		{3, 512, 64, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}},
-	} {
-		run := func(scheme string, opts MultiOptions) MultiResult {
-			t.Helper()
-			mr, err := RunSchemeContext(ctx, scheme, tc.d, tc.n, tc.p, tc.m, tc.steps, tc.prog, SchemeConfig{Multi: opts})
-			if err != nil {
-				t.Fatalf("%s d=%d %+v: %v", scheme, tc.d, opts, err)
-			}
-			return mr
-		}
-
-		// (a) Density 0 composes to exactly multi-theta.
-		for _, theta := range []float64{1.5, 2, 4} {
-			for _, seed := range []uint64{0, 7, 11} {
-				opts := MultiOptions{Theta: theta, ThetaSeed: seed}
-				th, fa := run("multi-theta", opts), run("multi-faulty", opts)
-				if fa.Time != th.Time || fa.PrepTime != th.PrepTime {
-					t.Errorf("d=%d theta=%v seed=%d: multi-faulty (%v, %v) != multi-theta (%v, %v)",
-						tc.d, theta, seed, fa.Time, fa.PrepTime, th.Time, th.PrepTime)
-				}
-				for _, c := range cost.Categories() {
-					if fa.Ledger.Total(c) != th.Ledger.Total(c) || fa.Ledger.Count(c) != th.Ledger.Count(c) {
-						t.Errorf("d=%d theta=%v seed=%d: ledger %s (%v, %d) != (%v, %d)", tc.d, theta, seed, c,
-							fa.Ledger.Total(c), fa.Ledger.Count(c), th.Ledger.Total(c), th.Ledger.Count(c))
-					}
-				}
-			}
-		}
-
-		// (b) On a fault mask, Θ only slows the machine and never moves
-		// a value.
-		clean := run("multi", MultiOptions{})
-		for _, density := range []float64{0.1, 0.3} {
-			for _, faultSeed := range []uint64{0, 11} {
-				prev := cost.Time(0)
-				for _, theta := range []float64{0, 1.5, 2, 4, 8} {
-					mr := run("multi-faulty", MultiOptions{Theta: theta, ThetaSeed: 7, Faults: density, FaultSeed: faultSeed})
-					full := mr.Time + mr.PrepTime
-					if full < prev {
-						t.Errorf("d=%d faults=%v seed=%d: Time+PrepTime fell from %v to %v at theta=%v",
-							tc.d, density, faultSeed, prev, full, theta)
-					}
-					prev = full
-					for i := range clean.Outputs {
-						if mr.Outputs[i] != clean.Outputs[i] {
-							t.Fatalf("d=%d faults=%v theta=%v: output %d differs from the fault-free run",
-								tc.d, density, theta, i)
-						}
-					}
-				}
-			}
 		}
 	}
 }

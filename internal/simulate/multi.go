@@ -83,11 +83,11 @@ func (o MultiOptions) faultMuls() (distMul, memMul float64) {
 	return distMul, memMul
 }
 
-// delayModel builds the cost.DelayModel the options select: nil for
+// delayModel builds the delay model the options select: nil for
 // lockstep (Theta 0, or 1, where every factor is exactly 1), a seeded
-// ThetaModel otherwise. Callers validate Theta first (validateTheta), so
-// construction cannot fail.
-func (o MultiOptions) delayModel() cost.DelayModel {
+// cost.ThetaModel otherwise. Callers validate Theta first
+// (validateTheta), so construction cannot fail.
+func (o MultiOptions) delayModel() *cost.ThetaModel {
 	if o.Theta == 0 || o.Theta == 1 {
 		return nil
 	}

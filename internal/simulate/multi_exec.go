@@ -298,7 +298,7 @@ type multiSchedule struct {
 // bank snapshots and never charges anything, so the charge sequence —
 // and with it every golden virtual time — is identical with tr nil or
 // attached.
-func playSchedule(tr *obs.Tracer, p int, sch multiSchedule, dm cost.DelayModel) (*cost.Bank, cost.Time) {
+func playSchedule(tr *obs.Tracer, p int, sch multiSchedule, dm *cost.ThetaModel) (*cost.Bank, cost.Time) {
 	bank := cost.NewBank(p)
 	bank.SetDelayModel(dm)
 	sched := tr.Start("schedule")

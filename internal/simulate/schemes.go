@@ -166,9 +166,7 @@ func analyticScheme() Scheme {
 }
 
 // multiVariant is one registry name over the one multiprocessor engine:
-// the knobs, Θ and the fault density, that the name admits. The knobs
-// are independent settings of the same schedule player, so a name that
-// admits both runs Θ delays on the fault-masked mesh.
+// the knobs, Θ and the fault density, that the name admits.
 type multiVariant struct {
 	name, description string
 	theta, faults     bool
@@ -178,7 +176,7 @@ type multiVariant struct {
 var multiVariants = []multiVariant{
 	{"multi", "multiprocessor rearrangement + cooperating mode (Thm. 4 / Thm. 1), slowdown Θ((n/p)·A(n, m, p))", false, false},
 	{"multi-theta", "Θ-model multi: seeded delays in [dist, Θ·dist]; Θ = 1 recovers lockstep exactly", true, false},
-	{"multi-faulty", "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds", true, true},
+	{"multi-faulty", "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds", false, true},
 }
 
 // multiEngines holds the multiprocessor engine entry point of each

@@ -5,21 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkMultiD1Theta pairs with BenchmarkMultiD1: the identical
-// tuple at Θ = 1, where every delay factor is exactly 1 and the one
-// schedule player installs no delay model. The two should time alike.
-func BenchmarkMultiD1Theta(b *testing.B) {
-	prog := netProg(0)
-	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, prog, MultiOptions{Theta: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiD1ThetaStretch is the same tuple at Θ = 2: every
-// distance-proportional charge additionally draws a seeded delay
-// factor, and the desynchronized joins do real Idle work.
+// BenchmarkMultiD1ThetaStretch pairs with BenchmarkMultiD1: the
+// identical tuple at Θ = 2, where every distance-proportional charge
+// additionally draws a seeded delay factor and the desynchronized joins
+// do real Idle work.
 func BenchmarkMultiD1ThetaStretch(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {

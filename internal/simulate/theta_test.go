@@ -57,9 +57,12 @@ func TestMultiThetaGoldenAtOne(t *testing.T) {
 	}
 }
 
-// TestMultiThetaMatchesLockstepLive compares a default (Θ = 1)
-// multi-theta run against a live lockstep run in full: times, ledger totals and counts,
-// and the per-phase breakdown, entry by entry.
+// TestMultiThetaMatchesLockstepLive pins the registry alias: a
+// multi-theta run with Θ unset (lockstep) matches a live multi run in
+// full — times, ledger totals and counts, the per-phase breakdown entry
+// by entry, and the outputs. Both take the same lockstep path through
+// the one schedule player; this checks that the multi-theta name adds
+// nothing to it.
 func TestMultiThetaMatchesLockstepLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 4}}
 	lock, err := RunSchemeContext(context.Background(), "multi", 1, 64, 4, 4, 16, prog, SchemeConfig{})

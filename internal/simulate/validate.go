@@ -55,8 +55,8 @@ func perrF(scheme, field, constraint string, got float64) *ParamError {
 	return &ParamError{Scheme: scheme, Field: field, Constraint: constraint, Got: got}
 }
 
-// validateTheta checks the Θ-model delay ratio: 0 means unset (the
-// scheme default applies), any other value must be finite and >= 1 —
+// validateTheta checks the Θ-model delay ratio: 0 means unset
+// (lockstep), any other value must be finite and >= 1 —
 // delays live in [distance, Θ·distance], so a ratio below 1 would mean
 // faster-than-bounded-speed propagation.
 func validateTheta(scheme string, theta float64) *ParamError {
