@@ -339,9 +339,9 @@ type Bank struct {
 	marks  []phaseMark
 
 	// dm, when set, stretches distance-proportional charges
-	// (ChargeDelayed) by bounded per-charge factors; nil is
-	// the lockstep machine. delaySeq holds the per-processor draw
-	// counters the model is keyed on.
+	// (ChargeDelayed) by bounded per-charge factors; nil is the lockstep
+	// machine. delaySeq holds the per-processor draw counters the model
+	// is keyed on.
 	dm       *ThetaModel
 	delaySeq []uint64
 }
