@@ -24,6 +24,7 @@ import (
 	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
+	"bsmp/internal/network"
 )
 
 // Rule90 is the elementary cellular automaton 90 (XOR of the two
@@ -142,6 +143,36 @@ func (c MixCA) Step2(node, step int, cell hram.Word, prev []hram.Word) (hram.Wor
 	return s + cell*2654435761, cell ^ (s | 1)
 }
 
+// StepRow implements network.RowProgram: one loop steps every node of
+// step r.T for any d, leaving outputs, memory and addresses exactly as
+// per-vertex Address and Step2 calls would. The step's seed term
+// T·0x9E3779B1·31 is computed once, and the address (v+T) mod m
+// advances by one per node with no division.
+func (c MixCA) StepRow(r *network.Row) bool {
+	n, m := len(r.Out), r.M
+	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
+	off, adj := r.Off[:n+1], r.Adj
+	s0 := hram.Word(r.T) * 0x9E3779B1 * 31
+	a := r.T % m
+	for v := 0; v < n; v++ {
+		if uint(a) >= uint(m) {
+			panic(fmt.Sprintf("guest: node %d addressed cell %d of %d at step %d", v, a, m, r.T))
+		}
+		s, k := s0+prev[v]*3, hram.Word(5)
+		for _, u := range adj[off[v]:off[v+1]] {
+			s = s*31 + prev[u]*k
+			k += 2
+		}
+		i := v*m + a
+		cell := mem[i]
+		out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+		if a++; a == m {
+			a = 0
+		}
+	}
+	return true
+}
+
 // AsNetwork adapts a guest to the network.Program interface. The adapter
 // exists because Go cannot overload Step; guests expose Step (dag) and
 // Step2 (network) and this wrapper renames the latter. Side carries the
@@ -181,6 +212,16 @@ func (a AsNetwork) Address(node, step, memSize int) int {
 // Step implements network.Program.
 func (a AsNetwork) Step(node, step int, cell hram.Word, prev []hram.Word) (hram.Word, hram.Word) {
 	return a.G.Step2(node, step, cell, prev)
+}
+
+// StepRow implements network.RowProgram by forwarding to the wrapped
+// guest's row kernel; a guest without one declines, and the stepper
+// runs its per-vertex path.
+func (a AsNetwork) StepRow(r *network.Row) bool {
+	if k, ok := a.G.(network.RowProgram); ok {
+		return k.StepRow(r)
+	}
+	return false
 }
 
 // AddrClass forwards to the wrapped guest when it classifies its

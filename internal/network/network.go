@@ -22,12 +22,12 @@ import (
 
 // Machine is an Md(n, p, m).
 type Machine struct {
-	// D is the mesh dimension (1 or 2).
+	// D is the mesh dimension (1, 2 or 3).
 	D int
 	// N is the machine volume: the guest-equivalent processor count.
 	N int
 	// P is the number of (CPU, memory-module) nodes; for D = 2 it must
-	// be a perfect square.
+	// be a perfect square, for D = 3 a perfect cube.
 	P int
 	// M is the memory density: cells per unit of volume. Each node holds
 	// M*N/P words.
@@ -119,7 +119,8 @@ func (ma *Machine) NodeMemory() int { return ma.M * (ma.N / ma.P) }
 // Spacing reports the geometric near-neighbor distance (n/p)^(1/d).
 func (ma *Machine) Spacing() float64 { return ma.spacing }
 
-// Side reports the mesh side sqrt(p) for d = 2, or p for d = 1.
+// Side reports the mesh side: p for d = 1, sqrt(p) for d = 2 and
+// cbrt(p) for d = 3.
 func (ma *Machine) Side() int { return ma.topo.Side() }
 
 // Coord maps node index i to grid coordinates: (i, 0) for d = 1,
@@ -142,19 +143,6 @@ func (ma *Machine) Distance(i, j int) float64 { return ma.topo.Dist(i, j) }
 // Neighbors appends the node indices adjacent to i (d = 1: left, right;
 // d = 2: plus south, north; d = 3: plus down, up), clipped to the machine.
 func (ma *Machine) Neighbors(i int, buf []int) []int { return ma.topo.Neighbors(i, buf) }
-
-// neighborLists materializes every node's neighbor list once. The guest
-// executors are per-vertex hot loops; enumerating adjacency up front
-// replaces a topology call per vertex per step with a slice read, and
-// the lists are identical every step (the geometry is static), so
-// outputs and charges are unchanged.
-func neighborLists(topo topology.Topology, n int) [][]int {
-	nbr := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nbr[v] = topo.Neighbors(v, nil)
-	}
-	return nbr
-}
 
 // Send transmits words from node i to node j, charging bounded-speed
 // message time (distance latency plus unit-rate streaming) on the Bank.
@@ -191,41 +179,85 @@ type Program interface {
 // whose hook always returns nil is bit-identical to an unhooked one.
 type StepHook func(vertices int) error
 
+// Row is one synchronous step handed to a RowProgram whole: step T of
+// a guest whose nodes hold M memory words each. Prev holds the broadcast
+// values of step T-1 and Out receives those of step T; Mem is every
+// node's memory, node v's M words at [v·M, (v+1)·M); Addr receives the
+// cell each node addressed. Node v's neighbors, in operand order (-x, +x,
+// -y, +y, -z, +z, clipped), are Adj[Off[v]:Off[v+1]], and len(Off) is
+// len(Out)+1.
+type Row struct {
+	T, M           int
+	Prev, Out, Mem []hram.Word
+	Addr           []int
+	Off, Adj       []int32
+}
+
+// RowProgram is implemented by a Program that can step every node of a
+// step in one call, over the guest's flat memory and neighbor offsets.
+// StepRow must leave Out, Mem and Addr exactly as Guest's per-vertex
+// loop over the Program's own Address and Step would: node v addresses
+// cell Address(v, T, M), and its Step operands are Prev[v] followed by
+// Prev[u] for each u in Adj order. An out-of-range address panics, as
+// it does in Step. StepRow returns false, having written nothing, to
+// leave the step to the per-vertex loop.
+type RowProgram interface {
+	StepRow(r *Row) bool
+}
+
 // Guest is a synchronous guest computation held between steps: the
 // broadcast values of the last step and of the one before it, every
 // node's m-word memory in one n·m backing array, the cell each node
-// addressed at the last step, and the static neighbor lists of the
-// guest's topology. Its Step is the one loop that applies Definition 3's
-// step rule; the pure replay, the accounted run that measures Tn and the
-// naive engine drive it and add only their own charges.
+// addressed at the last step, and the guest topology's static neighbor
+// lists stored as offsets into one flat array. Its Step is the one loop
+// that applies Definition 3's step rule; the pure replay, the accounted
+// run that measures Tn and the naive engine drive it and add only their
+// own charges.
 type Guest struct {
 	prog      Program
+	row       RowProgram // prog's row path, nil when it has none
 	m         int
-	nbr       [][]int
+	off, adj  []int32
 	out, prev []hram.Word
 	mem       []hram.Word
 	addr      []int
 	ops       []hram.Word
 	steps     int
+	// args is StepRow's argument, kept in the guest so a step
+	// allocates nothing.
+	args Row
 }
 
 // NewGuest loads prog on the nodes of topo with m memory words each. The
 // initial load (prog.Init, the values of the dag vertices (v, 0)) is
-// free: inputs are assumed in place, as in the paper's model.
+// free: inputs are assumed in place, as in the paper's model. Node v's
+// neighbors land at adj[off[v]:off[v+1]], enumerated once through one
+// reused buffer into an array sized to the 2d·n bound.
 func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
-	n := topo.Nodes()
+	n, bound := topo.Nodes(), 2*topo.Dim()*topo.Nodes()
+	if bound > math.MaxInt32 {
+		panic(fmt.Sprintf("network: %d neighbor slots overflow the int32 offsets", bound))
+	}
 	g := &Guest{
 		prog: prog,
 		m:    m,
-		nbr:  neighborLists(topo, n),
+		off:  make([]int32, n+1),
+		adj:  make([]int32, 0, bound),
 		out:  make([]hram.Word, n),
 		prev: make([]hram.Word, n),
 		mem:  make([]hram.Word, n*m),
 		addr: make([]int, n),
 	}
+	g.row, _ = prog.(RowProgram)
+	var buf []int
 	deg := 0
-	for _, nb := range g.nbr {
-		deg = max(deg, len(nb))
+	for v := 0; v < n; v++ {
+		buf = topo.Neighbors(v, buf[:0])
+		for _, u := range buf {
+			g.adj = append(g.adj, int32(u))
+		}
+		g.off[v+1] = int32(len(g.adj))
+		deg = max(deg, len(buf))
 	}
 	g.ops = make([]hram.Word, 1+deg)
 	for v := range g.out {
@@ -237,25 +269,46 @@ func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 // Step executes one synchronous step: every node v reads its addressed
 // cell and combines it with the previous broadcast values of v and its
 // neighbors, in neighbor order, then rewrites the cell and its broadcast
-// value. It is kept out of line so the drivers' hook and charge code
-// never shares a register allocation with the vertex loop. The operands
-// go into a buffer sized once to 1 + the topology's largest degree and
-// filled by index: appending to it kept a grow path in the loop and made
-// the served replay measurably slower.
+// value. A RowProgram steps the whole row in one call; the per-vertex
+// loop runs when the program has no row path or declines the step. Step
+// is kept out of line so the drivers' hook and charge code never shares
+// a register allocation with the vertex loop.
 //
 //go:noinline
 func (g *Guest) Step() {
 	t := g.steps + 1
 	g.out, g.prev = g.prev, g.out
+	if !g.stepRow(t) {
+		g.stepVertices(t)
+	}
+	g.steps = t
+}
+
+// stepRow offers step t to the program's row path and reports whether
+// the program took it.
+func (g *Guest) stepRow(t int) bool {
+	if g.row == nil {
+		return false
+	}
+	g.args = Row{T: t, M: g.m, Prev: g.prev, Out: g.out, Mem: g.mem, Addr: g.addr, Off: g.off, Adj: g.adj}
+	return g.row.StepRow(&g.args)
+}
+
+// stepVertices is the per-vertex path of step t: one Address and one
+// Step call per node. The operands go into a buffer sized once to 1 +
+// the topology's largest degree and filled by index: appending to it
+// kept a grow path in the loop and made the served replay measurably
+// slower.
+func (g *Guest) stepVertices(t int) {
 	n := len(g.out)
-	prog, m, mem, ops := g.prog, g.m, g.mem, g.ops
-	nbr, out, prev, addr := g.nbr[:n], g.out[:n], g.prev[:n], g.addr[:n]
+	prog, m, mem, ops, adj := g.prog, g.m, g.mem, g.ops, g.adj
+	off, out, prev, addr := g.off[:n+1], g.out[:n], g.prev[:n], g.addr[:n]
 	for v := 0; v < n; v++ {
 		a := prog.Address(v, t, m)
 		if uint(a) >= uint(m) {
 			panic(fmt.Sprintf("network: node %d addressed cell %d of %d at step %d", v, a, m, t))
 		}
-		nb := nbr[v]
+		nb := adj[off[v]:off[v+1]]
 		ops[0] = prev[v]
 		for i, u := range nb {
 			ops[i+1] = prev[u]
@@ -264,7 +317,6 @@ func (g *Guest) Step() {
 		out[v], mem[c] = prog.Step(v, t, mem[c], ops[:len(nb)+1])
 		addr[v] = a
 	}
-	g.steps = t
 }
 
 // Run advances the guest to step steps, polling hook (when non-nil)
@@ -296,8 +348,9 @@ func (g *Guest) Memory() []hram.Word { return g.mem }
 // Memories returns per-node views of Memory.
 func (g *Guest) Memories() [][]hram.Word { return NodeMemories(g.mem, g.m) }
 
-// Neighbors returns node v's neighbor list, in operand order.
-func (g *Guest) Neighbors(v int) []int { return g.nbr[v] }
+// Neighbors returns node v's neighbors, in operand order. The slice is
+// the guest's own.
+func (g *Guest) Neighbors(v int) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
 
 // Addr reports the cell node v addressed at the last step.
 func (g *Guest) Addr(v int) int { return g.addr[v] }

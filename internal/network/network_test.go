@@ -33,6 +33,30 @@ func (caProg) Step(node, step int, cell hram.Word, prev []hram.Word) (hram.Word,
 	return s + hram.Word(step), s ^ cell
 }
 
+// caRowProg is caProg with a row path: StepRow steps the whole row with
+// caProg's own arithmetic, over the guest's neighbor offsets.
+type caRowProg struct{ caProg }
+
+func (caRowProg) StepRow(r *Row) bool {
+	for v := range r.Out {
+		a := (v + r.T) % r.M
+		c := v*r.M + a
+		cell := r.Mem[c]
+		s := cell*31 + r.Prev[v]
+		for i, u := range r.Adj[r.Off[v]:r.Off[v+1]] {
+			s = s*31 + r.Prev[u]*hram.Word(i+2)
+		}
+		r.Out[v], r.Mem[c], r.Addr[v] = s+hram.Word(r.T), s^cell, a
+	}
+	return true
+}
+
+// caDeclineProg is caProg with a row path that declines every step, so
+// the guest falls back to the per-vertex loop.
+type caDeclineProg struct{ caProg }
+
+func (caDeclineProg) StepRow(*Row) bool { return false }
+
 func TestNewValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad d":        func() { New(4, 8, 8, 1) },
@@ -240,98 +264,121 @@ func TestPropertyIndexCoordInverse(t *testing.T) {
 	}
 }
 
-// TestGuestStepperLaws pins the one guest step loop and its drivers:
-// the accounted run reproduces the pure replay (outputs and every node's
-// final H-RAM memory); a live always-nil hook is polled once per step
-// with n and changes no output, clock or ledger; a hook failing before
-// step k returns its error with every clock where a (k-1)-step run
-// leaves it; and stepping k steps then the rest equals stepping at once,
-// which is what lets a replay resume from a held state.
+// TestGuestStepperLaws pins the one guest step loop and its drivers,
+// on the per-vertex path (caProg), the row path (caRowProg) and a row
+// path that declines every step (caDeclineProg): the pure replay of
+// each equals caProg's, outputs and memories; the accounted run
+// reproduces the pure replay (outputs and every node's final H-RAM
+// memory); a live always-nil hook is polled once per step with n and
+// changes no output, clock or ledger; a hook failing before step k
+// returns its error with every clock where a (k-1)-step run leaves it;
+// and stepping k steps then the rest equals stepping at once, which is
+// what lets a replay resume from a held state.
 func TestGuestStepperLaws(t *testing.T) {
 	const steps, k = 12, 5
 	for _, d := range []int{1, 2, 3} {
 		n := []int{0, 16, 16, 27}[d]
 		for _, m := range []int{1, 4} {
-			name := fmt.Sprintf("d=%d/m=%d", d, m)
 			wantOut, wantMem := RunGuestPure(d, n, m, steps, caProg{})
+			for _, prog := range []Program{caProg{}, caRowProg{}, caDeclineProg{}} {
+				name := fmt.Sprintf("%T/d=%d/m=%d", prog, d, m)
+				checkStepperLaws(t, name, prog, d, n, m, steps, k, wantOut, wantMem)
+			}
+		}
+	}
+}
 
-			base := New(d, n, n, m)
-			out, elapsed, err := RunGuest(base, caProg{}, steps, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+// checkStepperLaws asserts TestGuestStepperLaws' laws for one program
+// against caProg's pure replay (wantOut, wantMem).
+func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k int, wantOut []hram.Word, wantMem [][]hram.Word) {
+	t.Helper()
+	pureOut, pureMem := RunGuestPure(d, n, m, steps, prog)
+	for v := 0; v < n; v++ {
+		if pureOut[v] != wantOut[v] {
+			t.Fatalf("%s: node %d pure output %d, caProg %d", name, v, pureOut[v], wantOut[v])
+		}
+		for a := 0; a < m; a++ {
+			if pureMem[v][a] != wantMem[v][a] {
+				t.Fatalf("%s: node %d pure cell %d = %d, caProg %d", name, v, a, pureMem[v][a], wantMem[v][a])
 			}
-			for v := 0; v < n; v++ {
-				if out[v] != wantOut[v] {
-					t.Fatalf("%s: node %d output %d, pure %d", name, v, out[v], wantOut[v])
-				}
-				for a := 0; a < m; a++ {
-					if got := base.Nodes[v].Peek(a); got != wantMem[v][a] {
-						t.Fatalf("%s: node %d cell %d = %d, pure %d", name, v, a, got, wantMem[v][a])
-					}
-				}
-			}
+		}
+	}
 
-			hooked := New(d, n, n, m)
-			calls := 0
-			outH, elapsedH, err := RunGuest(hooked, caProg{}, steps, func(vertices int) error {
-				calls++
-				if vertices != n {
-					t.Fatalf("%s: hook vertices = %d, want %d", name, vertices, n)
-				}
-				return nil
-			})
-			if err != nil || calls != steps || elapsedH != elapsed {
-				t.Fatalf("%s: hooked run err %v, %d polls (want %d), elapsed %v (want %v)",
-					name, err, calls, steps, elapsedH, elapsed)
+	base := New(d, n, n, m)
+	out, elapsed, err := RunGuest(base, prog, steps, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for v := 0; v < n; v++ {
+		if out[v] != wantOut[v] {
+			t.Fatalf("%s: node %d output %d, pure %d", name, v, out[v], wantOut[v])
+		}
+		for a := 0; a < m; a++ {
+			if got := base.Nodes[v].Peek(a); got != wantMem[v][a] {
+				t.Fatalf("%s: node %d cell %d = %d, pure %d", name, v, a, got, wantMem[v][a])
 			}
-			if hooked.Bank.Ledgers() != base.Bank.Ledgers() {
-				t.Fatalf("%s: hooked ledger %v, unhooked %v", name, hooked.Bank.Ledgers(), base.Bank.Ledgers())
-			}
-			for v := 0; v < n; v++ {
-				if outH[v] != out[v] || hooked.Bank.Proc(v).Now() != base.Bank.Proc(v).Now() {
-					t.Fatalf("%s: node %d differs under a nil-returning hook", name, v)
-				}
-			}
+		}
+	}
 
-			stop := errors.New("stop")
-			failed := New(d, n, n, m)
-			polls := 0
-			if _, _, err := RunGuest(failed, caProg{}, steps, func(int) error {
-				if polls++; polls == k {
-					return stop
-				}
-				return nil
-			}); err != stop {
-				t.Fatalf("%s: failing hook returned %v, want %v", name, err, stop)
-			}
-			short := New(d, n, n, m)
-			if _, _, err := RunGuest(short, caProg{}, k-1, nil); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for v := 0; v < n; v++ {
-				if failed.Bank.Proc(v).Now() != short.Bank.Proc(v).Now() {
-					t.Fatalf("%s: node %d clock %v after a failure before step %d, want %v",
-						name, v, failed.Bank.Proc(v).Now(), k, short.Bank.Proc(v).Now())
-				}
-			}
+	hooked := New(d, n, n, m)
+	calls := 0
+	outH, elapsedH, err := RunGuest(hooked, prog, steps, func(vertices int) error {
+		calls++
+		if vertices != n {
+			t.Fatalf("%s: hook vertices = %d, want %d", name, vertices, n)
+		}
+		return nil
+	})
+	if err != nil || calls != steps || elapsedH != elapsed {
+		t.Fatalf("%s: hooked run err %v, %d polls (want %d), elapsed %v (want %v)",
+			name, err, calls, steps, elapsedH, elapsed)
+	}
+	if hooked.Bank.Ledgers() != base.Bank.Ledgers() {
+		t.Fatalf("%s: hooked ledger %v, unhooked %v", name, hooked.Bank.Ledgers(), base.Bank.Ledgers())
+	}
+	for v := 0; v < n; v++ {
+		if outH[v] != out[v] || hooked.Bank.Proc(v).Now() != base.Bank.Proc(v).Now() {
+			t.Fatalf("%s: node %d differs under a nil-returning hook", name, v)
+		}
+	}
 
-			g := NewGuest(topology.NewMesh(d, n, n), m, caProg{})
-			if err := g.Run(k, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Run(steps, nil); err != nil || g.Steps() != steps {
-				t.Fatalf("%s: resumed run err %v at step %d", name, err, g.Steps())
-			}
-			for v := 0; v < n; v++ {
-				if g.Outputs()[v] != wantOut[v] {
-					t.Fatalf("%s: resumed node %d output differs", name, v)
-				}
-			}
-			for i, w := range g.Memory() {
-				if w != wantMem[i/m][i%m] {
-					t.Fatalf("%s: resumed memory word %d differs", name, i)
-				}
-			}
+	stop := errors.New("stop")
+	failed := New(d, n, n, m)
+	polls := 0
+	if _, _, err := RunGuest(failed, prog, steps, func(int) error {
+		if polls++; polls == k {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatalf("%s: failing hook returned %v, want %v", name, err, stop)
+	}
+	short := New(d, n, n, m)
+	if _, _, err := RunGuest(short, prog, k-1, nil); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for v := 0; v < n; v++ {
+		if failed.Bank.Proc(v).Now() != short.Bank.Proc(v).Now() {
+			t.Fatalf("%s: node %d clock %v after a failure before step %d, want %v",
+				name, v, failed.Bank.Proc(v).Now(), k, short.Bank.Proc(v).Now())
+		}
+	}
+
+	g := NewGuest(topology.NewMesh(d, n, n), m, prog)
+	if err := g.Run(k, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(steps, nil); err != nil || g.Steps() != steps {
+		t.Fatalf("%s: resumed run err %v at step %d", name, err, g.Steps())
+	}
+	for v := 0; v < n; v++ {
+		if g.Outputs()[v] != wantOut[v] {
+			t.Fatalf("%s: resumed node %d output differs", name, v)
+		}
+	}
+	for i, w := range g.Memory() {
+		if w != wantMem[i/m][i%m] {
+			t.Fatalf("%s: resumed memory word %d differs", name, i)
 		}
 	}
 }
