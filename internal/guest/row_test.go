@@ -12,17 +12,17 @@ import (
 // so the guest stepper takes its per-vertex path.
 type perVertex struct{ network.Program }
 
-// mixcaOn is MixCA on a d-dimensional mesh of the given side, with the
+// mixcaOn is MixCA on the d-dimensional mesh of the given side, with the
 // grid geometry the served and battery runs give it.
-func mixcaOn(d, side int, seed uint64) AsNetwork {
-	prog := AsNetwork{G: MixCA{Seed: seed}}
+func mixcaOn(d, side int, seed uint64) (AsNetwork, topology.Topology) {
+	prog, n := AsNetwork{G: MixCA{Seed: seed}}, side
 	switch d {
 	case 2:
-		prog.Side = side
+		prog.Side, n = side, side*side
 	case 3:
-		prog.CubeSide = side
+		prog.CubeSide, n = side, side*side*side
 	}
-	return prog
+	return prog, topology.NewMesh(d, n, n)
 }
 
 // checkRowKernel steps MixCA through its row kernel and through the
@@ -30,12 +30,7 @@ func mixcaOn(d, side int, seed uint64) AsNetwork {
 // an output, an addressed cell or any memory word differs.
 func checkRowKernel(t testing.TB, d, side, m, steps int, seed uint64) {
 	t.Helper()
-	n := side
-	for i := 1; i < d; i++ {
-		n *= side
-	}
-	prog := mixcaOn(d, side, seed)
-	topo := topology.NewMesh(d, n, n)
+	prog, topo := mixcaOn(d, side, seed)
 	row := network.NewGuest(topo, m, prog)
 	ref := network.NewGuest(topo, m, perVertex{prog})
 	name := fmt.Sprintf("d=%d side=%d m=%d seed=%d", d, side, m, seed)
@@ -94,17 +89,14 @@ func FuzzRowKernel(f *testing.F) {
 // the per-vertex path, and reports the cost per vertex.
 func BenchmarkGuestStep(b *testing.B) {
 	for _, c := range []struct{ d, side int }{{1, 4096}, {2, 32}, {3, 16}} {
-		n := c.side
-		for i := 1; i < c.d; i++ {
-			n *= c.side
-		}
-		prog := mixcaOn(c.d, c.side, 5)
+		prog, topo := mixcaOn(c.d, c.side, 5)
+		n := topo.Nodes()
 		for _, path := range []struct {
 			name string
 			prog network.Program
 		}{{"row", prog}, {"vertex", perVertex{prog}}} {
 			b.Run(fmt.Sprintf("d=%d/%s", c.d, path.name), func(b *testing.B) {
-				g := network.NewGuest(topology.NewMesh(c.d, n, n), 4, path.prog)
+				g := network.NewGuest(topo, 4, path.prog)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					g.Step()

@@ -234,7 +234,8 @@ type Guest struct {
 // neighbors land at adj[off[v]:off[v+1]], enumerated once through one
 // reused buffer into an array sized to the 2d·n bound.
 func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
-	n, bound := topo.Nodes(), 2*topo.Dim()*topo.Nodes()
+	n := topo.Nodes()
+	bound := 2 * topo.Dim() * n
 	if bound > math.MaxInt32 {
 		panic(fmt.Sprintf("network: %d neighbor slots overflow the int32 offsets", bound))
 	}
