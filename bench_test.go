@@ -77,7 +77,7 @@ func BenchmarkTheorem3(b *testing.B) {
 	n, m, steps := 128, 16, 32
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg())
+		res, err := simulate.BlockedContext(context.Background(), 1, n, m, steps, 0, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkTheorem3D2(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, Side: side}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.BlockedD2Context(context.Background(), side*side, m, steps, 0, prog)
+		res, err := simulate.BlockedContext(context.Background(), 2, side*side, m, steps, 0, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkTheorem1D1(b *testing.B) {
 	n, p, m, steps := 256, 8, 16, 64
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{})
+		res, err := simulate.MultiContext(context.Background(), 1, n, p, m, steps, benchProg(), MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkTheorem1D2(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, Side: side}
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+		res, err := simulate.MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkOptimalS(b *testing.B) {
 		best := -1.0
 		var bestT Time
 		for sw := 1; sw <= n/p; sw *= 2 {
-			res, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{StripWidth: sw})
+			res, err := simulate.MultiContext(context.Background(), 1, n, p, m, steps, benchProg(), MultiOptions{StripWidth: sw})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -198,15 +198,15 @@ func BenchmarkAblations(b *testing.B) {
 	n, p, m, steps := 256, 8, 16, 64
 	var noRe, noCoop float64
 	for i := 0; i < b.N; i++ {
-		full, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{})
+		full, err := simulate.MultiContext(context.Background(), 1, n, p, m, steps, benchProg(), MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{NoRearrange: true})
+		r1, err := simulate.MultiContext(context.Background(), 1, n, p, m, steps, benchProg(), MultiOptions{NoRearrange: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := simulate.MultiD1Context(context.Background(), n, p, m, steps, benchProg(), MultiOptions{NoCooperate: true})
+		r2, err := simulate.MultiContext(context.Background(), 1, n, p, m, steps, benchProg(), MultiOptions{NoCooperate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,11 +223,11 @@ func BenchmarkPipelinedBlocks(b *testing.B) {
 	n, m, steps := 128, 16, 32
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		std, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg())
+		std, err := simulate.BlockedContext(context.Background(), 1, n, m, steps, 0, benchProg())
 		if err != nil {
 			b.Fatal(err)
 		}
-		pipe, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, benchProg(), hram.WithPipelinedBlocks())
+		pipe, err := simulate.BlockedContext(context.Background(), 1, n, m, steps, 0, benchProg(), hram.WithPipelinedBlocks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,11 +242,11 @@ func BenchmarkRestrictedMemory(b *testing.B) {
 	n, m, steps := 128, 64, 32
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		full, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: m})
+		full, err := simulate.BlockedContext(context.Background(), 1, n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: m})
 		if err != nil {
 			b.Fatal(err)
 		}
-		small, err := simulate.BlockedD1Context(context.Background(), n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: 4})
+		small, err := simulate.BlockedContext(context.Background(), 1, n, m, steps, 0, RestrictMem{P: MixCA{Seed: 13}, Words: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func BenchmarkConjectureD3Multi(b *testing.B) {
 	prog := AsNetwork{G: MixCA{Seed: 9}, CubeSide: side}
 	var ameas float64
 	for i := 0; i < b.N; i++ {
-		res, err := simulate.MultiD3Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+		res, err := simulate.MultiContext(context.Background(), 3, n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

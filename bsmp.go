@@ -103,14 +103,15 @@ func RunGuest(m *Machine, prog Program, steps int) ([]Word, Time) {
 // GuestTimeContext measures Tn for Md(n, n, m) running prog — the
 // denominator of every slowdown in the paper. The run polls cancellation
 // cooperatively and reports progress to any attached Progress; a
-// never-cancelled run measures the same time.
+// never-cancelled run measures the same time. Malformed geometry gets a
+// *ParamError, never a panic.
 func GuestTimeContext(ctx context.Context, d, n, m, steps int, prog Program) (Time, error) {
 	return simulate.GuestTimeContext(ctx, d, n, m, steps, prog)
 }
 
 // UniNaiveContext runs the unsophisticated uniprocessor baseline over
 // the m = 1 guest dag that scheme "unidc" divides and conquers: slowdown
-// Θ(n^(1+1/d)).
+// Θ(n^(1+1/d)). Malformed geometry gets a *ParamError.
 func UniNaiveContext(ctx context.Context, d, n, steps int, prog DagProgram) (Result, error) {
 	return simulate.UniNaiveDagContext(ctx, d, n, steps, prog)
 }
@@ -121,7 +122,7 @@ type RestrictMem = guest.RestrictMem
 
 // MultiD1CyclesContext repeats the n-step Theorem 4 simulation (scheme
 // "multi", d = 1) to cover cycles·n guest steps, amortizing the one-time
-// rearrangement.
+// rearrangement. A malformed tuple gets a *ParamError.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog Program, opts MultiOptions) (MultiResult, error) {
 	return simulate.MultiD1CyclesContext(ctx, n, p, m, cycles, prog, opts)
 }

@@ -2,6 +2,7 @@ package bsmp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -152,5 +153,70 @@ func TestFacadeRemainingSurface(t *testing.T) {
 	}
 	if err := rm.Verify(1, 16, 4, RestrictMem{P: MixCA{Seed: 4}, Words: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryPointsRejectMalformedGeometry drives malformed geometry into
+// the facade's direct entry points, which the registry's ValidateParams
+// does not guard: each must return a *ParamError on the offending field
+// and never panic.
+func TestEntryPointsRejectMalformedGeometry(t *testing.T) {
+	ctx := context.Background()
+	line := AsNetwork{G: MixCA{Seed: 1}}
+	cases := []struct {
+		label string
+		field string
+		run   func() error
+	}{
+		{"GuestTime d=2 n=10", "n", func() error {
+			_, err := GuestTimeContext(ctx, 2, 10, 1, 4, line)
+			return err
+		}},
+		{"GuestTime d=4", "d", func() error {
+			_, err := GuestTimeContext(ctx, 4, 64, 1, 4, line)
+			return err
+		}},
+		{"GuestTime m=0", "m", func() error {
+			_, err := GuestTimeContext(ctx, 1, 8, 0, 4, line)
+			return err
+		}},
+		{"GuestTime n=0", "n", func() error {
+			_, err := GuestTimeContext(ctx, 1, 0, 1, 4, line)
+			return err
+		}},
+		{"GuestTime steps=-1", "steps", func() error {
+			_, err := GuestTimeContext(ctx, 1, 8, 1, -1, line)
+			return err
+		}},
+		{"UniNaive steps=0", "steps", func() error {
+			_, err := UniNaiveContext(ctx, 1, 8, 0, Rule90{Seed: 1})
+			return err
+		}},
+		{"UniNaive d=4", "d", func() error {
+			_, err := UniNaiveContext(ctx, 4, 8, 4, Rule90{Seed: 1})
+			return err
+		}},
+		{"MultiD1Cycles p=3 n=8", "p", func() error {
+			_, err := MultiD1CyclesContext(ctx, 8, 3, 1, 1, line, MultiOptions{})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.label, r)
+				}
+			}()
+			err := c.run()
+			var pe *ParamError
+			if !errors.As(err, &pe) {
+				t.Errorf("%s: err = %v (%T), want *ParamError", c.label, err, err)
+				return
+			}
+			if pe.Field != c.field {
+				t.Errorf("%s: ParamError on %q, want %q (%v)", c.label, pe.Field, c.field, pe)
+			}
+		}()
 	}
 }

@@ -139,7 +139,7 @@ func T3(ctx context.Context, s Scale) (*Table, error) {
 	}
 	var ratios []float64
 	for _, m := range ms {
-		res, err := simulate.BlockedD1Context(ctx, n, m, steps, 0, prog1d())
+		res, err := simulate.BlockedContext(ctx, 1, n, m, steps, 0, prog1d())
 		if err != nil {
 			return nil, err
 		}
@@ -181,14 +181,14 @@ func T3D2(ctx context.Context, s Scale) (*Table, error) {
 	}
 	prog := prog2d(side)
 	for _, m := range ms {
-		def, err := simulate.BlockedD2Context(ctx, n, m, steps, 0, prog)
+		def, err := simulate.BlockedContext(ctx, 2, n, m, steps, 0, prog)
 		if err != nil {
 			return nil, err
 		}
 		if err := def.Verify(2, n, m, prog); err != nil {
 			return nil, err
 		}
-		forced, err := simulate.BlockedD2Context(ctx, n, m, steps, 4, prog)
+		forced, err := simulate.BlockedContext(ctx, 2, n, m, steps, 4, prog)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func T4(ctx context.Context, s Scale) (*Table, error) {
 	b12, b23, b34 := analytic.Boundaries(1, n, p)
 	var ratios []float64
 	for _, m := range ms {
-		res, err := simulate.MultiD1Context(ctx, n, p, m, steps, prog1d(), simulate.MultiOptions{})
+		res, err := simulate.MultiContext(ctx, 1, n, p, m, steps, prog1d(), simulate.MultiOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +305,7 @@ func T1D2(ctx context.Context, s Scale) (*Table, error) {
 		Header: []string{"m", "range", "span", "A_meas", "A_bound", "ratio"},
 	}
 	for _, m := range ms {
-		res, err := simulate.MultiD2Context(ctx, n, p, m, steps, prog2d(side), simulate.MultiOptions{})
+		res, err := simulate.MultiContext(ctx, 2, n, p, m, steps, prog2d(side), simulate.MultiOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +437,7 @@ func D3Multi(ctx context.Context, s Scale) (*Table, error) {
 	}
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: side}
 	for _, m := range ms {
-		res, err := simulate.MultiD3Context(ctx, n, p, m, steps, prog, simulate.MultiOptions{})
+		res, err := simulate.MultiContext(ctx, 3, n, p, m, steps, prog, simulate.MultiOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -515,7 +515,7 @@ func SStar(ctx context.Context, s Scale) (*Table, error) {
 	sStar := analytic.OptimalS(n, m, p)
 	best, bestS := math.Inf(1), 0
 	for sw := 1; sw <= n/p; sw *= 2 {
-		res, err := simulate.MultiD1Context(ctx, n, p, m, steps, prog1d(), simulate.MultiOptions{StripWidth: sw})
+		res, err := simulate.MultiContext(ctx, 1, n, p, m, steps, prog1d(), simulate.MultiOptions{StripWidth: sw})
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +548,7 @@ func Ablations(ctx context.Context, s Scale) (*Table, error) {
 			"(Section 4.2's 'non-intuitive orchestrations')",
 		Header: []string{"variant", "T", "vs full"},
 	}
-	full, err := simulate.MultiD1Context(ctx, n, p, m, steps, prog1d(), simulate.MultiOptions{})
+	full, err := simulate.MultiContext(ctx, 1, n, p, m, steps, prog1d(), simulate.MultiOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +566,7 @@ func Ablations(ctx context.Context, s Scale) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, []string{"full scheme", g3(float64(full.Time)), "1.00"})
 	for _, r := range rows {
-		res, err := simulate.MultiD1Context(ctx, n, p, m, steps, prog1d(), r.opts)
+		res, err := simulate.MultiContext(ctx, 1, n, p, m, steps, prog1d(), r.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -595,11 +595,11 @@ func Pipe(ctx context.Context, s Scale) (*Table, error) {
 	}
 	var stdT, pipeT []float64
 	for _, m := range ms {
-		std, err := simulate.BlockedD1Context(ctx, n, m, steps, 0, prog1d())
+		std, err := simulate.BlockedContext(ctx, 1, n, m, steps, 0, prog1d())
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := simulate.BlockedD1Context(ctx, n, m, steps, 0, prog1d(), hram.WithPipelinedBlocks())
+		pipe, err := simulate.BlockedContext(ctx, 1, n, m, steps, 0, prog1d(), hram.WithPipelinedBlocks())
 		if err != nil {
 			return nil, err
 		}
@@ -636,7 +636,7 @@ func MPrime(ctx context.Context, s Scale) (*Table, error) {
 		Header: []string{"m'", "slowdown", "vs m'=m"},
 	}
 	base := guest.MixCA{Seed: 13}
-	fullRes, err := simulate.BlockedD1Context(ctx, n, m, steps, 0, guest.RestrictMem{P: base, Words: m})
+	fullRes, err := simulate.BlockedContext(ctx, 1, n, m, steps, 0, guest.RestrictMem{P: base, Words: m})
 	if err != nil {
 		return nil, err
 	}
@@ -647,7 +647,7 @@ func MPrime(ctx context.Context, s Scale) (*Table, error) {
 	full := float64(fullRes.Time) / float64(tnFull)
 	for _, mp := range mps {
 		prog := guest.RestrictMem{P: base, Words: mp}
-		res, err := simulate.BlockedD1Context(ctx, n, m, steps, 0, prog)
+		res, err := simulate.BlockedContext(ctx, 1, n, m, steps, 0, prog)
 		if err != nil {
 			return nil, err
 		}
@@ -791,7 +791,7 @@ func Brent(ctx context.Context, s Scale) (*Table, error) {
 			return nil, fmt.Errorf("E-BRENT n=%d: Compute count %d, want one per vertex (%d)", sz.n, c, int64(sz.n)*int64(sz.steps+1))
 		}
 		if i == 0 {
-			exact, err := simulate.BlockedD1Context(ctx, sz.n, m, sz.steps, 0, prog1d())
+			exact, err := simulate.BlockedContext(ctx, 1, sz.n, m, sz.steps, 0, prog1d())
 			if err != nil {
 				return nil, err
 			}

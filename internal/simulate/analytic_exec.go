@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the analytic fast path of the blocked d = 1 recursion:
-// AnalyticBlockedD1Context computes the virtual time and cost ledger of the
-// BlockedD1Context simulation WITHOUT materializing the machine — no hram
+// BlockedAnalyticD1Context computes the virtual time and cost ledger of the
+// d = 1 BlockedContext simulation WITHOUT materializing the machine — no hram
 // memory, no guest values, no O(volume) state. Charges are derived from
 // the same formulas hram.Machine uses (f(x) = max(1, x/m) per access,
 // per-word block transfers), addresses are tracked in sparse maps, and
@@ -645,16 +645,17 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 	return nil
 }
 
-// AnalyticBlockedD1Context computes BlockedD1Context's virtual time, ledger,
-// and space analytically — no machine state, no guest values, memoized subtree
-// replay — making volumes far beyond the exact engine's reach tractable.
+// BlockedAnalyticD1Context computes the virtual time, ledger and space of
+// BlockedContext at d = 1 analytically — no machine state, no guest
+// values, memoized subtree replay — making volumes far beyond the exact
+// engine's reach tractable.
 // Result.Outputs and Result.Memories are nil (there is nothing to verify
 // guest-side; validate against the work/span laws instead).
 //
 // It has the same cancellation and progress contract as
-// BlockedD1Context.
-func AnalyticBlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program) (Result, error) {
-	if e := validateBlocked(1, n, m, steps); e != nil {
+// BlockedContext.
+func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program) (Result, error) {
+	if e := validateGuest("blocked-analytic", 1, n, m, steps, 0); e != nil {
 		return Result{}, e
 	}
 	if leafWidth <= 0 {

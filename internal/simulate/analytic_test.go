@@ -143,11 +143,11 @@ func TestAnalyticMatchesExact(t *testing.T) {
 			if !tc.memo {
 				ctx = WithoutMemo(ctx)
 			}
-			exact, err := BlockedD1Context(WithoutMemo(context.Background()), tc.n, tc.m, tc.steps, 0, prog)
+			exact, err := BlockedContext(WithoutMemo(context.Background()), 1, tc.n, tc.m, tc.steps, 0, prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := AnalyticBlockedD1Context(ctx, tc.n, tc.m, tc.steps, 0, prog)
+			got, err := BlockedAnalyticD1Context(ctx, tc.n, tc.m, tc.steps, 0, prog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestAnalyticProgressAndCancel(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
 	var pm Progress
 	ctx := WithProgress(context.Background(), &pm)
-	if _, err := AnalyticBlockedD1Context(ctx, 64, 4, 16, 0, prog); err != nil {
+	if _, err := BlockedAnalyticD1Context(ctx, 64, 4, 16, 0, prog); err != nil {
 		t.Fatal(err)
 	}
 	if done := pm.Vertices.Load(); done != 64*17 {
@@ -203,7 +203,7 @@ func TestAnalyticProgressAndCancel(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyticBlockedD1Context(cctx, 1024, 4, 256, 0, prog); err == nil {
+	if _, err := BlockedAnalyticD1Context(cctx, 1024, 4, 256, 0, prog); err == nil {
 		t.Error("cancelled analytic run returned nil error")
 	}
 }
@@ -220,7 +220,7 @@ func TestAnalyticLargeN(t *testing.T) {
 	defer SetMemoCapacity(MemoCapacity())
 	SetMemoCapacity(1 << 16)
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
-	res, err := AnalyticBlockedD1Context(context.Background(), n, m, steps, 0, prog)
+	res, err := BlockedAnalyticD1Context(context.Background(), n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 func BenchmarkBlockedD1Small(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := BlockedD1Context(context.Background(), 64, 4, 32, 0, prog); err != nil {
+		if _, err := BlockedContext(context.Background(), 1, 64, 4, 32, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkCoopBlock(b *testing.B) {
 func BenchmarkMultiD1(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
+		if _, err := MultiContext(context.Background(), 1, 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkMultiD1(b *testing.B) {
 func BenchmarkMultiD2(b *testing.B) {
 	prog := netProg(16)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD2Context(context.Background(), 256, 4, 8, 8, prog, MultiOptions{}); err != nil {
+		if _, err := MultiContext(context.Background(), 2, 256, 4, 8, 8, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkMultiD2(b *testing.B) {
 func BenchmarkMultiD3(b *testing.B) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD3Context(context.Background(), 512, 8, 4, 8, prog, MultiOptions{}); err != nil {
+		if _, err := MultiContext(context.Background(), 3, 512, 8, 4, 8, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkMultiD3(b *testing.B) {
 func BenchmarkBlockedD1Memo(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := BlockedD1Context(context.Background(), 256, 4, 128, 0, prog); err != nil {
+		if _, err := BlockedContext(context.Background(), 1, 256, 4, 128, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkBlockedD1NoMemo(b *testing.B) {
 	prog := netProg(0)
 	ctx := WithoutMemo(context.Background())
 	for i := 0; i < b.N; i++ {
-		if _, err := BlockedD1Context(ctx, 256, 4, 128, 0, prog); err != nil {
+		if _, err := BlockedContext(ctx, 1, 256, 4, 128, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkBlockedD1NoMemo(b *testing.B) {
 func BenchmarkMultiD1Memo(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
+		if _, err := MultiContext(context.Background(), 1, 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func BenchmarkMultiD1NoMemo(b *testing.B) {
 	prog := netProg(0)
 	ctx := WithoutMemo(context.Background())
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1Context(ctx, 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
+		if _, err := MultiContext(ctx, 1, 256, 8, 16, 64, prog, MultiOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkMultiD1NoMemo(b *testing.B) {
 func BenchmarkAnalyticD1(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyticBlockedD1Context(context.Background(), 256, 4, 128, 0, prog); err != nil {
+		if _, err := BlockedAnalyticD1Context(context.Background(), 256, 4, 128, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkAnalyticD1Huge(b *testing.B) {
 	SetMemoCapacity(1 << 16)
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyticBlockedD1Context(context.Background(), 1<<16, 8, 1<<8, 0, prog); err != nil {
+		if _, err := BlockedAnalyticD1Context(context.Background(), 1<<16, 8, 1<<8, 0, prog); err != nil {
 			b.Fatal(err)
 		}
 	}

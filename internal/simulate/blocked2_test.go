@@ -18,7 +18,7 @@ func TestBlockedD2Functional(t *testing.T) {
 	} {
 		n := tc.side * tc.side
 		prog := netProg(tc.side)
-		res, err := BlockedD2Context(context.Background(), n, tc.m, tc.steps, tc.leaf, prog)
+		res, err := BlockedContext(context.Background(), 2, n, tc.m, tc.steps, tc.leaf, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -32,7 +32,7 @@ func TestBlockedD2MatchesNaive(t *testing.T) {
 	side, m, steps := 4, 3, 6
 	n := side * side
 	prog := netProg(side)
-	blk, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog)
+	blk, err := BlockedContext(context.Background(), 2, n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBlockedD2TimeGrowsWithM(t *testing.T) {
 	prog := netProg(side)
 	var times []float64
 	for _, m := range []int{4, 16, 64} {
-		res, err := BlockedD2Context(context.Background(), n, m, steps, leaf, prog)
+		res, err := BlockedContext(context.Background(), 2, n, m, steps, leaf, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestBlockedD2LargeMCollapsesToNaive(t *testing.T) {
 	side, steps, m := 16, 8, 64
 	n := side * side
 	prog := netProg(side)
-	def, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog) // leaf = m: one naive leaf
+	def, err := BlockedContext(context.Background(), 2, n, m, steps, 0, prog) // leaf = m: one naive leaf
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := BlockedD2Context(context.Background(), n, m, steps, 4, prog) // deep recursion
+	forced, err := BlockedContext(context.Background(), 2, n, m, steps, 4, prog) // deep recursion
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestBlockedD2RestrictedMemory(t *testing.T) {
 	side, m, steps := 4, 6, 5
 	n := side * side
 	prog := guest.RestrictMem{P: guest.MixCA{Seed: 21}, Words: 2, Side: side}
-	res, err := BlockedD2Context(context.Background(), n, m, steps, 0, prog)
+	res, err := BlockedContext(context.Background(), 2, n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPropertyBlockedD2MatchesReference(t *testing.T) {
 		m := int(mRaw%4) + 1
 		steps := int(tRaw%6) + 1
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}, Side: side}
-		res, err := BlockedD2Context(context.Background(), side*side, m, steps, 0, prog)
+		res, err := BlockedContext(context.Background(), 2, side*side, m, steps, 0, prog)
 		if err != nil {
 			return false
 		}

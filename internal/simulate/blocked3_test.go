@@ -21,7 +21,7 @@ func TestBlockedD3Functional(t *testing.T) {
 	} {
 		n := tc.side * tc.side * tc.side
 		prog := cubeProg(tc.side, 9)
-		res, err := BlockedD3Context(context.Background(), n, tc.m, tc.steps, tc.leaf, prog)
+		res, err := BlockedContext(context.Background(), 3, n, tc.m, tc.steps, tc.leaf, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -37,7 +37,7 @@ func TestBlockedD3ImageTrafficGrowsWithM(t *testing.T) {
 	prog := cubeProg(side, 9)
 	var prev float64
 	for i, m := range []int{2, 8, 32} {
-		res, err := BlockedD3Context(context.Background(), n, m, steps, leaf, prog)
+		res, err := BlockedContext(context.Background(), 3, n, m, steps, leaf, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestPropertyBlockedD3MatchesReference(t *testing.T) {
 		m := int(mRaw%3) + 1
 		steps := int(tRaw%4) + 1
 		prog := cubeProg(side, uint64(seed))
-		res, err := BlockedD3Context(context.Background(), side*side*side, m, steps, 0, prog)
+		res, err := BlockedContext(context.Background(), 3, side*side*side, m, steps, 0, prog)
 		if err != nil {
 			return false
 		}

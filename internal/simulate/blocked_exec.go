@@ -9,11 +9,12 @@ import (
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
 	"bsmp/internal/network"
+	"bsmp/internal/topology"
 )
 
-// This file is the engine shared by BlockedD1Context, BlockedD2Context, and
-// BlockedD3Context: one Proposition 2 recursion over the two-kind value flow
-// (broadcast words and whole column images), generic over the mesh dimension.
+// This file is the engine behind BlockedContext: one Proposition 2
+// recursion over the two-kind value flow (broadcast words and whole
+// column images), generic over the mesh dimension.
 // The seed carried three near-identical copies keyed by per-dimension structs
 // (bkey/b2key/b3key) hashed into maps on the innermost loops; here both value
 // kinds are addressed by dense lattice.AddrTable arrays indexed over the dag's
@@ -48,26 +49,62 @@ type colSpan struct {
 	ta, tb int
 }
 
-// blockedGeom is the dimension-specific surface of the blocked executor.
+// blockedGeom is the guest mesh as the blocked executor reads it: node
+// index and position come from the mesh topology, and the operand
+// stencil steps along its d axes within its side.
 type blockedGeom struct {
-	// nodeIndex flattens a spatial position to the network node id.
-	nodeIndex func(p lattice.Point) int
-	// nodePos inverts nodeIndex (T = 0).
-	nodePos func(node int) lattice.Point
-	// netPreds appends the operand stencil of p in the network's operand
-	// order (self first, then neighbors) at time p.T-1, clipped to the
-	// machine boundary.
-	netPreds func(p lattice.Point, buf []lattice.Point) []lattice.Point
-	// sortCols orders columns by ascending x (the d = 1 convention);
-	// otherwise columns keep first-seen (T, X, Y, Z) enumeration order.
-	// Column order fixes the memory layout of images in leaves and
-	// staging areas, so it is part of the virtual-time contract.
-	sortCols bool
-	// side is the mesh side length entering nodeIndex's stride (0 for the
-	// d = 1 line). It is part of the subtree memo key: the address-class
-	// argument needs node indices to shift uniformly under lattice
-	// translation, which holds only within one stride.
-	side int
+	mesh topology.Topology
+	d    int // mesh dimension
+	side int // nodes per axis: n at d = 1
+}
+
+// newBlockedGeom reads the geometry of the n-node guest mesh of
+// dimension d.
+func newBlockedGeom(d, n int) blockedGeom {
+	mesh := topology.NewMesh(d, n, n)
+	return blockedGeom{mesh: mesh, d: mesh.Dim(), side: mesh.Side()}
+}
+
+// nodeIndex flattens a spatial position to the network node id.
+func (g *blockedGeom) nodeIndex(p lattice.Point) int { return g.mesh.Index3(p.X, p.Y, p.Z) }
+
+// nodePos inverts nodeIndex (T = 0).
+func (g *blockedGeom) nodePos(node int) lattice.Point {
+	x, y, z := g.mesh.Coord3(node)
+	return lattice.Point{X: x, Y: y, Z: z}
+}
+
+// operands appends p's operand stencil at time p.T-1 in the order the
+// guest stepper passes operands (network.Guest): self first, then the
+// mesh neighbors in topology.Neighbors order (-x, +x, -y, +y, -z, +z),
+// clipped at the mesh boundary. TestBlockedOperandsFollowNeighbors pins
+// the agreement.
+func (g *blockedGeom) operands(p lattice.Point, buf []lattice.Point) []lattice.Point {
+	p.T--
+	buf = append(buf, p)
+	c := [3]int{p.X, p.Y, p.Z}
+	for a := 0; a < g.d; a++ {
+		if c[a] > 0 {
+			buf = append(buf, shift(p, a, -1))
+		}
+		if c[a] < g.side-1 {
+			buf = append(buf, shift(p, a, 1))
+		}
+	}
+	return buf
+}
+
+// shift moves p by delta along spatial axis a (0 = x, 1 = y, 2 = z).
+func shift(p lattice.Point, a, delta int) lattice.Point {
+	switch a {
+	case 0:
+		p.X += delta
+	case 1:
+		p.Y += delta
+	default:
+		p.Z += delta
+	}
+	return p
 }
 
 // blockedExec runs the blocked simulation of one guest on one H-RAM.
@@ -141,9 +178,17 @@ func (b *blockedExec) subtreeKeyFor(dom lattice.Domain) (subtreeKey, bool) {
 	if !ok {
 		return subtreeKey{}, false
 	}
+	// The mesh side enters the key because the address-class argument
+	// needs node indices to shift uniformly under lattice translation,
+	// which holds only within one stride; the d = 1 line has no stride
+	// and keys side 0.
+	side := 0
+	if b.geom.d > 1 {
+		side = b.geom.side
+	}
 	return subtreeKey{
 		d: dom.Dim(), m: b.m, iw: b.iw, leafSpan: b.leafSpan,
-		pipelined: b.mach.Pipelined(), side: b.geom.side,
+		pipelined: b.mach.Pipelined(), side: side,
 		shape: shape, class: class, prog: b.progFP,
 	}, true
 }
@@ -188,9 +233,12 @@ func spatialClip(c lattice.Clip) lattice.Clip {
 	return c
 }
 
-// columns returns the per-node time spans of dom — ascending x when
-// sortCols, first-seen order otherwise — using the colIdx scratch table
-// for deduplication (drained before returning).
+// columns returns the per-node time spans of dom using the colIdx
+// scratch table for deduplication (drained before returning). The d = 1
+// line sorts them by ascending x; higher dimensions keep first-seen
+// (T, X, Y, Z) enumeration order. Column order fixes the memory layout
+// of images in leaves and staging areas, so it is part of the
+// virtual-time contract.
 func (b *blockedExec) columns(dom lattice.Domain) []colSpan {
 	var spans []colSpan
 	dom.Points(func(p lattice.Point) bool {
@@ -211,7 +259,7 @@ func (b *blockedExec) columns(dom lattice.Domain) []colSpan {
 	for _, s := range spans {
 		b.colIdx.Delete(s.pos)
 	}
-	if b.geom.sortCols {
+	if b.geom.d == 1 {
 		for i := 1; i < len(spans); i++ {
 			for j := i; j > 0 && spans[j].pos.X < spans[j-1].pos.X; j-- {
 				spans[j], spans[j-1] = spans[j-1], spans[j]
@@ -556,7 +604,7 @@ func (b *blockedExec) execLeaf(dom lattice.Domain) error {
 		}
 		addr := base + cellOff
 		cell := b.mach.Read(addr)
-		b.ptsBuf = b.geom.netPreds(p, b.ptsBuf[:0])
+		b.ptsBuf = b.geom.operands(p, b.ptsBuf[:0])
 		b.opsBuf = b.opsBuf[:0]
 		for _, q := range b.ptsBuf {
 			a, ok := b.bcast.Get(q)
@@ -603,13 +651,14 @@ func (b *blockedExec) drainLeaf(spans []colSpan, err error) error {
 }
 
 // collect gathers the final broadcast values and memory images in node
-// index order after the root execution of a d-dimensional run. Replayed
-// subtrees charge the meter without writing machine memory, so when any
-// subtree replayed the outputs are recomputed guest-side instead
-// (value-independent charges make this sound; Verify still works).
-func (b *blockedExec) collect(d, n int) ([]hram.Word, [][]hram.Word, error) {
+// index order after the root execution. Replayed subtrees charge the
+// meter without writing machine memory, so when any subtree replayed
+// the outputs are recomputed guest-side instead (value-independent
+// charges make this sound; Verify still works).
+func (b *blockedExec) collect() ([]hram.Word, [][]hram.Word, error) {
+	n := b.geom.mesh.Nodes()
 	if b.replayed > 0 {
-		g, err := stepGuest(b.ec, d, n, b.m, b.steps, b.prog)
+		g, err := stepGuest(b.ec, b.geom.d, n, b.m, b.steps, b.prog)
 		if err != nil {
 			return nil, nil, err
 		}

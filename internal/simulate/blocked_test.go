@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bsmp/internal/guest"
+	"bsmp/internal/lattice"
 )
 
 func TestBlockedD1Functional(t *testing.T) {
@@ -19,7 +20,7 @@ func TestBlockedD1Functional(t *testing.T) {
 		{32, 2, 24, 0},
 	} {
 		prog := netProg(0)
-		res, err := BlockedD1Context(context.Background(), tc.n, tc.m, tc.steps, tc.leaf, prog)
+		res, err := BlockedContext(context.Background(), 1, tc.n, tc.m, tc.steps, tc.leaf, prog)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -31,7 +32,7 @@ func TestBlockedD1Functional(t *testing.T) {
 
 func TestBlockedD1MatchesNaiveFunctionally(t *testing.T) {
 	prog := netProg(0)
-	blk, err := BlockedD1Context(context.Background(), 16, 3, 12, 0, prog)
+	blk, err := BlockedContext(context.Background(), 1, 16, 3, 12, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestBlockedD1TimeGrowsWithM(t *testing.T) {
 	var times []float64
 	ms := []int{4, 16, 64}
 	for _, m := range ms {
-		res, err := BlockedD1Context(context.Background(), 256, m, 64, 0, prog)
+		res, err := BlockedContext(context.Background(), 1, 256, m, 64, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestBlockedD1ShapeVersusNaive(t *testing.T) {
 	prog := netProg(0)
 	var logN, logB, logNv []float64
 	for _, n := range []int{16, 32, 64} {
-		blk, err := BlockedD1Context(context.Background(), n, 2, n, 0, prog)
+		blk, err := BlockedContext(context.Background(), 1, n, 2, n, 0, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,12 +117,12 @@ func TestBlockedD1LeafWidthAblation(t *testing.T) {
 	// nearby leaf width (it's the optimized knob).
 	prog := netProg(0)
 	n, m := 32, 4
-	def, err := BlockedD1Context(context.Background(), n, m, n, 0, prog)
+	def, err := BlockedContext(context.Background(), 1, n, m, n, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []int{2, 16} {
-		alt, err := BlockedD1Context(context.Background(), n, m, n, leaf, prog)
+		alt, err := BlockedContext(context.Background(), 1, n, m, n, leaf, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestBlockedD1Rule90MatchesDagForM1(t *testing.T) {
 	// agree with the dag-level separator executor.
 	r := guest.Rule90{Seed: 8}
 	n := 16
-	blk, err := BlockedD1Context(context.Background(), n, 1, n-1, 0, guest.AsNetwork{G: r})
+	blk, err := BlockedContext(context.Background(), 1, n, 1, n-1, 0, guest.AsNetwork{G: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,33 @@ func TestBlockedD1Rule90MatchesDagForM1(t *testing.T) {
 	for i := range blk.Outputs {
 		if blk.Outputs[i] != dc.Outputs[i] {
 			t.Fatalf("node %d: blocked %d vs separator %d", i, blk.Outputs[i], dc.Outputs[i])
+		}
+	}
+}
+
+// TestBlockedOperandsFollowNeighbors pins the blocked executor's operand
+// stencil to the guest stepper's operand order: for every node of small
+// meshes at d = 1, 2 and 3, the stencil maps to the node itself followed
+// by topology.Neighbors, which network.Guest steps with.
+func TestBlockedOperandsFollowNeighbors(t *testing.T) {
+	for _, sh := range []struct{ d, n int }{{1, 1}, {1, 7}, {2, 1}, {2, 16}, {3, 1}, {3, 27}} {
+		g := newBlockedGeom(sh.d, sh.n)
+		var pts []lattice.Point
+		var nb []int
+		for v := 0; v < sh.n; v++ {
+			p := g.nodePos(v)
+			p.T = 5
+			pts = g.operands(p, pts[:0])
+			nb = append(append(nb[:0], v), g.mesh.Neighbors(v, nil)...)
+			if len(pts) != len(nb) {
+				t.Fatalf("d=%d n=%d node %d: %d operands, want %d", sh.d, sh.n, v, len(pts), len(nb))
+			}
+			for i, q := range pts {
+				if q.T != 4 || g.nodeIndex(q) != nb[i] {
+					t.Errorf("d=%d n=%d node %d: operand %d = %v (node %d), want node %d at T=4",
+						sh.d, sh.n, v, i, q, g.nodeIndex(q), nb[i])
+				}
+			}
 		}
 	}
 }

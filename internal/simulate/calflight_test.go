@@ -22,8 +22,8 @@ func flushMemo() {
 // tuples pay for one calibration run each, not N.
 func TestKernelCalibrationCoalesced(t *testing.T) {
 	run := func() {
-		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, netProg(0), MultiOptions{}); err != nil {
-			t.Errorf("MultiD1Context: %v", err)
+		if _, err := MultiContext(context.Background(), 1, 256, 8, 16, 64, netProg(0), MultiOptions{}); err != nil {
+			t.Errorf("MultiContext d=1: %v", err)
 		}
 	}
 

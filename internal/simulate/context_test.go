@@ -25,7 +25,7 @@ func TestBlockedD2CancelMidRecursion(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := BlockedD2Context(ctx, 1024, 4, 64, 0, prog)
+		_, err := BlockedContext(ctx, 2, 1024, 4, 64, 0, prog)
 		done <- err
 	}()
 	// Wait until the run has demonstrably entered the recursion (the
@@ -42,10 +42,10 @@ func TestBlockedD2CancelMidRecursion(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("BlockedD2Context after cancel = %v, want context.Canceled", err)
+			t.Fatalf("BlockedContext d=2 after cancel = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("BlockedD2Context did not return promptly after cancellation")
+		t.Fatal("BlockedContext d=2 did not return promptly after cancellation")
 	}
 }
 
@@ -59,9 +59,9 @@ func TestBlockedPlanningCancellable(t *testing.T) {
 	cancel()
 	grid := guest.AsNetwork{G: guest.MixCA{Seed: 3}, Side: 64}
 	start := time.Now()
-	_, err := BlockedD2Context(ctx, 4096, 4, 513, 0, grid)
+	_, err := BlockedContext(ctx, 2, 4096, 4, 513, 0, grid)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BlockedD2Context with pre-cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("BlockedContext d=2 with pre-cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The fixed path unwinds in milliseconds; the bound is generous to
 	// absorb slow machines and -race, while still far below the seconds
@@ -91,16 +91,16 @@ func TestPreCancelledContextStopsEveryEngine(t *testing.T) {
 			_, err := UniNaiveDagContext(ctx, 1, 64, 64, guest.Rule90{})
 			return err
 		},
-		"BlockedD1Context": func() error {
-			_, err := BlockedD1Context(ctx, 64, 4, 64, 0, line)
+		"BlockedContext d=1": func() error {
+			_, err := BlockedContext(ctx, 1, 64, 4, 64, 0, line)
 			return err
 		},
-		"BlockedD2Context": func() error {
-			_, err := BlockedD2Context(ctx, 64, 4, 8, 0, grid)
+		"BlockedContext d=2": func() error {
+			_, err := BlockedContext(ctx, 2, 64, 4, 8, 0, grid)
 			return err
 		},
-		"MultiD1Context": func() error {
-			_, err := MultiD1Context(ctx, 64, 4, 4, 64, line, MultiOptions{})
+		"MultiContext d=1": func() error {
+			_, err := MultiContext(ctx, 1, 64, 4, 4, 64, line, MultiOptions{})
 			return err
 		},
 		"CoopBlockContext": func() error {
@@ -130,14 +130,14 @@ func TestPreCancelledContextStopsEveryEngine(t *testing.T) {
 // the done == nil fast path).
 func TestGoldenTimesBitIdenticalUnderLiveContext(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 3}}
-	base, err := BlockedD1Context(context.Background(), 64, 4, 16, 0, prog)
+	base, err := BlockedContext(context.Background(), 1, 64, 4, 16, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var p Progress
 	ctx, cancel := context.WithCancel(WithProgress(context.Background(), &p))
 	defer cancel()
-	got, err := BlockedD1Context(ctx, 64, 4, 16, 0, prog)
+	got, err := BlockedContext(ctx, 1, 64, 4, 16, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestGoldenTimesBitIdenticalUnderLiveContext(t *testing.T) {
 		t.Error("Progress.Phases never advanced during the run")
 	}
 
-	mbase, err := MultiD1Context(context.Background(), 64, 4, 4, 64, prog, MultiOptions{})
+	mbase, err := MultiContext(context.Background(), 1, 64, 4, 4, 64, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgot, err := MultiD1Context(ctx, 64, 4, 4, 64, prog, MultiOptions{})
+	mgot, err := MultiContext(ctx, 1, 64, 4, 4, 64, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestKernelCacheBounded(t *testing.T) {
 func TestProgressMonotoneWhileLive(t *testing.T) {
 	prog := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
 	const n, p_, m, steps = 256, 8, 16, 64
-	if _, err := MultiD1Context(context.Background(), n, p_, m, steps, prog, MultiOptions{}); err != nil {
+	if _, err := MultiContext(context.Background(), 1, n, p_, m, steps, prog, MultiOptions{}); err != nil {
 		t.Fatal(err) // cache warm-up
 	}
 	var ref Progress
-	if _, err := MultiD1Context(WithProgress(context.Background(), &ref), n, p_, m, steps, prog, MultiOptions{}); err != nil {
+	if _, err := MultiContext(WithProgress(context.Background(), &ref), 1, n, p_, m, steps, prog, MultiOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,7 +253,7 @@ func TestProgressMonotoneWhileLive(t *testing.T) {
 	sampled := make(chan struct{})
 	go func() {
 		<-sampled
-		_, err := MultiD1Context(WithProgress(context.Background(), &live), n, p_, m, steps, prog, MultiOptions{})
+		_, err := MultiContext(WithProgress(context.Background(), &live), 1, n, p_, m, steps, prog, MultiOptions{})
 		done <- err
 	}()
 

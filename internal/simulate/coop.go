@@ -11,8 +11,8 @@ import (
 
 // This file validates the cooperating execution mode of Section 4.2 from
 // first principles, on real machines rather than via the phase model of
-// MultiD1Context: a block of the guest computation straddling the boundary
-// between two host processors is executed either
+// MultiContext at d = 1: a block of the guest computation straddling the
+// boundary between two host processors is executed either
 //
 //   - cooperatively: each processor simulates its half on its own H-RAM,
 //     and the Θ(1) boundary values per step travel as messages over the

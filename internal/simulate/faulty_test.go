@@ -281,14 +281,14 @@ func TestEngineEntryPointsRejectFaults(t *testing.T) {
 	ctx := context.Background()
 	opts := MultiOptions{Faults: 0.3, FaultSeed: 11}
 	for name, run := range map[string]func() (MultiResult, error){
-		"MultiD1Context": func() (MultiResult, error) {
-			return MultiD1Context(ctx, 64, 4, 16, 16, guest.AsNetwork{G: guest.MixCA{Seed: 9}}, opts)
+		"MultiContext d=1": func() (MultiResult, error) {
+			return MultiContext(ctx, 1, 64, 4, 16, 16, guest.AsNetwork{G: guest.MixCA{Seed: 9}}, opts)
 		},
-		"MultiD2Context": func() (MultiResult, error) {
-			return MultiD2Context(ctx, 256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, opts)
+		"MultiContext d=2": func() (MultiResult, error) {
+			return MultiContext(ctx, 2, 256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, opts)
 		},
-		"MultiD3Context": func() (MultiResult, error) {
-			return MultiD3Context(ctx, 512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}, opts)
+		"MultiContext d=3": func() (MultiResult, error) {
+			return MultiContext(ctx, 3, 512, 8, 4, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, CubeSide: 8}, opts)
 		},
 		"MultiD1CyclesContext": func() (MultiResult, error) {
 			return MultiD1CyclesContext(ctx, 64, 4, 16, 2, guest.AsNetwork{G: guest.MixCA{Seed: 9}}, opts)

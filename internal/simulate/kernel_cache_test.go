@@ -16,22 +16,22 @@ import (
 func TestSpanKernelFixedGuestD2(t *testing.T) {
 	a := guest.AsNetwork{G: guest.MixCA{Seed: 1}, Side: 8}
 	b := guest.AsNetwork{G: guest.MixCA{Seed: 77}, Side: 8}
-	ka, err := multiGeomD2.kernel(context.Background(), 4, 4, a)
+	ka, err := multiGeoms[2].kernel(context.Background(), 4, 4, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := multiGeomD2.kernel(context.Background(), 4, 4, b)
+	kb, err := multiGeoms[2].kernel(context.Background(), 4, 4, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ka != kb {
 		t.Errorf("d=2 kernel depends on the caller's guest: %v vs %v", ka, kb)
 	}
-	ra, err := MultiD2Context(context.Background(), 64, 4, 4, 8, a, MultiOptions{})
+	ra, err := MultiContext(context.Background(), 2, 64, 4, 4, 8, a, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MultiD2Context(context.Background(), 64, 4, 4, 8, b, MultiOptions{})
+	rb, err := MultiContext(context.Background(), 2, 64, 4, 4, 8, b, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +43,22 @@ func TestSpanKernelFixedGuestD2(t *testing.T) {
 func TestSpanKernelFixedGuestD3(t *testing.T) {
 	a := guest.AsNetwork{G: guest.MixCA{Seed: 1}, CubeSide: 4}
 	b := guest.AsNetwork{G: guest.MixCA{Seed: 77}, CubeSide: 4}
-	ka, err := multiGeomD3.kernel(context.Background(), 2, 4, a)
+	ka, err := multiGeoms[3].kernel(context.Background(), 2, 4, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := multiGeomD3.kernel(context.Background(), 2, 4, b)
+	kb, err := multiGeoms[3].kernel(context.Background(), 2, 4, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ka != kb {
 		t.Errorf("d=3 kernel depends on the caller's guest: %v vs %v", ka, kb)
 	}
-	ra, err := MultiD3Context(context.Background(), 64, 8, 4, 4, a, MultiOptions{})
+	ra, err := MultiContext(context.Background(), 3, 64, 8, 4, 4, a, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MultiD3Context(context.Background(), 64, 8, 4, 4, b, MultiOptions{})
+	rb, err := MultiContext(context.Background(), 3, 64, 8, 4, 4, b, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestSpanKernelFixedGuestD3(t *testing.T) {
 func TestKernelCacheKeySeparatesDimensions(t *testing.T) {
 	// Same (s, m) measured through different geometries must not collide:
 	// the d field and the calibration fingerprint both discriminate.
-	k2, err := multiGeomD2.kernel(context.Background(), 4, 2, nil)
+	k2, err := multiGeoms[2].kernel(context.Background(), 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k3, err := multiGeomD3.kernel(context.Background(), 4, 2, nil)
+	k3, err := multiGeoms[3].kernel(context.Background(), 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestMemoCancellationNoPoisoning(t *testing.T) {
 	ctx, cfn := context.WithCancel(context.Background())
 	cancel = cfn
 	defer cfn()
-	_, err := BlockedD1Context(ctx, n, m, steps, 0, prog)
+	_, err := BlockedContext(ctx, 1, n, m, steps, 0, prog)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
@@ -130,11 +130,11 @@ func TestMemoCancellationNoPoisoning(t *testing.T) {
 	}
 	cancel = nil // disarm; the counter keeps decrementing harmlessly
 
-	off, err := BlockedD1Context(WithoutMemo(context.Background()), n, m, steps, 0, prog)
+	off, err := BlockedContext(WithoutMemo(context.Background()), 1, n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog)
+	warm, err := BlockedContext(context.Background(), 1, n, m, steps, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWithoutMemoDisables(t *testing.T) {
 	p1 := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
 	before := MemoStatsSnapshot()
 	ctx := WithoutMemo(context.Background())
-	if _, err := BlockedD1Context(ctx, 64, 4, 16, 0, p1); err != nil {
+	if _, err := BlockedContext(ctx, 1, 64, 4, 16, 0, p1); err != nil {
 		t.Fatal(err)
 	}
 	after := MemoStatsSnapshot()

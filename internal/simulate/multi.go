@@ -49,10 +49,10 @@ type MultiOptions struct {
 	// the fraction of processors and memory cells sampled dead at
 	// construction (topology.FaultMask). Must lie in [0, 1); 0 means
 	// fault-free. Only the fault-admitting registry row plans a mask, so
-	// the fault-free schemes and the engine entry points (MultiD1Context
-	// and its siblings) reject a nonzero value with a typed ParamError —
-	// faults change the planned distances, so a silent ignore would
-	// misattribute every charge.
+	// the fault-free schemes and the engine entry points (MultiContext
+	// and MultiD1CyclesContext) reject a nonzero value with a typed
+	// ParamError — faults change the planned distances, so a silent
+	// ignore would misattribute every charge.
 	Faults float64
 	// FaultSeed seeds the fault draws. Sampling is threshold-based, so
 	// a density sweep at a fixed seed has NESTED dead sets and the
@@ -124,65 +124,70 @@ type MultiResult struct {
 	Faults *FaultReport
 }
 
-// multiGeomD1 is the d = 1 geometry spec: the Theorem 4 scheme. The
-// span-model fields are nil because the d = 1 planner below implements
-// the paper's explicit construction (strips, π rearrangement, diamond
-// domains) rather than the d-generic span model; it draws the kernel
-// machinery, κ normalization and face size from the spec.
-var multiGeomD1 = &multiGeom{
-	d:           1,
-	kernelFloor: 4, // a width-1 strip: one vertex per step, in place
-	calSpan:     func(s int) int { return s },
-	calProg: func(_ int, prog network.Program) network.Program {
-		// The kernel is NOT program-independent: prog.Address picks the
-		// memory cell touched per vertex and an optional MemUser shrinks
-		// the relocated image from m to m' words, so d = 1 calibrates on
-		// the caller's program (TestDiamondKernelProgramDependence).
-		return prog
-	},
-	calRun: func(ctx context.Context, cal, m int, prog network.Program) (Result, error) {
-		// An s × s computation holds about two diamonds' worth of
-		// vertices; the kernel is half its measured time.
-		return BlockedD1Context(ctx, cal, m, cal, 0, prog)
-	},
-	distRed:    func(pf float64) float64 { return pf },
-	faceSize:   func(sf float64) float64 { return sf },
-	theoryExec: func(sf, mf float64) float64 { return sf * sf / 2 * math.Min(sf, mf*analytic.Log(sf/mf)) },
-}
-
 // diamondKernel measures the time to execute one diamond D(s) with memory
 // density m — the d = 1 entry of the engine's unified kernel cache.
 func diamondKernel(ctx context.Context, s, m int, prog network.Program) (float64, error) {
-	return multiGeomD1.kernel(ctx, s, m, prog)
+	return multiGeoms[1].kernel(ctx, s, m, prog)
 }
 
-// MultiD1Context runs Theorem 4's simulation of M1(n, n, m) on M1(n, p, m):
+// MultiContext runs the multiprocessor simulation of the d-dimensional
+// guest Md(n, n, m) on the host Md(n, p, m): Theorem 4 at d = 1, and
+// Theorem 1's d = 2 bound and its conjectured d = 3 case above that. It
+// composes three mechanisms:
 //
-//  1. the initial data, viewed as q = n/s strips of width s, is
-//     rearranged by π = π2·π1 so that originally adjacent strips are
-//     either adjacent or exactly q/p strips apart (perm package);
-//  2. Regime 1 relocates data down log2(n/(p·s)) levels of the diamond
-//     recursion, each level costing Θ(n²m/p²) wall time thanks to the
-//     p-fold distance reduction the rearrangement bought;
-//  3. Regime 2 processes the Θ((n/ps)²) domains of type D(p·s)
-//     sequentially; each takes 2p-1 stages in which every processor
-//     executes one diamond D(s) of its zig-zag band (Figure 2) — solo on
-//     odd stages, cooperating with a neighbor on even stages, exchanging
-//     the Θ(s) broadcast values that cross the shared diagonal as a
-//     message over distance n/p.
+//  1. the initial data is rearranged so that originally adjacent
+//     regions end up adjacent or one host region apart, which shrinks
+//     every later distance p^(1/d)-fold. At d = 1 the data, viewed as
+//     q = n/s strips of width s, is permuted by π = π2·π1 so that
+//     originally adjacent strips are either adjacent or exactly q/p
+//     strips apart (perm package);
+//  2. Regime 1 relocates data down the levels of the domain recursion
+//     (log2(n/(p·s)) levels at d = 1): per level, the total
+//     (data × distance) moved is Θ(V·m/p^(1/d)) over V = n·steps dag
+//     vertices, i.e. Θ(V·m/p^(1+1/d)) wall time per level, which is
+//     Θ(n²m/p²) at d = 1;
+//  3. Regime 2 executes span-s domains p at a time, each processor
+//     exchanging the Θ(s^d) face values that cross to its neighbors as
+//     messages at the host spacing (n/p)^(1/d). At d = 1 this is the
+//     paper's explicit schedule: the Θ((n/ps)²) domains of type D(p·s)
+//     are processed sequentially, each in 2p-1 stages in which every
+//     processor executes one diamond D(s) of its zig-zag band
+//     (Figure 2) — solo on odd stages, cooperating with a neighbor on
+//     even stages, exchanging the Θ(s) broadcast values that cross the
+//     shared diagonal as a message over distance n/p.
+//
+// At d = 1 the strip width is the paper's optimum s* (or
+// MultiOptions.StripWidth); at d = 2 and 3 the span σ minimizes the
+// resulting cost over powers of two up to (n/p)^(1/d), the
+// implementation analog of the s* analysis (MultiOptions.SpanOverride
+// ablates it). The paper states the d = 2 bound and the octahedral
+// separator (Section 5) but defers the multiprocessor orchestration to
+// the companion technical report, and only conjectures d = 3; there,
+// with the Box6 separator in hand (lattice), the same mechanisms make
+// the conjectured four-range structure of A(3, n, m, p) measurable.
 //
 // Fidelity: the guest state advances functionally (exactly); costs are
-// charged per phase, with the per-diamond execution kernel measured by a
-// real BlockedD1Context run of the same (s, m) geometry (per-address fidelity),
+// charged per phase, with the per-domain execution kernel measured by a
+// real BlockedContext run of the same dimension (per-address fidelity)
 // and the relocation/exchange phases charged at the word-and-distance
-// granularity derived in the comments below. See DESIGN.md's fidelity
-// ladder.
+// granularity derived in the comments of multiD1Schedule and
+// multiSpanCost. See DESIGN.md's fidelity ladder.
+//
+// d must be 1, 2 or 3, and n and p must be d-shaped (perfect squares at
+// d = 2, perfect cubes at d = 3) with p | n; a bad tuple gets a
+// ParamError.
 //
 // The kernel calibration run, the span search, and the functional guest
 // replay all poll cancellation cooperatively, and replay progress is
 // reported to any attached Progress. Checks are host-side only, so a
 // never-cancelled run's virtual times do not depend on ctx.
-func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
+func MultiContext(ctx context.Context, d, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
+	if e := validateMulti(d, n, p, m, steps, opts); e != nil {
+		return MultiResult{}, e
+	}
+	if d > 1 {
+		return multiSpan(ctx, &multiGeoms[d], n, p, m, steps, prog, opts)
+	}
 	ec := newExecCtx(ctx)
 	defer ec.publish()
 	res, err := multiD1Schedule(ec, n, p, m, steps, prog, opts)
@@ -200,21 +205,19 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 	return res, nil
 }
 
-// multiD1Schedule is MultiD1Context without the functional replay: it
-// validates the tuple, plans Theorem 4's schedule and charges it,
-// returning a result whose outputs the caller fills. The degenerate
-// p = 1 case runs the Theorem 3 machinery instead, which executes the
-// guest and so returns its outputs too.
+// multiD1Schedule is MultiContext at d = 1 without the functional
+// replay: it plans Theorem 4's schedule for a validated tuple and
+// charges it, returning a result whose outputs the caller fills. The
+// degenerate p = 1 case runs the Theorem 3 machinery instead, which
+// executes the guest and so returns its outputs too.
 func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if err := validateMulti(n, p, m, steps, opts); err != nil {
-		return MultiResult{}, err
-	}
 	if p == 1 {
 		// Degenerate case: Theorem 3's machinery. A single processor
 		// exchanges no messages, so the delay model is immaterial.
-		r, err := BlockedD1Context(ec.ctx, n, m, steps, 0, prog)
+		r, err := BlockedContext(ec.ctx, 1, n, m, steps, 0, prog)
 		return MultiResult{Result: r, StripWidth: n}, err
 	}
+	g := &multiGeoms[1]
 	s := opts.StripWidth
 	if s <= 0 {
 		s = analytic.RoundToPow2Divisor(analytic.OptimalS(n, m, p), n/p)
@@ -238,7 +241,7 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 	if err != nil {
 		return MultiResult{}, err
 	}
-	kappa := kernel / multiGeomD1.theoryExec(sf, mf)
+	kappa := kernel / g.theoryExec(sf, mf)
 	if kappa < 1 {
 		kappa = 1
 	}
@@ -291,13 +294,13 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 	if opts.NoCooperate {
 		// Solo execution of shared diamonds: pull s·m remote words
 		// through memory, each paying the exchange distance.
-		stageExtra = kappa * multiGeomD1.faceSize(sf) * (mf * memMul) * exchDist
+		stageExtra = kappa * g.faceSize(sf) * (mf * memMul) * exchDist
 		exchCat = cost.Transfer
 	} else {
 		// Exchange Θ(s) broadcast values over the link, each paying
 		// the full distance (no pipelining, as in the paper's
 		// per-item accounting "in time O(s·n/p)").
-		stageExtra = kappa * multiGeomD1.faceSize(sf) * exchDist
+		stageExtra = kappa * g.faceSize(sf) * exchDist
 	}
 
 	bank, prep := playSchedule(ec.tr, p, multiSchedule{
@@ -329,21 +332,24 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 	}, nil
 }
 
-// MultiD1CyclesContext simulates cycles·n guest steps by repeating the n-step
-// simulation of MultiD1Context (the paper's "for larger values of Tn, it is
-// sufficient to repeat the n-step simulation ⌈Tn/n⌉ times"), so the
-// one-time rearrangement cost amortizes: the reported Time includes the
-// preprocessing once plus cycles executions, and the effective slowdown
-// converges to the steady-state (n/p)·A(n, m, p) as cycles grows — "its
-// cost gives a contribution to the slowdown that vanishes as the number
-// of simulated steps increases" (Section 4.2).
+// MultiD1CyclesContext simulates cycles·n guest steps by repeating the
+// n-step simulation of MultiContext at d = 1 (the paper's "for larger
+// values of Tn, it is sufficient to repeat the n-step simulation ⌈Tn/n⌉
+// times"), so the one-time rearrangement cost amortizes: the reported
+// Time includes the preprocessing once plus cycles executions, and the
+// effective slowdown converges to the steady-state (n/p)·A(n, m, p) as
+// cycles grows — "its cost gives a contribution to the slowdown that
+// vanishes as the number of simulated steps increases" (Section 4.2).
 //
-// See MultiD1Context for the cancellation and progress contract. The
+// See MultiContext for the cancellation and progress contract. The
 // n-step schedule is charged once and the guest is replayed once, for
 // all cycles·n steps.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network.Program, opts MultiOptions) (MultiResult, error) {
 	if cycles < 1 {
-		return MultiResult{}, fmt.Errorf("simulate: cycles %d < 1", cycles)
+		return MultiResult{}, perr("multi", "cycles", "cycle count must be >= 1", cycles)
+	}
+	if e := validateMulti(1, n, p, m, n, opts); e != nil {
+		return MultiResult{}, e
 	}
 	ec := newExecCtx(ctx)
 	defer ec.publish()

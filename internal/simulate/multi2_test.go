@@ -12,7 +12,7 @@ func TestMultiD2Functional(t *testing.T) {
 	} {
 		side := analytic.IntSqrtExact(tc.n)
 		prog := netProg(side)
-		res, err := MultiD2Context(context.Background(), tc.n, tc.p, tc.m, tc.steps, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 2, tc.n, tc.p, tc.m, tc.steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -28,11 +28,11 @@ func TestMultiD2Functional(t *testing.T) {
 func TestMultiD2MoreProcessorsFaster(t *testing.T) {
 	prog := netProg(16)
 	n, m, steps := 256, 2, 16
-	t4, err := MultiD2Context(context.Background(), n, 4, m, steps, prog, MultiOptions{})
+	t4, err := MultiContext(context.Background(), 2, n, 4, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := MultiD2Context(context.Background(), n, 16, m, steps, prog, MultiOptions{})
+	t16, err := MultiContext(context.Background(), 2, n, 16, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestMultiD2ChosenSpanBeatsOverrides(t *testing.T) {
 	// forced power-of-two span (it was chosen by minimizing).
 	prog := netProg(32)
 	n, p, m, steps := 1024, 16, 4, 16
-	opt, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+	opt, err := MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{2, 8} {
-		forced, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{SpanOverride: s})
+		forced, err := MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{SpanOverride: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +65,11 @@ func TestMultiD2ChosenSpanBeatsOverrides(t *testing.T) {
 func TestMultiD2RearrangementHelps(t *testing.T) {
 	prog := netProg(32)
 	n, p, m, steps := 1024, 16, 8, 16
-	full, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+	full, err := MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRe, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{NoRearrange: true})
+	noRe, err := MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{NoRearrange: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMultiD2MeasuredATracksTheoremShapeD2(t *testing.T) {
 	ref := 8
 	ameas := make(map[int]float64)
 	for _, m := range ms {
-		res, err := MultiD2Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 2, n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}

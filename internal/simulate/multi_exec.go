@@ -7,18 +7,21 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bsmp/internal/analytic"
 	"bsmp/internal/cost"
+	"bsmp/internal/guest"
 	"bsmp/internal/network"
 	"bsmp/internal/obs"
+	"bsmp/internal/topology"
 )
 
-// This file is the multiprocessor orchestration engine shared by
-// MultiD1Context, MultiD2Context and MultiD3Context, mirroring what
-// blocked_exec.go does for the uniprocessor executors: the per-dimension files
-// supply a geometry spec (multiGeom) and the engine owns kernel calibration +
+// This file is the multiprocessor orchestration engine behind
+// MultiContext, mirroring what blocked_exec.go does for the uniprocessor
+// executor: one geometry (multiGeom) states Theorem 1's cost shape in
+// the mesh dimension d, and the engine owns kernel calibration +
 // memoization, the span-minimizing phase-cost model for d >= 2, and the
-// charging of the chosen schedule into a cost.Bank with per-phase attribution
-// marks.
+// charging of the chosen schedule into a cost.Bank with per-phase
+// attribution marks.
 //
 // Virtual-time contract: golden_test.go pins every multiprocessor Time
 // bit-identical to the historical per-dimension orchestrators. Float
@@ -29,85 +32,92 @@ import (
 //     unchanged — playSchedule charges phase-major, but each processor
 //     still sees the same charges in the same order, so each clock sums
 //     the same floats in the same order;
-//   - every cost formula keeps its original operand grouping — the spec
-//     carries closures (regionSide, kernelVol, faceSize, theoryExec)
-//     whose bodies are the verbatim per-dimension expressions, and
-//     multiSpanCost combines them in the historical factor order. Span
-//     candidates are powers of two, for which the s^k regroupings are
-//     exact in IEEE arithmetic.
+//   - every cost formula keeps its original operand grouping: powers
+//     are left-to-right products (pow: s³ is (s·s)·s), roots are
+//     topology.Root (never math.Pow, which differs in the last ulp),
+//     and multiSpanCost combines the terms in the historical factor
+//     order. Span candidates are powers of two, for which the s^k
+//     regroupings are exact in IEEE arithmetic.
 //
 // Phase attribution (cost.Bank.Mark) is pure snapshot bookkeeping and
 // never touches a clock or ledger, so it cannot perturb times.
 
-// multiGeom is the per-dimension surface of the multiprocessor engine.
-// The d = 1 scheme keeps its own Theorem 4 planner (strip selection, the
-// π rearrangement and per-domain stage loop in multi.go) but draws its
-// kernel, κ normalization and face size from the same spec; the d = 2 and
-// d = 3 schemes run entirely through multiSpan below. Fields not used by
-// the d = 1 planner are nil there.
+// multiGeom is the multiprocessor geometry of one mesh dimension. The
+// cost shape is written once in d (the methods below and multiSpanCost);
+// the fields hold what is not a formula of d. The d = 1 scheme keeps its
+// own Theorem 4 planner (strip selection, the π rearrangement and the
+// per-domain stage loop in multi.go) but draws its kernel, κ
+// normalization and face size from the same geometry; the d = 2 and
+// d = 3 schemes run entirely through multiSpan below.
 type multiGeom struct {
 	// d is the mesh dimension.
 	d int
-
-	// --- kernel calibration (shared cache, satellite: one fingerprinted key) ---
-
 	// kernelFloor is the measured-kernel stand-in for degenerate spans
 	// s < 2 (one vertex per step, executed in place).
 	kernelFloor float64
-	// calSpan caps the span actually measured; larger spans reuse the
-	// capped measurement scaled by scaleExp (the machinery constant has
-	// converged by the cap).
-	calSpan func(s int) int
-	// calProg selects the calibration guest. d = 1 measures the caller's
-	// program (per-program kernels — MemUser guests relocate smaller
-	// images); d = 2/3 use a fixed internal MixCA guest, so their cache
-	// entries are caller-independent by construction. Either way the
-	// calibration program's fingerprint is part of the cache key, which
-	// makes the d = 2/3 fixed-guest assumption explicit rather than
+	// calCap caps the span actually measured (0: no cap); larger spans
+	// reuse the capped measurement scaled by volume and span (the
+	// machinery constant has converged by the cap).
+	calCap int
+	// calGuest is the fixed calibration guest, run on the d-mesh of the
+	// calibration span; nil measures the caller's program. Either way
+	// the calibration program's fingerprint is part of the kernel key,
+	// which makes the fixed-guest assumption explicit rather than
 	// silent (TestSpanKernelFixedGuest).
-	calProg func(cal int, prog network.Program) network.Program
-	// calRun invokes the dimension's blocked executor on a span-cal,
-	// cal-step guest; the kernel is half the measured time (the
-	// calibration volume holds about two domains' worth of vertices).
-	// The context threads cancellation into the blocked recursion, so a
-	// long calibration run is preemptible like any other simulation.
-	calRun func(ctx context.Context, cal, m int, prog network.Program) (Result, error)
-	// scaleExp is the volume/span scaling exponent applied when
-	// calSpan(s) < s: dag volume s^(d+1) times the ~linear per-vertex
-	// span growth.
-	scaleExp float64
+	calGuest *guest.MixCA
+}
 
-	// --- cost geometry (Theorem 1's d-generic shape) ---
+// multiGeoms holds the geometry of dimension d at index d.
+//
+// d = 1 calibrates on the caller's program: prog.Address picks the
+// memory cell touched per vertex and an optional MemUser shrinks the
+// relocated image from m to m' words, so the diamond kernel is
+// per-program (TestDiamondKernelProgramDependence). d = 2 and d = 3
+// calibrate on the fixed MixCA guest, so their cache entries depend
+// only on (σ, m) and are shared across callers.
+var multiGeoms = [...]multiGeom{
+	1: {d: 1, kernelFloor: 4},
+	2: {d: 2, kernelFloor: 8, calCap: 16, calGuest: &guest.MixCA{Seed: 42}},
+	3: {d: 3, kernelFloor: 8, calCap: 8, calGuest: &guest.MixCA{Seed: 42}},
+}
 
-	// checkShape validates the mesh side (perfect square/cube),
-	// returning a typed ParamError on a bad shape; nil = no constraint
-	// (d = 1).
-	checkShape func(n int) *ParamError
-	// regionSideInt is the per-processor region side (n/p)^(1/d) as the
-	// span search bound.
-	regionSideInt func(n, p int) int
-	// regionSide is (n/p)^(1/d) in the cost formulas — also the
-	// rearranged exchange distance.
-	regionSide func(nf, pf float64) float64
-	// distRed is the rearrangement's distance-reduction factor p^(1/d).
-	distRed func(pf float64) float64
-	// rawExchDist is the exchange distance without rearrangement,
-	// n^(1/d)/2.
-	rawExchDist func(nf float64) float64
-	// relocCoeff is the per-level Regime 1 constant (the d+1 separator
-	// faces crossed per relocated word).
-	relocCoeff float64
-	// kernelCoeff scales the kernel count: kernelCoeff·V/kernelVol(s)
-	// span-s kernels tile the volume-V dag.
-	kernelCoeff float64
-	// kernelVol is the dag volume of one span-s kernel, s^(d+1).
-	kernelVol func(sf float64) float64
-	// faceSize is the per-kernel face-exchange word count, s^d.
-	faceSize func(sf float64) float64
-	// theoryExec is the closed-form kernel execution estimate
-	// (s^(d+1)/d)·min(s, m·Log(s^d/m)) normalizing the measured kernel
-	// into κ.
-	theoryExec func(sf, mf float64) float64
+// pow is x^k for k >= 1 as the left-to-right product x·x·…·x, the
+// grouping the cost formulas fix: s³ is (s·s)·s.
+func pow[T int | float64](x T, k int) T {
+	r := x
+	for i := 1; i < k; i++ {
+		r *= x
+	}
+	return r
+}
+
+// regionSide is the per-processor region side (n/p)^(1/d): the span
+// search bound, and the rearranged exchange distance.
+func (g *multiGeom) regionSide(nf, pf float64) float64 { return topology.Root(g.d, nf/pf) }
+
+// faceSize is the per-kernel face-exchange word count s^d.
+func (g *multiGeom) faceSize(sf float64) float64 { return pow(sf, g.d) }
+
+// theoryExec is the closed-form execution estimate of one span-s kernel,
+// (s^(d+1)/d)·min(s, m·Log(s^d/m)), with divisor 2 at d = 1 (a diamond
+// D(s) holds about s²/2 vertices). It normalizes the measured kernel
+// into κ.
+func (g *multiGeom) theoryExec(sf, mf float64) float64 {
+	return (pow(sf, g.d+1) / float64(max(g.d, 2))) * math.Min(sf, mf*analytic.Log(pow(sf, g.d)/mf))
+}
+
+// calProg is the program a span-cal calibration measures.
+func (g *multiGeom) calProg(cal int, prog network.Program) network.Program {
+	if g.calGuest == nil {
+		return prog
+	}
+	an := guest.AsNetwork{G: *g.calGuest}
+	if g.d == 2 {
+		an.Side = cal
+	} else {
+		an.CubeSide = cal
+	}
+	return an
 }
 
 // kernelKey identifies a measured execution kernel in the unified cache:
@@ -168,11 +178,16 @@ var calFlight = struct {
 var calMeasurements atomic.Int64
 
 // kernel measures (or recalls) the per-domain execution kernel for span s
-// and density m: a real blocked-executor run of the dimension's span-cal,
-// cal-step calibration guest, halved, and volume-scaled when cal < s.
-// Concurrent requests for the same key coalesce onto one measurement.
+// and density m: a real BlockedContext run of the dimension's span-cal,
+// cal-step calibration guest, halved (the calibration volume holds about
+// two domains' worth of vertices), and scaled when cal < s by dag volume
+// s^(d+1) times the ~linear per-vertex span growth. Concurrent requests
+// for the same key coalesce onto one measurement.
 func (g *multiGeom) kernel(ctx context.Context, s, m int, prog network.Program) (float64, error) {
-	cal := g.calSpan(s)
+	cal := s
+	if g.calCap > 0 && cal > g.calCap {
+		cal = g.calCap
+	}
 	calProg := g.calProg(cal, prog)
 	key := kernelKey{g.d, s, m, progFingerprint(calProg)}
 	for {
@@ -223,14 +238,14 @@ func (g *multiGeom) measureKernel(ctx context.Context, key kernelKey, cal, s, m 
 	// blocked executor the calibration drives nests its own "block"
 	// spans underneath.
 	sp := obs.FromContext(ctx).Start("calibrate")
-	res, err := g.calRun(ctx, cal, m, calProg)
+	res, err := BlockedContext(ctx, g.d, pow(cal, g.d), m, cal, 0, calProg)
 	if err != nil {
 		sp.End()
 		return 0, err
 	}
 	k := float64(res.Time) / 2
 	if cal != s {
-		k *= math.Pow(float64(s)/float64(cal), g.scaleExp)
+		k *= math.Pow(float64(s)/float64(cal), float64(g.d+2))
 	}
 	if sp != nil {
 		sp.SetAttr("d", float64(g.d))
@@ -372,9 +387,9 @@ func playSchedule(tr *obs.Tracer, p int, sch multiSchedule, dm *cost.ThetaModel)
 // multiSpanCost evaluates the d >= 2 phase model for span s, returning
 // the total per-processor time, the Regime 1 level count, and the
 // (relocation, execution, exchange) breakdown. The formulas are the
-// d-generic Theorem 1 shape; see the per-dimension doc comments for their
-// derivations. The options' fault stretch factors multiply the
-// distance-proportional (detour) and image-traversal (packing) terms;
+// d-generic Theorem 1 shape; see MultiContext for their derivation. The
+// options' fault stretch factors multiply the distance-proportional
+// (detour) and image-traversal (packing) terms;
 // fault-free both are exactly 1.0 and the products are bit-identical to
 // the unstretched formulas (see MultiOptions.faultMuls).
 func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opts MultiOptions) (float64, int, [3]float64, error) {
@@ -389,7 +404,8 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 		return 0, 0, [3]float64{}, err
 	}
 	// κ keeps the relocation/exchange phases commensurate with the
-	// measured kernel's machinery constant (same rationale as MultiD1Context).
+	// measured kernel's machinery constant (same rationale as d = 1's
+	// planner).
 	theory := g.theoryExec(sf, mf)
 	kap := kernel / theory
 	if kap < 1 {
@@ -400,17 +416,23 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 	if sf < regionSide {
 		levels = int(math.Round(math.Log2(regionSide / sf)))
 	}
-	distRed := g.distRed(pf)
+	// Regime 1: per level, the V·m words cross the d+1 separator faces
+	// at a distance the rearrangement shrinks by p^(1/d), p processors
+	// at a time.
+	distRed := topology.Root(g.d, pf)
 	if noRearrange {
 		distRed = 1
 	}
-	reloc := float64(levels) * kap * g.relocCoeff * vol * (mf * memMul) * distMul / (distRed * pf)
+	reloc := float64(levels) * kap * float64(g.d+1) * vol * (mf * memMul) * distMul / (distRed * pf)
 
-	numKernelsPerProc := g.kernelCoeff * vol / g.kernelVol(sf) / pf
+	// Regime 2: (d+2)·V/s^(d+1) span-s kernels tile the dag, p at a
+	// time; each exchanges its s^d face values at the region side, or
+	// at n^(1/d)/2 without the rearrangement.
+	numKernelsPerProc := float64(g.d+2) * vol / pow(sf, g.d+1) / pf
 	exec := numKernelsPerProc * kernel
 	exchDist := regionSide * distMul
 	if noRearrange {
-		exchDist = g.rawExchDist(nf) * distMul
+		exchDist = topology.Root(g.d, nf) / 2 * distMul
 	}
 	exch := numKernelsPerProc * kap * g.faceSize(sf) * exchDist
 
@@ -418,18 +440,20 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 }
 
 // validateMulti makes the checks every multiprocessor engine entry
-// point shares: p | n, m >= 1, steps >= 1 and a valid Θ. It also
-// refuses a fault density: only the fault-admitting registry row plans
-// a mask, and it consumes Faults before it calls an engine.
-func validateMulti(n, p, m, steps int, opts MultiOptions) error {
-	if p < 1 || n < p || n%p != 0 {
-		return fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
+// point shares: the guest geometry with at least one step, a host p
+// that divides n and is itself a d-mesh (a perfect square at d = 2, a
+// cube at d = 3), and a valid Θ. It also refuses a fault density: only
+// the fault-admitting registry row plans a mask, and it consumes Faults
+// before it calls an engine.
+func validateMulti(d, n, p, m, steps int, opts MultiOptions) *ParamError {
+	if e := validateGuest("multi", d, n, m, steps, 1); e != nil {
+		return e
 	}
-	if m < 1 {
-		return perr("multi", "m", "memory density must be >= 1", m)
+	if p < 1 || p > n || n%p != 0 {
+		return perr("multi", "p", fmt.Sprintf("must lie in [1, n] and divide n = %d", n), p)
 	}
-	if steps < 1 {
-		return perr("multi", "steps", "guest step count must be >= 1", steps)
+	if e := shapeError("multi", "p", d, p); e != nil {
+		return e
 	}
 	if e := validateTheta("multi", opts.Theta); e != nil {
 		return e
@@ -440,18 +464,12 @@ func validateMulti(n, p, m, steps int, opts MultiOptions) error {
 	return nil
 }
 
-// multiSpan is the shared d >= 2 orchestrator: validate the mesh shape,
-// minimize multiSpanCost over power-of-two spans (or the override),
-// charge the chosen schedule with phase attribution, and advance the
-// guest functionally (exactly).
+// multiSpan is the d >= 2 orchestrator of a validated tuple: minimize
+// multiSpanCost over power-of-two spans (or the override), charge the
+// chosen schedule with phase attribution, and advance the guest
+// functionally (exactly).
 func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if err := validateMulti(n, p, m, steps, opts); err != nil {
-		return MultiResult{}, err
-	}
-	if e := g.checkShape(n); e != nil {
-		return MultiResult{}, e
-	}
-	regionSide := g.regionSideInt(n, p)
+	regionSide := int(g.regionSide(float64(n), float64(p)))
 	if regionSide < 1 {
 		regionSide = 1
 	}

@@ -14,7 +14,7 @@ func TestMultiD1Functional(t *testing.T) {
 		{32, 4, 1, 16}, {32, 4, 4, 16}, {64, 8, 2, 32}, {16, 1, 2, 8},
 	} {
 		prog := netProg(0)
-		res, err := MultiD1Context(context.Background(), tc.n, tc.p, tc.m, tc.steps, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 1, tc.n, tc.p, tc.m, tc.steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -30,7 +30,7 @@ func TestMultiD1Functional(t *testing.T) {
 func TestMultiD1StripWidthTracksOptimum(t *testing.T) {
 	n, p := 1024, 8
 	// Range 1 (m small): s* = n/(m·p); range 4 (m >= n): s* = n/p.
-	r, err := MultiD1Context(context.Background(), n, p, 2, 16, netProg(0), MultiOptions{})
+	r, err := MultiContext(context.Background(), 1, n, p, 2, 16, netProg(0), MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMultiD1MoreProcessorsFaster(t *testing.T) {
 	prog := netProg(0)
 	var prev float64 = math.Inf(1)
 	for _, p := range []int{2, 4, 8} {
-		res, err := MultiD1Context(context.Background(), 64, p, 2, 32, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 1, 64, p, 2, 32, prog, MultiOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,15 +61,15 @@ func TestMultiD1AblationsHurt(t *testing.T) {
 	// cooperation are both active).
 	n, p, m, steps := 256, 8, 16, 64
 	prog := netProg(0)
-	full, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+	full, err := MultiContext(context.Background(), 1, n, p, m, steps, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRe, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{NoRearrange: true})
+	noRe, err := MultiContext(context.Background(), 1, n, p, m, steps, prog, MultiOptions{NoRearrange: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noCoop, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{NoCooperate: true})
+	noCoop, err := MultiContext(context.Background(), 1, n, p, m, steps, prog, MultiOptions{NoCooperate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMultiD1MeasuredATracksTheoremShape(t *testing.T) {
 	var ameasRef, aboundRef float64
 	ameas := make(map[int]float64)
 	for _, m := range ms {
-		res, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 1, n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -136,7 +136,7 @@ func TestMultiD1CyclesAmortizePrep(t *testing.T) {
 	// toward the steady-state per-cycle slowdown.
 	n, p, m := 64, 4, 4
 	prog := netProg(0)
-	steady, err := MultiD1Context(context.Background(), n, p, m, n, prog, MultiOptions{})
+	steady, err := MultiContext(context.Background(), 1, n, p, m, n, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +176,10 @@ func TestMultiD1CyclesValidation(t *testing.T) {
 }
 
 func TestMultiD1StripOverrideValidation(t *testing.T) {
-	if _, err := MultiD1Context(context.Background(), 32, 4, 1, 8, netProg(0), MultiOptions{StripWidth: 3}); err == nil {
+	if _, err := MultiContext(context.Background(), 1, 32, 4, 1, 8, netProg(0), MultiOptions{StripWidth: 3}); err == nil {
 		t.Fatal("non-dividing strip width did not error")
 	}
-	if _, err := MultiD1Context(context.Background(), 33, 4, 1, 8, netProg(0), MultiOptions{}); err == nil {
+	if _, err := MultiContext(context.Background(), 1, 33, 4, 1, 8, netProg(0), MultiOptions{}); err == nil {
 		t.Fatal("p not dividing n did not error")
 	}
 }

@@ -69,7 +69,7 @@ func TestPropertyBlockedD1MatchesReference(t *testing.T) {
 		steps := int(tRaw%16) + 1
 		leaf := int(leafRaw % 12) // 0 = paper's default
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		res, err := BlockedD1Context(context.Background(), n, m, steps, leaf, prog)
+		res, err := BlockedContext(context.Background(), 1, n, m, steps, leaf, prog)
 		if err != nil {
 			return false
 		}
@@ -87,7 +87,7 @@ func TestPropertyBlockedD1RestrictedMatchesReference(t *testing.T) {
 		mp := int(mpRaw)%m + 1
 		steps := int(tRaw%12) + 1
 		prog := guest.RestrictMem{P: guest.MixCA{Seed: uint64(seed)}, Words: mp}
-		res, err := BlockedD1Context(context.Background(), n, m, steps, 0, prog)
+		res, err := BlockedContext(context.Background(), 1, n, m, steps, 0, prog)
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestPropertyMultiD1MatchesReference(t *testing.T) {
 		m := 1 << (mRaw % 4)         // 1..8
 		steps := int(tRaw%3)*8 + 8   // 8..24
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: uint64(seed)}}
-		res, err := MultiD1Context(context.Background(), n, p, m, steps, prog, MultiOptions{})
+		res, err := MultiContext(context.Background(), 1, n, p, m, steps, prog, MultiOptions{})
 		if err != nil {
 			return false
 		}

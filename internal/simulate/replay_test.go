@@ -139,7 +139,7 @@ func TestSharedReplayKey(t *testing.T) {
 			prog.G = guest.Rule90{Seed: tc.seed}
 		}
 		res, sp := replaySpan(t, ctx, func(ctx context.Context) (MultiResult, error) {
-			return MultiD1Context(ctx, n, p, tc.m, tc.steps, prog, MultiOptions{})
+			return MultiContext(ctx, 1, n, p, tc.m, tc.steps, prog, MultiOptions{})
 		})
 		vertices := float64(n * tc.steps)
 		if tc.shared == 1 {
@@ -176,11 +176,11 @@ func TestSharedReplayCancelledStoresNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(share)
 	const n, m, steps = 64, 2, 64
 	prog := cancelAtStep{Program: netProg(8), at: 4, cancel: cancel}
-	if _, err := MultiD2Context(ctx, n, 4, m, steps, prog, MultiOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := MultiContext(ctx, 2, n, 4, m, steps, prog, MultiOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	res, sp := replaySpan(t, share, func(ctx context.Context) (MultiResult, error) {
-		return MultiD2Context(ctx, n, 16, m, steps, prog, MultiOptions{})
+		return MultiContext(ctx, 2, n, 16, m, steps, prog, MultiOptions{})
 	})
 	wantReplay(t, sp, 0, n*steps)
 	outs, mems := network.RunGuestPure(2, n, m, steps, prog)
@@ -218,7 +218,7 @@ func TestSharedReplayConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			res, err := MultiD1Context(ctx, n, p, m, steps, prog, MultiOptions{})
+			res, err := MultiContext(ctx, 1, n, p, m, steps, prog, MultiOptions{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -132,16 +132,7 @@ func blockedScheme(d int) Scheme {
 		Description: "blocked uniprocessor scheme for general m (Thm. 3), slowdown Θ(n·min(n, m·Log(n/m)))",
 		Validate:    uniprocOnly("blocked", d),
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			var r Result
-			var err error
-			switch d {
-			case 1:
-				r, err = BlockedD1Context(ctx, n, m, steps, cfg.Leaf, prog)
-			case 2:
-				r, err = BlockedD2Context(ctx, n, m, steps, cfg.Leaf, prog)
-			default:
-				r, err = BlockedD3Context(ctx, n, m, steps, cfg.Leaf, prog)
-			}
+			r, err := BlockedContext(ctx, d, n, m, steps, cfg.Leaf, prog)
 			return MultiResult{Result: r}, err
 		},
 	}
@@ -159,7 +150,7 @@ func analyticScheme() Scheme {
 		Description: "analytic replay of the blocked d = 1 recursion: exact model costs at huge n, no guest outputs",
 		Validate:    uniprocOnly("blocked-analytic", 1),
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			r, err := AnalyticBlockedD1Context(ctx, n, m, steps, cfg.Leaf, prog)
+			r, err := BlockedAnalyticD1Context(ctx, n, m, steps, cfg.Leaf, prog)
 			return MultiResult{Result: r}, err
 		},
 	}
@@ -179,18 +170,13 @@ var multiVariants = []multiVariant{
 	{"multi-faulty", "multi on a statically fault-masked mesh: largest live sub-mesh, charges stretched by detour and packing bounds", false, true},
 }
 
-// multiEngines holds the multiprocessor engine entry point of each
-// dimension d at index d.
-var multiEngines = [...]func(context.Context, int, int, int, int, network.Program, MultiOptions) (MultiResult, error){
-	1: MultiD1Context, 2: MultiD2Context, 3: MultiD3Context,
-}
-
 // multiScheme registers variant v of the multiprocessor engine for
-// dimension d. A name refuses each knob it does not admit with a typed
+// dimension d. Every variant requires a d-shaped n and p: the host is a
+// d-mesh too. A name refuses each knob it does not admit with a typed
 // ParamError on that field. A fault-admitting name samples the fault
-// mask (even at density 0, so its report is always attached), requires
-// a d-shaped p so the mask covers the actual host mesh, and runs on the
-// mask's effective processor count; see faulty.go for the regime.
+// mask over that host mesh (even at density 0, so its report is always
+// attached) and runs on the mask's effective processor count; see
+// faulty.go for the regime.
 func multiScheme(d int, v multiVariant) Scheme {
 	return Scheme{
 		Name: v.name, D: d, Multiproc: true, SharedReplay: true,
@@ -211,10 +197,7 @@ func multiScheme(d int, v multiVariant) Scheme {
 			if e := shapeError(v.name, "n", d, n); e != nil {
 				return e
 			}
-			if v.faults {
-				return shapeError(v.name, "p", d, p)
-			}
-			return nil
+			return shapeError(v.name, "p", d, p)
 		},
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
 			opts := cfg.Multi
@@ -228,7 +211,7 @@ func multiScheme(d int, v multiVariant) Scheme {
 				opts.Faults, opts.FaultSeed = 0, 0 // consumed: the plan carries them
 				opts.faultDistMul, opts.faultMemMul = plan.distMul, plan.memMul
 			}
-			res, err := multiEngines[d](ctx, n, p, m, steps, prog, opts)
+			res, err := MultiContext(ctx, d, n, p, m, steps, prog, opts)
 			if err != nil {
 				return MultiResult{}, err
 			}

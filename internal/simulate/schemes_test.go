@@ -57,7 +57,7 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 	// must report the exact virtual time of the direct call it wraps.
 	prog := netProg(0)
 
-	direct, err := MultiD1Context(context.Background(), 64, 4, 4, 16, prog, MultiOptions{})
+	direct, err := MultiContext(context.Background(), 1, 64, 4, 4, 16, prog, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunSchemeMatchesDirectCalls(t *testing.T) {
 			viaReg.Time, viaReg.PrepTime, direct.Time, direct.PrepTime)
 	}
 
-	db, err := BlockedD1Context(context.Background(), 64, 4, 16, 0, prog)
+	db, err := BlockedContext(context.Background(), 1, 64, 4, 16, 0, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

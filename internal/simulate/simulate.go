@@ -12,8 +12,9 @@
 //     (d = 2) for m = 1, built directly on the separator executor with
 //     real address management. Slowdown Θ(n log n).
 //   - Blocked uniprocessor (blocked.go): Theorem 3 for general m —
-//     divide-and-conquer down to "executable diamonds" D(m), whole
-//     node-memories relocated as blocks. Slowdown Θ(n·min(n, m·Log(n/m))).
+//     divide-and-conquer down to "executable domains" of span m (the
+//     diamonds D(m) at d = 1), whole node-memories relocated as blocks.
+//     Slowdown Θ(n·min(n, m·Log(n/m))) at d = 1.
 //   - Multiprocessor (multi.go): Theorem 4 / Theorem 1 — the memory
 //     rearrangement π, Regime 1 relocation, and Regime 2 cooperating-mode
 //     execution. Slowdown Θ((n/p)·A(n, m, p)).
@@ -82,8 +83,12 @@ func (r Result) Verify(d, n, m int, prog network.Program) error {
 // machine Md(n, n, m) itself running prog for steps steps — the
 // denominator of every slowdown ratio. The guest run polls cancellation
 // once per synchronous step and reports progress to any attached
-// Progress; a never-cancelled run measures the same time.
+// Progress; a never-cancelled run measures the same time. A malformed
+// geometry gets a ParamError.
 func GuestTimeContext(ctx context.Context, d, n, m, steps int, prog network.Program) (cost.Time, error) {
+	if e := validateGuest("guest", d, n, m, steps, 1); e != nil {
+		return 0, e
+	}
 	ec := newExecCtx(ctx)
 	defer ec.publish()
 	_, elapsed, err := network.RunGuest(network.New(d, n, n, m), prog, steps, ec.hook())

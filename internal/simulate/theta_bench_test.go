@@ -12,7 +12,7 @@ import (
 func BenchmarkMultiD1ThetaStretch(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiD1Context(context.Background(), 256, 8, 16, 64, prog, MultiOptions{Theta: 2, ThetaSeed: 7}); err != nil {
+		if _, err := MultiContext(context.Background(), 1, 256, 8, 16, 64, prog, MultiOptions{Theta: 2, ThetaSeed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}

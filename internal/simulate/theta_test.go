@@ -212,11 +212,11 @@ func TestThetaValidation(t *testing.T) {
 		if _, err := RunSchemeContext(context.Background(), "multi-theta", 1, 64, 4, 4, 16, prog, cfg); !errors.As(err, &pe) {
 			t.Fatalf("RunSchemeContext(theta=%v) = %v, want ParamError", theta, err)
 		}
-		if _, err := MultiD1Context(context.Background(), 64, 4, 4, 16, prog, MultiOptions{Theta: theta}); !errors.As(err, &pe) {
-			t.Fatalf("MultiD1Context(theta=%v) = %v, want ParamError", theta, err)
+		if _, err := MultiContext(context.Background(), 1, 64, 4, 4, 16, prog, MultiOptions{Theta: theta}); !errors.As(err, &pe) {
+			t.Fatalf("MultiContext d=1 (theta=%v) = %v, want ParamError", theta, err)
 		}
-		if _, err := MultiD2Context(context.Background(), 256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, MultiOptions{Theta: theta}); !errors.As(err, &pe) {
-			t.Fatalf("MultiD2Context(theta=%v) = %v, want ParamError", theta, err)
+		if _, err := MultiContext(context.Background(), 2, 256, 4, 8, 8, guest.AsNetwork{G: guest.MixCA{Seed: 9}, Side: 16}, MultiOptions{Theta: theta}); !errors.As(err, &pe) {
+			t.Fatalf("MultiContext d=2 (theta=%v) = %v, want ParamError", theta, err)
 		}
 	}
 	// Valid ratios pass.

@@ -36,7 +36,7 @@ func TestTraceGoldenBitIdentical(t *testing.T) {
 
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	mr, err := MultiD1Context(ctx, 64, 4, 16, 16, p1, MultiOptions{})
+	mr, err := MultiContext(ctx, 1, 64, 4, 16, 16, p1, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTraceGoldenBitIdentical(t *testing.T) {
 
 	tr2 := obs.NewTracer()
 	ctx2 := obs.WithTracer(context.Background(), tr2)
-	r, err := BlockedD1Context(ctx2, 64, 4, 16, 0, p1)
+	r, err := BlockedContext(ctx2, 1, 64, 4, 16, 0, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTracePhaseSpansSumToMakespan(t *testing.T) {
 	p1 := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	mr, err := MultiD1Context(ctx, 64, 4, 16, 16, p1, MultiOptions{})
+	mr, err := MultiContext(ctx, 1, 64, 4, 16, 16, p1, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

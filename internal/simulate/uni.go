@@ -2,14 +2,14 @@ package simulate
 
 import (
 	"context"
+	"fmt"
 
-	"bsmp/internal/analytic"
 	"bsmp/internal/cost"
 	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
 	"bsmp/internal/separator"
-	"fmt"
+	"bsmp/internal/topology"
 )
 
 // UniDCContext runs the uniprocessor divide-and-conquer simulation for m = 1:
@@ -29,10 +29,10 @@ import (
 // operations, so a never-cancelled run's virtual times do not depend on
 // ctx.
 func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Program) (Result, error) {
-	g, root, err := guestDag(d, n, steps)
-	if err != nil {
-		return Result{}, err
+	if e := validateGuest("unidc", d, n, 1, steps, 1); e != nil {
+		return Result{}, e
 	}
+	g, root := guestDag(d, n, steps)
 	space := separator.SpaceNeeded(g, root, leafSize)
 	var meter cost.Meter
 	mach := hram.New(space, hram.Standard(d, 1), &meter)
@@ -61,56 +61,51 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 // Cancellation is checked once per dag layer (n vertices of work) and
 // progress reported to any attached Progress.
 func UniNaiveDagContext(ctx context.Context, d, n, steps int, prog dag.Program) (Result, error) {
-	g, _, err := guestDag(d, n, steps)
-	if err != nil {
-		return Result{}, err
+	if e := validateGuest("uni-naive", d, n, 1, steps, 1); e != nil {
+		return Result{}, e
+	}
+	g, _ := guestDag(d, n, steps)
+	// Node v sits at the mesh position Coord3(v) and keeps its value at
+	// address v of its layer; nodes are visited in index order.
+	mesh := topology.NewMesh(d, n, n)
+	pos := func(v int) lattice.Point {
+		x, y, z := mesh.Coord3(v)
+		return lattice.Point{X: x, Y: y, Z: z}
 	}
 	ec := newExecCtx(ctx)
 	defer ec.publish()
 	var meter cost.Meter
 	// Two layers resident: previous and current, each n words.
 	mach := hram.New(2*n, hram.Standard(d, 1), &meter)
-	nodes := g.Nodes()
 	var buf []lattice.Point
-	ops := make([]dag.Value, 0, 5)
-	idx := func(p lattice.Point) int {
-		switch d {
-		case 2:
-			side := analytic.IntSqrtExact(n)
-			return p.Y*side + p.X
-		case 3:
-			side := analytic.IntCbrtExact(n)
-			return (p.Z*side+p.Y)*side + p.X
-		default:
-			return p.X
-		}
-	}
-	cur, prev := 0, nodes // ping-pong bases
+	ops := make([]dag.Value, 0, 7)
+	cur, prev := 0, n // ping-pong bases
 	// Input layer.
-	forEachNode(d, n, func(p lattice.Point) {
+	for v := 0; v < n; v++ {
 		mach.Op()
-		mach.Write(cur+idx(p), prog.Input(p))
-	})
+		mach.Write(cur+v, prog.Input(pos(v)))
+	}
 	for t := 1; t < steps; t++ {
 		if err := ec.step(n); err != nil {
 			return Result{}, err
 		}
 		cur, prev = prev, cur
-		forEachNode(d, n, func(p lattice.Point) {
+		for v := 0; v < n; v++ {
+			p := pos(v)
 			p.T = t
 			buf = g.Preds(p, buf[:0])
 			ops = ops[:0]
 			for _, q := range buf {
-				ops = append(ops, mach.Read(prev+idx(q)))
+				ops = append(ops, mach.Read(prev+mesh.Index3(q.X, q.Y, q.Z)))
 			}
 			mach.Op()
-			mach.Write(cur+idx(p), prog.Step(p, ops))
-		})
+			mach.Write(cur+v, prog.Step(p, ops))
+		}
 	}
-	out := make([]dag.Value, nodes)
-	forEachNode(d, n, func(p lattice.Point) {
-		out[idx(p)] = mach.Peek(cur + idx(p))
-	})
+	out := make([]dag.Value, n)
+	for v := range out {
+		out[v] = mach.Peek(cur + v)
+	}
 	return Result{
 		Outputs: out,
 		Time:    meter.Now(),
@@ -122,10 +117,10 @@ func UniNaiveDagContext(ctx context.Context, d, n, steps int, prog dag.Program) 
 // VerifyDag checks a dag-level simulation result against the reference
 // execution of the same guest.
 func VerifyDag(r Result, d, n int, prog dag.Program) error {
-	g, _, err := guestDag(d, n, r.Steps)
-	if err != nil {
-		return err
+	if e := validateGuest("verify", d, n, 1, r.Steps, 1); e != nil {
+		return e
 	}
+	g, _ := guestDag(d, n, r.Steps)
 	want := dag.Reference(g, prog)
 	if len(r.Outputs) != len(want) {
 		return fmt.Errorf("simulate: %d outputs, want %d", len(r.Outputs), len(want))
@@ -148,56 +143,21 @@ func (e *execCtx) separatorCheck(vertices int) error {
 	return e.step(vertices)
 }
 
-// guestDag builds the guest's computation dag and its full domain.
-func guestDag(d, n, steps int) (dag.Graph, lattice.Domain, error) {
-	if n < 1 || steps < 1 {
-		return nil, nil, perr("unidc", "n", fmt.Sprintf("needs n >= 1 and steps >= 1, got n=%d steps=%d", n, steps), n)
-	}
+// guestDag builds the computation dag of the n-node d-dimensional guest
+// over steps time layers, and its full domain. The caller validates the
+// geometry first (validateGuest).
+func guestDag(d, n, steps int) (dag.Graph, lattice.Domain) {
 	switch d {
 	case 1:
 		g := dag.NewLineGraph(n, steps)
-		return g, g.Domain(), nil
+		return g, g.Domain()
 	case 2:
-		side, ok := exactSqrt(n)
-		if !ok {
-			return nil, nil, shapeError("unidc", "n", 2, n)
-		}
+		side, _ := exactSqrt(n)
 		g := dag.NewMeshGraph(side, steps)
-		return g, g.Domain(), nil
-	case 3:
-		side, ok := exactCbrt(n)
-		if !ok {
-			return nil, nil, shapeError("unidc", "n", 3, n)
-		}
+		return g, g.Domain()
+	default:
+		side, _ := exactCbrt(n)
 		g := dag.NewCubeGraph(side, steps)
-		return g, g.Domain(), nil
-	default:
-		return nil, nil, fmt.Errorf("simulate: dimension %d not in {1,2,3}", d)
-	}
-}
-
-// forEachNode visits the guest's nodes at t = 0 in index order.
-func forEachNode(d, n int, f func(lattice.Point)) {
-	switch d {
-	case 1:
-		for x := 0; x < n; x++ {
-			f(lattice.Point{X: x})
-		}
-	case 2:
-		side := analytic.IntSqrtExact(n)
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				f(lattice.Point{X: x, Y: y})
-			}
-		}
-	default:
-		side := analytic.IntCbrtExact(n)
-		for z := 0; z < side; z++ {
-			for y := 0; y < side; y++ {
-				for x := 0; x < side; x++ {
-					f(lattice.Point{X: x, Y: y, Z: z})
-				}
-			}
-		}
+		return g, g.Domain()
 	}
 }

@@ -23,11 +23,13 @@ import (
 // it violates, and the offending value. It marshals directly into the
 // bsmpd error payload.
 type ParamError struct {
-	// Scheme is the registry key the tuple was validated against
-	// (empty when the violation precedes scheme lookup).
+	// Scheme is the registry key the tuple was validated against, or
+	// the engine a direct entry point runs ("guest" for
+	// GuestTimeContext, "uni-naive" for UniNaiveDagContext); empty when
+	// the violation precedes scheme lookup.
 	Scheme string `json:"scheme,omitempty"`
 	// Field names the offending parameter: "scheme", "d", "n", "p",
-	// "m", "steps", "theta" or "faults".
+	// "m", "steps", "cycles", "theta" or "faults".
 	Field string `json:"field"`
 	// Constraint states the violated requirement in words.
 	Constraint string `json:"constraint"`
@@ -206,23 +208,34 @@ func validateNaiveShape(d, n, p int) *ParamError {
 	return nil
 }
 
-// validateBlocked checks the panic preconditions of the direct
-// BlockedD1Context, BlockedD2Context and BlockedD3Context entry points (the
-// registry path adds the full common checks on top).
-func validateBlocked(d, n, m, steps int) *ParamError {
+// validateGuest is the geometry check in front of every direct engine
+// entry point (BlockedContext, MultiContext, UniDCContext,
+// UniNaiveDagContext, GuestTimeContext, ...), which the registry does
+// not guard: a mesh dimension d in {1, 2, 3}, a volume n >= 1, a
+// density m >= 1, at least minSteps guest steps, memory n·m and dag
+// volume n·(steps+1) that fit an int, and a d-shaped n. The internal
+// constructors panic on each of these, so a bad tuple stops here with
+// a ParamError naming the field and the caller.
+func validateGuest(scheme string, d, n, m, steps, minSteps int) *ParamError {
+	if d < 1 || d > 3 {
+		return perr(scheme, "d", "mesh dimension must be 1, 2 or 3", d)
+	}
 	if n < 1 {
-		return perr("blocked", "n", "machine volume must be >= 1", n)
+		return perr(scheme, "n", "machine volume must be >= 1", n)
 	}
 	if m < 1 {
-		return perr("blocked", "m", "memory density must be >= 1", m)
+		return perr(scheme, "m", "memory density must be >= 1", m)
 	}
-	if steps < 0 {
-		return perr("blocked", "steps", "guest step count must be >= 0", steps)
+	if m > math.MaxInt/n {
+		return perr(scheme, "m", fmt.Sprintf("total memory n·m overflows with n = %d", n), m)
+	}
+	if steps < minSteps {
+		return perr(scheme, "steps", fmt.Sprintf("guest step count must be >= %d", minSteps), steps)
 	}
 	if steps+1 > math.MaxInt/n {
-		return perr("blocked", "steps", fmt.Sprintf("dag volume n·(steps+1) overflows with n = %d", n), steps)
+		return perr(scheme, "steps", fmt.Sprintf("dag volume n·(steps+1) overflows with n = %d", n), steps)
 	}
-	return shapeError("blocked", "n", d, n)
+	return shapeError(scheme, "n", d, n)
 }
 
 // uniprocOnly is the Validate hook shared by the p = 1 schemes.

@@ -169,3 +169,49 @@ func TestRegisteredDimensionsConstructible(t *testing.T) {
 		}()
 	}
 }
+
+// TestEnginesRejectBadDimension checks that the two dimension-generic
+// engine entry points refuse a mesh dimension outside {1, 2, 3} with a
+// ParamError on d before they build anything.
+func TestEnginesRejectBadDimension(t *testing.T) {
+	ctx := context.Background()
+	prog := guest.AsNetwork{G: guest.MixCA{Seed: 3}}
+	for _, d := range []int{-1, 0, 4} {
+		_, berr := BlockedContext(ctx, d, 64, 4, 8, 0, prog)
+		_, merr := MultiContext(ctx, d, 64, 4, 4, 8, prog, MultiOptions{})
+		for name, err := range map[string]error{"BlockedContext": berr, "MultiContext": merr} {
+			var pe *ParamError
+			if !errors.As(err, &pe) || pe.Field != "d" {
+				t.Errorf("%s d=%d: err = %v, want ParamError on d", name, d, err)
+			}
+		}
+	}
+}
+
+// TestMultiHostMustBeMesh checks that every multiprocessor variant
+// requires the host p to be a d-mesh, as the guest n is: a perfect
+// square at d = 2 and a perfect cube at d = 3. Both the registry and the
+// engine entry point reject such a p with a ParamError on p.
+func TestMultiHostMustBeMesh(t *testing.T) {
+	prog := guest.AsNetwork{G: guest.MixCA{Seed: 3}}
+	for _, c := range []struct {
+		scheme            string
+		d, n, p, m, steps int
+	}{
+		{"multi", 2, 256, 8, 4, 8},
+		{"multi-theta", 2, 256, 8, 4, 8},
+		{"multi-faulty", 2, 256, 8, 4, 8},
+		{"multi", 3, 512, 4, 4, 8},
+		{"multi-theta", 3, 512, 4, 4, 8},
+	} {
+		var pe *ParamError
+		err := ValidateParams(c.scheme, c.d, c.n, c.p, c.m, c.steps)
+		if !errors.As(err, &pe) || pe.Field != "p" {
+			t.Errorf("ValidateParams%+v: err = %v, want ParamError on p", c, err)
+		}
+		_, err = MultiContext(context.Background(), c.d, c.n, c.p, c.m, c.steps, prog, MultiOptions{})
+		if !errors.As(err, &pe) || pe.Field != "p" {
+			t.Errorf("MultiContext%+v: err = %v, want ParamError on p", c, err)
+		}
+	}
+}
