@@ -51,7 +51,8 @@ type colSpan struct {
 
 // blockedGeom is the guest mesh as the blocked executor reads it: node
 // index and position come from the mesh topology, and the operand
-// stencil steps along its d axes within its side.
+// stencil steps along its d axes within its side. d and side are copied
+// out of the mesh so the leaf loop's stencil makes no interface call.
 type blockedGeom struct {
 	mesh topology.Topology
 	d    int // mesh dimension

@@ -19,11 +19,11 @@ func TestDiamondKernelProgramDependence(t *testing.T) {
 	narrow := guest.RestrictMem{P: base, Words: 2}
 	wide := guest.RestrictMem{P: base, Words: 32}
 
-	kNarrow, err := diamondKernel(context.Background(), s, m, narrow)
+	kNarrow, err := multiGeoms[1].kernel(context.Background(), s, m, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kWide, err := diamondKernel(context.Background(), s, m, wide)
+	kWide, err := multiGeoms[1].kernel(context.Background(), s, m, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestDiamondKernelProgramDependence(t *testing.T) {
 		t.Fatalf("kernel(m'=2) = %v not below kernel(m'=32) = %v: program not reflected", kNarrow, kWide)
 	}
 	// Re-query both orders: cached values must stay program-correct.
-	kNarrow2, err := diamondKernel(context.Background(), s, m, narrow)
+	kNarrow2, err := multiGeoms[1].kernel(context.Background(), s, m, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}

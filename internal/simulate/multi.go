@@ -124,12 +124,6 @@ type MultiResult struct {
 	Faults *FaultReport
 }
 
-// diamondKernel measures the time to execute one diamond D(s) with memory
-// density m — the d = 1 entry of the engine's unified kernel cache.
-func diamondKernel(ctx context.Context, s, m int, prog network.Program) (float64, error) {
-	return multiGeoms[1].kernel(ctx, s, m, prog)
-}
-
 // MultiContext runs the multiprocessor simulation of the d-dimensional
 // guest Md(n, n, m) on the host Md(n, p, m): Theorem 4 at d = 1, and
 // Theorem 1's d = 2 bound and its conjectured d = 3 case above that. It
@@ -237,7 +231,7 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 	// constants; to keep the phases commensurate — as they would be if
 	// one machine executed all of them — they are scaled by the kernel's
 	// measured-over-theoretical constant κ.
-	kernel, err := diamondKernel(ec.ctx, s, m, prog)
+	kernel, err := g.kernel(ec.ctx, s, m, prog)
 	if err != nil {
 		return MultiResult{}, err
 	}

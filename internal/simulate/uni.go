@@ -78,7 +78,7 @@ func UniNaiveDagContext(ctx context.Context, d, n, steps int, prog dag.Program) 
 	// Two layers resident: previous and current, each n words.
 	mach := hram.New(2*n, hram.Standard(d, 1), &meter)
 	var buf []lattice.Point
-	ops := make([]dag.Value, 0, 7)
+	ops := make([]dag.Value, 0, 5)
 	cur, prev := 0, n // ping-pong bases
 	// Input layer.
 	for v := 0; v < n; v++ {
