@@ -200,6 +200,10 @@ func TestEntryPointsRejectMalformedGeometry(t *testing.T) {
 			_, err := MultiD1CyclesContext(ctx, 8, 3, 1, 1, line, MultiOptions{})
 			return err
 		}},
+		{"MultiD1Cycles cycles·n overflows", "cycles", func() error {
+			_, err := MultiD1CyclesContext(ctx, 8, 2, 1, math.MaxInt/4, line, MultiOptions{})
+			return err
+		}},
 	}
 	for _, c := range cases {
 		func() {

@@ -339,11 +339,11 @@ func multiD1Schedule(ec *execCtx, n, p, m, steps int, prog network.Program, opts
 // n-step schedule is charged once and the guest is replayed once, for
 // all cycles·n steps.
 func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if cycles < 1 {
-		return MultiResult{}, perr("multi", "cycles", "cycle count must be >= 1", cycles)
-	}
 	if e := validateMulti(1, n, p, m, n, opts); e != nil {
 		return MultiResult{}, e
+	}
+	if cycles < 1 || cycles > math.MaxInt/n {
+		return MultiResult{}, perr("multi", "cycles", fmt.Sprintf("must be >= 1 with cycles·n steps fitting an int, n = %d", n), cycles)
 	}
 	ec := newExecCtx(ctx)
 	defer ec.publish()
