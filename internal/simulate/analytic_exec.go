@@ -169,7 +169,7 @@ func dTb(d lattice.Diamond, x int) int {
 }
 
 // analyticColumns is b.columns for a diamond in O(width): the per-node
-// time spans in ascending x (the d = 1 sortCols order).
+// time spans in ascending x (the d = 1 column order).
 func analyticColumns(d lattice.Diamond) []colSpan {
 	x0, x1 := dXRange(d)
 	spans := make([]colSpan, 0, x1-x0)
@@ -453,7 +453,8 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 			}
 			addr := i*a.iw + cellOff
 			a.access(addr) // read addressed cell
-			// Operand reads in netPreds order: self, left, right.
+			// Operand reads in the blocked stencil's order: self, left,
+			// right.
 			for _, dx := range [3]int{0, -1, 1} {
 				qx := x + dx
 				if qx < 0 || qx >= a.n {

@@ -136,7 +136,7 @@ type blockedExec struct {
 	// recording subtree captures exactly its own charge interval while
 	// nested recordings and replays link in as trace children. replayed
 	// counts memo hits; when nonzero, machine memory holds garbage at
-	// replayed addresses and the wrappers recompute outputs guest-side.
+	// replayed addresses and collect recomputes outputs guest-side.
 	memoOn   bool
 	progFP   string
 	recs     []*cost.Recorder
