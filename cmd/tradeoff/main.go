@@ -26,6 +26,7 @@ import (
 
 	"bsmp"
 	"bsmp/internal/profiling"
+	"bsmp/internal/topology"
 )
 
 func main() {
@@ -256,17 +257,12 @@ func measured(ctx context.Context, scheme string, d, n, p, m, steps int, cfg bsm
 // guestProg builds the standard MixCA measurement guest with the grid
 // geometry d requires.
 func guestProg(d, n int) bsmp.Program {
-	side := 0
 	switch d {
 	case 2:
-		for side*side < n {
-			side++
-		}
+		side, _ := topology.IntRoot(2, n)
 		return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}, Side: side}
 	case 3:
-		for side*side*side < n {
-			side++
-		}
+		side, _ := topology.IntRoot(3, n)
 		return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}, CubeSide: side}
 	}
 	return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}}

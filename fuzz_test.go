@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bsmp"
+	"bsmp/internal/topology"
 )
 
 // fuzzSchemes maps the fuzzed selector byte onto the registry names.
@@ -14,17 +15,12 @@ var fuzzSchemes = []string{"naive", "unidc", "blocked", "multi", "multi-faulty"}
 // fuzzGuest builds the MixCA measurement guest with the grid geometry d
 // requires (mirrors cmd/tradeoff's guestProg).
 func fuzzGuest(d, n int) bsmp.Program {
-	side := 0
 	switch d {
 	case 2:
-		for side*side < n {
-			side++
-		}
+		side, _ := topology.IntRoot(2, n)
 		return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}, Side: side}
 	case 3:
-		for side*side*side < n {
-			side++
-		}
+		side, _ := topology.IntRoot(3, n)
 		return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}, CubeSide: side}
 	}
 	return bsmp.AsNetwork{G: bsmp.MixCA{Seed: 9}}

@@ -3,14 +3,15 @@ package analytic
 import (
 	"fmt"
 	"math"
+
+	"bsmp/internal/topology"
 )
 
 // Integer-geometry helpers shared by the simulation schemes: strip/span
-// rounding and exact perfect-power roots. They live here (rather than in
-// simulate, where they historically accumulated per-dimension copies)
-// because they are part of the same closed-form layer as OptimalS and the
-// range boundaries: the executable schemes quantize the analytic optima
-// with them.
+// rounding and panicking exact perfect-power roots over
+// topology.IntRoot. They are part of the same closed-form layer as
+// OptimalS and the range boundaries: the executable schemes quantize the
+// analytic optima with them.
 
 // RoundToPow2Divisor rounds target to the nearest power of two in
 // [1, limit] (limit itself must be a power of two for exact
@@ -39,11 +40,8 @@ func RoundToPow2Divisor(target float64, limit int) int {
 // the d = 2 schemes require a square mesh, and a silent rounding would
 // misattribute every distance charge.
 func IntSqrtExact(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	if r*r != n {
+	r, ok := topology.IntRoot(2, n)
+	if !ok {
 		panic(fmt.Sprintf("analytic: %d is not a perfect square", n))
 	}
 	return r
@@ -51,11 +49,8 @@ func IntSqrtExact(n int) int {
 
 // IntCbrtExact returns ∛n for a perfect cube n, and panics otherwise.
 func IntCbrtExact(n int) int {
-	r := 0
-	for (r+1)*(r+1)*(r+1) <= n {
-		r++
-	}
-	if r*r*r != n {
+	r, ok := topology.IntRoot(3, n)
+	if !ok {
 		panic(fmt.Sprintf("analytic: %d is not a perfect cube", n))
 	}
 	return r

@@ -52,34 +52,6 @@ type Machine struct {
 // m >= 1; p divides n; for d = 2 (resp. 3), p and n must be perfect
 // squares (resp. cubes).
 func New(d, n, p, m int, opts ...hram.Option) *Machine {
-	if d < 1 || d > 3 {
-		panic(fmt.Sprintf("network: dimension %d not in {1,2,3}", d))
-	}
-	if p < 1 || n < p {
-		panic(fmt.Sprintf("network: need 1 <= p <= n, got p=%d n=%d", p, n))
-	}
-	if m < 1 {
-		panic(fmt.Sprintf("network: density m=%d < 1", m))
-	}
-	if n%p != 0 {
-		panic(fmt.Sprintf("network: p=%d must divide n=%d", p, n))
-	}
-	if d == 2 {
-		if s := intSqrt(p); s*s != p {
-			panic(fmt.Sprintf("network: d=2 needs square p, got %d", p))
-		}
-		if s := intSqrt(n); s*s != n {
-			panic(fmt.Sprintf("network: d=2 needs square n, got %d", n))
-		}
-	}
-	if d == 3 {
-		if s := intCbrt(p); s*s*s != p {
-			panic(fmt.Sprintf("network: d=3 needs cubic p, got %d", p))
-		}
-		if s := intCbrt(n); s*s*s != n {
-			panic(fmt.Sprintf("network: d=3 needs cubic n, got %d", n))
-		}
-	}
 	return NewOn(topology.NewMesh(d, n, p), n, m, opts...)
 }
 
@@ -421,32 +393,4 @@ func RunGuestPure(d, n, m, steps int, prog Program) ([]hram.Word, [][]hram.Word)
 	g := NewGuest(topology.NewMesh(d, n, n), m, prog)
 	g.Run(steps, nil)
 	return g.out, g.Memories()
-}
-
-func intSqrt(n int) int {
-	if n < 0 {
-		return -1
-	}
-	r := int(math.Sqrt(float64(n)))
-	for r*r > n {
-		r--
-	}
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
-}
-
-func intCbrt(n int) int {
-	if n < 0 {
-		return -1
-	}
-	r := int(math.Cbrt(float64(n)))
-	for r*r*r > n {
-		r--
-	}
-	for (r+1)*(r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }

@@ -12,6 +12,7 @@ import (
 	"bsmp"
 	"bsmp/internal/cost"
 	"bsmp/internal/obs"
+	"bsmp/internal/topology"
 
 	"encoding/json"
 )
@@ -409,17 +410,12 @@ func buildGuest(req RunRequest) bsmp.Program {
 	} else {
 		g = bsmp.MixCA{Seed: req.Seed}
 	}
-	side := 0
 	switch req.D {
 	case 2:
-		for side*side < req.N {
-			side++
-		}
+		side, _ := topology.IntRoot(2, req.N)
 		return bsmp.AsNetwork{G: g, Side: side}
 	case 3:
-		for side*side*side < req.N {
-			side++
-		}
+		side, _ := topology.IntRoot(3, req.N)
 		return bsmp.AsNetwork{G: g, CubeSide: side}
 	}
 	return bsmp.AsNetwork{G: g}

@@ -112,13 +112,9 @@ func largestShapedDivisor(d, n, limit int) int {
 		if n%k != 0 {
 			continue
 		}
-		if d == 2 && !isSquare(k) {
-			continue
+		if _, ok := topology.IntRoot(d, k); ok {
+			return k
 		}
-		if d == 3 && !isCube(k) {
-			continue
-		}
-		return k
 	}
 	return 1
 }

@@ -147,16 +147,15 @@ func (e *execCtx) separatorCheck(vertices int) error {
 // over steps time layers, and its full domain. The caller validates the
 // geometry first (validateGuest).
 func guestDag(d, n, steps int) (dag.Graph, lattice.Domain) {
+	side, _ := topology.IntRoot(d, n)
 	switch d {
 	case 1:
 		g := dag.NewLineGraph(n, steps)
 		return g, g.Domain()
 	case 2:
-		side, _ := exactSqrt(n)
 		g := dag.NewMeshGraph(side, steps)
 		return g, g.Domain()
 	default:
-		side, _ := exactCbrt(n)
 		g := dag.NewCubeGraph(side, steps)
 		return g, g.Domain()
 	}

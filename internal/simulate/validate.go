@@ -3,6 +3,8 @@ package simulate
 import (
 	"fmt"
 	"math"
+
+	"bsmp/internal/topology"
 )
 
 // This file is the panic-free validation boundary in front of the scheme
@@ -85,50 +87,6 @@ func validateFaults(scheme string, f float64) *ParamError {
 	return nil
 }
 
-// exactSqrt returns (√n, true) when n is a perfect square — the
-// error-returning sibling of analytic.IntSqrtExact for the validation
-// boundary, where a bad shape is caller input rather than an invariant.
-func exactSqrt(n int) (int, bool) {
-	if n < 0 {
-		return 0, false
-	}
-	r := int(math.Sqrt(float64(n)))
-	for r > 0 && r*r > n {
-		r--
-	}
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r, r*r == n
-}
-
-// exactCbrt returns (∛n, true) when n is a perfect cube.
-func exactCbrt(n int) (int, bool) {
-	if n < 0 {
-		return 0, false
-	}
-	r := int(math.Cbrt(float64(n)))
-	for r > 0 && r*r*r > n {
-		r--
-	}
-	for (r+1)*(r+1)*(r+1) <= n {
-		r++
-	}
-	return r, r*r*r == n
-}
-
-// isSquare reports whether n is a perfect square (n >= 0).
-func isSquare(n int) bool {
-	_, ok := exactSqrt(n)
-	return ok
-}
-
-// isCube reports whether n is a perfect cube (n >= 0).
-func isCube(n int) bool {
-	_, ok := exactCbrt(n)
-	return ok
-}
-
 // validateCommon checks the constraints shared by every scheme: positive
 // parameters, p <= n with p | n, and machine/dag volumes that fit in an
 // int (the naive host uses density m+1 and the uniprocessor dags carry
@@ -175,11 +133,11 @@ func validateCommon(scheme string, d, n, p, m, steps int) *ParamError {
 func shapeError(scheme, field string, d, v int) *ParamError {
 	switch d {
 	case 2:
-		if !isSquare(v) {
+		if _, ok := topology.IntRoot(2, v); !ok {
 			return perr(scheme, field, "d=2 mesh requires a perfect square", v)
 		}
 	case 3:
-		if !isCube(v) {
+		if _, ok := topology.IntRoot(3, v); !ok {
 			return perr(scheme, field, "d=3 mesh requires a perfect cube", v)
 		}
 	}
@@ -200,7 +158,7 @@ func validateNaiveShape(d, n, p int) *ParamError {
 	if e := shapeError("naive", "n", 2, n); e != nil {
 		return e
 	}
-	if !isSquare(p) {
+	if _, ok := topology.IntRoot(2, p); !ok {
 		return perr("naive", "p", "d=2 naive host requires a perfect-square p", p)
 	}
 	// The region patch n/p needs no separate check: p | n with n and p

@@ -3,6 +3,7 @@ package simulate
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -184,6 +185,27 @@ func TestEnginesRejectBadDimension(t *testing.T) {
 			if !errors.As(err, &pe) || pe.Field != "d" {
 				t.Errorf("%s d=%d: err = %v, want ParamError on d", name, d, err)
 			}
+		}
+	}
+}
+
+// TestEnginesRejectHugeNonPower checks the shape check at the largest
+// volumes: BlockedContext admits every other field of these tuples (one
+// word per node, no steps), so the integer root decides, and it must
+// return a ParamError on n rather than overflow while searching.
+func TestEnginesRejectHugeNonPower(t *testing.T) {
+	ctx := context.Background()
+	prog := guest.AsNetwork{G: guest.MixCA{Seed: 3}}
+	for _, c := range []struct{ d, n int }{
+		{2, math.MaxInt},
+		{2, 3037000499*3037000499 - 1},
+		{3, math.MaxInt},
+		{3, 2097151*2097151*2097151 - 1},
+	} {
+		_, err := BlockedContext(ctx, c.d, c.n, 1, 0, 0, prog)
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != "n" {
+			t.Errorf("BlockedContext(d=%d, n=%d): err = %v, want ParamError on n", c.d, c.n, err)
 		}
 	}
 }

@@ -57,8 +57,8 @@ type mesh struct {
 	spacing        float64
 }
 
-// newMesh validates and builds the shared mesh body. The constraints
-// and the spacing expression mirror network.New exactly.
+// newMesh validates and builds the shared mesh body; the spacing keeps
+// the historical math.Pow form.
 func newMesh(d, n, p int) mesh {
 	if d < 1 || d > 3 {
 		panic(fmt.Sprintf("topology: dimension %d not in {1,2,3}", d))
@@ -69,24 +69,12 @@ func newMesh(d, n, p int) mesh {
 	if n%p != 0 {
 		panic(fmt.Sprintf("topology: p=%d must divide n=%d", p, n))
 	}
-	side := p
-	if d == 2 {
-		side = intSqrt(p)
-		if side*side != p {
-			panic(fmt.Sprintf("topology: d=2 needs square p, got %d", p))
-		}
-		if s := intSqrt(n); s*s != n {
-			panic(fmt.Sprintf("topology: d=2 needs square n, got %d", n))
-		}
+	side, ok := IntRoot(d, p)
+	if !ok {
+		panic(fmt.Sprintf("topology: d=%d needs p = side^%d, got %d", d, d, p))
 	}
-	if d == 3 {
-		side = intCbrt(p)
-		if side*side*side != p {
-			panic(fmt.Sprintf("topology: d=3 needs cubic p, got %d", p))
-		}
-		if s := intCbrt(n); s*s*s != n {
-			panic(fmt.Sprintf("topology: d=3 needs cubic n, got %d", n))
-		}
+	if _, ok := IntRoot(d, n); !ok {
+		panic(fmt.Sprintf("topology: d=%d needs n = side^%d, got %d", d, d, n))
 	}
 	return mesh{
 		d: d, nodes: p, side: side,
@@ -189,17 +177,18 @@ type Mesh3 struct{ mesh }
 func NewMesh3(n, p int) *Mesh3 { return &Mesh3{newMesh(3, n, p)} }
 
 // NewMesh dispatches on the dimension: the p-node d-mesh of a volume-n
-// machine. It panics on malformed geometry exactly like network.New —
-// callers on the service boundary validate first (simulate.ValidateParams).
+// machine. It panics on malformed geometry — callers on the service
+// boundary validate first (simulate.ValidateParams).
 func NewMesh(d, n, p int) Topology {
 	switch d {
 	case 1:
 		return NewMesh1(n, p)
 	case 2:
 		return NewMesh2(n, p)
-	default:
+	case 3:
 		return NewMesh3(n, p)
 	}
+	panic(fmt.Sprintf("topology: dimension %d not in {1,2,3}", d))
 }
 
 // Root is the dimension-matched d-th root used by the engines' cost
@@ -228,30 +217,40 @@ func abs(a int) int {
 	return a
 }
 
-func intSqrt(n int) int {
-	if n < 0 {
-		return -1
+// IntRoot returns the largest r with r^d <= n and whether r^d == n, for
+// d >= 1; a negative n has no root, so it returns (-1, false). It
+// compares by division, so no intermediate overflows even at
+// n = math.MaxInt. This is the one exact integer root: mesh shapes,
+// validation and guest construction all take their sides from it.
+func IntRoot(d, n int) (r int, exact bool) {
+	if d < 1 {
+		panic(fmt.Sprintf("topology: root degree %d < 1", d))
 	}
-	r := int(math.Sqrt(float64(n)))
-	for r*r > n {
+	if n < 0 {
+		return -1, false
+	}
+	if d == 1 {
+		return n, true
+	}
+	// fits reports r^d <= n: dividing n by r d times leaves at least 1
+	// exactly when it does.
+	fits := func(r int) bool {
+		q := n
+		for i := 0; i < d && q > 0; i++ {
+			q /= r
+		}
+		return q > 0
+	}
+	r = int(math.Pow(float64(n), 1/float64(d)))
+	for r > 0 && !fits(r) {
 		r--
 	}
-	for (r+1)*(r+1) <= n {
+	for fits(r + 1) {
 		r++
 	}
-	return r
-}
-
-func intCbrt(n int) int {
-	if n < 0 {
-		return -1
+	p := 1
+	for i := 0; i < d; i++ {
+		p *= r
 	}
-	r := int(math.Cbrt(float64(n)))
-	for r*r*r > n {
-		r--
-	}
-	for (r+1)*(r+1)*(r+1) <= n {
-		r++
-	}
-	return r
+	return r, p == n
 }

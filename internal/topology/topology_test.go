@@ -248,3 +248,60 @@ func TestFaultMaskDetour(t *testing.T) {
 	}
 	t.Skip("no seed with exactly one dead node found")
 }
+
+func TestIntRoot(t *testing.T) {
+	const (
+		maxSquare = 3037000499 * 3037000499 // 9223372030926249001, the largest square <= MaxInt
+		maxCube   = 2097151 * 2097151 * 2097151
+	)
+	for _, tc := range []struct {
+		d, n, r int
+		exact   bool
+	}{
+		{1, 0, 0, true}, {1, 1, 1, true}, {1, 63, 63, true}, {1, 64, 64, true},
+		{1, -1, -1, false}, {1, math.MaxInt, math.MaxInt, true},
+
+		{2, 0, 0, true}, {2, 1, 1, true}, {2, 4, 2, true}, {2, 63, 7, false},
+		{2, 64, 8, true}, {2, 4096, 64, true}, {2, -4, -1, false},
+		{2, math.MaxInt, 3037000499, false}, {2, maxSquare, 3037000499, true},
+		{2, maxSquare - 1, 3037000498, false},
+
+		{3, 0, 0, true}, {3, 1, 1, true}, {3, 8, 2, true}, {3, 63, 3, false},
+		{3, 64, 4, true}, {3, 4096, 16, true}, {3, -8, -1, false},
+		{3, math.MaxInt, 2097151, false}, {3, maxCube, 2097151, true},
+		{3, maxCube - 1, 2097150, false},
+	} {
+		if r, exact := IntRoot(tc.d, tc.n); r != tc.r || exact != tc.exact {
+			t.Errorf("IntRoot(%d, %d) = %d, %v; want %d, %v", tc.d, tc.n, r, exact, tc.r, tc.exact)
+		}
+	}
+	// Every small n lies between consecutive powers of its root.
+	pow := func(r, d int) int {
+		p := 1
+		for i := 0; i < d; i++ {
+			p *= r
+		}
+		return p
+	}
+	for d := 2; d <= 3; d++ {
+		for n := 0; n <= 5000; n++ {
+			r, exact := IntRoot(d, n)
+			if pow(r, d) > n || pow(r+1, d) <= n || exact != (pow(r, d) == n) {
+				t.Fatalf("IntRoot(%d, %d) = %d, %v", d, n, r, exact)
+			}
+		}
+	}
+}
+
+func TestNewMeshRejectsBadDimension(t *testing.T) {
+	for _, d := range []int{0, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMesh(%d, 8, 8) did not panic", d)
+				}
+			}()
+			NewMesh(d, 8, 8)
+		}()
+	}
+}
