@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -105,7 +106,12 @@ type flightCall struct {
 
 // Do executes fn once per key among concurrent callers. It returns fn's
 // value and error, and whether the result was shared from another
-// caller's execution.
+// caller's execution. A leader's cancellation belongs to the leader's
+// caller: a waiter whose own ctx is live calls again when the leader's
+// call ends in context.Canceled, leading a new execution or joining a
+// newer one (the key is gone before done closes). A leader's deadline
+// stays shared, since a waiter has no more of its own budget left than
+// the leader had.
 func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (any, error, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -116,6 +122,9 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)
 		g.mu.Unlock()
 		select {
 		case <-c.done:
+			if errors.Is(c.err, context.Canceled) && ctx.Err() == nil {
+				return g.Do(ctx, key, fn)
+			}
 			return c.val, c.err, true
 		case <-ctx.Done():
 			return nil, ctx.Err(), true

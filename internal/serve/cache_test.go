@@ -143,6 +143,58 @@ func TestFlightGroupWaiterDeadline(t *testing.T) {
 	}
 }
 
+// A waiter with a live context does not inherit the leader's
+// cancellation: it runs fn itself. A leader's deadline is still shared.
+func TestFlightGroupLiveWaiterOutlivesCancelledLeader(t *testing.T) {
+	for _, tc := range []struct {
+		leaderErr  error
+		wantV      any
+		wantErr    error
+		wantShared bool
+	}{
+		{context.Canceled, 2, nil, false},
+		{context.DeadlineExceeded, nil, context.DeadlineExceeded, true},
+	} {
+		var g flightGroup
+		release := make(chan struct{})
+		started := make(chan struct{})
+		leaderErr := make(chan error, 1)
+		go func() {
+			_, err, _ := g.Do(context.Background(), "k", func() (any, error) {
+				close(started)
+				<-release
+				return nil, tc.leaderErr
+			})
+			leaderErr <- err
+		}()
+		<-started
+		type result struct {
+			v      any
+			err    error
+			shared bool
+		}
+		waiter := make(chan result, 1)
+		go func() {
+			v, err, shared := g.Do(context.Background(), "k", func() (any, error) { return 2, nil })
+			waiter <- result{v, err, shared}
+		}()
+		for joined := false; !joined; time.Sleep(time.Millisecond) {
+			g.mu.Lock()
+			joined = g.calls["k"].dups == 1
+			g.mu.Unlock()
+		}
+		close(release)
+		if err := <-leaderErr; err != tc.leaderErr {
+			t.Fatalf("leader err = %v, want %v", err, tc.leaderErr)
+		}
+		r := <-waiter
+		if r.v != tc.wantV || r.err != tc.wantErr || r.shared != tc.wantShared {
+			t.Fatalf("leader %v: waiter got (%v, %v, shared %v), want (%v, %v, shared %v)",
+				tc.leaderErr, r.v, r.err, r.shared, tc.wantV, tc.wantErr, tc.wantShared)
+		}
+	}
+}
+
 func TestFlightGroupSequentialCallsRunSeparately(t *testing.T) {
 	var g flightGroup
 	var calls int

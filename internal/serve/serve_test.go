@@ -307,6 +307,58 @@ func TestRunCoalescesConcurrentDuplicates(t *testing.T) {
 	}
 }
 
+// A coalesced /v1/run whose own client is still connected does not
+// inherit the leader's disconnect: the leader gets 499, the follower
+// runs the simulation itself and gets 200.
+func TestRunFollowerOutlivesLeaderDisconnect(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 4})
+	var calls atomic.Int64
+	leaderRunning := make(chan struct{})
+	s.runScheme = func(ctx context.Context, req RunRequest) (*RunResponse, error) {
+		if calls.Add(1) == 1 {
+			close(leaderRunning)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &RunResponse{Scheme: req.Scheme, Time: 1}, nil
+	}
+	h := s.Handler()
+	lctx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(validRun)).WithContext(lctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		leader <- w
+	}()
+	<-leaderRunning
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- postRun(t, h, validRun) }()
+	for joined := false; !joined; time.Sleep(time.Millisecond) {
+		s.flight.mu.Lock()
+		for _, c := range s.flight.calls {
+			joined = c.dups > 0
+		}
+		s.flight.mu.Unlock()
+	}
+	disconnect()
+
+	if w := <-leader; w.Code != 499 || decodeError(t, w).Error.Kind != "cancelled" {
+		t.Fatalf("leader: status %d body %s, want 499 cancelled", w.Code, w.Body)
+	}
+	w := <-follower
+	if w.Code != http.StatusOK {
+		t.Fatalf("follower: status %d body %s, want 200", w.Code, w.Body)
+	}
+	if decodeRun(t, w).Coalesced {
+		t.Fatal("follower ran the simulation itself but is marked coalesced")
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("simulation ran %d times, want 2 (the cancelled leader, then the follower)", n)
+	}
+}
+
 func TestRunQueueFull429(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: -1})
 	release := make(chan struct{})
