@@ -184,11 +184,11 @@ func TestFlightGroupLiveWaiterOutlivesCancelledLeader(t *testing.T) {
 			g.mu.Unlock()
 		}
 		close(release)
-		if err := <-leaderErr; err != tc.leaderErr {
+		if err := <-leaderErr; !errors.Is(err, tc.leaderErr) {
 			t.Fatalf("leader err = %v, want %v", err, tc.leaderErr)
 		}
 		r := <-waiter
-		if r.v != tc.wantV || r.err != tc.wantErr || r.shared != tc.wantShared {
+		if r.v != tc.wantV || !errors.Is(r.err, tc.wantErr) || r.shared != tc.wantShared {
 			t.Fatalf("leader %v: waiter got (%v, %v, shared %v), want (%v, %v, shared %v)",
 				tc.leaderErr, r.v, r.err, r.shared, tc.wantV, tc.wantErr, tc.wantShared)
 		}
