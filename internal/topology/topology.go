@@ -60,9 +60,6 @@ type mesh struct {
 // newMesh validates and builds the shared mesh body; the spacing keeps
 // the historical math.Pow form.
 func newMesh(d, n, p int) mesh {
-	if d < 1 || d > 3 {
-		panic(fmt.Sprintf("topology: dimension %d not in {1,2,3}", d))
-	}
 	if p < 1 || n < p {
 		panic(fmt.Sprintf("topology: need 1 <= p <= n, got p=%d n=%d", p, n))
 	}

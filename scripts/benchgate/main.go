@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -139,7 +138,7 @@ type cell struct {
 }
 
 // judge applies the gate's rule to paired samples: base[i] and head[i]
-// come from the same seed.
+// come from the same seed. Every end-to-end metric is positive.
 func judge(spec metricSpec, base, head []float64) cell {
 	var c cell
 	c.baseQ1, c.baseMed, c.baseQ3 = quartiles(base)
@@ -160,16 +159,11 @@ func judge(spec metricSpec, base, head []float64) cell {
 			c.wins++
 		}
 	}
-	switch {
-	case c.baseMed != 0:
-		c.change = (c.headMed - c.baseMed) / math.Abs(c.baseMed)
-	case c.headMed != 0:
-		c.change = math.Copysign(math.Inf(1), c.headMed)
-	}
+	c.change = (c.headMed - c.baseMed) / c.baseMed
 	gap := worse(c.headMed, c.baseMed)
 	c.regressed = c.losses >= minLosses &&
 		gap > c.baseQ3-c.baseQ1 &&
-		gap > minChange*math.Abs(c.baseMed)
+		gap > minChange*c.baseMed
 	return c
 }
 
