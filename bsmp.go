@@ -282,12 +282,26 @@ func ProgressFrom(ctx context.Context) *Progress { return simulate.ProgressFrom(
 
 // WithSharedReplay returns a context carrying a fresh replay share:
 // runs of registry entries with SharedReplay set, started under it, that
-// replay the same guest — equal (d, n, m, steps) and program, any p, Θ
-// or fault density — step it once and copy the stored outputs after
-// that. Results are exactly those of unshared runs. The share keeps one
-// guest state; scope it to one family of runs.
+// replay the same guest — equal (d, n, m) and program, any p, Θ or fault
+// density — step it once. A later run of as many steps copies the kept
+// state, and one of more steps resumes from it and steps only the rest.
+// Results are exactly those of unshared runs. The share keeps one guest
+// state; scope it to one family of runs.
 func WithSharedReplay(ctx context.Context) context.Context {
 	return simulate.WithSharedReplay(ctx)
+}
+
+// ReplayHelpers lends a running guest replay helper goroutines; see
+// WithReplayHelpers.
+type ReplayHelpers = network.Helpers
+
+// WithReplayHelpers returns a context under which the guest replays of
+// registry entries with SharedReplay set may borrow helper goroutines
+// from h, each stepping half of every step of a guest of at least
+// network.SplitMin nodes while it is attached. Results are exactly those
+// of unhelped runs.
+func WithReplayHelpers(ctx context.Context, h ReplayHelpers) context.Context {
+	return simulate.WithReplayHelpers(ctx, h)
 }
 
 // Span tracing.

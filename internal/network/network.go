@@ -151,28 +151,33 @@ type Program interface {
 // whose hook always returns nil is bit-identical to an unhooked one.
 type StepHook func(vertices int) error
 
-// Row is one synchronous step handed to a RowProgram whole: step T of
-// a guest whose nodes hold M memory words each. Prev holds the broadcast
-// values of step T-1 and Out receives those of step T; Mem is every
-// node's memory, node v's M words at [v·M, (v+1)·M); Addr receives the
-// cell each node addressed. Node v's neighbors, in operand order (-x, +x,
-// -y, +y, -z, +z, clipped), are Adj[Off[v]:Off[v+1]], and len(Off) is
-// len(Out)+1.
+// Row is the nodes Lo..Hi-1 of one synchronous step, handed to a
+// RowProgram: step T of a guest whose nodes hold M memory words each.
+// Prev holds the broadcast values of step T-1 and Out receives those of
+// step T; Mem is every node's memory, node v's M words at [v·M, (v+1)·M);
+// Addr receives the cell each node addressed. Node v's neighbors, in
+// operand order (-x, +x, -y, +y, -z, +z, clipped), are
+// Adj[Off[v]:Off[v+1]], and len(Off) is len(Out)+1. A whole step is the
+// range [0, len(Out)).
 type Row struct {
 	T, M           int
+	Lo, Hi         int
 	Prev, Out, Mem []hram.Word
 	Addr           []int
 	Off, Adj       []int32
 }
 
-// RowProgram is implemented by a Program that can step every node of a
-// step in one call, over the guest's flat memory and neighbor offsets.
-// StepRow must leave Out, Mem and Addr exactly as Guest's per-vertex
-// loop over the Program's own Address and Step would: node v addresses
-// cell Address(v, T, M), and its Step operands are Prev[v] followed by
-// Prev[u] for each u in Adj order. An out-of-range address panics, as
-// it does in Step. StepRow returns false, having written nothing, to
-// leave the step to the per-vertex loop.
+// RowProgram is implemented by a Program that can step a range of a
+// step's nodes in one call, over the guest's flat memory and neighbor
+// offsets. StepRow steps exactly the nodes in [Lo, Hi) and must leave
+// their Out, Addr and memory words exactly as Guest's per-vertex loop
+// over the Program's own Address and Step would: node v addresses cell
+// Address(v, T, M), and its Step operands are Prev[v] followed by Prev[u]
+// for each u in Adj order. It writes nothing else, so calls over
+// disjoint ranges of one step may run at once. An out-of-range address
+// panics, as it does in Step. StepRow returns false, having written
+// nothing, to leave the step to the per-vertex loop; whether it accepts
+// or declines a step must not depend on the range.
 type RowProgram interface {
 	StepRow(r *Row) bool
 }
@@ -198,6 +203,13 @@ type Guest struct {
 	// args is StepRow's argument, kept in the guest so a step
 	// allocates nothing.
 	args Row
+	// rowed reports that the last step went through the row path: only
+	// then does a Run ask for a helper.
+	rowed bool
+	// lend, help and helped are the helper handshake (helper.go).
+	lend   Helpers
+	help   helpSlot
+	helped int
 }
 
 // NewGuest loads prog on the nodes of topo with m memory words each. The
@@ -242,16 +254,19 @@ func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 // Step executes one synchronous step: every node v reads its addressed
 // cell and combines it with the previous broadcast values of v and its
 // neighbors, in neighbor order, then rewrites the cell and its broadcast
-// value. A RowProgram steps the whole row in one call; the per-vertex
-// loop runs when the program has no row path or declines the step. Step
-// is kept out of line so the drivers' hook and charge code never shares
-// a register allocation with the vertex loop.
+// value. A RowProgram steps the whole row in one call, or, while a
+// helper is attached, the lower half here and the upper half on the
+// helper; the per-vertex loop runs when the program has no row path or
+// declines the step, and is never split. Step is kept out of line so the
+// drivers' hook and charge code never shares a register allocation with
+// the vertex loop.
 //
 //go:noinline
 func (g *Guest) Step() {
 	t := g.steps + 1
 	g.out, g.prev = g.prev, g.out
-	if !g.stepRow(t) {
+	g.rowed = g.stepRow(t)
+	if !g.rowed {
 		g.stepVertices(t)
 	}
 	g.steps = t
@@ -263,7 +278,10 @@ func (g *Guest) stepRow(t int) bool {
 	if g.row == nil {
 		return false
 	}
-	g.args = Row{T: t, M: g.m, Prev: g.prev, Out: g.out, Mem: g.mem, Addr: g.addr, Off: g.off, Adj: g.adj}
+	g.args = Row{T: t, M: g.m, Lo: 0, Hi: len(g.out), Prev: g.prev, Out: g.out, Mem: g.mem, Addr: g.addr, Off: g.off, Adj: g.adj}
+	if g.help.state.Load() == helpAttached {
+		return g.stepSplit()
+	}
 	return g.row.StepRow(&g.args)
 }
 
@@ -293,13 +311,22 @@ func (g *Guest) stepVertices(t int) {
 }
 
 // Run advances the guest to step steps, polling hook (when non-nil)
-// before every step with the node count.
+// before every step with the node count. A guest of at least SplitMin
+// nodes with Helpers (SetHelpers) asks them for a helper between steps
+// while it has none; Run returns only after its helper has let go.
 func (g *Guest) Run(steps int, hook StepHook) error {
+	if g.lend != nil && g.steps < steps && len(g.out) >= SplitMin {
+		g.help.open()
+		defer g.help.close()
+	}
 	for g.steps < steps {
 		if hook != nil {
 			if err := hook(len(g.out)); err != nil {
 				return err
 			}
+		}
+		if g.rowed && g.help.state.Load() == helpOpen {
+			g.ask()
 		}
 		g.Step()
 	}
@@ -308,6 +335,9 @@ func (g *Guest) Run(steps int, hook StepHook) error {
 
 // Steps reports how many steps the guest has executed.
 func (g *Guest) Steps() int { return g.steps }
+
+// Helped reports how many steps a helper took the upper half of.
+func (g *Guest) Helped() int { return g.helped }
 
 // Outputs returns the broadcast values of the last step (the initial
 // values before the first). The slice is the guest's own: a later Step

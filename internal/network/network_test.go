@@ -33,12 +33,12 @@ func (caProg) Step(node, step int, cell hram.Word, prev []hram.Word) (hram.Word,
 	return s + hram.Word(step), s ^ cell
 }
 
-// caRowProg is caProg with a row path: StepRow steps the whole row with
-// caProg's own arithmetic, over the guest's neighbor offsets.
+// caRowProg is caProg with a row path: StepRow steps the row's range
+// with caProg's own arithmetic, over the guest's neighbor offsets.
 type caRowProg struct{ caProg }
 
 func (caRowProg) StepRow(r *Row) bool {
-	for v := range r.Out {
+	for v := r.Lo; v < r.Hi; v++ {
 		a := (v + r.T) % r.M
 		c := v*r.M + a
 		cell := r.Mem[c]
@@ -282,15 +282,16 @@ func TestGuestStepperLaws(t *testing.T) {
 			wantOut, wantMem := RunGuestPure(d, n, m, steps, caProg{})
 			for _, prog := range []Program{caProg{}, caRowProg{}, caDeclineProg{}} {
 				name := fmt.Sprintf("%T/d=%d/m=%d", prog, d, m)
-				checkStepperLaws(t, name, prog, d, n, m, steps, k, wantOut, wantMem)
+				checkStepperLaws(t, name, prog, d, n, m, steps, k, wantOut, wantMem, nil)
 			}
 		}
 	}
 }
 
 // checkStepperLaws asserts TestGuestStepperLaws' laws for one program
-// against caProg's pure replay (wantOut, wantMem).
-func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k int, wantOut []hram.Word, wantMem [][]hram.Word) {
+// against caProg's pure replay (wantOut, wantMem). The resumed guest
+// takes its helpers from lend (none when nil).
+func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k int, wantOut []hram.Word, wantMem [][]hram.Word, lend Helpers) {
 	t.Helper()
 	pureOut, pureMem := RunGuestPure(d, n, m, steps, prog)
 	for v := 0; v < n; v++ {
@@ -365,6 +366,7 @@ func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k
 	}
 
 	g := NewGuest(topology.NewMesh(d, n, n), m, prog)
+	g.SetHelpers(lend)
 	if err := g.Run(k, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bsmp"
+	"bsmp/internal/network"
 )
 
 // This file is the /v1/sweep endpoint: server-side evaluation of a
@@ -509,20 +510,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepGuest identifies the guest a grid point runs: everything but the
-// host-side knobs (scheme, p, Θ, faults and the other config fields).
+// sweepGuest identifies the guest a grid point replays: everything but
+// the step count and the host-side knobs (scheme, p, Θ, faults and the
+// other config fields).
 type sweepGuest struct {
-	d, n, m, steps int
-	guest          string
-	seed           uint64
+	d, n, m int
+	guest   string
+	seed    uint64
 }
 
 // groupSweep partitions the units left to execute into groups, the units
 // of dispatch, and orders them. Units of replaying schemes
 // (bsmp.Scheme.SharedReplay) with one guest form a replay group, whose
-// units share one functional replay; every other unit is a group of one.
-// The order is largest first — descending n·steps, ties in grid order —
-// the battery's critical-path-first rule: a group is lumpier work than a
+// units share one functional replay: they run in ascending steps, ties
+// in grid order, so each unit resumes from the state the one before it
+// left. Every other unit is a group of one. Groups go out largest first
+// — descending n × the group's largest steps, ties in grid order — the
+// battery's critical-path-first rule: a group is lumpier work than a
 // row, and a large one dispatched last would run alone at the end of the
 // sweep.
 func groupSweep(units []*sweepUnit) [][]*sweepUnit {
@@ -531,7 +535,7 @@ func groupSweep(units []*sweepUnit) [][]*sweepUnit {
 	for _, u := range units {
 		r := u.req
 		if sc, err := bsmp.SchemeByName(r.Scheme, r.D); err == nil && sc.SharedReplay {
-			k := sweepGuest{r.D, r.N, r.M, r.Steps, r.Guest, r.Seed}
+			k := sweepGuest{r.D, r.N, r.M, r.Guest, r.Seed}
 			if i, ok := byGuest[k]; ok {
 				groups[i] = append(groups[i], u)
 				continue
@@ -540,7 +544,10 @@ func groupSweep(units []*sweepUnit) [][]*sweepUnit {
 		}
 		groups = append(groups, []*sweepUnit{u})
 	}
-	size := func(g []*sweepUnit) int { return g[0].req.N * g[0].req.Steps }
+	for _, g := range groups {
+		sort.SliceStable(g, func(i, j int) bool { return g[i].req.Steps < g[j].req.Steps })
+	}
+	size := func(g []*sweepUnit) int { return g[0].req.N * g[len(g)-1].req.Steps }
 	sort.SliceStable(groups, func(i, j int) bool { return size(groups[i]) > size(groups[j]) })
 	return groups
 }
@@ -571,11 +578,15 @@ func (s *Server) resolveSweepUnit(u *sweepUnit, trace bool) (sweepRowOut, bool) 
 // back under one replay share (bsmp.WithSharedReplay), dropped when the
 // group ends, so a sweep holds at most one extra guest state per held
 // slot. Units never take a slot of their own — with -sweep-parallel 1 a
-// second acquire would deadlock. Once ctx is done, every unit not yet
-// started gets a cancellation row.
+// second acquire would deadlock. A slot no group is waiting for is lent
+// to a running replay as a helper (sweepLender). Once ctx is done, every
+// unit not yet started gets a cancellation row.
 func (s *Server) dispatchSweep(ctx context.Context, groups [][]*sweepUnit, trace bool, out chan<- sweepRowOut) {
+	lender := &sweepLender{s: s, ctx: ctx}
+	defer lender.close()
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	hctx := bsmp.WithReplayHelpers(ctx, lender)
 	cancelled := func(u *sweepUnit) sweepRowOut {
 		_, detail := s.classifyRunError(ctx.Err())
 		return sweepRowOut{unit: u, err: &detail}
@@ -595,9 +606,9 @@ func (s *Server) dispatchSweep(ctx context.Context, groups [][]*sweepUnit, trace
 		go func(g []*sweepUnit) {
 			defer wg.Done()
 			defer func() { <-s.sweepSem }()
-			gctx := ctx
+			gctx := hctx
 			if len(g) > 1 {
-				gctx = bsmp.WithSharedReplay(ctx)
+				gctx = bsmp.WithSharedReplay(hctx)
 			}
 			for _, u := range g {
 				if ctx.Err() != nil {
@@ -608,6 +619,81 @@ func (s *Server) dispatchSweep(ctx context.Context, groups [][]*sweepUnit, trace
 			}
 		}(g)
 	}
+}
+
+// sweepLender lends a sweep's running replays idle sweep slots
+// (bsmp.ReplayHelpers). A lend is a non-blocking sweepSem acquire, then
+// a pool job that helps the guest if its Run is still live and
+// otherwise returns at once, so a helper holds one sweep slot and one
+// pool worker while attached, and -workers and -sweep-parallel still
+// bound the CPU-bound goroutines. A dispatcher blocked on sweepSem takes
+// a freed slot before any lend can. The helper leaves at the next step
+// boundary once a job is waiting in the pool queue, so it never holds a
+// worker another job waits for; the replay asks again at a later step.
+type sweepLender struct {
+	s   *Server
+	ctx context.Context
+
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup // one per lend, until it gives its slot back
+}
+
+// Lend implements bsmp.ReplayHelpers.
+func (l *sweepLender) Lend(g *network.Guest) bool {
+	select {
+	case l.s.sweepSem <- struct{}{}:
+	default:
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		<-l.s.sweepSem
+		return false
+	}
+	l.wg.Add(1)
+	go l.help(g)
+	return true
+}
+
+// help runs one lend: a pool job that helps g under the lend's sweep
+// slot, given back once the job has returned. A job that never starts —
+// a full queue, a draining pool or a cancelled sweep — answers the lend
+// with no helper.
+func (l *sweepLender) help(g *network.Guest) {
+	defer l.wg.Done()
+	defer func() { <-l.s.sweepSem }()
+	var started atomic.Bool
+	done := make(chan struct{})
+	l.s.pool.Do(l.ctx, func(context.Context) (any, error) {
+		if !started.CompareAndSwap(false, true) {
+			return nil, nil
+		}
+		defer close(done)
+		g.Help(l.leave)
+		return nil, nil
+	})
+	if started.CompareAndSwap(false, true) {
+		g.Help(func() bool { return true })
+		return
+	}
+	<-done
+}
+
+// leave reports a job waiting for a pool worker: a helper's cue to give
+// its worker back.
+func (l *sweepLender) leave() bool { return l.s.pool.QueueDepth() > 0 }
+
+// close stops lending and waits until every lend has given its slot
+// back. The sweep's units have returned by then, so every Run a helper
+// could be attached to has ended or been cancelled and lets it go
+// within a step.
+func (l *sweepLender) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.wg.Wait()
 }
 
 // runSweepUnit executes one grid unit on the pool, shared with identical

@@ -102,8 +102,10 @@ func TestSweepReplayGroups(t *testing.T) {
 	}
 }
 
-// Groups dispatch largest first — descending n·steps, ties in grid order
-// — and a group's units run back to back in grid order.
+// A replay group is one guest across step counts. Groups dispatch
+// largest first — descending n × the group's largest steps, ties in grid
+// order — and a group's units run back to back in ascending steps, ties
+// in grid order, so each resumes from the one before it.
 func TestSweepGroupsDispatchLargestFirst(t *testing.T) {
 	s := New(Config{Workers: 1, SweepParallel: 1})
 	var mu sync.Mutex
@@ -120,12 +122,9 @@ func TestSweepGroupsDispatchLargestFirst(t *testing.T) {
 		t.Fatalf("rows = %d, done = %v; want 12, true", len(rows), sum.Done)
 	}
 	want := []string{
-		"n256/s32/p2", "n256/s32/p4", // 8192
-		"n256/s16/p2", "n256/s16/p4", // 4096, first in grid order
-		"n128/s32/p2", "n128/s32/p4", // 4096
-		"n64/s32/p2", "n64/s32/p4", // 2048, first in grid order
-		"n128/s16/p2", "n128/s16/p4", // 2048
-		"n64/s16/p2", "n64/s16/p4", // 1024
+		"n256/s16/p2", "n256/s16/p4", "n256/s32/p2", "n256/s32/p4", // 256 × 32
+		"n128/s16/p2", "n128/s16/p4", "n128/s32/p2", "n128/s32/p4", // 128 × 32
+		"n64/s16/p2", "n64/s16/p4", "n64/s32/p2", "n64/s32/p4", // 64 × 32
 	}
 	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Fatalf("dispatch order\n%v\nwant\n%v", order, want)

@@ -23,33 +23,35 @@ import (
 // WithSharedReplay so the family replays once.
 
 // replayKey identifies a replayed guest: its geometry and the program
-// identity the kernel memo also keys on (progFingerprint).
+// identity the kernel memo also keys on (progFingerprint). The step
+// count is not part of it: a guest held at k steps is the state every
+// longer replay of the guest passes through.
 type replayKey struct {
-	d, n, m, steps int
-	prog           string
+	d, n, m int
+	prog    string
 }
 
-// replayShare holds the most recent successful replay made under it.
-// One slot bounds its memory by construction: a share costs at most one
-// guest state (n outputs plus n·m memory words) however many guests its
-// holder runs.
+// replayShare holds the live guest of the most recent successful replay
+// made under it, at the step that replay stopped. One slot bounds its
+// memory by construction: a share costs at most one guest state (n
+// outputs plus n·m memory words) however many guests its holder runs.
 type replayShare struct {
-	mu   sync.Mutex
-	key  replayKey
-	outs []hram.Word // nil until a replay is stored
-	mem  []hram.Word // the guest's flat n·m memory
+	mu  sync.Mutex
+	key replayKey
+	g   *network.Guest // nil when empty
 }
 
 type replayShareKeyType struct{}
 
 // WithSharedReplay returns a context carrying a fresh replay share.
 // Multiprocessor runs started under it that replay the same guest —
-// equal (d, n, m, steps) and program — after the first one copy its
-// outputs and memories instead of stepping the guest again; their
-// virtual times, ledgers and outputs are exactly those of a run without
-// the share. The share keeps the last successful replay only and lives
-// as long as the context: scope it to one family of runs, never to a
-// process.
+// equal (d, n, m) and program — after the first continue from the
+// share's state instead of stepping the guest from step 0: a run of as
+// many steps copies it, and a run of more steps advances it in place
+// and copies the result. Their virtual times, ledgers and outputs are
+// exactly those of a run without the share. The share keeps the last
+// successful replay only and lives as long as the context: scope it to
+// one family of runs, never to a process.
 func WithSharedReplay(ctx context.Context) context.Context {
 	return context.WithValue(ctx, replayShareKeyType{}, new(replayShare))
 }
@@ -59,23 +61,41 @@ func replayShareFrom(ctx context.Context) *replayShare {
 	return s
 }
 
-// load returns a private copy of the stored replay of key.
-func (s *replayShare) load(key replayKey) ([]hram.Word, [][]hram.Word, bool) {
+// take empties the share and returns its guest when that guest is key's
+// at no more than steps steps; otherwise it leaves the share as it is.
+// The taker owns the guest until it stores it back, so a concurrent run
+// of the same guest replays from step 0 instead of waiting.
+func (s *replayShare) take(key replayKey, steps int) *network.Guest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.outs == nil || s.key != key {
-		return nil, nil, false
+	g := s.g
+	if g == nil || s.key != key || g.Steps() > steps {
+		return nil
 	}
-	outs, mem := cloneGuestState(s.outs, s.mem)
-	return outs, network.NodeMemories(mem, key.m), true
+	s.g = nil
+	return g
 }
 
-// store keeps a copy of a successful replay of key, replacing the slot.
-func (s *replayShare) store(key replayKey, outs, mem []hram.Word) {
-	outs, mem = cloneGuestState(outs, mem)
+// store keeps g, a successful replay of key, replacing the slot.
+func (s *replayShare) store(key replayKey, g *network.Guest) {
 	s.mu.Lock()
-	s.key, s.outs, s.mem = key, outs, mem
+	s.key, s.g = key, g
 	s.mu.Unlock()
+}
+
+type replayHelpersKeyType struct{}
+
+// WithReplayHelpers returns a context under which the guest replays of
+// multiprocessor runs (replayGuest) may borrow helper goroutines from h
+// to step half of each step of a guest of at least network.SplitMin
+// nodes. Outputs and memories are exactly those of an unhelped replay.
+func WithReplayHelpers(ctx context.Context, h network.Helpers) context.Context {
+	return context.WithValue(ctx, replayHelpersKeyType{}, h)
+}
+
+func replayHelpersFrom(ctx context.Context) network.Helpers {
+	h, _ := ctx.Value(replayHelpersKeyType{}).(network.Helpers)
+	return h
 }
 
 // cloneGuestState copies a guest's outputs and flat memory.
@@ -94,32 +114,47 @@ func stepGuest(ec *execCtx, d, n, m, steps int, prog network.Program) (*network.
 }
 
 // replayGuest advances the guest functionally (exactly) for steps steps
-// under ec's cancellation hook, inside a "replay" span whose "vertices"
-// attribute counts the vertices actually stepped. Under a replay share
-// (WithSharedReplay) a stored replay of the same guest is copied instead
-// — the span then reports "shared" 1 and 0 vertices — and a successful
-// replay is stored for the next run; a cancelled one stores nothing.
+// under ec's cancellation hook, with the context's replay helpers
+// (WithReplayHelpers), inside a "replay" span. The span's "vertices"
+// counts the vertices actually stepped, "resumed_from" the step the
+// replay continued from and "helped_steps" the steps a helper took half
+// of. Under a replay share (WithSharedReplay) a stored guest of the same
+// (d, n, m) and program at k ≤ steps steps is advanced from k, and a
+// successful replay is kept for the next run; the run gets a private
+// copy. "shared" then reports 1 when the share held exactly steps steps,
+// so nothing was stepped. A failed or cancelled advance keeps nothing,
+// leaving the share empty, and a shorter run than the share's replays
+// from step 0.
 func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.Word, [][]hram.Word, error) {
 	sp := ec.tr.Start("replay")
 	defer sp.End()
 	share := replayShareFrom(ec.ctx)
-	var key replayKey
+	key := replayKey{d, n, m, progFingerprint(prog)}
+	var g *network.Guest
 	if share != nil {
-		key = replayKey{d, n, m, steps, progFingerprint(prog)}
-		if outs, mems, ok := share.load(key); ok {
-			sp.SetAttr("shared", 1)
-			sp.SetAttr("vertices", 0)
-			return outs, mems, nil
-		}
-		sp.SetAttr("shared", 0)
+		g = share.take(key, steps)
 	}
-	g, err := stepGuest(ec, d, n, m, steps, prog)
-	if err != nil {
+	if g == nil {
+		g = network.NewGuest(topology.NewMesh(d, n, n), m, prog)
+	}
+	from, helped := g.Steps(), g.Helped()
+	g.SetHelpers(replayHelpersFrom(ec.ctx))
+	if err := g.Run(steps, ec.hook()); err != nil {
 		return nil, nil, err
 	}
-	if share != nil {
-		share.store(key, g.Outputs(), g.Memory())
+	g.SetHelpers(nil)
+	sp.SetAttr("vertices", float64(n)*float64(steps-from))
+	sp.SetAttr("resumed_from", float64(from))
+	sp.SetAttr("helped_steps", float64(g.Helped()-helped))
+	if share == nil {
+		return g.Outputs(), g.Memories(), nil
 	}
-	sp.SetAttr("vertices", float64(n)*float64(steps))
-	return g.Outputs(), g.Memories(), nil
+	if from == steps {
+		sp.SetAttr("shared", 1)
+	} else {
+		sp.SetAttr("shared", 0)
+	}
+	share.store(key, g)
+	outs, mem := cloneGuestState(g.Outputs(), g.Memory())
+	return outs, network.NodeMemories(mem, m), nil
 }

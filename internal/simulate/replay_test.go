@@ -116,36 +116,38 @@ func TestSharedReplayRegistry(t *testing.T) {
 	}
 }
 
-// A share holds one guest: another seed, step count, memory density or
-// program under the same share replays, with the guest's own outputs.
+// A share holds one guest: another seed, memory density or program
+// under the same share replays from step 0, as does a shorter run of
+// the held guest, while a longer one resumes from the held step; every
+// run gets the guest's own outputs.
 func TestSharedReplayKey(t *testing.T) {
 	ctx := WithSharedReplay(context.Background())
 	const n, p = 64, 4
 	for i, tc := range []struct {
-		seed     uint64
-		m, steps int
-		shared   float64
+		seed           uint64
+		m, steps, from int
+		shared         float64
 	}{
-		{9, 4, 16, 0},
-		{9, 4, 16, 1},
-		{10, 4, 16, 0},
-		{10, 4, 32, 0},
-		{10, 8, 32, 0},
-		{10, 8, 32, 1},
-		{10, 8, 32, 0}, // Rule90 with MixCA's seed: another program
+		{9, 4, 16, 0, 0},
+		{9, 4, 16, 16, 1},
+		{10, 4, 16, 0, 0},
+		{10, 4, 32, 16, 0}, // resumes from step 16
+		{10, 4, 16, 0, 0},  // shorter than the held 32 steps: from step 0
+		{10, 8, 32, 0, 0},
+		{10, 8, 32, 32, 1},
+		{10, 8, 32, 0, 0}, // Rule90 with MixCA's seed: another program
 	} {
 		prog := guest.AsNetwork{G: guest.MixCA{Seed: tc.seed}}
-		if i == 6 {
+		if i == 7 {
 			prog.G = guest.Rule90{Seed: tc.seed}
 		}
 		res, sp := replaySpan(t, ctx, func(ctx context.Context) (MultiResult, error) {
 			return MultiContext(ctx, 1, n, p, tc.m, tc.steps, prog, MultiOptions{})
 		})
-		vertices := float64(n * tc.steps)
-		if tc.shared == 1 {
-			vertices = 0
+		wantReplay(t, sp, tc.shared, float64(n*(tc.steps-tc.from)))
+		if got := sp.Attrs["resumed_from"]; got != float64(tc.from) {
+			t.Fatalf("run %d: resumed_from %v, want %d", i, got, tc.from)
 		}
-		wantReplay(t, sp, tc.shared, vertices)
 		outs, mems := network.RunGuestPure(1, n, tc.m, tc.steps, prog)
 		if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
 			t.Fatalf("run %d: outputs differ from RunGuestPure", i)
@@ -153,17 +155,24 @@ func TestSharedReplayKey(t *testing.T) {
 	}
 }
 
-// cancelAtStep cancels its run's context when the replay steps node 0
-// at step at: a cancellation that lands mid-replay.
-type cancelAtStep struct {
-	network.Program
+// cancelSpec is what a cancelOnStep program cancels and when; the
+// program holds it by pointer, so changing it between runs leaves the
+// program's identity (progFingerprint) unchanged.
+type cancelSpec struct {
 	at     int
 	cancel context.CancelFunc
 }
 
-func (c cancelAtStep) Step(node, step int, cell hram.Word, prev []hram.Word) (hram.Word, hram.Word) {
-	if node == 0 && step == c.at {
-		c.cancel()
+// cancelOnStep cancels spec.cancel when the replay steps node 0 at step
+// spec.at (never when at is 0).
+type cancelOnStep struct {
+	network.Program
+	spec *cancelSpec
+}
+
+func (c cancelOnStep) Step(node, step int, cell hram.Word, prev []hram.Word) (hram.Word, hram.Word) {
+	if node == 0 && step == c.spec.at {
+		c.spec.cancel()
 	}
 	return c.Program.Step(node, step, cell, prev)
 }
@@ -175,7 +184,7 @@ func TestSharedReplayCancelledStoresNothing(t *testing.T) {
 	share := WithSharedReplay(context.Background())
 	ctx, cancel := context.WithCancel(share)
 	const n, m, steps = 64, 2, 64
-	prog := cancelAtStep{Program: netProg(8), at: 4, cancel: cancel}
+	prog := cancelOnStep{Program: netProg(8), spec: &cancelSpec{at: 4, cancel: cancel}}
 	if _, err := MultiContext(ctx, 2, n, 4, m, steps, prog, MultiOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -187,6 +196,44 @@ func TestSharedReplayCancelledStoresNothing(t *testing.T) {
 	if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
 		t.Fatal("outputs differ from RunGuestPure")
 	}
+}
+
+// Under one share, a guest resumes across step counts: 16 steps, then 32
+// steps stepping only the 16 new ones, then 16 steps from step 0 again.
+// An advance cancelled midway empties the share, so the next run steps
+// in full. Every run's outputs equal RunGuestPure's at its own steps.
+// (d = 2 calibrates on a fixed internal guest, so the wrapped program
+// runs only in the replay.)
+func TestSharedReplayResumes(t *testing.T) {
+	share := WithSharedReplay(context.Background())
+	const n, m = 64, 2
+	spec := &cancelSpec{}
+	prog := cancelOnStep{Program: netProg(8), spec: spec}
+	run := func(ctx context.Context, steps int, from float64) {
+		t.Helper()
+		res, sp := replaySpan(t, ctx, func(ctx context.Context) (MultiResult, error) {
+			return MultiContext(ctx, 2, n, 4, m, steps, prog, MultiOptions{})
+		})
+		wantReplay(t, sp, 0, float64(n)*(float64(steps)-from))
+		if sp.Attrs["resumed_from"] != from {
+			t.Fatalf("steps %d: resumed_from %v, want %v", steps, sp.Attrs["resumed_from"], from)
+		}
+		outs, mems := network.RunGuestPure(2, n, m, steps, prog)
+		if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
+			t.Fatalf("steps %d: outputs differ from RunGuestPure", steps)
+		}
+	}
+	run(share, 16, 0)
+	run(share, 32, 16)
+	run(share, 16, 0)
+
+	ctx, cancel := context.WithCancel(share)
+	spec.at, spec.cancel = 40, cancel
+	if _, err := MultiContext(ctx, 2, n, 4, m, 64, prog, MultiOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	spec.at = 0
+	run(share, 64, 0)
 }
 
 // MultiD1Cycles charges the n-step schedule once and replays the guest
