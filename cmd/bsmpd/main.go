@@ -41,7 +41,7 @@ import (
 func main() {
 	var cfg serve.Config
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
-	flag.IntVar(&cfg.Workers, "workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.Workers, "workers", 0, "concurrent simulation workers, sweep replay helpers included (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.QueueDepth, "queue", 64, "queued requests beyond running ones before 429")
 	flag.IntVar(&cfg.CacheEntries, "cache", 512, "result cache entries (negative disables)")
 	flag.DurationVar(&cfg.RequestTimeout, "timeout", 30*time.Second, "per-request simulation deadline")
@@ -50,7 +50,7 @@ func main() {
 	flag.IntVar(&cfg.MaxSteps, "max-steps", 1<<12, "largest accepted step count")
 	flag.IntVar(&cfg.MemoCapacity, "memo-cap", 0, "unified memo store entry bound (kernels + subtree records); 0 = library default, negative disables memoization")
 	flag.IntVar(&cfg.MaxSweepPoints, "max-sweep-points", 4096, "largest grid one /v1/sweep may expand to")
-	flag.IntVar(&cfg.SweepParallel, "sweep-parallel", 0, "pool slots all concurrent sweeps combined may occupy at once (0 = workers)")
+	flag.IntVar(&cfg.SweepParallel, "sweep-parallel", 0, "pool slots all concurrent sweeps combined may occupy at once, a replay's helper taking one slot and one worker (0 = workers)")
 	flag.IntVar(&cfg.RegistryCapacity, "registry-cap", 0, "completed run records the /v1/runs flight recorder retains (0 = default, negative disables the registry)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled)")

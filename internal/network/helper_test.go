@@ -111,7 +111,7 @@ func TestGuestHelperLawsOneP(t *testing.T) {
 }
 
 func checkHelperLaws(t *testing.T) {
-	const steps, k, m = 24, 8, 3
+	const steps, k, m = 12, 4, 3
 	for d := 1; d <= 3; d++ {
 		for _, side := range helperSides[d] {
 			n := side

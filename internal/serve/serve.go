@@ -46,7 +46,8 @@ type Config struct {
 	// Addr is the listen address (default ":8080").
 	Addr string
 	// Workers caps concurrently running simulations (default
-	// GOMAXPROCS).
+	// GOMAXPROCS). A sweep replay's helper holds a worker too, so it
+	// bounds the CPU-bound goroutines.
 	Workers int
 	// QueueDepth is the number of requests that may wait for a worker
 	// beyond those running; further ones get 429 (default 64; negative
@@ -75,7 +76,8 @@ type Config struct {
 	// once across ALL concurrent sweeps combined (one server-wide
 	// semaphore, not a per-sweep budget), so sweep traffic as a whole
 	// cannot monopolize the queue against interactive /v1/run traffic
-	// (default Workers).
+	// (default Workers). A replay's helper holds one of these slots as
+	// well as a worker, so with 1 no helper ever attaches.
 	SweepParallel int
 	// RegistryCapacity bounds the run registry's flight recorder — how
 	// many completed run records /v1/runs retains (live runs are always

@@ -647,12 +647,15 @@ func (l *sweepLender) Lend(g *network.Guest) bool {
 		return false
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	open := !l.closed
+	if open {
+		l.wg.Add(1)
+	}
+	l.mu.Unlock()
+	if !open {
 		<-l.s.sweepSem
 		return false
 	}
-	l.wg.Add(1)
 	go l.help(g)
 	return true
 }

@@ -172,6 +172,8 @@ func TestSweepHelperYieldsAndCancels(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	// The lend has its slot; give its pool job a moment to attach and
+	// the replay some wall to measure the run's queue wait against.
 	start := time.Now()
 	time.Sleep(5 * time.Millisecond)
 

@@ -5,14 +5,18 @@
 //	go run ./scripts/benchgate BASE_DIR HEAD_DIR
 //
 // The workloads and the end-to-end metrics come from head's
-// BENCHMARK.json. For every workload it runs pairs of
+// BENCHMARK.json. For every workload that base's BENCHMARK.json declares
+// too it runs pairs of
 //
 //	bash bsmpbench/run.sh --workload W --seed i --seconds 10 --trace 0
 //
 // for i = 1..5, one run in each checkout with the same seed; the side
-// that runs first alternates from pair to pair. A run that exits
-// non-zero, reports "correct": false or lacks an end-to-end metric fails
-// the gate. A (workload, metric) cell regresses only when all three of
+// that runs first alternates from pair to pair. A workload only head
+// declares runs in head alone over the same seeds, and so does an
+// end-to-end metric only head declares: its rows print "new at head, not
+// compared". A run that exits non-zero, reports "correct": false or
+// lacks an end-to-end metric its checkout declares fails the gate. A
+// (workload, metric) cell both declare regresses only when all three of
 // these hold:
 //
 //   - head is worse in at least 4 of the 5 pairs (ties count for neither);
@@ -78,6 +82,42 @@ func readManifest(dir string) (manifest, error) {
 		}
 	}
 	return m, nil
+}
+
+// plan is what the gate does with one of head's workloads: run it in
+// pairs and judge the metrics base declares too (compared), or, when
+// base does not declare the workload, run it in head alone (paired
+// false). Either way fresh are head's metrics base does not declare,
+// checked on head and not compared.
+type plan struct {
+	workload        string
+	paired          bool
+	compared, fresh []metricSpec
+}
+
+// planGate compares base's manifest with head's, in head's order.
+func planGate(base, head manifest) []plan {
+	inBase := map[string]bool{}
+	for _, w := range base.Workloads {
+		inBase[w.Name] = true
+	}
+	baseMetric := map[string]bool{}
+	for _, s := range base.EndToEnd {
+		baseMetric[s.Name] = true
+	}
+	var plans []plan
+	for _, w := range head.Workloads {
+		p := plan{workload: w.Name, paired: inBase[w.Name]}
+		for _, s := range head.EndToEnd {
+			if p.paired && baseMetric[s.Name] {
+				p.compared = append(p.compared, s)
+			} else {
+				p.fresh = append(p.fresh, s)
+			}
+		}
+		plans = append(plans, p)
+	}
+	return plans
 }
 
 // parseRun reads one run's end-to-end metrics from its standard output,
@@ -195,46 +235,60 @@ func main() {
 		os.Exit(2)
 	}
 	dirs := map[string]string{"base": os.Args[1], "head": os.Args[2]}
-	man, err := readManifest(dirs["head"])
-	if err != nil {
-		die("%v", err)
+	man := map[string]manifest{}
+	for side, dir := range dirs {
+		m, err := readManifest(dir)
+		if err != nil {
+			die("%s: %v", side, err)
+		}
+		man[side] = m
 	}
 	start := time.Now()
+	runs := 0
 	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tmetric\tbase median [q1–q3]\thead median\tchange\thead wins/losses\t\t")
 	var regressed []string
-	for _, w := range man.Workloads {
+	for _, p := range planGate(man["base"], man["head"]) {
+		specs := map[string][]metricSpec{"base": p.compared, "head": append(append([]metricSpec(nil), p.compared...), p.fresh...)}
 		samples := map[string]map[string][]float64{"base": {}, "head": {}}
 		for seed := 1; seed <= pairs; seed++ {
-			order := []string{"base", "head"}
-			if seed%2 == 0 {
-				order[0], order[1] = order[1], order[0]
+			order := []string{"head"}
+			if p.paired {
+				order = []string{"base", "head"}
+				if seed%2 == 0 {
+					order[0], order[1] = order[1], order[0]
+				}
 			}
 			for _, side := range order {
 				t0 := time.Now()
-				vals, err := run(dirs[side], w.Name, seed, man.EndToEnd)
+				vals, err := run(dirs[side], p.workload, seed, specs[side])
 				if err != nil {
-					die("%s run of %s, seed %d: %v", side, w.Name, seed, err)
+					die("%s run of %s, seed %d: %v", side, p.workload, seed, err)
 				}
-				fmt.Fprintf(os.Stderr, "benchgate: %s seed %d %s %.1f s\n", w.Name, seed, side, time.Since(t0).Seconds())
+				runs++
+				fmt.Fprintf(os.Stderr, "benchgate: %s seed %d %s %.1f s\n", p.workload, seed, side, time.Since(t0).Seconds())
 				for name, v := range vals {
 					samples[side][name] = append(samples[side][name], v)
 				}
 			}
 		}
-		for _, s := range man.EndToEnd {
+		for _, s := range p.compared {
 			c := judge(s, samples["base"][s.Name], samples["head"][s.Name])
 			mark := ""
 			if c.regressed {
 				mark = "REGRESSION"
-				regressed = append(regressed, w.Name+" "+s.Name)
+				regressed = append(regressed, p.workload+" "+s.Name)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g–%.4g]\t%.4g\t%+.1f%%\t%d/%d\t%s\t\n",
-				w.Name, s.Name, c.baseMed, c.baseQ1, c.baseQ3, c.headMed, 100*c.change, c.wins, c.losses, mark)
+				p.workload, s.Name, c.baseMed, c.baseQ1, c.baseQ3, c.headMed, 100*c.change, c.wins, c.losses, mark)
+		}
+		for _, s := range p.fresh {
+			_, med, _ := quartiles(samples["head"][s.Name])
+			fmt.Fprintf(tw, "%s\t%s\tnew at head, not compared\t%.4g\t\t\t\t\n", p.workload, s.Name, med)
 		}
 	}
 	tw.Flush()
-	fmt.Printf("benchgate: %d runs in %.0f s\n", 2*pairs*len(man.Workloads), time.Since(start).Seconds())
+	fmt.Printf("benchgate: %d runs in %.0f s\n", runs, time.Since(start).Seconds())
 	if len(regressed) > 0 {
 		die("head regresses on %s", strings.Join(regressed, ", "))
 	}

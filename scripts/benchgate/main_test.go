@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -118,5 +119,69 @@ func TestReadManifestReadsRepositoryBenchmark(t *testing.T) {
 	}
 	if better["p50_ms"] != "lower" || better["ops_per_s"] != "higher" {
 		t.Fatalf("end-to-end metrics %v", better)
+	}
+}
+
+// manifestOf builds a manifest from workload names and end-to-end
+// metrics.
+func manifestOf(workloads []string, metrics ...metricSpec) manifest {
+	var m manifest
+	for _, w := range workloads {
+		m.Workloads = append(m.Workloads, struct {
+			Name string `json:"name"`
+		}{w})
+	}
+	m.EndToEnd = metrics
+	return m
+}
+
+// renderPlans prints plans as "workload paired compared/fresh" lines.
+func renderPlans(plans []plan) string {
+	var lines []string
+	for _, p := range plans {
+		names := func(specs []metricSpec) string {
+			var out []string
+			for _, s := range specs {
+				out = append(out, s.Name)
+			}
+			return strings.Join(out, ",")
+		}
+		lines = append(lines, fmt.Sprintf("%s %v %s/%s", p.workload, p.paired, names(p.compared), names(p.fresh)))
+	}
+	return strings.Join(lines, "; ")
+}
+
+// A workload or an end-to-end metric that head declares and base does
+// not runs on head only, not compared; every cell both declare stays
+// paired; and what only base declares is dropped.
+func TestPlanGate(t *testing.T) {
+	heap := metricSpec{Name: "live_heap_mb", Better: "lower"}
+	for _, tc := range []struct {
+		name       string
+		base, head manifest
+		want       string
+	}{
+		{"same manifest",
+			manifestOf([]string{"run-mix", "sweep-heavy"}, p50, opsS),
+			manifestOf([]string{"run-mix", "sweep-heavy"}, p50, opsS),
+			"run-mix true p50_ms,ops_per_s/; sweep-heavy true p50_ms,ops_per_s/"},
+		{"new workload at head",
+			manifestOf([]string{"run-mix"}, p50, opsS),
+			manifestOf([]string{"run-mix", "replay-only"}, p50, opsS),
+			"run-mix true p50_ms,ops_per_s/; replay-only false /p50_ms,ops_per_s"},
+		{"new metric at head",
+			manifestOf([]string{"run-mix"}, p50),
+			manifestOf([]string{"run-mix"}, p50, heap),
+			"run-mix true p50_ms/live_heap_mb"},
+		{"base-only workload and metric are dropped",
+			manifestOf([]string{"run-mix", "gone"}, p50, opsS),
+			manifestOf([]string{"run-mix"}, p50),
+			"run-mix true p50_ms/"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := renderPlans(planGate(tc.base, tc.head)); got != tc.want {
+				t.Fatalf("plans %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
