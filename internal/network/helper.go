@@ -62,19 +62,33 @@ type helpSlot struct {
 	panicked any
 }
 
+// spinsPerYield is how many times a handshake wait polls before it
+// yields its P: a waiter whose peer runs on another P sees the event
+// without a trip through the scheduler, and on a single P the peer still
+// gets to run.
+const spinsPerYield = 64
+
+// backoff is one iteration of a handshake wait loop: it yields the P on
+// every spinsPerYield-th call.
+func backoff(spins *int) {
+	if *spins++; *spins%spinsPerYield == 0 {
+		runtime.Gosched()
+	}
+}
+
 // open lets the Run that calls it take a helper.
 func (h *helpSlot) open() { h.state.Store(helpOpen) }
 
 // close ends the Run's lending: it detaches the helper, if one is
-// attached, and returns once that helper has let go. Every wait yields,
-// so it completes on a single P.
+// attached, and returns once that helper has let go.
 func (h *helpSlot) close() {
+	spins := 0
 	for {
 		switch s := h.state.Load(); s {
 		case helpAttached:
 			h.state.CompareAndSwap(helpAttached, helpDetach)
 		case helpDetach:
-			runtime.Gosched()
+			backoff(&spins)
 		default:
 			if h.state.CompareAndSwap(s, helpClosed) {
 				// A Run that panicked mid-step may leave an offer or a
@@ -113,6 +127,7 @@ func (g *Guest) Help(leave func() bool) {
 	if !h.state.CompareAndSwap(helpAsked, helpAttached) {
 		return
 	}
+	spins := 0
 	for {
 		switch t := h.offer.Load(); {
 		case h.state.Load() == helpDetach:
@@ -124,7 +139,7 @@ func (g *Guest) Help(leave func() bool) {
 			h.stepUpper(g.row)
 			h.done.Store(t)
 		default:
-			runtime.Gosched()
+			backoff(&spins)
 		}
 	}
 }
@@ -157,8 +172,8 @@ func (g *Guest) stepSplit() bool {
 	if h.offer.CompareAndSwap(t, 0) {
 		upper = took && g.row.StepRow(&h.upper)
 	} else {
-		for h.done.Load() != t {
-			runtime.Gosched()
+		for spins := 0; h.done.Load() != t; {
+			backoff(&spins)
 		}
 		g.helped++
 		if p := h.panicked; p != nil {

@@ -33,8 +33,9 @@ type replayKey struct {
 
 // replayShare holds the live guest of the most recent successful replay
 // made under it, at the step that replay stopped. One slot bounds its
-// memory by construction: a share costs at most one guest state (n
-// outputs plus n·m memory words) however many guests its holder runs.
+// memory by construction: a share costs at most one guest (its outputs,
+// n·m memory words and neighbor offsets) however many guests its holder
+// runs.
 type replayShare struct {
 	mu  sync.Mutex
 	key replayKey
@@ -142,7 +143,6 @@ func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.
 	if err := g.Run(steps, ec.hook()); err != nil {
 		return nil, nil, err
 	}
-	g.SetHelpers(nil)
 	sp.SetAttr("vertices", float64(n)*float64(steps-from))
 	sp.SetAttr("resumed_from", float64(from))
 	sp.SetAttr("helped_steps", float64(g.Helped()-helped))
