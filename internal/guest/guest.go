@@ -148,27 +148,32 @@ func (c MixCA) Step2(node, step int, cell hram.Word, prev []hram.Word) (hram.Wor
 // addresses exactly as per-vertex Address and Step2 calls would. The
 // step's seed term T·0x9E3779B1·31 is computed once, and the address
 // (v+T) mod m starts at (Lo+T) mod m and advances by one per node with
-// no division. It takes every step, whatever the range.
+// no division. It takes every step, whatever the range. The range check
+// up front lets the compiler drop the per-node bounds checks, and
+// indexing by v over the whole arrays keeps the loop's registers as
+// they were for whole rows: a loop over subslices spilled more of them
+// and stepped ~7 % slower.
 func (c MixCA) StepRow(r *network.Row) bool {
-	lo, m := r.Lo, r.M
-	out := r.Out[lo:r.Hi]
-	prev, self, addr := r.Prev, r.Prev[lo:r.Hi][:len(out)], r.Addr[lo:r.Hi][:len(out)]
-	off, adj, mem := r.Off[lo : r.Hi+1][:len(out)+1], r.Adj, r.Mem
+	n, m, lo, hi := len(r.Out), r.M, r.Lo, r.Hi
+	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
+	off, adj := r.Off[:n+1], r.Adj
+	if lo < 0 || hi > n {
+		panic(fmt.Sprintf("guest: row range [%d, %d) outside [0, %d)", lo, hi, n))
+	}
 	s0 := hram.Word(r.T) * 0x9E3779B1 * 31
 	a := (r.T + lo) % m
-	for j := range out {
-		v := lo + j
+	for v := lo; v < hi; v++ {
 		if uint(a) >= uint(m) {
 			panic(fmt.Sprintf("guest: node %d addressed cell %d of %d at step %d", v, a, m, r.T))
 		}
-		s, k := s0+self[j]*3, hram.Word(5)
-		for _, u := range adj[off[j]:off[j+1]] {
+		s, k := s0+prev[v]*3, hram.Word(5)
+		for _, u := range adj[off[v]:off[v+1]] {
 			s = s*31 + prev[u]*k
 			k += 2
 		}
 		i := v*m + a
 		cell := mem[i]
-		out[j], mem[i], addr[j] = s+cell*2654435761, cell^(s|1), a
+		out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
 		if a++; a == m {
 			a = 0
 		}
