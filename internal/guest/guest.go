@@ -151,8 +151,9 @@ func (c MixCA) Step2(node, step int, cell hram.Word, prev []hram.Word) (hram.Wor
 // no division. It takes every step, whatever the range. The range check
 // up front lets the compiler drop the per-node bounds checks, and
 // indexing by v over the whole arrays keeps the loop's registers as
-// they were for whole rows: a loop over subslices spilled more of them
-// and stepped ~7 % slower.
+// they were for whole rows: a loop over subslices spilled more of them,
+// and the sweep-heavy set-up, which replays every grid point through
+// this loop, took ~8 % longer with it.
 func (c MixCA) StepRow(r *network.Row) bool {
 	n, m, lo, hi := len(r.Out), r.M, r.Lo, r.Hi
 	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
