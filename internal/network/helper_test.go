@@ -239,6 +239,39 @@ func TestGuestHelperPanicReachesRun(t *testing.T) {
 	}
 }
 
+// lateHelpers accepts every lend and keeps the guest, so a test can send
+// the helper after the Run has returned.
+type lateHelpers struct{ asked *Guest }
+
+func (h *lateHelpers) Lend(g *Guest) bool {
+	h.asked = g
+	return true
+}
+
+// A helper that comes after its Run has returned finds the Run over and
+// returns at once, stepping nothing: it attaches only to a live Run.
+func TestGuestLateHelperReturns(t *testing.T) {
+	g := NewGuest(topology.NewMesh(1, 2048, 2048), 1, caRowProg{})
+	late := &lateHelpers{}
+	g.SetHelpers(late)
+	if err := g.Run(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	if late.asked != g {
+		t.Fatal("the Run never asked for a helper")
+	}
+	done := make(chan struct{})
+	go func() {
+		g.Help(stay)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a helper attached to a Run that had returned")
+	}
+}
+
 // A helper whose leave is already true answers the lend with no help,
 // and Help on a guest with no live Run returns at once.
 func TestGuestHelpWithoutRun(t *testing.T) {
