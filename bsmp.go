@@ -297,9 +297,9 @@ type ReplayHelpers = network.Helpers
 
 // WithReplayHelpers returns a context under which the guest replays of
 // registry entries with SharedReplay set may borrow helper goroutines
-// from h, each stepping half of every step of a guest of at least
-// network.SplitMin nodes while it is attached. Results are exactly those
-// of unhelped runs.
+// from h, each stepping half of every step of a guest of at least 1024
+// nodes while it is attached. Results are exactly those of unhelped
+// runs.
 func WithReplayHelpers(ctx context.Context, h ReplayHelpers) context.Context {
 	return simulate.WithReplayHelpers(ctx, h)
 }

@@ -16,21 +16,29 @@ import (
 	"bsmp"
 )
 
+// replayAttrs collects the attributes of every "replay" span of a span
+// forest, in tree order.
+func replayAttrs(roots []*bsmp.Span) []map[string]float64 {
+	var out []map[string]float64
+	for _, sp := range roots {
+		if sp.Name == "replay" {
+			out = append(out, sp.Attrs)
+		}
+		out = append(out, replayAttrs(sp.Children)...)
+	}
+	return out
+}
+
 // replaySpans splits a span forest's "replay" spans into those that
 // stepped the guest and those that copied a shared replay.
 func replaySpans(roots []*bsmp.Span) (stepped, shared int) {
-	for _, sp := range roots {
-		if sp.Name == "replay" {
-			if sp.Attrs["vertices"] > 0 {
-				stepped++
-			}
-			if sp.Attrs["shared"] == 1 {
-				shared++
-			}
+	for _, a := range replayAttrs(roots) {
+		if a["vertices"] > 0 {
+			stepped++
 		}
-		a, b := replaySpans(sp.Children)
-		stepped += a
-		shared += b
+		if a["shared"] == 1 {
+			shared++
+		}
 	}
 	return stepped, shared
 }

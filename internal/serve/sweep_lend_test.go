@@ -13,19 +13,6 @@ import (
 	"bsmp"
 )
 
-// replayAttrs collects the attributes of every "replay" span of a span
-// forest, in tree order.
-func replayAttrs(roots []*bsmp.Span) []map[string]float64 {
-	var out []map[string]float64
-	for _, sp := range roots {
-		if sp.Name == "replay" {
-			out = append(out, sp.Attrs)
-		}
-		out = append(out, replayAttrs(sp.Children)...)
-	}
-	return out
-}
-
 // serveSweep serves one sweep on s and returns its rows and summary,
 // failing the test when the handler has not returned within limit.
 func serveSweep(t *testing.T, s *Server, body, query string, limit time.Duration) ([]SweepRow, SweepSummary) {
