@@ -91,10 +91,12 @@ func (h *helpSlot) close() {
 			backoff(&spins)
 		default:
 			if h.state.CompareAndSwap(s, helpClosed) {
-				// A Run that panicked mid-step may leave an offer or a
-				// done mark behind; the next Run starts clean.
+				// A Run that panicked mid-step may leave an offer, a
+				// done mark or the helper's panic behind; the next Run
+				// starts clean.
 				h.offer.Store(0)
 				h.done.Store(0)
+				h.panicked = nil
 				return
 			}
 		}
