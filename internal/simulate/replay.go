@@ -130,9 +130,10 @@ func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.
 	sp := ec.tr.Start("replay")
 	defer sp.End()
 	share := replayShareFrom(ec.ctx)
-	key := replayKey{d, n, m, progFingerprint(prog)}
+	var key replayKey
 	var g *network.Guest
 	if share != nil {
+		key = replayKey{d, n, m, progFingerprint(prog)}
 		g = share.take(key, steps)
 	}
 	if g == nil {
