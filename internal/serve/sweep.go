@@ -669,6 +669,8 @@ func (l *sweepLender) help(g *network.Guest) {
 	defer func() { <-l.s.sweepSem }()
 	var started atomic.Bool
 	done := make(chan struct{})
+	// Whether the job started, not Do's error, decides what is left:
+	// Do returns once ctx ends, even while the job still helps.
 	l.s.pool.Do(l.ctx, func(context.Context) (any, error) {
 		if !started.CompareAndSwap(false, true) {
 			return nil, nil
