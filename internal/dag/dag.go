@@ -18,7 +18,6 @@ package dag
 
 import (
 	"fmt"
-	"sync"
 
 	"bsmp/internal/lattice"
 )
@@ -274,64 +273,6 @@ type Program interface {
 	// Step computes the value of vertex v (v.T > 0) from the values of
 	// its predecessors, in the order Graph.Preds returns them.
 	Step(v lattice.Point, operands []Value) Value
-}
-
-// seenPool recycles the dense dedup set of Preboundary: the recursive
-// space and execution walks call Preboundary for every partition node, and
-// pooling keeps that from allocating (and zeroing) a fresh set per call.
-// Sets are returned to the pool drained, so Reset is O(1).
-var seenPool = sync.Pool{New: func() any { return &lattice.PointSet{} }}
-
-// Preboundary returns Γin(U): the set of dag vertices outside the domain
-// that are predecessors of vertices inside it (Section 3 of the paper).
-// Only vertices of g count; stencil positions outside the machine are not
-// generated by Preds and therefore never appear.
-func Preboundary(g Graph, dom lattice.Domain) []lattice.Point {
-	seen := seenPool.Get().(*lattice.PointSet)
-	seen.Reset(lattice.NewIndexer(g.Bounds()))
-	var out []lattice.Point
-	var buf []lattice.Point
-	dom.Points(func(p lattice.Point) bool {
-		buf = g.Preds(p, buf[:0])
-		for _, q := range buf {
-			if !dom.Contains(q) && seen.Add(q) {
-				out = append(out, q)
-			}
-		}
-		return true
-	})
-	for _, q := range out {
-		seen.Remove(q)
-	}
-	seenPool.Put(seen)
-	return out
-}
-
-// LiveOut returns the vertices of the domain whose values remain needed
-// after the domain has been executed: those with a successor outside the
-// domain, plus the final-layer vertices (t = Steps()-1), which are the
-// computation's outputs. This is the set a simulation must persist when it
-// finishes a domain (the generalization of the paper's
-// "Ui ∩ Γin(Ui+1 ∪ ... ∪ Uq)" copy-out step in Proposition 2).
-func LiveOut(g Graph, dom lattice.Domain) []lattice.Point {
-	var out []lattice.Point
-	var buf []lattice.Point
-	last := g.Steps() - 1
-	dom.Points(func(p lattice.Point) bool {
-		if p.T == last {
-			out = append(out, p)
-			return true
-		}
-		buf = g.Succs(p, buf[:0])
-		for _, q := range buf {
-			if !dom.Contains(q) {
-				out = append(out, p)
-				break
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // IsTopologicalOrder reports whether order is a valid execution order of

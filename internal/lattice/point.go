@@ -140,6 +140,9 @@ type Domain interface {
 	// Span is the linear extent r of the domain (the paper's diamond
 	// width or octahedron diameter), before clipping.
 	Span() int
+	// Columns is the domain's column view: the time interval each
+	// spatial position holds.
+	Columns() ColumnView
 	// String describes the domain for diagnostics.
 	String() string
 }

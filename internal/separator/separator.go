@@ -42,9 +42,10 @@ type Executor struct {
 	Prog dag.Program
 	// LeafSize bounds direct execution; DefaultLeafSize if zero.
 	LeafSize int
-	// Check, when non-nil, is polled at every phase boundary (once per
-	// partition child, with vertices = 0) and after every executed leaf
-	// (with vertices = the leaf's vertex count). Returning a non-nil
+	// Check, when non-nil, is polled at every node of the planning
+	// recursion and every phase boundary (once per partition child), with
+	// vertices = 0, and after every executed leaf (with vertices = the
+	// leaf's vertex count). Returning a non-nil
 	// error aborts the execution with that error. The hook is invoked
 	// between charged operations and must not touch the machine, so it
 	// cannot perturb measured virtual times. simulate.UniDCContext uses
@@ -67,10 +68,20 @@ type Executor struct {
 	// per partition node.
 	ovStack [][]savedLoc
 
+	// bd and surf are the boundary enumeration's scratch and the
+	// planning recursion's result buffer; geo holds one Surface per
+	// recursion depth, so a parent's child geometry survives the child's
+	// own recursion.
+	bd   dag.Boundary
+	surf dag.Surface
+	geo  []dag.Surface
+
 	// maxAddrTouched tracks the peak address, for space-bound checks.
 	maxAddrTouched int
-	// spaceMemo caches SpaceNeeded per (comparable) domain value.
-	spaceMemo map[lattice.Domain]int
+	// plans caches each domain's plan; planned marks a Plan that the
+	// next Execute reuses.
+	plans   map[lattice.Domain]plan
+	planned bool
 	// levels accumulates per-recursion-depth transfer statistics.
 	levels []LevelStat
 }
@@ -101,41 +112,70 @@ type LevelStat struct {
 // for live-out values plus the incoming preboundary slot. Leaf domains use
 // one cell per vertex plus the preboundary slot.
 func SpaceNeeded(g dag.Graph, dom lattice.Domain, leafSize int) int {
-	return spaceNeededMemo(g, dom, leafSize, nil)
+	e := Executor{G: g, LeafSize: leafSize}
+	s, _ := e.Plan(dom)
+	return s
 }
 
-// spaceNeededMemo memoizes the allowance per domain. Domain values
-// (Diamond, Box4, Box6) are comparable structs, so the executor can reuse
-// one cache across its whole run, turning the repeated subtree walks into
-// a single pass.
-func spaceNeededMemo(g dag.Graph, dom lattice.Domain, leafSize int, memo map[lattice.Domain]int) int {
-	if leafSize <= 0 {
-		leafSize = DefaultLeafSize
+// plan is the planning recursion's record of one domain: its space
+// allowance and the live-out count its parent stages.
+type plan struct{ space, live int }
+
+// Plan computes the space allowance S(root) that Execute needs, polling
+// Check (with vertices = 0) at every node of the planning recursion, so
+// a caller that has given up stops before the domain tree is walked. The
+// allowance sizes the machine; the next Execute on the same graph reuses
+// this plan instead of planning again.
+func (e *Executor) Plan(root lattice.Domain) (int, error) {
+	if e.LeafSize <= 0 {
+		e.LeafSize = DefaultLeafSize
 	}
-	if memo != nil {
-		if s, ok := memo[dom]; ok {
-			return s
+	e.plans = make(map[lattice.Domain]plan, 1024)
+	p, err := e.plan(root)
+	e.planned = err == nil
+	return p.space, err
+}
+
+// plan memoizes each domain's allowance. Domain values (Diamond, Box4,
+// Box6) are comparable structs, so one cache serves the whole run and
+// each domain's boundary is enumerated once.
+func (e *Executor) plan(dom lattice.Domain) (plan, error) {
+	if p, ok := e.plans[dom]; ok {
+		return p, nil
+	}
+	if e.Check != nil {
+		if err := e.Check(0); err != nil {
+			return plan{}, err
 		}
 	}
-	gin := len(dag.Preboundary(g, dom))
-	kids := dom.Children()
-	var out int
-	if kids == nil || dom.Size() <= leafSize {
-		out = dom.Size() + gin
+	e.bd.Compute(e.G, dom, dag.ByPosition, &e.surf)
+	gin := len(e.surf.Pre)
+	p := plan{live: len(e.surf.Live)}
+	if kids := e.children(dom); kids == nil {
+		p.space = dom.Size() + gin
 	} else {
 		smax, lout := 0, 0
 		for _, k := range kids {
-			if s := spaceNeededMemo(g, k, leafSize, memo); s > smax {
-				smax = s
+			kp, err := e.plan(k)
+			if err != nil {
+				return plan{}, err
 			}
-			lout += len(dag.LiveOut(g, k))
+			smax = max(smax, kp.space)
+			lout += kp.live
 		}
-		out = smax + lout + gin
+		p.space = smax + lout + gin
 	}
-	if memo != nil {
-		memo[dom] = out
+	e.plans[dom] = p
+	return p, nil
+}
+
+// children returns dom's partition, or nil when dom is executed
+// directly: it holds at most LeafSize vertices or cannot be split.
+func (e *Executor) children(dom lattice.Domain) []lattice.Domain {
+	if dom.Size() <= e.LeafSize {
+		return nil
 	}
-	return out
+	return dom.Children()
 }
 
 // Result reports the outcome of a separator execution.
@@ -158,11 +198,20 @@ type Result struct {
 // into machine m's meter, and returns the final-layer outputs. The domain
 // executed is g's full domain (every vertex including the t = 0 inputs,
 // which are materialized by Prog.Input at unit cost when reached — the
-// paper's input vertices).
+// paper's input vertices). It executes under the plan of a preceding
+// Plan call, or plans first when there is none.
 func (e *Executor) Execute(m *hram.Machine, root lattice.Domain) (Result, error) {
-	if e.LeafSize <= 0 {
-		e.LeafSize = DefaultLeafSize
+	if !e.planned {
+		if _, err := e.Plan(root); err != nil {
+			return Result{}, err
+		}
 	}
+	e.planned = false
+	p, err := e.plan(root)
+	if err != nil {
+		return Result{}, err
+	}
+	space := p.space
 	e.m = m
 	ix := lattice.NewIndexer(e.G.Bounds())
 	if e.loc == nil {
@@ -175,35 +224,29 @@ func (e *Executor) Execute(m *hram.Machine, root lattice.Domain) (Result, error)
 	}
 	e.maxAddrTouched = 0
 	e.levels = nil
-	e.spaceMemo = make(map[lattice.Domain]int, 1024)
 
-	space := spaceNeededMemo(e.G, root, e.LeafSize, e.spaceMemo)
 	if m.Size() < space {
 		return Result{}, fmt.Errorf("separator: machine size %d < required space %d", m.Size(), space)
 	}
-	if err := e.exec(root, space, 0); err != nil {
+	var top dag.Surface
+	e.bd.Compute(e.G, root, dag.ByPosition, &top)
+	if err := e.exec(root, space, len(top.Pre), 0); err != nil {
 		return Result{}, err
 	}
 
-	// Collect outputs from the final layer.
+	// Collect outputs from the final layer, which the root's live-out
+	// set holds whole.
 	last := e.G.Steps() - 1
 	out := make([]dag.Value, e.G.Nodes())
-	count := 0
-	root.Points(func(p lattice.Point) bool {
+	for _, p := range top.Live {
 		if p.T != last {
-			return true
+			continue
 		}
 		addr, ok := e.loc.Get(p)
 		if !ok {
-			count = -1
-			return false
+			return Result{}, fmt.Errorf("separator: missing output value in final layer")
 		}
 		out[e.nodeIndex(p)] = m.Peek(addr)
-		count++
-		return true
-	})
-	if count < 0 {
-		return Result{}, fmt.Errorf("separator: missing output value in final layer")
 	}
 	return Result{
 		Outputs:  out,
@@ -243,22 +286,22 @@ func (e *Executor) touch(addr int) int {
 }
 
 // exec implements Proposition 2. Contract: on entry, every vertex of
-// Γin(dom) has a valid address in e.loc; on exit, every vertex of
-// LiveOut(dom) has a valid address in e.loc, and loc entries for dead
-// vertices of dom have been removed.
-func (e *Executor) exec(dom lattice.Domain, space int, depth int) error {
-	kids := dom.Children()
-	if kids == nil || dom.Size() <= e.LeafSize {
+// Γin(dom) (gin of them) has a valid address in e.loc; on exit, every
+// vertex of dom's live-out set has a valid address in e.loc, and loc
+// entries for dead vertices of dom have been removed.
+func (e *Executor) exec(dom lattice.Domain, space, gin, depth int) error {
+	kids := e.children(dom)
+	if kids == nil {
 		return e.execLeaf(dom)
 	}
 	e.level(depth).Domains++
 
-	gin := dag.Preboundary(e.G, dom)
 	// Staging area below the incoming preboundary slot.
-	stagePtr := space - len(gin)
+	stagePtr := space - gin
 
 	for len(e.ovStack) <= depth {
 		e.ovStack = append(e.ovStack, nil)
+		e.geo = append(e.geo, dag.Surface{})
 	}
 	for _, kid := range kids {
 		if e.Check != nil {
@@ -266,8 +309,18 @@ func (e *Executor) exec(dom lattice.Domain, space int, depth int) error {
 				return err
 			}
 		}
-		skid := spaceNeededMemo(e.G, kid, e.LeafSize, e.spaceMemo)
-		ginKid := dag.Preboundary(e.G, kid)
+		kp, err := e.plan(kid)
+		if err != nil {
+			return err
+		}
+		skid := kp.space
+		// The child's geometry lives in this depth's Surface: deeper
+		// recursion uses its own, so ginKid and live stay valid across
+		// the exec(kid) call below.
+		geo := e.geo[depth]
+		e.bd.Compute(e.G, kid, dag.ByPosition, &geo)
+		e.geo[depth] = geo
+		ginKid, live := geo.Pre, geo.Live
 
 		// Step 1 (Prop 2): copy the child's preboundary into
 		// [skid - |Γin(kid)|, skid), overriding loc only within the
@@ -294,7 +347,7 @@ func (e *Executor) exec(dom lattice.Domain, space int, depth int) error {
 		st.TransferTime += float64(e.m.Meter().Total(cost.Transfer) - before)
 
 		// Step 2: execute the child in [0, skid).
-		if err := e.exec(kid, skid, depth+1); err != nil {
+		if err := e.exec(kid, skid, len(ginKid), depth+1); err != nil {
 			return err
 		}
 
@@ -303,7 +356,6 @@ func (e *Executor) exec(dom lattice.Domain, space int, depth int) error {
 		// e.live is free here: the child's own exec drained it before
 		// returning, and it is drained again below before the next
 		// descent.
-		live := dag.LiveOut(e.G, kid)
 		before = e.m.Meter().Total(cost.Transfer)
 		for _, v := range live {
 			e.live.Add(v)

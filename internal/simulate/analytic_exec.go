@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bsmp/internal/cost"
+	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
 	"bsmp/internal/network"
@@ -19,8 +20,9 @@ import (
 // every congruent recursion subtree beyond the first is replayed as one
 // summed (clock delta, ledger delta) via the unified memo store
 // (kind = analytic). Geometry is enumerated per COLUMN, not per vertex:
-// a diamond's columns, preboundary, and live-out set are all O(width),
-// so a memoized run costs O(boundary work + leaf classes), making
+// a diamond's columns, preboundary, and live-out set are all O(width)
+// (dag.Boundary, the enumeration the exact engines use), so a memoized
+// run costs O(boundary work + leaf classes), making
 // lattice volumes of 10^9+ (n = 2^20 × steps = 2^10) tractable in
 // seconds where the exact engine would need hours and ~10 GB.
 //
@@ -51,11 +53,16 @@ type analyticExec struct {
 	bcast pointAddrs
 	mem   pointAddrs
 
-	space      map[lattice.Diamond]int
-	classSpace map[subtreeKey]int
+	space      map[lattice.Diamond]blockedPlan
+	classSpace map[subtreeKey]blockedPlan
 
-	scr geomScratch
-	pts []lattice.Point // spaceNeeded's boundary scratch: only counts are kept
+	// The line's dag, the boundary enumeration's scratch, the planning
+	// pass's result buffer and one child geometry per recursion depth,
+	// as in blockedExec.
+	g    dag.LineGraph
+	bd   dag.Boundary
+	surf dag.Surface
+	geo  []dag.Surface
 
 	memoOn   bool
 	progFP   string
@@ -116,227 +123,8 @@ func (a *analyticExec) moveWord(dst, src int) {
 	a.meter.Charge(cost.Transfer, a.f(src)+a.f(dst))
 }
 
-func divFloor(p, q int) int {
-	r := p / q
-	if p%q != 0 && (p < 0) != (q < 0) {
-		r--
-	}
-	return r
-}
-
-func divCeil(p, q int) int { return -divFloor(-p, q) }
-
-// dXRange is the half-open x interval of d's columns: the bounding
-// x-range of the rotated rectangle intersected with the clip.
-func dXRange(d lattice.Diamond) (int, int) {
-	x0 := divCeil(d.U0-(d.W0+d.RW-1), 2)
-	x1 := divFloor(d.U0+d.RU-1-d.W0, 2) + 1
-	if d.Clip.X0 > x0 {
-		x0 = d.Clip.X0
-	}
-	if d.Clip.X1 < x1 {
-		x1 = d.Clip.X1
-	}
-	return x0, x1
-}
-
-// dTa / dTb are column x's first and last vertex times: the (u, w)
-// range constraints u = t+x in [U0, U0+RU) and w = t-x in [W0, W0+RW)
-// solved for t, clamped to the clip's time range. The column is a
-// contiguous interval — every integer (x, t) in range is a lattice
-// point (u + w = 2t carries no parity constraint on (x, t)) — which is
-// what makes all geometry here O(width) instead of O(volume).
-func dTa(d lattice.Diamond, x int) int {
-	ta := d.U0 - x
-	if w := d.W0 + x; w > ta {
-		ta = w
-	}
-	if d.Clip.T0 > ta {
-		ta = d.Clip.T0
-	}
-	return ta
-}
-
-func dTb(d lattice.Diamond, x int) int {
-	tb := d.U0 + d.RU - 1 - x
-	if w := d.W0 + d.RW - 1 + x; w < tb {
-		tb = w
-	}
-	if d.Clip.T1-1 < tb {
-		tb = d.Clip.T1 - 1
-	}
-	return tb
-}
-
-// analyticColumns is b.columns for a diamond in O(width): the per-node
-// time spans in ascending x (the d = 1 column order).
-func analyticColumns(d lattice.Diamond) []colSpan {
-	x0, x1 := dXRange(d)
-	spans := make([]colSpan, 0, x1-x0)
-	for x := x0; x < x1; x++ {
-		ta, tb := dTa(d, x), dTb(d, x)
-		if ta > tb {
-			continue
-		}
-		spans = append(spans, colSpan{pos: lattice.Point{X: x}, ta: ta, tb: tb})
-	}
-	return spans
-}
-
-// analyticHasAt reports whether (x, t) is a vertex of d.
-func analyticHasAt(d lattice.Diamond, x, t int) bool {
-	if x < d.Clip.X0 || x >= d.Clip.X1 {
-		return false
-	}
-	ta, tb := dTa(d, x), dTb(d, x)
-	return ta <= t && t <= tb
-}
-
-// bandPoint is one vertex (x, t) of a boundary band.
-type bandPoint struct{ x, t int }
-
-// geomScratch holds the buffers the O(width) boundary enumerations reuse
-// from one domain to the next; nothing in it outlives a call.
-type geomScratch struct {
-	band, sorted []bandPoint
-	counts       []int
-	stamp        []int
-}
-
-// sortBand returns s.band, built column by column in ascending x, in
-// global (T, X) vertex order: a stable counting sort on t, O(len + t
-// range). A column's first (last) time moves by at most one from one
-// column to the next, so the t range is O(width) as well.
-func (s *geomScratch) sortBand() []bandPoint {
-	band := s.band
-	if len(band) == 0 {
-		return band
-	}
-	lo, hi := band[0].t, band[0].t
-	for _, p := range band[1:] {
-		lo, hi = min(lo, p.t), max(hi, p.t)
-	}
-	// counts[k+1] tallies t = lo+k; the prefix sum turns counts[k] into
-	// the first output slot of t = lo+k.
-	counts := append(s.counts[:0], make([]int, hi-lo+2)...)
-	for _, p := range band {
-		counts[p.t-lo+1]++
-	}
-	for k := 1; k < len(counts); k++ {
-		counts[k] += counts[k-1]
-	}
-	sorted := append(s.sorted[:0], band...)
-	for _, p := range band {
-		sorted[counts[p.t-lo]] = p
-		counts[p.t-lo]++
-	}
-	s.counts, s.sorted = counts, sorted
-	return sorted
-}
-
-// preboundary appends dag.Preboundary(LineGraph(n, ·), d) to dst
-// exactly — same points, same first-encounter order — in O(width), given
-// d's columns. Only vertices with t <= ta(x)+1 can have predecessors
-// outside the domain: a vertex at t >= ta(x)+2 has all three preds at
-// t-1 >= ta(x)+1 inside (|ta(x±1) - ta(x)| <= 1 and t-1 <= tb(x)-1 <=
-// tb(x±1); an empty adjacent column occurs only at diamond tips, whose
-// columns have height <= 2 and are inside the band anyway, or at the
-// machine edge, where the pred is outside the graph). The band is
-// enumerated in global (T, X) vertex order with predecessors in
-// LineGraph.Preds order (left, self, right), reproducing the exact
-// first-encounter sequence.
-func (s *geomScratch) preboundary(dst []lattice.Point, d lattice.Diamond, spans []colSpan, n int) []lattice.Point {
-	if len(spans) == 0 {
-		return dst
-	}
-	s.band = s.band[:0]
-	for _, c := range spans {
-		for t := c.ta; t <= min(c.ta+1, c.tb); t++ {
-			s.band = append(s.band, bandPoint{c.pos.X, t})
-		}
-	}
-	// A predecessor (x, t-1) is reached only from band layer t, and the
-	// layers ascend, so stamp[x-x0] == t marks it emitted: one slot per
-	// column from the left neighbor of the first to the right neighbor
-	// of the last.
-	x0 := spans[0].pos.X - 1
-	stamp := append(s.stamp[:0], make([]int, spans[len(spans)-1].pos.X-x0+2)...)
-	s.stamp = stamp
-	for _, p := range s.sortBand() {
-		if p.t == 0 {
-			continue // no predecessors in the graph
-		}
-		for _, dx := range [3]int{-1, 0, 1} { // LineGraph.Preds order
-			x := p.x + dx
-			if x < 0 || x >= n || analyticHasAt(d, x, p.t-1) || stamp[x-x0] == p.t {
-				continue
-			}
-			stamp[x-x0] = p.t
-			dst = append(dst, lattice.Point{X: x, T: p.t - 1})
-		}
-	}
-	return dst
-}
-
-// liveOut appends dag.LiveOut(LineGraph(n, steps+1), d) to dst exactly
-// in O(width), given d's columns. Only vertices with t >= tb(x)-1 can
-// have a successor outside the domain (the mirror of the preboundary
-// band argument), and the final layer t = steps is always live.
-func (s *geomScratch) liveOut(dst []lattice.Point, d lattice.Diamond, spans []colSpan, n, steps int) []lattice.Point {
-	s.band = s.band[:0]
-	for _, c := range spans {
-		for t := max(c.tb-1, c.ta); t <= c.tb; t++ {
-			s.band = append(s.band, bandPoint{c.pos.X, t})
-		}
-	}
-	for _, p := range s.sortBand() {
-		if p.t == steps {
-			dst = append(dst, lattice.Point{X: p.x, T: p.t})
-			continue
-		}
-		for _, dx := range [3]int{-1, 0, 1} { // LineGraph.Succs order
-			x := p.x + dx
-			if x >= 0 && x < n && !analyticHasAt(d, x, p.t+1) {
-				dst = append(dst, lattice.Point{X: p.x, T: p.t})
-				break
-			}
-		}
-	}
-	return dst
-}
-
-// analyticPreboundary is dag.Preboundary(LineGraph(n, ·), d) in
-// O(width); see geomScratch.preboundary.
-func analyticPreboundary(d lattice.Diamond, n int) []lattice.Point {
-	var s geomScratch
-	return s.preboundary(nil, d, analyticColumns(d), n)
-}
-
-// analyticLiveOut is dag.LiveOut(LineGraph(n, steps+1), d) in O(width);
-// see geomScratch.liveOut.
-func analyticLiveOut(d lattice.Diamond, n, steps int) []lattice.Point {
-	var s geomScratch
-	return s.liveOut(nil, d, analyticColumns(d), n, steps)
-}
-
-// diamondGeom is the geometry one visit of a domain needs: its columns,
-// preboundary and live-out set, each computed once.
-type diamondGeom struct {
-	cols      []colSpan
-	pre, live []lattice.Point
-}
-
-func (a *analyticExec) geom(d lattice.Diamond) diamondGeom {
-	cols := analyticColumns(d)
-	return diamondGeom{
-		cols: cols,
-		pre:  a.scr.preboundary(nil, d, cols, a.n),
-		live: a.scr.liveOut(nil, d, cols, a.n, a.steps),
-	}
-}
-
 func (a *analyticExec) isLeaf(d lattice.Diamond) bool {
-	return d.Span() <= a.leafSpan || d.Children() == nil
+	return d.Span() <= a.leafSpan // leafSpan >= 2: see blockedExec.isLeaf
 }
 
 // keyFor is subtreeKeyFor for the analytic engine: d = 1 line geometry
@@ -364,42 +152,39 @@ func (a *analyticExec) keyFor(d lattice.Diamond) (subtreeKey, bool) {
 // spaceNeeded mirrors blockedExec.spaceNeeded, memoized both per domain
 // value and — decisively for huge n — per congruence class, so the
 // recursion visits each class once instead of every domain.
-func (a *analyticExec) spaceNeeded(d lattice.Diamond) int {
-	if s, ok := a.space[d]; ok {
-		return s
+func (a *analyticExec) spaceNeeded(d lattice.Diamond) blockedPlan {
+	if p, ok := a.space[d]; ok {
+		return p
 	}
 	var key subtreeKey
 	var keyOK bool
 	if a.memoOn {
 		if key, keyOK = a.keyFor(d); keyOK {
-			if s, ok := a.classSpace[key]; ok {
-				a.space[d] = s
-				return s
+			if p, ok := a.classSpace[key]; ok {
+				a.space[d] = p
+				return p
 			}
 		}
 	}
-	spans := analyticColumns(d)
-	a.pts = a.scr.preboundary(a.pts[:0], d, spans, a.n)
-	in := len(a.pts) + a.iw*memInCount(spans)
-	var out int
+	a.bd.Compute(a.g, d, dag.ByPosition, &a.surf)
+	in := inSize(&a.surf, a.iw)
+	p := blockedPlan{stage: len(a.surf.Live) + a.iw*len(a.surf.Cols)}
 	if a.isLeaf(d) {
-		out = len(spans)*a.iw + d.Size() + in
+		p.space = len(a.surf.Cols)*a.iw + d.Size() + in
 	} else {
 		smax, stage := 0, 0
 		for _, kd := range d.Children() {
-			kid := kd.(lattice.Diamond)
-			smax = max(smax, a.spaceNeeded(kid))
-			kidSpans := analyticColumns(kid)
-			a.pts = a.scr.liveOut(a.pts[:0], kid, kidSpans, a.n, a.steps)
-			stage += len(a.pts) + a.iw*len(kidSpans)
+			kp := a.spaceNeeded(kd.(lattice.Diamond))
+			smax = max(smax, kp.space)
+			stage += kp.stage
 		}
-		out = smax + stage + in
+		p.space = smax + stage + in
 	}
-	a.space[d] = out
+	a.space[d] = p
 	if keyOK {
-		a.classSpace[key] = out
+		a.classSpace[key] = p
 	}
-	return out
+	return p
 }
 
 // execLeaf mirrors blockedExec.execLeaf charge for charge: image bases
@@ -407,14 +192,14 @@ func (a *analyticExec) spaceNeeded(d lattice.Diamond) int {
 // Op per vertex, reads of the addressed cell and the (self, left, right)
 // operands, writes of the updated cell and the broadcast word. prog.Init
 // and prog.Step are never called — charges are value-independent.
-func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
+func (a *analyticExec) execLeaf(d lattice.Diamond, spans []lattice.Column) error {
 	// Column i's image base is i*iw; the broadcast words follow.
 	next := len(spans) * a.iw
 	for i, s := range spans {
-		if s.ta < 1 {
+		if s.Ta < 1 {
 			continue
 		}
-		k := memKey(s.pos, s.ta)
+		k := memKey(s.Pos, s.Ta)
 		src, ok := a.mem.get(k)
 		if !ok {
 			return fmt.Errorf("simulate: analytic image %v unavailable in leaf %v", k, d)
@@ -422,21 +207,21 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 		a.blockCopy(i*a.iw, src, a.iw)
 		a.mem.set(k, i*a.iw)
 	}
-	tmin, tmax := spans[0].ta, spans[0].tb
+	tmin, tmax := spans[0].Ta, spans[0].Tb
 	for _, s := range spans {
-		if s.ta < tmin {
-			tmin = s.ta
+		if s.Ta < tmin {
+			tmin = s.Ta
 		}
-		if s.tb > tmax {
-			tmax = s.tb
+		if s.Tb > tmax {
+			tmax = s.Tb
 		}
 	}
 	for t := tmin; t <= tmax; t++ { // global (T, X) vertex order
 		for i, s := range spans {
-			if t < s.ta || t > s.tb {
+			if t < s.Ta || t > s.Tb {
 				continue
 			}
-			x := s.pos.X
+			x := s.Pos.X
 			p := lattice.Point{X: x, T: t}
 			if t == 0 {
 				// Init vertex: Pokes of the initial image are free; the
@@ -478,19 +263,22 @@ func (a *analyticExec) execLeaf(d lattice.Diamond, spans []colSpan) error {
 		return err
 	}
 	for i, s := range spans {
-		a.mem.del(memKey(s.pos, s.ta))
-		a.mem.set(memKey(s.pos, s.tb+1), i*a.iw)
+		a.mem.del(memKey(s.Pos, s.Ta))
+		a.mem.set(memKey(s.Pos, s.Tb+1), i*a.iw)
 	}
 	return nil
 }
 
-// exec mirrors blockedExec.exec with summed-delta memoization; g is d's
-// geometry, computed by the caller's visit.
-func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
+// exec mirrors blockedExec.exec with summed-delta memoization; geo is
+// d's geometry, enumerated by the caller's visit.
+func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int) error {
 	if a.isLeaf(d) {
-		return a.execLeaf(d, g.cols)
+		return a.execLeaf(d, geo.Cols)
 	}
-	stagePtr := space - (len(g.pre) + a.iw*memInCount(g.cols))
+	stagePtr := space - inSize(&geo, a.iw)
+	for len(a.geo) <= depth {
+		a.geo = append(a.geo, dag.Surface{})
+	}
 	for _, kd := range d.Children() {
 		kid := kd.(lattice.Diamond)
 		if err := a.ec.checkpoint(); err != nil {
@@ -515,20 +303,22 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 		if sp != nil {
 			vt0 = float64(a.meter.Now())
 		}
-		kg := a.geom(kid)
-		kidSpans, kidGin, live := kg.cols, kg.pre, kg.live
-		skid := a.spaceNeeded(kid)
+		kg := a.geo[depth]
+		a.bd.Compute(a.g, kid, dag.ByPosition, &kg)
+		a.geo[depth] = kg
+		kidSpans, kidGin, live := kg.Cols, kg.Pre, kg.Live
+		skid := a.spaceNeeded(kid).space
 
 		var overrides []savedAddr
-		dst := skid - (len(kidGin) + a.iw*memInCount(kidSpans))
+		dst := skid - inSize(&kg, a.iw)
 		if dst < 0 {
 			return fmt.Errorf("simulate: analytic child slot underflow in %v", kid)
 		}
 		for _, s := range kidSpans {
-			if s.ta < 1 {
+			if s.Ta < 1 {
 				continue
 			}
-			k := memKey(s.pos, s.ta)
+			k := memKey(s.Pos, s.Ta)
 			src, ok := a.mem.get(k)
 			if !ok {
 				return fmt.Errorf("simulate: analytic image %v unavailable for %v", k, kid)
@@ -554,7 +344,7 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 			// rebind products to their recorded child-frame addresses.
 			a.meter.ApplyDelta(rec.dt, &rec.ledger)
 			for i, s := range kidSpans {
-				a.mem.set(memKey(s.pos, s.tb+1), rec.imgAddrs[i])
+				a.mem.set(memKey(s.Pos, s.Tb+1), rec.imgAddrs[i])
 			}
 			for i, v := range live {
 				a.bcast.set(v, rec.outAddrs[i])
@@ -566,7 +356,7 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 		} else {
 			t0 := a.meter.Now()
 			led0 := a.meter.Ledger
-			if err := a.exec(kid, kg, skid); err != nil {
+			if err := a.exec(kid, kg, skid, depth+1); err != nil {
 				return err // no publication on error: no poisoned records
 			}
 			if keyOK {
@@ -577,7 +367,7 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 				}
 				okAll := true
 				for i, s := range kidSpans {
-					addr, ok := a.mem.get(memKey(s.pos, s.tb+1))
+					addr, ok := a.mem.get(memKey(s.Pos, s.Tb+1))
 					if !ok {
 						okAll = false
 						break
@@ -599,7 +389,7 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 		}
 
 		for _, s := range kidSpans {
-			k := memKey(s.pos, s.tb+1)
+			k := memKey(s.Pos, s.Tb+1)
 			src, ok := a.mem.get(k)
 			if !ok {
 				return fmt.Errorf("simulate: analytic produced image %v missing after %v", k, kid)
@@ -631,8 +421,8 @@ func (a *analyticExec) exec(d lattice.Diamond, g diamondGeom, space int) error {
 			}
 		}
 		for _, s := range kidSpans {
-			if s.ta >= 1 {
-				a.mem.del(memKey(s.pos, s.ta))
+			if s.Ta >= 1 {
+				a.mem.del(memKey(s.Pos, s.Ta))
 			}
 		}
 		// Interior broadcast cleanup intentionally skipped — see the file
@@ -675,7 +465,8 @@ func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 		prog: prog, meter: &meter, fn: hram.Standard(1, m),
 		ec:    newExecCtx(ctx),
 		bcast: newPointAddrs(n), mem: newPointAddrs(n),
-		space: make(map[lattice.Diamond]int), classSpace: make(map[subtreeKey]int),
+		space: make(map[lattice.Diamond]blockedPlan), classSpace: make(map[subtreeKey]blockedPlan),
+		g: dag.NewLineGraph(n, steps+1),
 	}
 	if memoEnabled(ctx) {
 		if _, ok := prog.(addrClasser); ok {
@@ -684,8 +475,10 @@ func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 		}
 	}
 	root := lattice.DiamondAround(n, steps+1)
-	space := a.spaceNeeded(root)
-	if err := a.exec(root, a.geom(root), space); err != nil {
+	space := a.spaceNeeded(root).space
+	var geo dag.Surface
+	a.bd.Compute(a.g, root, dag.ByPosition, &geo)
+	if err := a.exec(root, geo, space, 0); err != nil {
 		return Result{}, err
 	}
 	if err := a.ec.flush(); err != nil {

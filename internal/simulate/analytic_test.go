@@ -3,119 +3,11 @@ package simulate
 import (
 	"context"
 	"math"
-	"sort"
 	"testing"
 
 	"bsmp/internal/cost"
-	"bsmp/internal/dag"
 	"bsmp/internal/guest"
-	"bsmp/internal/lattice"
 )
-
-// walkDiamonds visits every domain the blocked recursion on root would
-// visit (root and all descendants down to leaves of span <= leafSpan).
-func walkDiamonds(root lattice.Diamond, leafSpan int, visit func(lattice.Diamond)) {
-	visit(root)
-	if root.Span() <= leafSpan {
-		return
-	}
-	kids := root.Children()
-	if kids == nil {
-		return
-	}
-	for _, kd := range kids {
-		walkDiamonds(kd.(lattice.Diamond), leafSpan, visit)
-	}
-}
-
-// The O(width) column geometry must agree with the O(volume) enumeration
-// on every domain of the recursion: same columns, same time spans, and
-// each column a contiguous interval.
-func TestAnalyticColumnsMatchPoints(t *testing.T) {
-	for _, tc := range []struct{ n, steps, leafSpan int }{
-		{16, 8, 4}, {13, 5, 2}, {32, 3, 4}, {5, 12, 2},
-	} {
-		root := lattice.DiamondAround(tc.n, tc.steps+1)
-		walkDiamonds(root, tc.leafSpan, func(d lattice.Diamond) {
-			type span struct{ ta, tb, count int }
-			byX := map[int]*span{}
-			d.Points(func(p lattice.Point) bool {
-				s, ok := byX[p.X]
-				if !ok {
-					byX[p.X] = &span{ta: p.T, tb: p.T, count: 1}
-					return true
-				}
-				if p.T < s.ta {
-					s.ta = p.T
-				}
-				if p.T > s.tb {
-					s.tb = p.T
-				}
-				s.count++
-				return true
-			})
-			var xs []int
-			for x := range byX {
-				xs = append(xs, x)
-			}
-			sort.Ints(xs)
-			got := analyticColumns(d)
-			if len(got) != len(xs) {
-				t.Fatalf("n=%d steps=%d %v: %d columns, want %d", tc.n, tc.steps, d, len(got), len(xs))
-			}
-			for i, x := range xs {
-				s := byX[x]
-				if s.count != s.tb-s.ta+1 {
-					t.Fatalf("n=%d steps=%d %v: column %d not contiguous", tc.n, tc.steps, d, x)
-				}
-				g := got[i]
-				if g.pos.X != x || g.ta != s.ta || g.tb != s.tb {
-					t.Fatalf("n=%d steps=%d %v: column %d = {%d,%d,%d}, want {%d,%d,%d}",
-						tc.n, tc.steps, d, i, g.pos.X, g.ta, g.tb, x, s.ta, s.tb)
-				}
-			}
-		})
-	}
-}
-
-// The O(width) preboundary and live-out enumerations must reproduce the
-// dag package's O(volume) versions exactly — same points in the same
-// order, since copy-in charge sequences and record address vectors are
-// both order-sensitive.
-func TestAnalyticBoundaryMatchesDag(t *testing.T) {
-	for _, tc := range []struct{ n, steps, leafSpan int }{
-		{16, 8, 4}, {13, 5, 2}, {32, 3, 4}, {5, 12, 2},
-	} {
-		g := dag.NewLineGraph(tc.n, tc.steps+1)
-		root := g.Domain().(lattice.Diamond)
-		walkDiamonds(root, tc.leafSpan, func(d lattice.Diamond) {
-			wantPre := dag.Preboundary(g, d)
-			gotPre := analyticPreboundary(d, tc.n)
-			if len(gotPre) != len(wantPre) {
-				t.Fatalf("n=%d steps=%d %v: preboundary %d points, want %d",
-					tc.n, tc.steps, d, len(gotPre), len(wantPre))
-			}
-			for i := range wantPre {
-				if gotPre[i] != wantPre[i] {
-					t.Fatalf("n=%d steps=%d %v: preboundary[%d] = %v, want %v",
-						tc.n, tc.steps, d, i, gotPre[i], wantPre[i])
-				}
-			}
-			wantLive := dag.LiveOut(g, d)
-			gotLive := analyticLiveOut(d, tc.n, tc.steps)
-			if len(gotLive) != len(wantLive) {
-				t.Fatalf("n=%d steps=%d %v: liveout %d points, want %d",
-					tc.n, tc.steps, d, len(gotLive), len(wantLive))
-			}
-			for i := range wantLive {
-				if gotLive[i] != wantLive[i] {
-					t.Fatalf("n=%d steps=%d %v: liveout[%d] = %v, want %v",
-						tc.n, tc.steps, d, i, gotLive[i], wantLive[i])
-				}
-			}
-		})
-	}
-}
 
 // The analytic engine charges the same work as the exact engine: Compute
 // is exactly one unit per lattice vertex, per-category charge counts are

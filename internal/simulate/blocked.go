@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"bsmp/internal/cost"
+	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/network"
 )
@@ -76,16 +77,19 @@ func BlockedContext(ctx context.Context, d, n, m, steps, leafSpan int, prog netw
 	}
 	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, newBlockedGeom(d, n))
 	defer b.ec.publish()
-	space, err := b.spaceNeeded(root)
+	plan, err := b.spaceNeeded(root)
 	if err != nil {
 		return Result{}, err
 	}
+	space := plan.space
 	var meter cost.Meter
 	b.mach = hram.New(space, hram.Standard(d, m), &meter, opts...)
 	if memoEnabled(ctx) {
 		b.enableMemo(&meter)
 	}
-	if err := b.exec(root, space, 0); err != nil {
+	var geo dag.Surface
+	b.bd.Compute(g, root, b.order, &geo)
+	if err := b.exec(root, geo, space, 0); err != nil {
 		return Result{}, err
 	}
 	out, mems, err := b.collect()

@@ -32,22 +32,21 @@ import (
 //
 //   - live is populated and fully drained between a child's return and
 //     the next child's descent; recursion below never observes it held.
-//   - colIdx is populated and drained entirely within columns() and
-//     within execLeaf(), which never overlaps a deeper use.
-//   - ovStack hands each recursion depth its own override buffer, so a
-//     parent's buffer stays intact while its children recurse.
+//   - colIdx is populated and drained entirely within execLeaf(), which
+//     never overlaps a deeper use.
+//   - ovStack and geo hand each recursion depth its own override buffer
+//     and child geometry, so a parent's stay intact while its children
+//     recurse.
+//
+// A domain's columns, preboundary and live-out set come from one
+// O(surface) enumeration (dag.Boundary) per visit: the planning pass
+// enumerates each domain once, and the execution pass once per child
+// visit, handing the child its geometry.
 //
 // The change is host-side only: the sequence of machine operations
 // (BlockCopy, MoveWord, Read, Write, Op) is identical to the seed's, so
 // every measured virtual time is bit-identical (enforced by the golden
 // assertions in golden_test.go).
-
-// colSpan is one node column's contiguous vertex-time interval within a
-// domain: spatial position pos (T = 0) present for vertex times [ta, tb].
-type colSpan struct {
-	pos    lattice.Point
-	ta, tb int
-}
 
 // blockedGeom is the guest mesh as the blocked executor reads it: node
 // index and position come from the mesh topology, and the operand
@@ -123,9 +122,17 @@ type blockedExec struct {
 	bcast   *lattice.AddrTable // broadcast-word addresses per dag vertex
 	mem     *lattice.AddrTable // column-image addresses per (node, entry time)
 	live    *lattice.PointSet  // scratch live-out membership (drained after use)
-	colIdx  *lattice.AddrTable // scratch position -> span index / image base
+	colIdx  *lattice.AddrTable // scratch position -> image base in a leaf
 	ovStack [][]savedAddr      // per-depth override buffers
-	space   map[lattice.Domain]int
+	space   map[lattice.Domain]blockedPlan
+
+	// Boundary geometry: the enumeration's scratch, the planning pass's
+	// result buffer, one child geometry per recursion depth, and the
+	// column order (see columnOrder).
+	bd    dag.Boundary
+	surf  dag.Surface
+	geo   []dag.Surface
+	order dag.ColumnOrder
 
 	ptsBuf  []lattice.Point
 	opsBuf  []hram.Word
@@ -221,7 +228,8 @@ func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, i
 		mem:     lattice.NewAddrTable(ix),
 		live:    lattice.NewPointSet(ix),
 		colIdx:  lattice.NewAddrTable(lattice.NewIndexer(spatialClip(bounds))),
-		space:   make(map[lattice.Domain]int, 1024),
+		space:   make(map[lattice.Domain]blockedPlan, 1024),
+		order:   columnOrder(geom.d),
 		opsBuf:  make([]hram.Word, 0, 7),
 		initMem: make([]hram.Word, m),
 	}
@@ -234,49 +242,24 @@ func spatialClip(c lattice.Clip) lattice.Clip {
 	return c
 }
 
-// columns returns the per-node time spans of dom using the colIdx
-// scratch table for deduplication (drained before returning). The d = 1
-// line sorts them by ascending x; higher dimensions keep first-seen
-// (T, X, Y, Z) enumeration order. Column order fixes the memory layout
-// of images in leaves and staging areas, so it is part of the
-// virtual-time contract.
-func (b *blockedExec) columns(dom lattice.Domain) []colSpan {
-	var spans []colSpan
-	dom.Points(func(p lattice.Point) bool {
-		pos := lattice.Point{X: p.X, Y: p.Y, Z: p.Z}
-		if i, ok := b.colIdx.Get(pos); ok {
-			if p.T < spans[i].ta {
-				spans[i].ta = p.T
-			}
-			if p.T > spans[i].tb {
-				spans[i].tb = p.T
-			}
-			return true
-		}
-		b.colIdx.Set(pos, len(spans))
-		spans = append(spans, colSpan{pos: pos, ta: p.T, tb: p.T})
-		return true
-	})
-	for _, s := range spans {
-		b.colIdx.Delete(s.pos)
+// columnOrder is the order of a domain's columns: by x on the d = 1
+// line, and by (ta, x, y, z), the order a (T, X, Y, Z) walk first meets
+// them, at d >= 2. Column order fixes the memory layout of images in
+// leaves and staging areas, so it is part of the virtual-time contract.
+func columnOrder(d int) dag.ColumnOrder {
+	if d == 1 {
+		return dag.ByPosition
 	}
-	if b.geom.d == 1 {
-		for i := 1; i < len(spans); i++ {
-			for j := i; j > 0 && spans[j].pos.X < spans[j-1].pos.X; j-- {
-				spans[j], spans[j-1] = spans[j-1], spans[j]
-			}
-		}
-	}
-	return spans
+	return dag.ByStart
 }
 
 // memInCount is the number of images dom consumes: columns whose first
 // simulated vertex time is >= 1 (ta = 0 columns materialize their own
 // image from prog.Init).
-func memInCount(spans []colSpan) int {
+func memInCount(cols []lattice.Column) int {
 	n := 0
-	for _, s := range spans {
-		if s.ta >= 1 {
+	for _, c := range cols {
+		if c.Ta >= 1 {
 			n++
 		}
 	}
@@ -284,66 +267,73 @@ func memInCount(spans []colSpan) int {
 }
 
 // inSize is the word count of a domain's incoming data: one word per
-// preboundary broadcast value plus m' words per consumed image.
-func (b *blockedExec) inSize(dom lattice.Domain, spans []colSpan) int {
-	return len(dag.Preboundary(b.g, dom)) + b.iw*memInCount(spans)
+// preboundary broadcast value plus iw words per consumed image.
+func inSize(geo *dag.Surface, iw int) int {
+	return len(geo.Pre) + iw*memInCount(geo.Cols)
 }
 
-// isLeaf reports whether dom is executed naively in place.
+// isLeaf reports whether dom is executed naively in place. leafSpan is
+// at least 2, and a domain of span 2 or more can always be split, so
+// the span alone decides.
 func (b *blockedExec) isLeaf(dom lattice.Domain) bool {
-	return dom.Span() <= b.leafSpan || dom.Children() == nil
+	return dom.Span() <= b.leafSpan
 }
+
+// blockedPlan is the planning pass's record of one domain: its space
+// allowance and the words its parent stages for it (live-out broadcasts
+// plus one image per column).
+type blockedPlan struct{ space, stage int }
 
 // spaceNeeded mirrors separator.SpaceNeeded for the two-kind value flow,
 // memoized per (comparable) domain value. The planning recursion visits
 // the entire domain tree before a single vertex executes — at large
 // (n, steps) that is seconds of work — so it polls cancellation at every
 // node; a caller that has already given up never reaches execution.
-func (b *blockedExec) spaceNeeded(dom lattice.Domain) (int, error) {
-	if s, ok := b.space[dom]; ok {
-		return s, nil
+func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
+	if p, ok := b.space[dom]; ok {
+		return p, nil
 	}
 	if err := b.ec.poll(); err != nil {
-		return 0, err
+		return blockedPlan{}, err
 	}
-	spans := b.columns(dom)
-	in := b.inSize(dom, spans)
-	var out int
+	b.bd.Compute(b.g, dom, b.order, &b.surf)
+	in := inSize(&b.surf, b.iw)
+	p := blockedPlan{stage: len(b.surf.Live) + b.iw*len(b.surf.Cols)}
 	if b.isLeaf(dom) {
 		// Working space: every column image resident plus one word per
 		// vertex for broadcast values.
-		out = len(spans)*b.iw + dom.Size() + in
+		p.space = len(b.surf.Cols)*b.iw + dom.Size() + in
 	} else {
 		smax, stage := 0, 0
 		for _, kid := range dom.Children() {
-			s, err := b.spaceNeeded(kid)
+			kp, err := b.spaceNeeded(kid)
 			if err != nil {
-				return 0, err
+				return blockedPlan{}, err
 			}
-			if s > smax {
-				smax = s
-			}
-			stage += len(dag.LiveOut(b.g, kid)) + b.iw*len(b.columns(kid))
+			smax = max(smax, kp.space)
+			stage += kp.stage
 		}
-		out = smax + stage + in
+		p.space = smax + stage + in
 	}
-	b.space[dom] = out
-	return out, nil
+	b.space[dom] = p
+	return p, nil
 }
 
-// exec implements the Proposition 2 recursion for the blocked value flow.
+// exec implements the Proposition 2 recursion for the blocked value flow;
+// geo is dom's geometry, enumerated by the caller's visit.
 // Contract: incoming keys (preboundary broadcasts and consumed images)
 // have valid addresses on entry; on exit, live-out broadcasts and the
 // produced images Mem(v, tb+1) have valid addresses.
-func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
+func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int) error {
 	if b.isLeaf(dom) {
-		return b.execLeaf(dom)
+		return b.execLeaf(dom, geo.Cols)
 	}
 	// The incoming slot occupies [space-inSize, space); staging grows
 	// downward from its floor.
-	stagePtr := space - b.inSize(dom, b.columns(dom))
+	stagePtr := space - inSize(&geo, b.iw)
 	for len(b.ovStack) <= depth {
 		b.ovStack = append(b.ovStack, nil)
+		b.geo = append(b.geo, dag.Surface{})
 	}
 
 	for _, kid := range dom.Children() {
@@ -381,27 +371,30 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 		if sp != nil {
 			vt0 = b.mach.Meter().Now()
 		}
-		kidSpans := b.columns(kid)
-		kidGin := dag.Preboundary(b.g, kid)
-		live := dag.LiveOut(b.g, kid)
-		skid, err := b.spaceNeeded(kid)
+		// The child's geometry is this depth's arena slot, like its
+		// override buffer below; deeper recursion uses its own.
+		kg := b.geo[depth]
+		b.bd.Compute(b.g, kid, b.order, &kg)
+		b.geo[depth] = kg
+		kidSpans, kidGin, live := kg.Cols, kg.Pre, kg.Live
+		kp, err := b.spaceNeeded(kid)
 		if err != nil {
 			return err
 		}
+		skid := kp.space
 
 		// Copy incoming data into the child's top slot: images first,
-		// then broadcast words. The override buffer is this depth's arena
-		// slot; deeper recursion uses its own.
+		// then broadcast words.
 		overrides := b.ovStack[depth][:0]
-		dst := skid - b.inSize(kid, kidSpans)
+		dst := skid - inSize(&kg, b.iw)
 		if dst < 0 {
 			return fmt.Errorf("simulate: child slot underflow in %v", kid)
 		}
 		for _, s := range kidSpans {
-			if s.ta < 1 {
+			if s.Ta < 1 {
 				continue
 			}
-			k := memKey(s.pos, s.ta)
+			k := memKey(s.Pos, s.Ta)
 			src, ok := b.mem.Get(k)
 			if !ok {
 				return fmt.Errorf("simulate: image %v unavailable for %v", k, kid)
@@ -435,7 +428,7 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 				b.recs[n-1].Child(rec.trace)
 			}
 			for i, s := range kidSpans {
-				b.mem.Set(memKey(s.pos, s.tb+1), rec.imgAddrs[i])
+				b.mem.Set(memKey(s.Pos, s.Tb+1), rec.imgAddrs[i])
 			}
 			for i, v := range live {
 				b.bcast.Set(v, rec.outAddrs[i])
@@ -452,7 +445,7 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 				kr = &cost.Recorder{}
 				b.recs = append(b.recs, kr)
 			}
-			err := b.exec(kid, skid, depth+1)
+			err := b.exec(kid, kg, skid, depth+1)
 			if kr != nil {
 				b.recs = b.recs[:len(b.recs)-1]
 			}
@@ -465,9 +458,9 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 				nr := &subtreeRecord{trace: kr.Trace(), space: skid,
 					imgAddrs: make([]int, len(kidSpans)), outAddrs: make([]int, len(live))}
 				for i, s := range kidSpans {
-					a, ok := b.mem.Get(memKey(s.pos, s.tb+1))
+					a, ok := b.mem.Get(memKey(s.Pos, s.Tb+1))
 					if !ok {
-						return fmt.Errorf("simulate: produced image %v missing after %v", memKey(s.pos, s.tb+1), kid)
+						return fmt.Errorf("simulate: produced image %v missing after %v", memKey(s.Pos, s.Tb+1), kid)
 					}
 					nr.imgAddrs[i] = a
 				}
@@ -492,7 +485,7 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 		// Persist the child's products into staging: produced images and
 		// live-out broadcasts.
 		for _, s := range kidSpans {
-			k := memKey(s.pos, s.tb+1)
+			k := memKey(s.Pos, s.Tb+1)
 			src, ok := b.mem.Get(k)
 			if !ok {
 				return fmt.Errorf("simulate: produced image %v missing after %v", k, kid)
@@ -528,8 +521,8 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 			}
 		}
 		for _, s := range kidSpans {
-			if s.ta >= 1 {
-				b.mem.Delete(memKey(s.pos, s.ta))
+			if s.Ta >= 1 {
+				b.mem.Delete(memKey(s.Pos, s.Ta))
 			}
 		}
 		kid.Points(func(p lattice.Point) bool {
@@ -555,22 +548,21 @@ func (b *blockedExec) exec(dom lattice.Domain, space, depth int) error {
 // resident at the bottom of the workspace, broadcast values above them.
 // The colIdx scratch table holds each column's image base address for the
 // duration of the leaf.
-func (b *blockedExec) execLeaf(dom lattice.Domain) error {
-	spans := b.columns(dom)
+func (b *blockedExec) execLeaf(dom lattice.Domain, spans []lattice.Column) error {
 	next := 0
 	for _, s := range spans {
-		b.colIdx.Set(s.pos, next)
+		b.colIdx.Set(s.Pos, next)
 		next += b.iw
 	}
 	// Bring consumed images local.
 	for _, s := range spans {
-		if s.ta >= 1 {
-			k := memKey(s.pos, s.ta)
+		if s.Ta >= 1 {
+			k := memKey(s.Pos, s.Ta)
 			src, ok := b.mem.Get(k)
 			if !ok {
 				return b.drainLeaf(spans, fmt.Errorf("simulate: image %v unavailable in leaf %v", k, dom))
 			}
-			base, _ := b.colIdx.Get(s.pos)
+			base, _ := b.colIdx.Get(s.Pos)
 			b.mach.BlockCopy(base, src, b.iw)
 			b.mem.Set(k, base)
 		}
@@ -635,18 +627,18 @@ func (b *blockedExec) execLeaf(dom lattice.Domain) error {
 	// Rename images in place: consumed Mem(v, ta) becomes produced
 	// Mem(v, tb+1) at zero cost.
 	for _, s := range spans {
-		base, _ := b.colIdx.Get(s.pos)
-		b.mem.Delete(memKey(s.pos, s.ta))
-		b.mem.Set(memKey(s.pos, s.tb+1), base)
+		base, _ := b.colIdx.Get(s.Pos)
+		b.mem.Delete(memKey(s.Pos, s.Ta))
+		b.mem.Set(memKey(s.Pos, s.Tb+1), base)
 	}
 	return b.drainLeaf(spans, nil)
 }
 
 // drainLeaf releases the colIdx scratch entries of a leaf, passing err
 // through.
-func (b *blockedExec) drainLeaf(spans []colSpan, err error) error {
+func (b *blockedExec) drainLeaf(spans []lattice.Column, err error) error {
 	for _, s := range spans {
-		b.colIdx.Delete(s.pos)
+		b.colIdx.Delete(s.Pos)
 	}
 	return err
 }

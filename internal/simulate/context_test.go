@@ -71,6 +71,23 @@ func TestBlockedPlanningCancellable(t *testing.T) {
 	}
 }
 
+// UniDCContext plans once, through the separator executor's Plan, and
+// that plan polls the Check hook at every node. A pre-cancelled context
+// must abort out of planning; unpolled, planning this tuple twice took
+// ~13 s before the first execution checkpoint saw the cancellation.
+func TestUniDCPlanningCancellable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := UniDCContext(ctx, 2, 4096, 256, 8, guest.Rule90{Seed: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("UniDCContext d=2 with pre-cancelled ctx = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled planning took %v, want prompt unwind", elapsed)
+	}
+}
+
 // An already-cancelled context stops every engine at its first
 // checkpoint; none of them runs the simulation to completion.
 func TestPreCancelledContextStopsEveryEngine(t *testing.T) {

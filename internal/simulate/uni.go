@@ -23,9 +23,10 @@ import (
 // VerifyDag. The expected slowdown over the guest's Θ(T) time is
 // Θ(n·Log n) — the n for lost parallelism times Log n for lost locality.
 //
-// The separator executor polls cancellation at every partition boundary
-// and (amortized) per executed leaf via its Check hook, and reports step
-// progress to any attached Progress. The hook runs between charged
+// The separator executor polls cancellation at every node of its
+// planning recursion, at every partition boundary and (amortized) per
+// executed leaf via its Check hook, and reports step progress to any
+// attached Progress. The hook runs between charged
 // operations, so a never-cancelled run's virtual times do not depend on
 // ctx.
 func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Program) (Result, error) {
@@ -33,12 +34,16 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 		return Result{}, e
 	}
 	g, root := guestDag(d, n, steps)
-	space := separator.SpaceNeeded(g, root, leafSize)
-	var meter cost.Meter
-	mach := hram.New(space, hram.Standard(d, 1), &meter)
 	ec := newExecCtx(ctx)
 	defer ec.publish()
 	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize, Check: ec.separatorCheck}
+	// One plan sizes the machine and drives the execution.
+	space, err := ex.Plan(root)
+	if err != nil {
+		return Result{}, err
+	}
+	var meter cost.Meter
+	mach := hram.New(space, hram.Standard(d, 1), &meter)
 	res, err := ex.Execute(mach, root)
 	if err != nil {
 		return Result{}, err
