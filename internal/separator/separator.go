@@ -45,8 +45,8 @@ type Executor struct {
 	// Check, when non-nil, is polled at every node of the planning
 	// recursion and every phase boundary (once per partition child), with
 	// vertices = 0, and after every executed leaf (with vertices = the
-	// leaf's vertex count). Returning a non-nil
-	// error aborts the execution with that error. The hook is invoked
+	// leaf's vertex count). Returning a non-nil error aborts the planning
+	// or the execution with that error. The hook is invoked
 	// between charged operations and must not touch the machine, so it
 	// cannot perturb measured virtual times. simulate.UniDCContext uses
 	// it for cooperative cancellation and progress metering.

@@ -36,14 +36,17 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 	g, root := guestDag(d, n, steps)
 	ec := newExecCtx(ctx)
 	defer ec.publish()
-	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize, Check: ec.separatorCheck}
-	// One plan sizes the machine and drives the execution.
+	// One plan sizes the machine and drives the execution. Planning
+	// polls cancellation without counting phases, as blockedExec's does.
+	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize,
+		Check: func(int) error { return ec.poll() }}
 	space, err := ex.Plan(root)
 	if err != nil {
 		return Result{}, err
 	}
 	var meter cost.Meter
 	mach := hram.New(space, hram.Standard(d, 1), &meter)
+	ex.Check = ec.separatorCheck
 	res, err := ex.Execute(mach, root)
 	if err != nil {
 		return Result{}, err
