@@ -276,9 +276,10 @@ type subtreeRecord struct {
 	// space is the subtree's workspace requirement (spaceNeeded).
 	space int
 	// imgAddrs are the produced images' addresses Mem(v, tb+1) in column
-	// order; outAddrs the live-out broadcast addresses in dag.Surface.Live order.
-	// Both are child-frame absolute (the child workspace is always
-	// [0, space)), so they are valid verbatim at every congruent site.
+	// order; outAddrs the live-out broadcast addresses in the order of
+	// dag.Surface.Live. Both are child-frame absolute (the child
+	// workspace is always [0, space)), so they are valid verbatim at
+	// every congruent site.
 	imgAddrs []int
 	outAddrs []int
 }
