@@ -127,6 +127,13 @@ func (a *analyticExec) isLeaf(d lattice.Diamond) bool {
 	return d.Span() <= a.leafSpan // leafSpan >= 2: see blockedExec.isLeaf
 }
 
+// surface fills s with d's columns by position, preboundary and live-out
+// set in the line's dag: the geometry every copy-in, leaf and record of
+// the engine is charged from.
+func (a *analyticExec) surface(d lattice.Diamond, s *dag.Surface) {
+	a.bd.Compute(a.g, d, dag.ByPosition, s)
+}
+
 // keyFor is subtreeKeyFor for the analytic engine: d = 1 line geometry
 // (stride 0), never pipelined. Analytic records live under their own
 // memo kind, so they can never collide with exact-trace records.
@@ -166,7 +173,7 @@ func (a *analyticExec) spaceNeeded(d lattice.Diamond) blockedPlan {
 			}
 		}
 	}
-	a.bd.Compute(a.g, d, dag.ByPosition, &a.surf)
+	a.surface(d, &a.surf)
 	in := inSize(&a.surf, a.iw)
 	p := blockedPlan{stage: len(a.surf.Live) + a.iw*len(a.surf.Cols)}
 	if a.isLeaf(d) {
@@ -304,7 +311,7 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 			vt0 = float64(a.meter.Now())
 		}
 		kg := a.geo[depth]
-		a.bd.Compute(a.g, kid, dag.ByPosition, &kg)
+		a.surface(kid, &kg)
 		a.geo[depth] = kg
 		kidSpans, kidGin, live := kg.Cols, kg.Pre, kg.Live
 		skid := a.spaceNeeded(kid).space
@@ -477,7 +484,7 @@ func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 	root := lattice.DiamondAround(n, steps+1)
 	space := a.spaceNeeded(root).space
 	var geo dag.Surface
-	a.bd.Compute(a.g, root, dag.ByPosition, &geo)
+	a.surface(root, &geo)
 	if err := a.exec(root, geo, space, 0); err != nil {
 		return Result{}, err
 	}

@@ -3,11 +3,118 @@ package simulate
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"bsmp/internal/cost"
+	"bsmp/internal/dag"
 	"bsmp/internal/guest"
+	"bsmp/internal/lattice"
 )
+
+// analyticGeometryCases are the (n, steps, leafSpan) tuples the geometry
+// tests walk: powers of two and not, wide and tall.
+var analyticGeometryCases = []struct{ n, steps, leafSpan int }{
+	{16, 8, 4}, {13, 5, 2}, {32, 3, 4}, {5, 12, 2},
+}
+
+// walkAnalytic visits every domain the analytic engine's recursion
+// visits on an n-node line over steps steps — the root and all its
+// descendants down to leaves — with the engine's geometry of each.
+func walkAnalytic(n, steps, leafSpan int, visit func(lattice.Diamond, dag.Surface)) {
+	a := &analyticExec{n: n, steps: steps, leafSpan: leafSpan, g: dag.NewLineGraph(n, steps+1)}
+	var walk func(d lattice.Diamond)
+	walk = func(d lattice.Diamond) {
+		var s dag.Surface
+		a.surface(d, &s)
+		visit(d, s)
+		if a.isLeaf(d) {
+			return
+		}
+		for _, kd := range d.Children() {
+			walk(kd.(lattice.Diamond))
+		}
+	}
+	walk(lattice.DiamondAround(n, steps+1))
+}
+
+// The engine's O(width) column geometry must agree with the O(volume)
+// enumeration on every domain of the recursion: same columns in position
+// order, same time spans, and each column a contiguous interval.
+func TestAnalyticColumnsMatchPoints(t *testing.T) {
+	for _, tc := range analyticGeometryCases {
+		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Diamond, s dag.Surface) {
+			type span struct{ ta, tb, count int }
+			byX := map[int]*span{}
+			d.Points(func(p lattice.Point) bool {
+				sp, ok := byX[p.X]
+				if !ok {
+					byX[p.X] = &span{ta: p.T, tb: p.T, count: 1}
+					return true
+				}
+				sp.ta, sp.tb = min(sp.ta, p.T), max(sp.tb, p.T)
+				sp.count++
+				return true
+			})
+			var xs []int
+			for x := range byX {
+				xs = append(xs, x)
+			}
+			slices.Sort(xs)
+			if len(s.Cols) != len(xs) {
+				t.Fatalf("n=%d steps=%d %v: %d columns, want %d", tc.n, tc.steps, d, len(s.Cols), len(xs))
+			}
+			for i, x := range xs {
+				sp := byX[x]
+				if sp.count != sp.tb-sp.ta+1 {
+					t.Fatalf("n=%d steps=%d %v: column %d not contiguous", tc.n, tc.steps, d, x)
+				}
+				want := lattice.Column{Pos: lattice.Point{X: x}, Ta: sp.ta, Tb: sp.tb}
+				if s.Cols[i] != want {
+					t.Fatalf("n=%d steps=%d %v: column %d = %v, want %v", tc.n, tc.steps, d, i, s.Cols[i], want)
+				}
+			}
+		})
+	}
+}
+
+// The engine's O(width) preboundary and live-out enumerations must
+// reproduce an O(volume) walk of the line's dag exactly — same points in
+// the same order, since copy-in charge sequences and record address
+// vectors are both order-sensitive.
+func TestAnalyticBoundaryMatchesDag(t *testing.T) {
+	for _, tc := range analyticGeometryCases {
+		g := dag.NewLineGraph(tc.n, tc.steps+1)
+		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Diamond, s dag.Surface) {
+			var wantPre, wantLive, buf []lattice.Point
+			seen := map[lattice.Point]bool{}
+			d.Points(func(p lattice.Point) bool {
+				buf = g.Preds(p, buf[:0])
+				for _, q := range buf {
+					if !d.Contains(q) && !seen[q] {
+						seen[q] = true
+						wantPre = append(wantPre, q)
+					}
+				}
+				live := p.T == g.Steps()-1
+				buf = g.Succs(p, buf[:0])
+				for _, q := range buf {
+					live = live || !d.Contains(q)
+				}
+				if live {
+					wantLive = append(wantLive, p)
+				}
+				return true
+			})
+			if !slices.Equal(s.Pre, wantPre) {
+				t.Fatalf("n=%d steps=%d %v: preboundary\n got %v\nwant %v", tc.n, tc.steps, d, s.Pre, wantPre)
+			}
+			if !slices.Equal(s.Live, wantLive) {
+				t.Fatalf("n=%d steps=%d %v: live-out\n got %v\nwant %v", tc.n, tc.steps, d, s.Live, wantLive)
+			}
+		})
+	}
+}
 
 // The analytic engine charges the same work as the exact engine: Compute
 // is exactly one unit per lattice vertex, per-category charge counts are
