@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,6 +30,24 @@ func TestBatteryDispatchIsPermutation(t *testing.T) {
 	}
 	if id := battery[dispatch[0]].id; id != "E-BRENT" {
 		t.Errorf("first dispatched job is %s, want the critical path E-BRENT", id)
+	}
+	// After E-BRENT come the experiments that publish memo records, then
+	// the memoFree ones, then the figures.
+	group := func(j job) int {
+		switch {
+		case j.id == "E-BRENT":
+			return 0
+		case j.fig != nil:
+			return 3
+		case slices.Contains(memoFree, j.id):
+			return 2
+		}
+		return 1
+	}
+	for k := 1; k < len(dispatch); k++ {
+		if a, b := battery[dispatch[k-1]], battery[dispatch[k]]; group(a) > group(b) {
+			t.Errorf("%s dispatched before %s", a.id, b.id)
+		}
 	}
 	ids := map[string]bool{}
 	for _, j := range battery {
@@ -79,6 +98,34 @@ func TestBatteryMatchesPinnedDigest(t *testing.T) {
 	}
 	if got := batteryDigest(par); got != pinned {
 		t.Errorf("quick battery digest %s, pinned %s", got, pinned)
+	}
+}
+
+// Every job memoFree names is an experiment that, run from an empty memo
+// store, leaves it empty: dispatch runs them after the experiments that
+// publish.
+func TestMemoFreeJobsPublishNothing(t *testing.T) {
+	c := simulate.MemoCapacity()
+	defer simulate.SetMemoCapacity(c)
+	found := 0
+	for _, j := range experiments {
+		if !slices.Contains(memoFree, j.id) {
+			continue
+		}
+		found++
+		simulate.SetMemoCapacity(0)
+		simulate.SetMemoCapacity(c)
+		before := simulate.MemoStatsSnapshot()
+		if _, err := j.run(context.Background(), Scale{Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+		after := simulate.MemoStatsSnapshot()
+		if n := int64(after.Entries) + after.Evictions - before.Evictions; n != 0 {
+			t.Errorf("%s published %d memo records; memoFree must name only experiments that publish none", j.id, n)
+		}
+	}
+	if found != len(memoFree) {
+		t.Errorf("memoFree names %d jobs, %d of them battery experiments", len(memoFree), found)
 	}
 }
 
