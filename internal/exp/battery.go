@@ -56,10 +56,10 @@ var battery = slices.Concat(experiments, figures)
 // published last, and E-BRENT alone publishes more than it holds at
 // quick scale, most of them in its last rows. With the other publishers
 // done while E-BRENT still runs, a pass leaves E-BRENT's last records
-// whichever worker finishes last. In plain battery order the other
-// worker published E-REG's records as E-BRENT ended, and a pass left
-// either E-BRENT's records or the heavier traces of E-PIPE, E-M' and
-// E-REG, as the race between the two fell.
+// whichever worker finishes last. With E-REG's records published as
+// E-BRENT ends, a pass would leave either E-BRENT's records or the
+// heavier traces of E-PIPE, E-M' and E-REG, as the race between the
+// two workers fell.
 var dispatch = dispatchOrder("E-BRENT", memoFree)
 
 // memoFree names the experiments whose engines publish no memo record;
