@@ -13,7 +13,7 @@
 //	GET  /v1/runs/{id}         one full run record incl. span tree
 //	GET  /v1/runs/{id}/events  SSE lifecycle stream of one run
 //	GET  /healthz      liveness (503 while draining)
-//	GET  /metrics      expvar-style counters and histogram snapshots
+//	GET  /metrics      counters, gauges and histogram snapshots as JSON
 //	GET  /metrics.prom the same metrics in Prometheus text format
 //
 // Invalid parameter tuples get structured 400s with the typed ParamError;
@@ -51,7 +51,7 @@ func main() {
 	flag.IntVar(&cfg.MemoCapacity, "memo-cap", 0, "unified memo store entry bound (kernels + subtree records); 0 = library default, negative disables memoization")
 	flag.IntVar(&cfg.MaxSweepPoints, "max-sweep-points", 4096, "largest grid one /v1/sweep may expand to")
 	flag.IntVar(&cfg.SweepParallel, "sweep-parallel", 0, "pool slots all concurrent sweeps combined may occupy at once, a replay's helper taking one slot and one worker (0 = workers)")
-	flag.IntVar(&cfg.RegistryCapacity, "registry-cap", 0, "completed run records the /v1/runs flight recorder retains (0 = default, negative disables the registry)")
+	flag.IntVar(&cfg.RegistryCapacity, "registry-cap", 0, "completed run records the /v1/runs flight recorder retains (0 = default 256)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")

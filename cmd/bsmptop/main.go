@@ -117,15 +117,21 @@ func parseProm(text string) map[string]float64 {
 	return out
 }
 
-// promSum adds every series of one metric name across its label sets.
-func promSum(prom map[string]float64, name string) float64 {
-	var sum float64
+// promByLabel sums every series of one metric name by the value of one
+// of its labels (e.g. bsmpd_runs_total by state).
+func promByLabel(prom map[string]float64, name, label string) map[string]float64 {
+	out := make(map[string]float64)
 	for k, v := range prom {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			sum += v
+		rest, ok := strings.CutPrefix(k, name+"{")
+		if !ok {
+			continue
+		}
+		if _, val, ok := strings.Cut(rest, label+`="`); ok {
+			val, _, _ = strings.Cut(val, `"`)
+			out[val] += v
 		}
 	}
-	return sum
+	return out
 }
 
 // progressBar renders `[#####.....]  50%` for done of total cells. An
@@ -171,25 +177,33 @@ func runTarget(params any) int64 {
 }
 
 // renderDashboard writes one frame: header, counter strip, latency
-// quantiles, registry occupancy, then the run table.
+// quantiles per scheme, registry occupancy, then the run table. Run
+// counts come from the registry's bsmpd_runs_total; the rest of the
+// strip from the counter table.
 func renderDashboard(w io.Writer, base string, runs serve.RunsResponse, prom map[string]float64, rows int) {
 	fmt.Fprintf(w, "bsmptop — %s — %d run(s) in registry\n\n", base, runs.Total)
 
+	states := promByLabel(prom, "bsmpd_runs_total", "state")
 	fmt.Fprintf(w, "serving   runs %.0f  cache %.0f/%.0f hit/miss  coalesced %.0f  shed %.0f  sweeps %.0f  streams %.0f\n",
-		promSum(prom, "bsmpd_runs"),
-		promSum(prom, "bsmpd_cache_hits"), promSum(prom, "bsmpd_cache_misses"),
-		promSum(prom, "bsmpd_coalesced"), promSum(prom, "bsmpd_queue_rejects"),
-		promSum(prom, "bsmpd_sweeps"), promSum(prom, "bsmpd_run_events_streams"))
-	fmt.Fprintf(w, "latency   p50 %.4fs  p95 %.4fs  p99 %.4fs\n",
-		prom[`bsmpd_run_latency_seconds_quantile{q="0.5"}`],
-		prom[`bsmpd_run_latency_seconds_quantile{q="0.95"}`],
-		prom[`bsmpd_run_latency_seconds_quantile{q="0.99"}`])
+		states[obs.RunDone],
+		prom["bsmpd_cache_hits"], prom["bsmpd_cache_misses"],
+		prom["bsmpd_coalesced"], states[obs.RunShed],
+		prom["bsmpd_sweeps"], prom["bsmpd_run_events_streams"])
+	schemes := promByLabel(prom, "bsmpd_run_latency_seconds_count", "scheme")
+	names := make([]string, 0, len(schemes))
+	for sc := range schemes {
+		names = append(names, sc)
+	}
+	sort.Strings(names)
+	for _, sc := range names {
+		quantile := func(q string) float64 {
+			return prom[fmt.Sprintf("bsmpd_run_latency_seconds_quantile{scheme=%q,q=%q}", sc, q)]
+		}
+		fmt.Fprintf(w, "latency   %-12s p50 %.4fs  p95 %.4fs  p99 %.4fs\n", sc, quantile("0.5"), quantile("0.95"), quantile("0.99"))
+	}
 	fmt.Fprintf(w, "registry  live %.0f  retained %.0f  completed done %.0f / cancelled %.0f / failed %.0f / shed %.0f\n",
-		promSum(prom, "bsmpd_registry_live_runs"), promSum(prom, "bsmpd_registry_retained_runs"),
-		prom[`bsmpd_runs_completed_total{state="done"}`],
-		prom[`bsmpd_runs_completed_total{state="cancelled"}`],
-		prom[`bsmpd_runs_completed_total{state="failed"}`],
-		prom[`bsmpd_runs_completed_total{state="shed"}`])
+		prom["bsmpd_registry_live_runs"], prom["bsmpd_registry_retained_runs"],
+		states[obs.RunDone], states[obs.RunCancelled], states[obs.RunFailed], states[obs.RunShed])
 
 	active := activeSeries(prom)
 	if len(active) > 0 {

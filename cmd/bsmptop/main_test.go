@@ -32,12 +32,13 @@ bsmpd_bad_value{x="y"} notanumber
 	if _, ok := m[`bsmpd_bad_value{x="y"}`]; ok {
 		t.Error("unparsable value survived")
 	}
-	if got := promSum(m, "bsmpd_runs_active"); got != 2 {
-		t.Errorf("promSum(runs_active) = %v, want 2", got)
+	if got := promByLabel(m, "bsmpd_runs_active", "state"); len(got) != 1 || got["running"] != 2 {
+		t.Errorf("promByLabel(runs_active, state) = %v, want running 2", got)
 	}
-	// promSum must not fold the _active series into the bare counter.
-	if got := promSum(m, "bsmpd_runs"); got != 7 {
-		t.Errorf("promSum(runs) = %v, want 7", got)
+	// promByLabel must not fold the _active series into a metric whose
+	// name is its prefix.
+	if got := promByLabel(m, "bsmpd_runs", "state"); len(got) != 0 {
+		t.Errorf("promByLabel(runs, state) = %v, want empty", got)
 	}
 }
 
@@ -72,8 +73,9 @@ func TestRunTarget(t *testing.T) {
 }
 
 // TestBuildFrameAgainstLiveServer renders a frame off a real in-process
-// bsmpd after one completed run: the frame must show the run's record
-// row, the completed-done counter, and the latency quantiles.
+// bsmpd after one completed run: the frame must show the serving strip
+// counting that run and its cache miss, the completed-done counter, the
+// run's scheme latency quantiles, and the run's record row.
 func TestBuildFrameAgainstLiveServer(t *testing.T) {
 	s := serve.New(serve.Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -96,8 +98,9 @@ func TestBuildFrameAgainstLiveServer(t *testing.T) {
 	for _, want := range []string{
 		"bsmptop — " + srv.URL,
 		"1 run(s) in registry",
+		"serving   runs 1  cache 0/1 hit/miss  coalesced 0  shed 0",
 		"completed done 1",
-		"p50 ", "p99 ",
+		"latency   multi", "p50 ", "p99 ",
 		"multi", "done", "[####################] 100%",
 	} {
 		if !strings.Contains(frame, want) {

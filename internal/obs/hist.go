@@ -48,7 +48,7 @@ func (h *Histogram) Observe(v float64) {
 
 // HistSnapshot is a consistent-enough point-in-time view of a
 // Histogram: per-bucket counts (non-cumulative, +Inf last), total count
-// and sum. It marshals to JSON for the expvar /metrics surface.
+// and sum. It marshals to JSON for the /metrics surface.
 type HistSnapshot struct {
 	// Bounds are the bucket upper bounds; the final bucket is +Inf and
 	// carries no bound here.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +16,11 @@ import (
 // mutex-guarded map keyed by run ID; terminal records move to a bounded
 // lock-free ring (the flight recorder), where the oldest completed
 // record is overwritten first — an in-flight run can never be evicted
-// because it is not in the ring yet.
+// because it is not in the ring yet. The terminal transition is also
+// where the serving layer's run telemetry is counted — lifetime runs by
+// (source, scheme, state) and the latency, queue-wait, size and phase
+// histograms — so the serving layer keeps no other count of the run
+// lifecycle.
 //
 // The registry follows the package's read-only sampling discipline:
 // progress and phase labels are *sampled* from the run's Progress
@@ -87,11 +93,10 @@ type RunInfo struct {
 }
 
 // RunHandle is the live, mutable side of one run record. The serving
-// layer holds it across the run's execution; readers snapshot it. All
-// methods are no-ops (or zero values) on a nil handle, so call sites
-// need no registry-enabled branches.
+// layer holds it across the run's execution; readers snapshot it.
 type RunHandle struct {
-	reg *Registry
+	reg  *Registry
+	size int64 // guest vertices n·steps, for the run-size histogram
 
 	// sample/current read the run's Progress atomics and Tracer span
 	// stack; both are optional and must be safe for concurrent use.
@@ -107,9 +112,9 @@ type RunHandle struct {
 	doneSeq  uint64    // completion order, for ring ordering
 }
 
-// Registry tracks live runs and retains a bounded ring of completed
-// records. The zero number of retained records is ring capacity; live
-// runs are unbounded (they are bounded by the serving layer's pool).
+// Registry tracks live runs, retains a bounded ring of completed
+// records, and counts every terminal transition. Live runs are
+// unbounded (they are bounded by the serving layer's pool).
 type Registry struct {
 	mu   sync.Mutex
 	live map[string]*RunHandle
@@ -121,14 +126,28 @@ type Registry struct {
 	ring []atomic.Pointer[RunHandle]
 	head atomic.Uint64
 
-	// Lifetime terminal-state counters.
-	doneRuns, cancelledRuns, failedRuns, shedRuns atomic.Uint64
-
-	// phaseHists aggregates wall durations of completed schedule phases
-	// across runs, keyed by phase name.
-	histMu     sync.Mutex
-	phaseHists map[string]*Histogram
+	// statsMu guards what the terminal transitions count: lifetime runs
+	// by (source, scheme, state), and the histograms keyed by scheme or
+	// phase name (queueWait and size are lock-free on their own).
+	statsMu   sync.Mutex
+	runs      map[runKey]uint64
+	latency   map[string]*Histogram
+	phases    map[string]*Histogram
+	queueWait *Histogram
+	size      *Histogram
 }
+
+type runKey struct{ source, scheme, state string }
+
+// Bucket bounds of the run histograms. LatencyBounds (wall seconds,
+// 1 ms to 30 s in roughly ×2.5 steps) is exported for the serving
+// layer's own latency histograms.
+var (
+	LatencyBounds   = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+	queueWaitBounds = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
+	sizeBounds      = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+	phaseBounds     = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+)
 
 // DefaultRegistryCapacity is the flight-recorder ring size when the
 // caller passes a non-positive capacity.
@@ -141,22 +160,24 @@ func NewRegistry(capacity int) *Registry {
 		capacity = DefaultRegistryCapacity
 	}
 	return &Registry{
-		live:       make(map[string]*RunHandle),
-		ring:       make([]atomic.Pointer[RunHandle], capacity),
-		phaseHists: make(map[string]*Histogram),
+		live:      make(map[string]*RunHandle),
+		ring:      make([]atomic.Pointer[RunHandle], capacity),
+		runs:      make(map[runKey]uint64),
+		latency:   make(map[string]*Histogram),
+		phases:    make(map[string]*Histogram),
+		queueWait: NewHistogram(queueWaitBounds...),
+		size:      NewHistogram(sizeBounds...),
 	}
 }
 
-// Begin admits a run: a record in state queued, registered live. The
-// sampler and current-span closures may be nil; set them later with
-// SetSamplers once the run's Progress/Tracer exist. Nil registry
-// returns a nil handle.
-func (r *Registry) Begin(id, source, scheme string, params any) *RunHandle {
-	if r == nil {
-		return nil
-	}
+// Begin admits a run of size guest vertices (n·steps): a record in
+// state queued, registered live. The sampler and current-span closures
+// may be nil; set them later with SetSamplers once the run's
+// Progress/Tracer exist.
+func (r *Registry) Begin(id, source, scheme string, size int64, params any) *RunHandle {
 	h := &RunHandle{
 		reg:  r,
+		size: size,
 		done: make(chan struct{}),
 		info: RunInfo{
 			ID: id, Source: source, State: RunQueued, Scheme: scheme,
@@ -172,9 +193,6 @@ func (r *Registry) Begin(id, source, scheme string, params any) *RunHandle {
 
 // SetSamplers attaches the read-only progress and current-span probes.
 func (h *RunHandle) SetSamplers(sample func() (vertices, phases int64), current func() string) {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	h.sample = sample
 	h.current = current
@@ -184,9 +202,6 @@ func (h *RunHandle) SetSamplers(sample func() (vertices, phases int64), current 
 // Running marks the queued→running transition and fixes the record's
 // queue latency.
 func (h *RunHandle) Running() {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	if h.info.State == RunQueued {
 		h.info.State = RunRunning
@@ -199,12 +214,10 @@ func (h *RunHandle) Running() {
 // Finish moves the record to terminal state, applies fill (which may
 // populate times, phases, ledger, error, and trace under the record
 // lock), samples the final progress counters, retires the record to the
-// flight-recorder ring, and closes Done. Repeated Finish calls are
-// no-ops; a non-terminal state is coerced to RunFailed.
+// flight-recorder ring, counts the transition, and closes Done.
+// Repeated Finish calls are no-ops; a non-terminal state is coerced to
+// RunFailed.
 func (h *RunHandle) Finish(state string, fill func(*RunInfo)) {
-	if h == nil {
-		return
-	}
 	if !TerminalRunState(state) {
 		state = RunFailed
 	}
@@ -229,8 +242,7 @@ func (h *RunHandle) Finish(state string, fill func(*RunInfo)) {
 	if fill != nil {
 		fill(&h.info)
 	}
-	phases := h.info.PhaseTimes
-	id := h.info.ID
+	info := h.info
 	reg := h.reg
 	h.mu.Unlock()
 
@@ -241,45 +253,50 @@ func (h *RunHandle) Finish(state string, fill func(*RunInfo)) {
 	// that hold the handle (the SSE watcher) are unaffected, and the
 	// serving layer only hands out IDs after Finish returns.
 	reg.mu.Lock()
-	delete(reg.live, id)
+	delete(reg.live, info.ID)
 	reg.mu.Unlock()
 	seq := reg.head.Add(1)
 	h.doneSeq = seq // published by the atomic ring store below
 	reg.ring[(seq-1)%uint64(len(reg.ring))].Store(h)
+	reg.count(&info, h.size)
 	close(h.done)
-
-	switch state {
-	case RunDone:
-		reg.doneRuns.Add(1)
-	case RunCancelled:
-		reg.cancelledRuns.Add(1)
-	case RunShed:
-		reg.shedRuns.Add(1)
-	default:
-		reg.failedRuns.Add(1)
-	}
-	reg.observePhases(phases)
 }
 
-// observePhases feeds completed phase wall durations into the per-phase
-// histograms backing bsmpd_run_phase_seconds.
-func (r *Registry) observePhases(phases []PhaseSummary) {
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
-	for _, ph := range phases {
-		if ph.WallMS <= 0 {
-			continue
+// count lands one terminal record in the lifetime counts: every run by
+// (source, scheme, state); a done run's wall time (by scheme) and guest
+// size; the queue wait of every run but a shed one, which never queued;
+// and the wall time of each completed phase.
+func (r *Registry) count(info *RunInfo, size int64) {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	r.runs[runKey{info.Source, info.Scheme, info.State}]++
+	if info.State != RunShed {
+		r.queueWait.Observe(info.QueueMS / 1e3)
+	}
+	if info.State == RunDone {
+		histFor(r.latency, info.Scheme, LatencyBounds).Observe(info.WallMS / 1e3)
+		r.size.Observe(float64(size))
+	}
+	for _, ph := range info.PhaseTimes {
+		if ph.WallMS > 0 {
+			histFor(r.phases, ph.Name, phaseBounds).Observe(ph.WallMS / 1e3)
 		}
-		hist := r.phaseHists[ph.Name]
-		if hist == nil {
-			hist = NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30)
-			r.phaseHists[ph.Name] = hist
-		}
-		hist.Observe(ph.WallMS / 1e3)
 	}
 }
 
-// AddCacheHit attributes one cache-served response to this record.
+// histFor returns m's histogram under key, creating it over bounds.
+func histFor(m map[string]*Histogram, key string, bounds []float64) *Histogram {
+	h := m[key]
+	if h == nil {
+		h = NewHistogram(bounds...)
+		m[key] = h
+	}
+	return h
+}
+
+// AddCacheHit attributes one cache-served response to this record. A
+// cached result can outlive its record in the ring, so the handle Get
+// returns may be nil; on nil AddCacheHit does nothing.
 func (h *RunHandle) AddCacheHit() {
 	if h == nil {
 		return
@@ -289,35 +306,14 @@ func (h *RunHandle) AddCacheHit() {
 	h.mu.Unlock()
 }
 
-// ID returns the run ID ("" on nil).
-func (h *RunHandle) ID() string {
-	if h == nil {
-		return ""
-	}
-	return h.info.ID
-}
+// ID returns the run ID.
+func (h *RunHandle) ID() string { return h.info.ID }
 
-// Done returns a channel closed at the terminal transition. Nil handles
-// return a closed channel so selects never block on a disabled
-// registry.
-func (h *RunHandle) Done() <-chan struct{} {
-	if h == nil {
-		return closedChan
-	}
-	return h.done
-}
-
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+// Done returns a channel closed at the terminal transition.
+func (h *RunHandle) Done() <-chan struct{} { return h.done }
 
 // Terminal reports whether the record has reached a terminal state.
 func (h *RunHandle) Terminal() bool {
-	if h == nil {
-		return true
-	}
 	select {
 	case <-h.done:
 		return true
@@ -331,9 +327,6 @@ func (h *RunHandle) Terminal() bool {
 // elapsed wall time; the trace tree rides along only when includeTrace
 // is set (listings stay small, the full-record endpoint gets it).
 func (h *RunHandle) Snapshot(includeTrace bool) RunInfo {
-	if h == nil {
-		return RunInfo{}
-	}
 	h.mu.Lock()
 	info := h.info
 	if !TerminalRunState(info.State) {
@@ -358,7 +351,7 @@ func (h *RunHandle) Snapshot(includeTrace bool) RunInfo {
 
 // Get returns the handle for id — live or retained — or nil.
 func (r *Registry) Get(id string) *RunHandle {
-	if r == nil || id == "" {
+	if id == "" {
 		return nil
 	}
 	r.mu.Lock()
@@ -379,9 +372,6 @@ func (r *Registry) Get(id string) *RunHandle {
 // admission order, then retained completed runs in reverse completion
 // order.
 func (r *Registry) List() []*RunHandle {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]*RunHandle, 0, len(r.live)+len(r.ring))
 	for _, h := range r.live {
@@ -411,9 +401,6 @@ type ActiveCount struct {
 // ActiveCounts aggregates live runs by (state, scheme) for the
 // bsmpd_runs_active gauges, in deterministic order.
 func (r *Registry) ActiveCounts() []ActiveCount {
-	if r == nil {
-		return nil
-	}
 	type key struct{ state, scheme string }
 	counts := make(map[key]int)
 	r.mu.Lock()
@@ -442,40 +429,88 @@ func (r *Registry) ActiveCounts() []ActiveCount {
 	return out
 }
 
-// CompletedCounts returns the lifetime terminal-state counters.
-func (r *Registry) CompletedCounts() map[string]uint64 {
-	if r == nil {
-		return nil
+// Inflight sums the running records: how many there are, and the
+// vertices and phases their progress meters have counted so far.
+func (r *Registry) Inflight() (runs int, vertices, phases int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, h := range r.live {
+		h.mu.Lock()
+		if h.info.State == RunRunning {
+			runs++
+			if h.sample != nil {
+				v, p := h.sample()
+				vertices += v
+				phases += p
+			}
+		}
+		h.mu.Unlock()
 	}
-	return map[string]uint64{
-		RunDone:      r.doneRuns.Load(),
-		RunCancelled: r.cancelledRuns.Load(),
-		RunFailed:    r.failedRuns.Load(),
-		RunShed:      r.shedRuns.Load(),
-	}
+	return runs, vertices, phases
 }
 
-// PhaseHists snapshots the per-phase wall-duration histograms, keyed by
-// phase name.
-func (r *Registry) PhaseHists() map[string]HistSnapshot {
-	if r == nil {
-		return nil
+// RunCount is one (source, scheme, state) cell of the lifetime run
+// counts.
+type RunCount struct {
+	Source, Scheme, State string
+	Count                 uint64
+}
+
+// RunCounts returns the lifetime terminal counts, sorted by source,
+// scheme and state.
+func (r *Registry) RunCounts() []RunCount {
+	r.statsMu.Lock()
+	out := make([]RunCount, 0, len(r.runs))
+	for k, n := range r.runs {
+		out = append(out, RunCount{Source: k.source, Scheme: k.scheme, State: k.state, Count: n})
 	}
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
-	out := make(map[string]HistSnapshot, len(r.phaseHists))
-	for name, h := range r.phaseHists {
-		out[name] = h.Snapshot()
+	r.statsMu.Unlock()
+	slices.SortFunc(out, func(a, b RunCount) int {
+		return cmp.Or(cmp.Compare(a.Source, b.Source), cmp.Compare(a.Scheme, b.Scheme), cmp.Compare(a.State, b.State))
+	})
+	return out
+}
+
+// CompletedCounts sums the lifetime terminal counts by state; every
+// terminal state has an entry.
+func (r *Registry) CompletedCounts() map[string]uint64 {
+	out := map[string]uint64{RunDone: 0, RunCancelled: 0, RunFailed: 0, RunShed: 0}
+	for _, c := range r.RunCounts() {
+		out[c.State] += c.Count
 	}
 	return out
+}
+
+// RunHists is a snapshot of the registry's run histograms.
+type RunHists struct {
+	Latency   map[string]HistSnapshot // wall seconds of done runs, by scheme
+	QueueWait HistSnapshot            // seconds from admission to a worker (or to giving up)
+	Size      HistSnapshot            // guest vertices n·steps of done runs
+	Phases    map[string]HistSnapshot // wall seconds of completed phases, by phase
+}
+
+// Hists snapshots the run histograms.
+func (r *Registry) Hists() RunHists {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	snap := func(m map[string]*Histogram) map[string]HistSnapshot {
+		out := make(map[string]HistSnapshot, len(m))
+		for k, h := range m {
+			out[k] = h.Snapshot()
+		}
+		return out
+	}
+	return RunHists{
+		Latency:   snap(r.latency),
+		QueueWait: r.queueWait.Snapshot(),
+		Size:      r.size.Snapshot(),
+		Phases:    snap(r.phases),
+	}
 }
 
 // Len reports the live-run count and the number of retained completed
 // records.
 func (r *Registry) Len() (live, completed int) {
-	if r == nil {
-		return 0, 0
-	}
 	r.mu.Lock()
 	live = len(r.live)
 	r.mu.Unlock()

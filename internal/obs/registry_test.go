@@ -11,7 +11,7 @@ import (
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry(8)
 	var verts atomic.Int64
-	h := r.Begin("run-1", "run", "multi", map[string]int{"n": 64})
+	h := r.Begin("run-1", "run", "multi", 1024, map[string]int{"n": 64})
 	h.SetSamplers(func() (int64, int64) { return verts.Load(), 2 }, func() string { return "phase:regime1" })
 
 	if got := h.Snapshot(false); got.State != RunQueued || got.ID != "run-1" {
@@ -56,9 +56,15 @@ func TestRegistryLifecycle(t *testing.T) {
 	if cc := r.CompletedCounts(); cc[RunDone] != 1 {
 		t.Fatalf("CompletedCounts = %+v", cc)
 	}
-	hists := r.PhaseHists()
-	if s, ok := hists["regime1"]; !ok || s.Count != 1 {
-		t.Fatalf("phase histogram missing regime1: %+v", hists)
+	hists := r.Hists()
+	if s, ok := hists.Phases["regime1"]; !ok || s.Count != 1 {
+		t.Fatalf("phase histogram missing regime1: %+v", hists.Phases)
+	}
+	if s := hists.Latency["multi"]; s.Count != 1 || hists.Size.Count != 1 || hists.Size.Sum != 1024 || hists.QueueWait.Count != 1 {
+		t.Fatalf("run histograms after one done run = %+v", hists)
+	}
+	if rc := r.RunCounts(); len(rc) != 1 || rc[0] != (RunCount{Source: "run", Scheme: "multi", State: RunDone, Count: 1}) {
+		t.Fatalf("RunCounts = %+v", rc)
 	}
 
 	// Finish is idempotent: a second call must not double-count or
@@ -74,11 +80,11 @@ func TestRegistryEvictionOrder(t *testing.T) {
 	// An in-flight run admitted first must survive arbitrarily many
 	// completions: only the ring evicts, and only completed records live
 	// there.
-	inflight := r.Begin("live-0", "run", "multi", nil)
+	inflight := r.Begin("live-0", "run", "multi", 0, nil)
 	inflight.Running()
 
 	for i := 1; i <= 10; i++ {
-		h := r.Begin(fmt.Sprintf("run-%d", i), "run", "multi", nil)
+		h := r.Begin(fmt.Sprintf("run-%d", i), "run", "multi", 0, nil)
 		h.Running()
 		h.Finish(RunDone, nil)
 	}
@@ -125,7 +131,7 @@ func TestRegistryTerminalStateClassification(t *testing.T) {
 		{RunFailed, RunFailed},
 		{RunRunning, RunFailed}, // non-terminal states coerce to failed
 	} {
-		h := r.Begin(fmt.Sprintf("r%d", i), "run", "multi", nil)
+		h := r.Begin(fmt.Sprintf("r%d", i), "run", "multi", 0, nil)
 		h.Finish(tc.state, nil)
 		if got := h.Snapshot(false).State; got != tc.want {
 			t.Errorf("Finish(%q) => state %q, want %q", tc.state, got, tc.want)
@@ -142,33 +148,73 @@ func TestRegistryTerminalStateClassification(t *testing.T) {
 	}
 }
 
+// TestRegistryNilSafe pins the one nil handle a caller can hold: Get
+// on an ID the ring no longer retains returns nil, and crediting a
+// cache hit to it does nothing.
 func TestRegistryNilSafe(t *testing.T) {
-	var r *Registry
-	h := r.Begin("x", "run", "multi", nil)
+	r := NewRegistry(1)
+	for _, id := range []string{"old", "new"} {
+		h := r.Begin(id, "run", "multi", 0, nil)
+		h.Running()
+		h.Finish(RunDone, nil)
+	}
+	h := r.Get("old")
 	if h != nil {
-		t.Fatal("nil registry returned a handle")
+		t.Fatal("evicted record still retained")
 	}
-	h.SetSamplers(nil, nil)
-	h.Running()
-	h.Finish(RunDone, nil)
 	h.AddCacheHit()
-	if h.ID() != "" || !h.Terminal() {
-		t.Fatal("nil handle identity")
+	if r.Get("") != nil || r.Get("new") == nil {
+		t.Fatal("Get of the empty or the retained ID")
 	}
-	select {
-	case <-h.Done():
-	default:
-		t.Fatal("nil handle Done must be closed")
+}
+
+// TestRegistryCountsTransitions pins what a terminal transition counts:
+// each run by (source, scheme, state); the latency and size histograms
+// only for done runs, latency by scheme; the queue wait of every run but
+// a shed one.
+func TestRegistryCountsTransitions(t *testing.T) {
+	r := NewRegistry(8)
+	for i, tc := range []struct {
+		source, scheme, state string
+		ran                   bool
+	}{
+		{"run", "multi", RunDone, true},
+		{"run", "multi-theta", RunDone, true},
+		{"sweep", "multi", RunDone, true},
+		{"run", "multi", RunCancelled, true},
+		{"run", "multi", RunCancelled, false},
+		{"run", "multi", RunShed, false},
+		{"run", "naive", RunFailed, true},
+	} {
+		h := r.Begin(fmt.Sprintf("r%d", i), tc.source, tc.scheme, 100, nil)
+		if tc.ran {
+			h.Running()
+		}
+		h.Finish(tc.state, nil)
 	}
-	if got := h.Snapshot(true); got.ID != "" {
-		t.Fatalf("nil snapshot = %+v", got)
+	want := []RunCount{
+		{"run", "multi", RunCancelled, 2},
+		{"run", "multi", RunDone, 1},
+		{"run", "multi", RunShed, 1},
+		{"run", "multi-theta", RunDone, 1},
+		{"run", "naive", RunFailed, 1},
+		{"sweep", "multi", RunDone, 1},
 	}
-	if r.Get("x") != nil || r.List() != nil || r.ActiveCounts() != nil ||
-		r.CompletedCounts() != nil || r.PhaseHists() != nil {
-		t.Fatal("nil registry queries must return zero values")
+	if got := r.RunCounts(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RunCounts = %+v, want %+v", got, want)
 	}
-	if live, completed := r.Len(); live != 0 || completed != 0 {
-		t.Fatal("nil registry Len")
+	if cc := r.CompletedCounts(); cc[RunDone] != 3 || cc[RunCancelled] != 2 || cc[RunShed] != 1 || cc[RunFailed] != 1 {
+		t.Fatalf("CompletedCounts = %+v", cc)
+	}
+	h := r.Hists()
+	if len(h.Latency) != 2 || h.Latency["multi"].Count != 2 || h.Latency["multi-theta"].Count != 1 {
+		t.Fatalf("latency by scheme = %+v", h.Latency)
+	}
+	if h.Size.Count != 3 || h.Size.Sum != 300 {
+		t.Fatalf("size histogram = %+v", h.Size)
+	}
+	if h.QueueWait.Count != 6 {
+		t.Fatalf("queue-wait observations = %d, want 6 (every run but the shed one)", h.QueueWait.Count)
 	}
 }
 
@@ -191,7 +237,7 @@ func TestRegistryChurn(t *testing.T) {
 			var v atomic.Int64
 			for i := 0; i < runsEach; i++ {
 				id := fmt.Sprintf("g%d-%d", g, i)
-				h := r.Begin(id, "run", "multi", nil)
+				h := r.Begin(id, "run", "multi", 0, nil)
 				h.SetSamplers(func() (int64, int64) { return v.Add(1), 0 }, nil)
 				h.Running()
 				h.AddCacheHit()
@@ -231,7 +277,9 @@ func TestRegistryChurn(t *testing.T) {
 				}
 				r.ActiveCounts()
 				r.CompletedCounts()
-				r.PhaseHists()
+				r.RunCounts()
+				r.Hists()
+				r.Inflight()
 				r.Len()
 			}
 		}()
@@ -252,7 +300,7 @@ func TestRegistryChurn(t *testing.T) {
 	if live, completed := r.Len(); live != 0 || completed != 4 {
 		t.Fatalf("Len after churn = (%d, %d), want (0, 4)", live, completed)
 	}
-	if s := r.PhaseHists()["churn"]; s.Count != int64(producers*runsEach) {
+	if s := r.Hists().Phases["churn"]; s.Count != int64(producers*runsEach) {
 		t.Fatalf("phase histogram count = %d", s.Count)
 	}
 }
@@ -262,7 +310,7 @@ func TestRegistryChurn(t *testing.T) {
 // terminal transition must not hang.
 func TestRegistrySubscriberAtTerminal(t *testing.T) {
 	r := NewRegistry(8)
-	h := r.Begin("w", "run", "multi", nil)
+	h := r.Begin("w", "run", "multi", 0, nil)
 	go func() {
 		h.Running()
 		h.Finish(RunDone, nil)

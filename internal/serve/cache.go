@@ -18,8 +18,6 @@ type Cache struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
-
-	hits, misses uint64
 }
 
 type cacheEntry struct {
@@ -43,10 +41,8 @@ func (c *Cache) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
 		return el.Value.(*cacheEntry).val, true
 	}
-	c.misses++
 	return nil, false
 }
 
@@ -76,13 +72,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Stats reports cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // flightGroup coalesces concurrent calls with the same key into one

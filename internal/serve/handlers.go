@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"bsmp"
@@ -136,7 +137,6 @@ type RunResponse struct {
 	// against GET /v1/runs/{id} for the full lifecycle record (queue and
 	// wall timings, per-phase spans, progress counters). Cached responses
 	// carry the ORIGINAL execution's ID — the record that actually ran.
-	// Empty when the registry is disabled.
 	RunID string `json:"run_id,omitempty"`
 
 	// Cached reports an LRU hit; Coalesced that this response shares a
@@ -236,20 +236,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// must come from a real execution — but share a distinct flight
 		// key so identical concurrent traced queries still coalesce.
 		key += "|trace"
-		s.vars.Add("traced_runs", 1)
+		s.ctr.add(ctrTracedRuns)
+	} else if resp, ok := s.cached(key); ok {
+		s.ctr.add(ctrCacheHits)
+		writeJSON(w, http.StatusOK, resp)
+		return
 	} else {
-		if v, ok := s.cache.Get(key); ok {
-			s.vars.Add("cache_hits", 1)
-			resp := *v.(*RunResponse)
-			resp.Cached = true
-			// Attribute the hit to the execution whose result this is; the
-			// response keeps that original run's ID, so the client can still
-			// join the row to the record that actually ran.
-			s.registry.Get(resp.RunID).AddCacheHit()
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		s.vars.Add("cache_misses", 1)
+		s.ctr.add(ctrCacheMisses)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -259,27 +252,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
-		// One registry record per execution, created inside the flight
-		// closure: coalesced followers share the leader's record.
-		rec := s.beginRun(req, "run")
-		v, err := s.pool.Do(ctx, func(jctx context.Context) (any, error) {
-			rec.h.Running()
-			resp, err := s.runScheme(rec.attach(jctx), req)
-			if err == nil {
-				s.vars.Add("runs", 1)
-				resp.RunID = rec.h.ID()
-				if !req.Trace {
-					s.cache.Add(key, resp)
-				}
-			}
-			return resp, err
-		})
-		resp, _ := v.(*RunResponse)
-		s.finishRun(rec, resp, err)
-		return v, err
+		return s.runRecorded(ctx, req, key, "run", s.pool.Do)
 	})
 	if shared {
-		s.vars.Add("coalesced", 1)
+		s.ctr.add(ctrCoalesced)
 	}
 	if err != nil {
 		s.writeRunError(w, err)
@@ -290,32 +266,89 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// cached returns key's cached result marked Cached. The response keeps
+// the ID of the run that produced it, so the client can join it to the
+// record that actually ran, and the hit is credited to that record
+// while the ring still holds it.
+func (s *Server) cached(key string) (*RunResponse, bool) {
+	v, ok := s.cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	resp := *v.(*RunResponse)
+	resp.Cached = true
+	s.registry.Get(resp.RunID).AddCacheHit()
+	return &resp, true
+}
+
+// runRecorded executes req as one run-registry record, its job handed
+// to submit (the pool's Do, or the sweep's retrying submit). Coalesced
+// followers share the leader's record, since the caller runs it inside
+// the flight closure. The job marks the record running, runs the scheme,
+// caches an untraced result under key, and finishes the record when it
+// returns — past the requester's deadline, or with a panic recovered
+// into a PanicError — so the record, the run counts and the in-flight
+// gauges see a run for exactly as long as a worker executes it. The
+// requester finishes only a record whose job never started: shed, or
+// given up while queued. Whichever side claims the record first owns
+// it; a job claimed late returns without running.
+func (s *Server) runRecorded(ctx context.Context, req RunRequest, key, source string,
+	submit func(context.Context, func(context.Context) (any, error)) (any, error)) (any, error) {
+	rec := s.beginRun(req, source)
+	var claimed atomic.Bool
+	v, err := submit(ctx, func(jctx context.Context) (v any, err error) {
+		if !claimed.CompareAndSwap(false, true) {
+			return nil, jctx.Err()
+		}
+		rec.h.Running()
+		var resp *RunResponse
+		defer func() {
+			if p := recover(); p != nil {
+				err = &PanicError{Value: p}
+			}
+			s.finishRun(rec, resp, err)
+		}()
+		if resp, err = s.runScheme(rec.attach(jctx), req); err != nil {
+			return nil, err
+		}
+		resp.RunID = rec.h.ID()
+		if !req.Trace {
+			s.cache.Add(key, resp)
+		}
+		return resp, nil
+	})
+	if err != nil && claimed.CompareAndSwap(false, true) {
+		s.finishRun(rec, nil, err)
+	}
+	return v, err
+}
+
 // classifyRunError maps an execution failure onto the HTTP surface — the
-// status code and structured error detail — and counts it. Shared by the
-// single-run handler (which writes it as the whole response) and the
-// sweep handler (which embeds it in the failing row).
+// status code and structured error detail — and counts recovered panics
+// and deadlines. Shared by the single-run handler (which writes it as
+// the whole response) and the sweep handler (which embeds it in the
+// failing row).
 func (s *Server) classifyRunError(err error) (int, ErrorDetail) {
 	var pe *bsmp.ParamError
 	var pz *PanicError
 	switch {
 	case errors.As(err, &pz):
-		s.vars.Add("panics_recovered", 1)
+		s.ctr.add(ctrPanicsRecovered)
 		return http.StatusInternalServerError, ErrorDetail{Kind: "internal", Message: err.Error()}
 	case errors.Is(err, ErrQueueFull):
-		s.vars.Add("queue_rejects", 1)
 		return http.StatusTooManyRequests, ErrorDetail{Kind: "queue_full", Message: err.Error()}
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable, ErrorDetail{Kind: "draining", Message: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded):
-		s.vars.Add("deadline_timeouts", 1)
+		s.ctr.add(ctrDeadlineTimeouts)
 		return http.StatusGatewayTimeout, ErrorDetail{Kind: "deadline", Message: "request deadline exceeded"}
 	case errors.Is(err, context.Canceled):
 		// A cancelled context is the caller abandoning the request (client
 		// disconnect, sweep abort, shutdown hard-stop), not a deadline:
 		// keep it out of deadline_timeouts — a disconnected sweep would
 		// otherwise inflate that counter once per in-flight grid point.
-		// Cancellation is already counted where it is detected
-		// (runs_cancelled in execute, sweeps_cancelled per sweep). The
+		// Cancellation is already counted where it is detected (the run
+		// record's cancelled state, sweeps_cancelled per sweep). The
 		// status follows the nginx 499 convention; the peer is usually
 		// gone before it is written.
 		return 499, ErrorDetail{Kind: "cancelled", Message: "request cancelled"}
@@ -445,37 +478,31 @@ type runRecord struct {
 // Progress atomics and Tracer span stack — the record (and the SSE
 // stream polling it) observes the simulation without ever touching a
 // cost meter, so registered runs stay bit-identical to bare ones.
-// With the registry disabled the record handle is nil (all its methods
-// no-ops) but the progress meter still feeds the inflight gauges.
+// Untraced runs get a small-cap tracer, enough for the record's phase
+// skeleton.
 func (s *Server) beginRun(req RunRequest, source string) *runRecord {
 	rec := &runRecord{prog: new(bsmp.Progress)}
 	if req.Trace {
 		rec.tr = bsmp.NewTracer()
-	} else if s.registry != nil {
+	} else {
 		rec.tr = obs.NewTracerCap(registrySpanCap)
 	}
-	if s.registry != nil {
-		id := fmt.Sprintf("r-%s-%d", s.bootID, s.runSeq.Add(1))
-		// req is the canonical tuple; Trace is json:"-" so the stored
-		// params serialize exactly like the request body.
-		rec.h = s.registry.Begin(id, source, req.Scheme, req)
-		prog, tr := rec.prog, rec.tr
-		rec.h.SetSamplers(
-			func() (int64, int64) { return prog.Vertices.Load(), prog.Phases.Load() },
-			tr.Current,
-		)
-	}
+	id := fmt.Sprintf("r-%s-%d", s.bootID, s.runSeq.Add(1))
+	// req is the canonical tuple; Trace is json:"-" so the stored
+	// params serialize exactly like the request body.
+	rec.h = s.registry.Begin(id, source, req.Scheme, int64(req.N)*int64(req.Steps), req)
+	prog, tr := rec.prog, rec.tr
+	rec.h.SetSamplers(
+		func() (int64, int64) { return prog.Vertices.Load(), prog.Phases.Load() },
+		tr.Current,
+	)
 	return rec
 }
 
 // attach injects the record's telemetry into the job context; execute
 // picks both up instead of allocating its own.
 func (rec *runRecord) attach(ctx context.Context) context.Context {
-	ctx = bsmp.WithProgress(ctx, rec.prog)
-	if rec.tr != nil {
-		ctx = bsmp.WithTracer(ctx, rec.tr)
-	}
-	return ctx
+	return bsmp.WithTracer(bsmp.WithProgress(ctx, rec.prog), rec.tr)
 }
 
 // finishRun lands the execution's terminal record: lifecycle state from
@@ -483,9 +510,6 @@ func (rec *runRecord) attach(ctx context.Context) context.Context {
 // wall durations joined from the span timeline, the cost ledger, and
 // the span tree itself for the full-record endpoint.
 func (s *Server) finishRun(rec *runRecord, resp *RunResponse, err error) {
-	if rec == nil || rec.h == nil {
-		return
-	}
 	var state string
 	switch {
 	case err == nil:
@@ -537,57 +561,24 @@ func phaseSummaries(phases []PhaseTime, roots []*bsmp.Span) []obs.PhaseSummary {
 }
 
 // execute runs a validated request through the scheme registry — the
-// production runScheme implementation. The simulation runs under ctx
-// with a registered Progress, so cancelling ctx (client disconnect,
-// deadline, hard shutdown) stops it at its next checkpoint and /metrics
-// sees its live step counters while it runs.
+// production runScheme implementation. The simulation runs under ctx,
+// which carries the run record's progress meter and tracer, so
+// cancelling ctx (client disconnect, deadline, hard shutdown) stops it
+// at its next checkpoint and the record samples its live counters while
+// it runs.
 func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	cfg := req.schemeConfig()
-	// The run-registry wrapper (beginRun.attach) usually supplies the
-	// progress meter and tracer so the record samples the same telemetry
-	// the engines feed; allocate them here only when execute is driven
-	// directly (registry disabled, or tests calling runScheme).
-	prog := bsmp.ProgressFrom(ctx)
-	if prog == nil {
-		prog = new(bsmp.Progress)
-		ctx = bsmp.WithProgress(ctx, prog)
-	}
-	tr := bsmp.TracerFrom(ctx)
-	if tr == nil && req.Trace {
-		tr = bsmp.NewTracer()
-		ctx = bsmp.WithTracer(ctx, tr)
-	}
 	id := RequestIDFrom(ctx)
 	s.log.Info("run start", "id", id, "scheme", req.Scheme, "d", req.D,
 		"n", req.N, "p", req.P, "m", req.M, "steps", req.Steps,
 		"theta", req.Config.Theta, "traced", req.Trace)
-	s.inflightMu.Lock()
-	s.inflight[prog] = struct{}{}
-	s.inflightMu.Unlock()
-	defer func() {
-		s.inflightMu.Lock()
-		delete(s.inflight, prog)
-		s.inflightMu.Unlock()
-	}()
 	start := time.Now()
-	res, err := bsmp.RunSchemeContext(ctx, req.Scheme, req.D, req.N, req.P, req.M, req.Steps, buildGuest(req), cfg)
+	res, err := bsmp.RunSchemeContext(ctx, req.Scheme, req.D, req.N, req.P, req.M, req.Steps, buildGuest(req), req.schemeConfig())
 	elapsed := time.Since(start)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.vars.Add("runs_cancelled", 1)
-		}
 		s.log.Warn("run failed", "id", id, "scheme", req.Scheme,
 			"dur_ms", float64(elapsed.Nanoseconds())/1e6, "err", err.Error())
 		return nil, err
 	}
-	s.latHist.Observe(elapsed.Seconds())
-	if cfg.Multi.Theta != 0 {
-		// Θ-model runs also get their own latency series, so a Θ
-		// workload's latency can be watched apart from the lockstep runs
-		// it is mixed with.
-		s.thetaHist.Observe(elapsed.Seconds())
-	}
-	s.sizeHist.Observe(float64(req.N) * float64(req.Steps))
 	s.log.Info("run done", "id", id, "scheme", req.Scheme,
 		"dur_ms", float64(elapsed.Nanoseconds())/1e6,
 		"time", float64(res.Time), "prep_time", float64(res.PrepTime))
@@ -613,10 +604,10 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		Phases: phases, Ledger: ledger,
 		OutputsDigest: outputsDigest(res.Outputs, res.Memories),
 	}
-	// The inline timeline stays opt-in: untraced runs may still carry a
-	// registry tracer for the flight recorder, but their responses (and
+	// The inline timeline stays opt-in: untraced runs carry the record's
+	// small-cap tracer for the flight recorder, but their responses (and
 	// cache entries) must not grow a span tree nobody asked for.
-	if req.Trace && tr != nil {
+	if tr := bsmp.TracerFrom(ctx); req.Trace && tr != nil {
 		resp.Trace = tr.Roots()
 		resp.traceEpoch = tr.Epoch()
 	}
@@ -724,10 +715,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleMetrics serves the expvar map as JSON under the "bsmp" key.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"bsmp\": %s}\n", s.vars.String())
 }

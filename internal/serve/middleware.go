@@ -47,12 +47,12 @@ func writeError(w http.ResponseWriter, status int, kind, msg string, pe *bsmp.Pa
 // a handler panics anyway, the panic is logged and converted to a
 // structured 500 instead of unwinding the whole daemon. The HTTP server
 // would confine the panic to the one connection regardless, but a typed
-// payload plus an expvar counter beats a silently dropped connection.
+// payload plus a counter beats a silently dropped connection.
 func (s *Server) withRecover(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.vars.Add("panics_recovered", 1)
+				s.ctr.add(ctrPanicsRecovered)
 				log.Printf("serve: recovered panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 				// Best effort: if the handler already wrote a partial
 				// body this write is a no-op on the status line.
@@ -76,13 +76,13 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// withCounters maintains the request-level expvar counters, assigns
+// withCounters maintains the request-level counters, assigns
 // each request an ID (echoed in the X-Request-Id header and threaded
 // through the context), and emits one structured access-log line per
 // request.
 func (s *Server) withCounters(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.vars.Add("requests", 1)
+		s.ctr.add(ctrRequests)
 		id := fmt.Sprintf("%s-%d", s.bootID, s.reqSeq.Add(1))
 		w.Header().Set("X-Request-Id", id)
 		r = r.WithContext(context.WithValue(r.Context(), reqIDKeyType{}, id))
@@ -92,11 +92,11 @@ func (s *Server) withCounters(next http.Handler) http.Handler {
 		status := cw.status()
 		switch {
 		case status >= 500:
-			s.vars.Add("responses_5xx", 1)
+			s.ctr.add(ctrResponses5xx)
 		case status >= 400:
-			s.vars.Add("responses_4xx", 1)
+			s.ctr.add(ctrResponses4xx)
 		default:
-			s.vars.Add("responses_2xx", 1)
+			s.ctr.add(ctrResponses2xx)
 		}
 		s.log.Info("request",
 			"id", id,

@@ -106,20 +106,21 @@ func TestMetricsPromFormat(t *testing.T) {
 			t.Errorf("malformed exposition line: %q", l)
 		}
 	}
-	for _, hist := range []string{"bsmpd_run_latency_seconds", "bsmpd_queue_wait_seconds", "bsmpd_run_vertices"} {
-		if !strings.Contains(body, "# TYPE "+hist+" histogram") {
-			t.Errorf("missing TYPE line for %s", hist)
+	for _, hist := range []struct{ name, labels string }{
+		{"bsmpd_run_latency_seconds", `scheme="multi",`},
+		{"bsmpd_queue_wait_seconds", ""},
+		{"bsmpd_run_vertices", ""},
+	} {
+		if !strings.Contains(body, "# TYPE "+hist.name+" histogram") {
+			t.Errorf("missing TYPE line for %s", hist.name)
 		}
-		if !strings.Contains(body, hist+`_bucket{le="+Inf"} `) {
-			t.Errorf("missing +Inf bucket for %s", hist)
-		}
-		if strings.Contains(body, hist+"_count 0\n") {
-			t.Errorf("%s has no observations after a run", hist)
+		if !strings.Contains(body, hist.name+"_bucket{"+hist.labels+`le="+Inf"} 1`) {
+			t.Errorf("%s has no +Inf bucket holding the run", hist.name)
 		}
 	}
-	// The plain counters ride along as gauges.
-	if !strings.Contains(body, "bsmpd_requests ") {
-		t.Error("missing bsmpd_requests gauge")
+	// The counter table renders as counters.
+	if !strings.Contains(body, "# TYPE bsmpd_requests counter\nbsmpd_requests ") {
+		t.Error("missing bsmpd_requests counter")
 	}
 	// The unified memo store's scalar gauges render numerically, and the
 	// per-(kind, level) breakdown renders as labeled series (a run through

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrQueueFull reports that the worker pool's bounded queue had no room
@@ -41,39 +40,28 @@ type Pool struct {
 	// waiting on it rather than when a worker eventually skips it.
 	queued atomic.Int64
 
-	mu          sync.Mutex
-	closed      bool
-	observeWait func(seconds float64)
+	mu     sync.Mutex
+	closed bool
 }
 
 type poolJob struct {
 	ctx  context.Context
 	fn   func(ctx context.Context) (any, error)
 	done chan poolResult
-	// submitted and observeWait feed the queue-wait histogram: the
-	// observer is copied into the job under the pool mutex at submission
-	// so SetQueueWaitObserver never races a worker.
-	submitted   time.Time
-	observeWait func(seconds float64)
 	// queued points at the pool's depth gauge; settled guarantees the
-	// decrement + wait observation happen exactly once even though both
-	// the worker (at dequeue) and the requester (on cancellation while
-	// queued) race to settle the job.
+	// decrement happens exactly once even though both the worker (at
+	// dequeue) and the requester (on cancellation while queued) race to
+	// settle the job.
 	queued  *atomic.Int64
 	settled *atomic.Bool
 }
 
 // settle ends the job's queue residency exactly once: it decrements the
-// depth gauge and observes the queue wait. Both the dequeuing worker and
-// a requester abandoning a still-queued job call it; the CAS makes the
-// second call a no-op.
+// depth gauge. Both the dequeuing worker and a requester abandoning a
+// still-queued job call it; the CAS makes the second call a no-op.
 func (j *poolJob) settle() {
-	if !j.settled.CompareAndSwap(false, true) {
-		return
-	}
-	j.queued.Add(-1)
-	if j.observeWait != nil {
-		j.observeWait(time.Since(j.submitted).Seconds())
+	if j.settled.CompareAndSwap(false, true) {
+		j.queued.Add(-1)
 	}
 }
 
@@ -97,15 +85,6 @@ func NewPool(workers, depth int) *Pool {
 		go p.worker()
 	}
 	return p
-}
-
-// SetQueueWaitObserver registers f to receive, for every dequeued job,
-// the seconds it spent waiting for a worker. The serving layer points
-// this at its queue-wait histogram.
-func (p *Pool) SetQueueWaitObserver(f func(seconds float64)) {
-	p.mu.Lock()
-	p.observeWait = f
-	p.mu.Unlock()
 }
 
 func (p *Pool) worker() {
@@ -144,7 +123,7 @@ func runJob(ctx context.Context, fn func(ctx context.Context) (any, error)) (val
 // as the (now-cancelled) job unwinds.
 func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, error) {
 	j := poolJob{
-		ctx: ctx, fn: fn, done: make(chan poolResult, 1), submitted: time.Now(),
+		ctx: ctx, fn: fn, done: make(chan poolResult, 1),
 		queued: &p.queued, settled: new(atomic.Bool),
 	}
 	p.mu.Lock()
@@ -152,7 +131,6 @@ func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context) (any, error)
 		p.mu.Unlock()
 		return nil, ErrDraining
 	}
-	j.observeWait = p.observeWait
 	// The gauge covers the enqueue attempt itself so a worker dequeuing
 	// (and settling) the job immediately can never drive it negative.
 	p.queued.Add(1)
@@ -169,9 +147,9 @@ func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context) (any, error)
 		return r.val, r.err
 	case <-ctx.Done():
 		// The requester abandons a possibly-still-queued job. The job
-		// keeps its channel slot until a worker drains it, but its queue
-		// residency — depth gauge and wait sample — is accounted here,
-		// exactly once, even if a worker dequeues it concurrently.
+		// keeps its channel slot until a worker drains it, but it leaves
+		// the depth gauge here, exactly once, even if a worker dequeues
+		// it concurrently.
 		j.settle()
 		return nil, ctx.Err()
 	}

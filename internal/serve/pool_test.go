@@ -129,12 +129,10 @@ func TestPoolCancelReleasesSlot(t *testing.T) {
 // A request cancelled while its job is still queued (never started) must
 // still settle its queue accounting: the depth gauge decrements the
 // moment the requester gives up — not when a worker eventually drains
-// the abandoned slot — and the queue-wait observer fires exactly once
-// for the job, never twice (requester and worker racing to settle).
+// the abandoned slot — and exactly once, never twice (requester and
+// worker racing to settle).
 func TestPoolQueuedCancelSettlesOnce(t *testing.T) {
 	p := NewPool(1, 2)
-	var waits atomic.Int64
-	p.SetQueueWaitObserver(func(float64) { waits.Add(1) })
 
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -169,20 +167,14 @@ func TestPoolQueuedCancelSettlesOnce(t *testing.T) {
 	if d := p.QueueDepth(); d != 0 {
 		t.Fatalf("QueueDepth after queued cancel = %d, want 0", d)
 	}
-	if w := waits.Load(); w != 2 {
-		t.Fatalf("queue-wait observations = %d, want 2 (occupying job + cancelled job)", w)
-	}
 	close(release)
 	wg.Wait()
 	p.Close() // the worker drains (and skips) the abandoned slot
 	if ran.Load() {
 		t.Fatal("worker ran a job whose requester had already given up")
 	}
-	// The worker's dequeue of the abandoned job must NOT re-observe its
-	// wait or re-decrement the gauge.
-	if w := waits.Load(); w != 2 {
-		t.Fatalf("queue-wait observations after drain = %d, want 2 (abandoned job settled twice)", w)
-	}
+	// The worker's dequeue of the abandoned job must NOT re-decrement
+	// the gauge.
 	if d := p.QueueDepth(); d != 0 {
 		t.Fatalf("QueueDepth after drain = %d, want 0", d)
 	}

@@ -53,21 +53,8 @@ func runEvent(info obs.RunInfo) RunEvent {
 	}
 }
 
-// registryDisabled answers the introspection endpoints when the server
-// runs without a registry (-registry-cap < 0).
-func (s *Server) registryDisabled(w http.ResponseWriter) bool {
-	if s.registry != nil {
-		return false
-	}
-	writeError(w, http.StatusNotFound, "registry", "run registry disabled (-registry-cap < 0)", nil)
-	return true
-}
-
 // handleRuns serves GET /v1/runs?state=&scheme=&source=&limit=&offset=.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if s.registryDisabled(w) {
-		return
-	}
 	q := r.URL.Query()
 	stateF, schemeF, sourceF := q.Get("state"), q.Get("scheme"), q.Get("source")
 	limit, err := queryInt(q.Get("limit"), 50)
@@ -110,9 +97,6 @@ func queryInt(raw string, def int) (int, error) {
 // handleRunRecord serves GET /v1/runs/{id}: the full record, span tree
 // included for completed runs.
 func (s *Server) handleRunRecord(w http.ResponseWriter, r *http.Request) {
-	if s.registryDisabled(w) {
-		return
-	}
 	id := r.PathValue("id")
 	h := s.registry.Get(id)
 	if h == nil {
@@ -138,9 +122,6 @@ const (
 // handleRunEvents serves GET /v1/runs/{id}/events?poll_ms=&heartbeat_ms=
 // as a Server-Sent Events stream.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
-	if s.registryDisabled(w) {
-		return
-	}
 	h := s.registry.Get(r.PathValue("id"))
 	if h == nil {
 		writeError(w, http.StatusNotFound, "not_found",
@@ -154,7 +135,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	poll := clampQueryMS(r, "poll_ms", defEventPollMS, minEventPollMS, maxEventPollMS)
 	heartbeat := clampQueryMS(r, "heartbeat_ms", defHeartbeatMS, minHeartbeatMS, 1<<20)
-	s.vars.Add("run_events_streams", 1)
+	s.ctr.add(ctrRunEventsStreams)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -9,16 +9,14 @@ import (
 	"testing"
 )
 
-// benchRunRegistry measures one cold /v1/run round-trip — validation,
-// pool execution, the real multi-scheme engine, response encoding —
-// with the run registry either live (recording every execution, record
-// tracer attached) or disabled. The paired Off/On results bound the
-// flight recorder's overhead on the serving path; the engine dominates,
-// so the pair should be within run-to-run jitter of each other.
-func benchRunRegistry(b *testing.B, registryCap int) {
+// BenchmarkRunRegistryOn measures one cold /v1/run round-trip —
+// validation, pool execution with its run record (record tracer
+// attached), the real multi-scheme engine, response encoding — on a
+// fresh server each iteration.
+func BenchmarkRunRegistryOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := New(Config{RegistryCapacity: registryCap})
+		s := New(Config{})
 		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(validRun))
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, req)
@@ -27,9 +25,6 @@ func benchRunRegistry(b *testing.B, registryCap int) {
 		}
 	}
 }
-
-func BenchmarkRunRegistryOff(b *testing.B) { benchRunRegistry(b, -1) }
-func BenchmarkRunRegistryOn(b *testing.B)  { benchRunRegistry(b, 0) }
 
 // BenchmarkRunsListing measures GET /v1/runs over a populated registry:
 // 64 completed records snapshotted, filtered and paginated per request.

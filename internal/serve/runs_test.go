@@ -471,24 +471,6 @@ func TestRunsListingFiltersAndPagination(t *testing.T) {
 	}
 }
 
-// TestRegistryDisabled covers -registry-cap < 0: runs still serve (no
-// run_id), and the introspection endpoints answer structured 404s.
-func TestRegistryDisabled(t *testing.T) {
-	s := New(Config{RegistryCapacity: -1})
-	w := postRun(t, s.Handler(), validRun)
-	if w.Code != http.StatusOK {
-		t.Fatalf("run status = %d", w.Code)
-	}
-	if resp := decodeRun(t, w); resp.RunID != "" {
-		t.Fatalf("run_id = %q with registry disabled", resp.RunID)
-	}
-	for _, path := range []string{"/v1/runs", "/v1/runs/x", "/v1/runs/x/events"} {
-		if w := getJSON(t, s.Handler(), path, nil); w.Code != http.StatusNotFound {
-			t.Fatalf("%s status = %d, want 404", path, w.Code)
-		}
-	}
-}
-
 // TestShedRunRecorded pins the shed lifecycle state: a run rejected by
 // a full pool queue still leaves a terminal record.
 func TestShedRunRecorded(t *testing.T) {
@@ -535,43 +517,69 @@ func TestShedRunRecorded(t *testing.T) {
 }
 
 // TestMetricsPromRegistrySeries checks the registry's Prometheus
-// surface: active-run gauges, terminal-state counters, per-phase
-// histograms, quantile gauges, and that every declared counter renders.
+// surface — run counts by (source, scheme, state), active-run gauges,
+// per-phase and per-scheme latency histograms with their quantile
+// gauges — and that the whole counter table renders from boot on both
+// endpoints.
 func TestMetricsPromRegistrySeries(t *testing.T) {
 	s := New(Config{})
+	boot := getBody(t, s.Handler(), "/metrics.prom")
+	var metrics struct {
+		Bsmp map[string]json.RawMessage `json:"bsmp"`
+	}
+	getJSON(t, s.Handler(), "/metrics", &metrics)
+	seen := make(map[string]bool)
+	for c, name := range counterNames {
+		if name == "" || seen[name] {
+			t.Fatalf("counter %d has an empty or repeated name %q", c, name)
+		}
+		seen[name] = true
+		if !strings.Contains(boot, "# TYPE bsmpd_"+name+" counter\nbsmpd_"+name+" ") {
+			t.Errorf("counter %q missing from metrics.prom at boot", name)
+		}
+		if _, ok := metrics.Bsmp[name]; !ok {
+			t.Errorf("counter %q missing from /metrics at boot", name)
+		}
+	}
+
 	if w := postRun(t, s.Handler(), validRun); w.Code != http.StatusOK {
 		t.Fatalf("run status = %d", w.Code)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/metrics.prom", nil)
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, req)
-	body := w.Body.String()
-
+	body := getBody(t, s.Handler(), "/metrics.prom")
 	for _, want := range []string{
 		"# TYPE bsmpd_runs_active gauge",
-		`bsmpd_runs_completed_total{state="done"} 1`,
-		`bsmpd_runs_completed_total{state="cancelled"} 0`,
+		"# TYPE bsmpd_runs_total counter",
+		`bsmpd_runs_total{source="run",scheme="multi",state="done"} 1`,
 		"# TYPE bsmpd_run_phase_seconds histogram",
 		`bsmpd_run_phase_seconds_bucket{phase="`,
-		`bsmpd_run_latency_seconds_quantile{q="0.5"} `,
-		`bsmpd_run_latency_seconds_quantile{q="0.95"} `,
-		`bsmpd_run_latency_seconds_quantile{q="0.99"} `,
+		`bsmpd_run_latency_seconds_bucket{scheme="multi",le="+Inf"} 1`,
+		`bsmpd_run_latency_seconds_count{scheme="multi"} 1`,
+		`bsmpd_run_latency_seconds_quantile{scheme="multi",q="0.5"} `,
+		`bsmpd_run_latency_seconds_quantile{scheme="multi",q="0.95"} `,
+		`bsmpd_run_latency_seconds_quantile{scheme="multi",q="0.99"} `,
 		"bsmpd_registry_live_runs 0",
 		"bsmpd_registry_retained_runs 1",
+		"bsmpd_inflight_runs 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics.prom missing %q", want)
 		}
 	}
-	// Empty histograms carry no quantile gauges (NaN would be noise).
-	if strings.Contains(body, "bsmpd_theta_run_latency_seconds_quantile") {
-		t.Error("empty theta histogram rendered quantile gauges")
-	}
-	// Every declared counter renders on the Prometheus surface even
-	// before its first increment — the promlint contract.
-	for _, name := range counterNames {
-		if !strings.Contains(body, "bsmpd_"+name+" ") {
-			t.Errorf("declared counter %q missing from metrics.prom", name)
+	// Only the states and schemes that happened have series, and empty
+	// histograms carry no quantile gauges (NaN would be noise).
+	for _, absent := range []string{`state="cancelled"`, `scheme="multi-theta"`, "bsmpd_sweep_row_latency_seconds_quantile"} {
+		if strings.Contains(body, absent) {
+			t.Errorf("metrics.prom renders %q before it happened", absent)
 		}
 	}
+}
+
+// getBody GETs path and returns the 200 body.
+func getBody(t *testing.T, h http.Handler, path string) string {
+	t.Helper()
+	w := getJSON(t, h, path, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s status = %d", path, w.Code)
+	}
+	return w.Body.String()
 }

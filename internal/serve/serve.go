@@ -3,7 +3,7 @@
 // adversarial traffic. The layering, outermost first:
 //
 //   - middleware: panic recovery (defense in depth behind the validation
-//     boundary — no request can take the daemon down) and expvar request
+//     boundary — no request can take the daemon down) and request
 //     accounting;
 //   - validation: bsmp.ValidateParams plus server-side size caps turn
 //     every malformed or oversized tuple into a structured 4xx before
@@ -20,14 +20,13 @@
 // Endpoints: POST /v1/run, POST /v1/sweep (NDJSON-streamed parameter
 // grids), GET /v1/runs (+ /v1/runs/{id}, /v1/runs/{id}/events — the run
 // registry's introspection surface), GET /v1/bounds, GET /v1/schemes,
-// GET /healthz, GET /metrics (expvar-style JSON), GET /metrics.prom.
+// GET /healthz, GET /metrics (JSON), GET /metrics.prom.
 package serve
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"expvar"
 	"io"
 	"log/slog"
 	"net/http"
@@ -81,10 +80,9 @@ type Config struct {
 	SweepParallel int
 	// RegistryCapacity bounds the run registry's flight recorder — how
 	// many completed run records /v1/runs retains (live runs are always
-	// tracked). 0 selects the default (obs.DefaultRegistryCapacity); a
-	// negative value disables the registry entirely, turning the
-	// introspection endpoints into 404s and removing the per-run
-	// record-keeping from the hot path.
+	// tracked, and the run counts and histograms cover every run ever
+	// recorded). Values below 1 select the default
+	// (obs.DefaultRegistryCapacity).
 	RegistryCapacity int
 	// Logger receives the daemon's structured JSON records: one access
 	// line per request (with its generated request ID) and run
@@ -135,7 +133,7 @@ type Server struct {
 	cache    *Cache
 	pool     *Pool
 	flight   flightGroup
-	vars     *expvar.Map
+	ctr      counterTable
 	handler  http.Handler
 	httpSrv  *http.Server
 	draining atomic.Bool
@@ -146,18 +144,11 @@ type Server struct {
 	bootID string
 	reqSeq atomic.Uint64
 
-	// registry is the run registry + flight recorder behind /v1/runs;
-	// nil when Config.RegistryCapacity < 0 (every obs call site is
-	// nil-safe). runSeq numbers run IDs within this boot.
+	// registry is the run registry + flight recorder behind /v1/runs,
+	// and the one source of run counts, run histograms and in-flight
+	// gauges. runSeq numbers run IDs within this boot.
 	registry *obs.Registry
 	runSeq   atomic.Uint64
-
-	// Serving-quality histograms, exposed on /metrics (JSON snapshots)
-	// and /metrics.prom (Prometheus text format).
-	latHist   *obs.Histogram // end-to-end run execution latency, seconds
-	waitHist  *obs.Histogram // pool queue wait, seconds
-	sizeHist  *obs.Histogram // executed run size, guest vertices n*steps
-	thetaHist *obs.Histogram // latency of Θ-model (theta != 0) runs only, seconds
 
 	// baseCtx is the server's lifetime context: every request context is
 	// tied to it, so cancelling baseCancel hard-stops every in-flight
@@ -166,18 +157,12 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// inflight registers the Progress of every simulation currently
-	// executing; /metrics sums it into live gauges.
-	inflightMu sync.Mutex
-	inflight   map[*bsmp.Progress]struct{}
-
 	// sweepsLive registers every streaming sweep for the live gauges;
 	// sweepSem bounds total sweep-held pool slots across all concurrent
-	// sweeps; sweepRowHist feeds bsmpd_sweep_row_latency_seconds.
-	sweepMu      sync.Mutex
-	sweepsLive   map[*sweepProgress]struct{}
-	sweepSem     chan struct{}
-	sweepRowHist *obs.Histogram
+	// sweeps.
+	sweepMu    sync.Mutex
+	sweepsLive map[*sweepProgress]struct{}
+	sweepSem   chan struct{}
 
 	// runScheme executes a validated run request under ctx; tests
 	// substitute it to inject blocking or panicking work behind the full
@@ -189,33 +174,21 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		cache:     NewCache(cfg.CacheEntries),
-		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
-		vars:      new(expvar.Map).Init(),
-		inflight:  make(map[*bsmp.Progress]struct{}),
-		log:       cfg.Logger,
-		bootID:    newBootID(),
-		latHist:   obs.NewHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
-		waitHist:  obs.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5),
-		sizeHist:  obs.NewHistogram(1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8),
-		thetaHist: obs.NewHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
-
-		sweepsLive:   make(map[*sweepProgress]struct{}),
-		sweepRowHist: obs.NewHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
+		cfg:        cfg,
+		cache:      NewCache(cfg.CacheEntries),
+		pool:       NewPool(cfg.Workers, cfg.QueueDepth),
+		log:        cfg.Logger,
+		bootID:     newBootID(),
+		registry:   obs.NewRegistry(cfg.RegistryCapacity),
+		sweepsLive: make(map[*sweepProgress]struct{}),
+		sweepSem:   make(chan struct{}, cfg.SweepParallel),
 	}
-	s.sweepSem = make(chan struct{}, cfg.SweepParallel)
+	s.ctr.sweepRowLatency = obs.NewHistogram(obs.LatencyBounds...)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.runScheme = s.execute
-	if cfg.RegistryCapacity >= 0 {
-		s.registry = obs.NewRegistry(cfg.RegistryCapacity)
-	}
 	if cfg.MemoCapacity != 0 {
 		bsmp.SetMemoCapacity(cfg.MemoCapacity)
 	}
-	s.pool.SetQueueWaitObserver(s.waitHist.Observe)
-	s.declareCounters()
-	s.registerGauges()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -259,7 +232,7 @@ func (s *Server) ListenAndServe() error {
 // unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.vars.Add("draining", 1)
+	s.ctr.add(ctrDraining)
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
@@ -285,111 +258,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// registerGauges installs the live expvar gauges: in-flight run progress
-// and the multiprocessor kernel-cache counters. expvar.Func re-evaluates
-// on every /metrics render, so the values are current, not snapshots.
-func (s *Server) registerGauges() {
-	s.vars.Set("inflight_runs", expvar.Func(func() any {
-		s.inflightMu.Lock()
-		defer s.inflightMu.Unlock()
-		return len(s.inflight)
-	}))
-	s.vars.Set("inflight_vertices", expvar.Func(func() any {
-		s.inflightMu.Lock()
-		defer s.inflightMu.Unlock()
-		var v int64
-		for p := range s.inflight {
-			v += p.Vertices.Load()
-		}
-		return v
-	}))
-	s.vars.Set("inflight_phases", expvar.Func(func() any {
-		s.inflightMu.Lock()
-		defer s.inflightMu.Unlock()
-		var v int64
-		for p := range s.inflight {
-			v += p.Phases.Load()
-		}
-		return v
-	}))
-	s.vars.Set("queue_depth", expvar.Func(func() any {
-		return s.pool.QueueDepth()
-	}))
-	s.vars.Set("kernel_cache_entries", expvar.Func(func() any {
-		e, _, _, _ := bsmp.KernelCacheStats()
-		return e
-	}))
-	s.vars.Set("kernel_cache_hits", expvar.Func(func() any {
-		_, h, _, _ := bsmp.KernelCacheStats()
-		return h
-	}))
-	s.vars.Set("kernel_cache_misses", expvar.Func(func() any {
-		_, _, m, _ := bsmp.KernelCacheStats()
-		return m
-	}))
-	s.vars.Set("kernel_cache_evictions", expvar.Func(func() any {
-		_, _, _, e := bsmp.KernelCacheStats()
-		return e
-	}))
-	// Unified memo store gauges (kernels + subtree replay records). The
-	// scalar counters render on both endpoints; the per-(kind, level)
-	// breakdown renders as JSON here and as labeled series on
-	// /metrics.prom.
-	s.vars.Set("memo_capacity", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Capacity
-	}))
-	s.vars.Set("memo_entries", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Entries
-	}))
-	s.vars.Set("memo_hits", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Hits
-	}))
-	s.vars.Set("memo_misses", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Misses
-	}))
-	s.vars.Set("memo_evictions", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Evictions
-	}))
-	s.vars.Set("memo_levels", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Levels
-	}))
-	// Histogram snapshots render inline in the /metrics JSON; the
-	// Prometheus endpoint serves the same data in text format.
-	s.vars.Set("run_latency_seconds", expvar.Func(func() any { return s.latHist.Snapshot() }))
-	s.vars.Set("queue_wait_seconds", expvar.Func(func() any { return s.waitHist.Snapshot() }))
-	s.vars.Set("run_vertices", expvar.Func(func() any { return s.sizeHist.Snapshot() }))
-	s.vars.Set("theta_run_latency_seconds", expvar.Func(func() any { return s.thetaHist.Snapshot() }))
-	s.vars.Set("sweep_row_latency_seconds", expvar.Func(func() any { return s.sweepRowHist.Snapshot() }))
-	// Run registry occupancy: live (queued + running) records and the
-	// completed records the flight recorder retains. The per-(state,
-	// scheme) breakdown renders as labeled bsmpd_runs_active series on
-	// /metrics.prom.
-	s.vars.Set("registry_live_runs", expvar.Func(func() any {
-		live, _ := s.registry.Len()
-		return live
-	}))
-	s.vars.Set("registry_retained_runs", expvar.Func(func() any {
-		_, retained := s.registry.Len()
-		return retained
-	}))
-	// Live sweep progress: how many sweeps are streaming right now and
-	// how many of their grid points are still unresolved.
-	s.vars.Set("inflight_sweeps", expvar.Func(func() any {
-		s.sweepMu.Lock()
-		defer s.sweepMu.Unlock()
-		return len(s.sweepsLive)
-	}))
-	s.vars.Set("sweep_rows_pending", expvar.Func(func() any {
-		s.sweepMu.Lock()
-		defer s.sweepMu.Unlock()
-		var v int64
-		for p := range s.sweepsLive {
-			v += int64(p.total) - p.done.Load()
-		}
-		return v
-	}))
-}
-
 // newBootID returns the random prefix of this process's request IDs, so
 // IDs from distinct daemon incarnations never collide in aggregated
 // logs.
@@ -400,6 +268,3 @@ func newBootID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// CacheStats exposes the result cache counters (smoke and unit tests).
-func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }

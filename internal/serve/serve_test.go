@@ -76,8 +76,7 @@ func TestRunValidAndCached(t *testing.T) {
 	if second.Time != first.Time {
 		t.Fatalf("cached Time %v != original %v", second.Time, first.Time)
 	}
-	hits, _ := s.CacheStats()
-	if hits != 1 {
+	if hits := s.ctr.n[ctrCacheHits].Load(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 }
@@ -436,8 +435,8 @@ func TestClassifyCancelledNotDeadline(t *testing.T) {
 	if status != 499 || detail.Kind != "cancelled" {
 		t.Fatalf("canceled -> (%d, %q), want (499, cancelled)", status, detail.Kind)
 	}
-	if v := s.vars.Get("deadline_timeouts"); v != nil && v.String() != "0" {
-		t.Fatalf("deadline_timeouts = %s after cancel, want 0", v)
+	if v := s.ctr.n[ctrDeadlineTimeouts].Load(); v != 0 {
+		t.Fatalf("deadline_timeouts = %d after cancel, want 0", v)
 	}
 	status, detail = s.classifyRunError(context.DeadlineExceeded)
 	if status != http.StatusGatewayTimeout || detail.Kind != "deadline" {
@@ -673,7 +672,7 @@ func TestRunFaultyCancelMidRun(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		var inflight int
-		fmt.Sscanf(expvarInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
+		fmt.Sscanf(metricsInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
 		if inflight >= 1 {
 			break
 		}
@@ -686,8 +685,8 @@ func TestRunFaultyCancelMidRun(t *testing.T) {
 	<-done
 	for {
 		var cancelled, inflight int
-		fmt.Sscanf(expvarInt(t, srv.URL, "runs_cancelled"), "%d", &cancelled)
-		fmt.Sscanf(expvarInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
+		fmt.Sscanf(metricsInt(t, srv.URL, "runs_cancelled"), "%d", &cancelled)
+		fmt.Sscanf(metricsInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
 		if cancelled >= 1 && inflight == 0 {
 			break
 		}

@@ -404,7 +404,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	trace := r.URL.Query().Get("trace") == "1"
 	units := planSweep(points, trace)
 
-	s.vars.Add("sweeps", 1)
+	s.ctr.add(ctrSweeps)
 	prog := &sweepProgress{total: len(points)}
 	s.sweepMu.Lock()
 	s.sweepsLive[prog] = struct{}{}
@@ -456,20 +456,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case out.err != nil:
 				row.Error = out.err
 				sum.Errors++
-				s.vars.Add("sweep_row_errors", 1)
+				s.ctr.add(ctrSweepRowErrors)
 			default:
 				resp := *out.resp
 				row.Result = &resp
 				if out.hit {
 					sum.CacheHits++
-					s.vars.Add("sweep_rows_cached", 1)
+					s.ctr.add(ctrSweepRowsCached)
 				}
 			}
 			if k > 0 {
 				sum.Deduped++
-				s.vars.Add("sweep_rows_deduped", 1)
+				s.ctr.add(ctrSweepRowsDeduped)
 			}
-			s.vars.Add("sweep_rows", 1)
+			s.ctr.add(ctrSweepRows)
 			if row.Result != nil && trace && k == 0 && out.resp.Trace != nil {
 				rowTraces = append(rowTraces, tracedRow{index: idx, resp: out.resp})
 			}
@@ -491,12 +491,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if out.wait > 0 {
-			s.sweepRowHist.Observe(out.wait.Seconds())
+			s.ctr.sweepRowLatency.Observe(out.wait.Seconds())
 		}
 	}
 	sum.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	if !writeOK || ctx.Err() != nil {
-		s.vars.Add("sweeps_cancelled", 1)
+		s.ctr.add(ctrSweepsCancelled)
 		return
 	}
 	sum.Done = true
@@ -561,16 +561,8 @@ func (s *Server) resolveSweepUnit(u *sweepUnit, trace bool) (sweepRowOut, bool) 
 	if trace {
 		return sweepRowOut{}, false
 	}
-	v, ok := s.cache.Get(u.key)
-	if !ok {
-		return sweepRowOut{}, false
-	}
-	resp := *v.(*RunResponse)
-	resp.Cached = true
-	// The row keeps the original execution's run_id; attribute the hit to
-	// that record rather than minting a new one.
-	s.registry.Get(resp.RunID).AddCacheHit()
-	return sweepRowOut{unit: u, resp: &resp, hit: true}, true
+	resp, ok := s.cached(u.key)
+	return sweepRowOut{unit: u, resp: resp, hit: true}, ok
 }
 
 // dispatchSweep hands the groups, in order, to sweepSem slots. A group
@@ -708,26 +700,7 @@ func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) swe
 	rreq := u.req.canonical()
 	rreq.Trace = trace
 	v, err, shared := s.flight.Do(ctx, u.key, func() (any, error) {
-		// One registry record per executed grid point, shared with any
-		// /v1/run or concurrent sweep coalescing on the same flight key.
-		rec := s.beginRun(rreq, "sweep")
-		v, err := s.poolDoRetry(ctx, func(jctx context.Context) (any, error) {
-			rctx, rcancel := context.WithTimeout(jctx, s.cfg.RequestTimeout)
-			defer rcancel()
-			rec.h.Running()
-			resp, err := s.runScheme(rec.attach(rctx), rreq)
-			if err == nil {
-				s.vars.Add("runs", 1)
-				resp.RunID = rec.h.ID()
-				if !trace {
-					s.cache.Add(u.key, resp)
-				}
-			}
-			return resp, err
-		})
-		resp, _ := v.(*RunResponse)
-		s.finishRun(rec, resp, err)
-		return v, err
+		return s.runRecorded(ctx, rreq, u.key, "sweep", s.poolDoRetry)
 	})
 	wait := time.Since(start)
 	if err != nil {
@@ -739,18 +712,26 @@ func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) swe
 	return sweepRowOut{unit: u, resp: &resp, wait: wait}
 }
 
-// poolDoRetry submits fn to the worker pool, riding out transient
-// queue-full rejections: a sweep is a long-lived server-side job, so
-// instead of shedding rows under momentary pool pressure it backs off
-// briefly and retries until its context is cancelled. Interactive
-// /v1/run traffic keeps its fail-fast 429 behavior.
+// poolDoRetry is the sweep's submit: it hands fn to the worker pool,
+// riding out transient queue-full rejections — a sweep is a long-lived
+// server-side job, so instead of shedding rows under momentary pool
+// pressure it backs off briefly and retries until its context is
+// cancelled (interactive /v1/run traffic keeps its fail-fast 429
+// behavior) — and bounds the job by RequestTimeout from the moment a
+// worker starts it, so a row's budget excludes its wait behind the
+// sweep's other rows.
 func (s *Server) poolDoRetry(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, error) {
+	job := func(jctx context.Context) (any, error) {
+		jctx, cancel := context.WithTimeout(jctx, s.cfg.RequestTimeout)
+		defer cancel()
+		return fn(jctx)
+	}
 	for {
-		v, err := s.pool.Do(ctx, fn)
+		v, err := s.pool.Do(ctx, job)
 		if !errors.Is(err, ErrQueueFull) {
 			return v, err
 		}
-		s.vars.Add("sweep_queue_retries", 1)
+		s.ctr.add(ctrSweepQueueRetries)
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()

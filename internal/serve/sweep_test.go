@@ -334,8 +334,8 @@ func TestSweepClientDisconnectCancelsInflight(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		var cancelled, inflight int
-		fmt.Sscanf(expvarInt(t, srv.URL, "runs_cancelled"), "%d", &cancelled)
-		fmt.Sscanf(expvarInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
+		fmt.Sscanf(metricsInt(t, srv.URL, "runs_cancelled"), "%d", &cancelled)
+		fmt.Sscanf(metricsInt(t, srv.URL, "inflight_runs"), "%d", &inflight)
 		if cancelled >= 3 && inflight == 0 {
 			break
 		}
@@ -344,7 +344,7 @@ func TestSweepClientDisconnectCancelsInflight(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := expvarInt(t, srv.URL, "sweeps_cancelled"); got != "1" {
+	if got := metricsInt(t, srv.URL, "sweeps_cancelled"); got != "1" {
 		t.Fatalf("sweeps_cancelled = %s, want 1", got)
 	}
 	// No leaked pool slots: a fresh run completes on the same pool.
@@ -357,8 +357,8 @@ func TestSweepClientDisconnectCancelsInflight(t *testing.T) {
 	}
 }
 
-// expvarInt fetches one numeric counter from the live /metrics endpoint.
-func expvarInt(t *testing.T, base, name string) string {
+// metricsInt fetches one numeric counter from the live /metrics endpoint.
+func metricsInt(t *testing.T, base, name string) string {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

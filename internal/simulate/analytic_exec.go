@@ -57,12 +57,13 @@ type analyticExec struct {
 	classSpace map[subtreeKey]blockedPlan
 
 	// The line's dag, the boundary enumeration's scratch, the planning
-	// pass's result buffer and one child geometry per recursion depth,
-	// as in blockedExec.
-	g    dag.LineGraph
-	bd   dag.Boundary
-	surf dag.Surface
-	geo  []dag.Surface
+	// pass's result buffer, and one child geometry and one override
+	// buffer per recursion depth, as in blockedExec.
+	g       dag.LineGraph
+	bd      dag.Boundary
+	surf    dag.Surface
+	geo     []dag.Surface
+	ovStack [][]savedAddr
 
 	memoOn   bool
 	progFP   string
@@ -285,6 +286,7 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 	stagePtr := space - inSize(&geo, a.iw)
 	for len(a.geo) <= depth {
 		a.geo = append(a.geo, dag.Surface{})
+		a.ovStack = append(a.ovStack, nil)
 	}
 	for _, kd := range d.Children() {
 		kid := kd.(lattice.Diamond)
@@ -316,7 +318,7 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 		kidSpans, kidGin, live := kg.Cols, kg.Pre, kg.Live
 		skid := a.spaceNeeded(kid).space
 
-		var overrides []savedAddr
+		overrides := a.ovStack[depth][:0]
 		dst := skid - inSize(&kg, a.iw)
 		if dst < 0 {
 			return fmt.Errorf("simulate: analytic child slot underflow in %v", kid)
@@ -345,6 +347,7 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 			a.bcast.set(q, dst)
 			dst++
 		}
+		a.ovStack[depth] = overrides
 
 		if rec != nil {
 			// Replay the whole subtree as one clock/ledger delta and

@@ -3,11 +3,12 @@
 # contract end to end —
 #   - a valid query answers 200 with a simulation result;
 #   - the identical repeat is served from the result cache (response
-#     carries "cached":true and /metrics shows the expvar hit counter);
+#     carries "cached":true and /metrics shows the hit counter);
 #   - an invalid tuple answers a structured 400 naming the offending
 #     field, and the daemon stays healthy;
 #   - a request that outlives its deadline answers 504 AND its worker
-#     stops: runs_cancelled increments, the inflight_runs gauge returns
+#     stops: its run record lands cancelled (runs_cancelled increments)
+#     and the inflight_runs gauge, which counts running records, returns
 #     to zero (checked on a second daemon with a tiny -timeout);
 #   - a /v1/sweep grid streams one NDJSON row per point plus a done
 #     summary, the identical repeat is all cache hits, and a malformed
@@ -49,16 +50,16 @@ R2=$(curl -fsS -X POST --data "$VALID" "$BASE/v1/run") || fail "repeated run req
 echo "$R2" | grep -q '"cached":true' || fail "identical repeat not served from cache: $R2"
 
 METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -q '"cache_hits": 1' || fail "expvar cache_hits != 1: $METRICS"
+echo "$METRICS" | grep -q '"cache_hits":1[,}]' || fail "/metrics cache_hits != 1: $METRICS"
 
 # Prometheus endpoint: every non-comment line must be `name{labels} value`
-# (promtool-free regex check), and the run above must have landed in the
-# latency histogram.
+# (promtool-free regex check), and the run above must have landed in its
+# scheme's latency histogram.
 PROM=$(curl -fsS "$BASE/metrics.prom")
 BADPROM=$(echo "$PROM" | grep -vE '^#' | grep -vE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|\+Inf|NaN)$' || true)
 [ -z "$BADPROM" ] || fail "malformed /metrics.prom line(s): $BADPROM"
-echo "$PROM" | grep -q '^bsmpd_run_latency_seconds_bucket{le="+Inf"} ' || fail "latency histogram missing +Inf bucket"
-echo "$PROM" | grep -qE '^bsmpd_run_latency_seconds_count [1-9]' || fail "latency histogram empty after a run"
+echo "$PROM" | grep -q '^bsmpd_run_latency_seconds_bucket{scheme="multi",le="+Inf"} ' || fail "latency histogram missing +Inf bucket"
+echo "$PROM" | grep -qE '^bsmpd_run_latency_seconds_count\{scheme="multi"\} [1-9]' || fail "latency histogram empty after a run"
 echo "$PROM" | grep -q '^# TYPE bsmpd_queue_wait_seconds histogram' || fail "queue-wait histogram missing"
 
 # Θ-model round trip: the multi-theta scheme accepts the theta config
@@ -78,7 +79,7 @@ grep -q '"field":"theta"' "$TBAD" || fail "400 body does not name field theta: $
 # (capture before grep -q: under pipefail, grep -q's early exit would
 # SIGPIPE curl and fail the pipeline spuriously)
 PROM=$(curl -fsS "$BASE/metrics.prom")
-echo "$PROM" | grep -q '^bsmpd_theta_run_latency_seconds_bucket{le="+Inf"} ' || fail "theta latency histogram missing"
+echo "$PROM" | grep -q '^bsmpd_run_latency_seconds_bucket{scheme="multi-theta",le="+Inf"} ' || fail "theta latency histogram missing"
 
 # Fault-regime round trip: the multi-faulty scheme accepts the faults
 # config field, echoes it together with a fault report, keys a distinct
@@ -120,9 +121,9 @@ echo "$REC" | grep -q '"cache_hits":1' || fail "cached repeat not credited to th
 DONELIST=$(curl -fsS "$BASE/v1/runs?state=done")
 echo "$DONELIST" | grep -q "\"$RID\"" || fail "done listing missing $RID"
 PROMR=$(curl -fsS "$BASE/metrics.prom")
-echo "$PROMR" | grep -q '^bsmpd_runs_completed_total{state="done"} [1-9]' || fail "registry completed counter missing"
+echo "$PROMR" | grep -q '^bsmpd_runs_total{source="run",scheme="multi",state="done"} [1-9]' || fail "registry run counter missing"
 echo "$PROMR" | grep -q '^bsmpd_run_phase_seconds_bucket{phase=' || fail "per-phase histogram missing"
-echo "$PROMR" | grep -q '^bsmpd_run_latency_seconds_quantile{q="0.99"} ' || fail "latency quantile gauges missing"
+echo "$PROMR" | grep -q '^bsmpd_run_latency_seconds_quantile{scheme="multi",q="0.99"} ' || fail "latency quantile gauges missing"
 
 # SSE round trip: watch a slow run from the side. The stream must open
 # with a join snapshot, deliver at least one progress event while the
@@ -195,14 +196,16 @@ SSTATUS=$(curl -s -o "$SBAD" -w '%{http_code}' -X POST --data '{"schemes": ["mul
 grep -q '"kind":"param"' "$SBAD" || fail "sweep 400 not a structured param error: $(cat "$SBAD")"
 grep -q 'grid point' "$SBAD" || fail "sweep 400 does not name the offending grid point: $(cat "$SBAD")"
 MSWEEP=$(curl -fsS "$BASE/metrics")
-echo "$MSWEEP" | grep -q '"sweep_rows": 16' || fail "sweep_rows counter wrong after two sweeps"
+echo "$MSWEEP" | grep -q '"sweep_rows":16[,}]' || fail "sweep_rows counter wrong after two sweeps"
 PROMSW=$(curl -fsS "$BASE/metrics.prom")
 echo "$PROMSW" | grep -q '^bsmpd_sweep_row_latency_seconds_bucket{le="+Inf"} ' || fail "sweep row latency histogram missing"
 
 # Deadline cancellation: a second daemon with a tiny request budget. The
-# expired request must answer 504 AND actually stop its worker — the
-# cancelled-runs counter increments and the in-flight gauge drops back
-# to zero, instead of the simulation burning CPU to completion.
+# expired request must answer 504 AND actually stop its worker — its run
+# record lands cancelled and the in-flight gauge drops back to zero,
+# instead of the simulation burning CPU to completion. The worker
+# finishes the record itself, so both readings change only once the
+# worker has stopped.
 PORT2=$((PORT + 1))
 BASE2="http://127.0.0.1:$PORT2"
 "$BIN" -addr "127.0.0.1:$PORT2" -timeout 150ms &
@@ -221,7 +224,7 @@ CANCELLED=""
 M2=""
 for _ in $(seq 1 50); do
   M2=$(curl -fsS "$BASE2/metrics")
-  if echo "$M2" | grep -q '"runs_cancelled": [1-9]' && echo "$M2" | grep -q '"inflight_runs": 0'; then
+  if echo "$M2" | grep -q '"runs_cancelled":[1-9]' && echo "$M2" | grep -q '"inflight_runs":0[,}]'; then
     CANCELLED=yes
     break
   fi
