@@ -143,30 +143,69 @@ func (c MixCA) Step2(node, step int, cell hram.Word, prev []hram.Word) (hram.Wor
 	return s + cell*2654435761, cell ^ (s | 1)
 }
 
-// StepRow implements network.RowProgram: one loop steps the nodes
-// [r.Lo, r.Hi) of step r.T for any d, leaving outputs, memory and
-// addresses exactly as per-vertex Address and Step2 calls would. The
-// step's seed term T·0x9E3779B1·31 is computed once, and the address
-// (v+T) mod m starts at (Lo+T) mod m and advances by one per node with
-// no division. It takes every step, whatever the range. The range check
-// up front lets the compiler drop the per-node bounds checks, and
-// indexing by v over the whole arrays keeps the loop's registers as
-// they were for whole rows: a loop over subslices spilled more of them,
-// and the sweep-heavy set-up, which replays every grid point through
-// this loop, took ~8 % longer with it.
+// StepRow implements network.RowProgram: it steps the nodes [r.Lo, r.Hi)
+// of step r.T for any d, leaving outputs, memory and addresses exactly
+// as per-vertex Address and Step2 calls would, and takes every step,
+// whatever the range. The step's seed term T·0x9E3779B1·31 is computed
+// once, and the address (v+T) mod m starts at (Lo+T) mod m and advances
+// by one per node with no division. On a mesh stencil (r.Side > 0) it
+// walks the range one x-line at a time, so a range may start or end
+// mid-line: the middle run of an interior line, every node of which has
+// all 2d neighbors, goes through stencilRun at fixed offsets, and the
+// line's two ends, the boundary lines and guests with no stencil go
+// through fold over the Adj lists.
 func (c MixCA) StepRow(r *network.Row) bool {
-	n, m, lo, hi := len(r.Out), r.M, r.Lo, r.Hi
-	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
-	off, adj := r.Off[:n+1], r.Adj
+	n, m, lo, hi, side := len(r.Out), r.M, r.Lo, r.Hi, r.Side
 	if lo < 0 || hi > n {
 		panic(fmt.Sprintf("guest: row range [%d, %d) outside [0, %d)", lo, hi, n))
 	}
 	s0 := hram.Word(r.T) * 0x9E3779B1 * 31
 	a := (r.T + lo) % m
-	for v := lo; v < hi; v++ {
-		if uint(a) >= uint(m) {
-			panic(fmt.Sprintf("guest: node %d addressed cell %d of %d at step %d", v, a, m, r.T))
+	if uint(a) >= uint(m) {
+		panic(fmt.Sprintf("guest: node %d addressed cell %d of %d at step %d", lo, a, m, r.T))
+	}
+	if side < 3 { // no stencil, or no node with all 2d neighbors
+		fold(r, lo, hi, a, s0)
+		return true
+	}
+	// (y, z) are the coordinates of the line that starts at node x0,
+	// kept by counting: a line is interior when neither is on the
+	// boundary (d = 1 has one line, and d = 2 no z).
+	line := lo / side
+	y, z := line%side, line/side
+	for x0 := line * side; x0 < hi; x0 += side {
+		v0, v1 := max(lo, x0), min(hi, x0+side)
+		if (r.D < 2 || 0 < y && y < side-1) && (r.D < 3 || 0 < z && z < side-1) {
+			b0, b1 := max(v0, x0+1), min(v1, x0+side-1)
+			a = fold(r, v0, b0, a, s0)
+			a = stencilRun(r, b0, b1, a, s0)
+			v0 = b1
 		}
+		a = fold(r, v0, v1, a, s0)
+		if y++; y == side {
+			y, z = 0, z+1
+		}
+	}
+	return true
+}
+
+// fold steps the nodes [lo, hi) through their Adj lists: self ×3, then
+// each neighbor ×5, ×7, … in Adj order, folded into s0 with one
+// multiply by 31 per neighbor, as Step2 folds its operands. a is node
+// lo's address, in [0, m); fold returns node hi's. The range check up
+// front lets the compiler drop the per-node bounds checks, and indexing
+// by v over the whole arrays keeps the loop's registers as they were
+// for whole rows: a loop over subslices spilled more of them, and the
+// sweep-heavy set-up, which replays every grid point through this loop,
+// took ~8 % longer with it.
+func fold(r *network.Row, lo, hi, a int, s0 hram.Word) int {
+	n, m := len(r.Out), r.M
+	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
+	off, adj := r.Off[:n+1], r.Adj
+	if lo < 0 || hi > n {
+		panic(fmt.Sprintf("guest: row range [%d, %d) outside [0, %d)", lo, hi, n))
+	}
+	for v := lo; v < hi; v++ {
 		s, k := s0+prev[v]*3, hram.Word(5)
 		for _, u := range adj[off[v]:off[v+1]] {
 			s = s*31 + prev[u]*k
@@ -179,7 +218,72 @@ func (c MixCA) StepRow(r *network.Row) bool {
 			a = 0
 		}
 	}
-	return true
+	return a
+}
+
+// stencilRun steps the nodes [lo, hi) of one interior line's middle
+// run, every one of which has all 2d neighbors, at the fixed offsets
+// ±1, ±Side, ±Side² (Row.Side). Over 2d neighbors fold's chain is
+// s0·31^(2d) + self·3·31^(2d) + Σ_i neighbor_i·(5+2i)·31^(2d−1−i), an
+// identity of polynomials that holds in any commutative ring, uint64
+// arithmetic mod 2⁶⁴ included: so the independent products below, with
+// their multipliers folded at compile time, equal the chain bit for bit
+// and need no serial multiply per neighbor. a is node lo's address, in
+// [0, m); stencilRun returns node hi's.
+func stencilRun(r *network.Row, lo, hi, a int, s0 hram.Word) int {
+	n, m, side := len(r.Out), r.M, r.Side
+	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
+	if lo < 0 || hi > n {
+		panic(fmt.Sprintf("guest: row range [%d, %d) outside [0, %d)", lo, hi, n))
+	}
+	const ( // powers of fold's multiplier
+		p1 = 31
+		p2 = p1 * 31
+		p3 = p2 * 31
+		p4 = p3 * 31
+		p5 = p4 * 31
+		p6 = p5 * 31
+	)
+	switch r.D {
+	case 1:
+		s0 *= p2
+		for v := lo; v < hi; v++ {
+			s := s0 + prev[v]*(3*p2) + prev[v-1]*(5*p1) + prev[v+1]*7
+			i := v*m + a
+			cell := mem[i]
+			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+			if a++; a == m {
+				a = 0
+			}
+		}
+	case 2:
+		s0 *= p4
+		for v := lo; v < hi; v++ {
+			s := s0 + prev[v]*(3*p4) + prev[v-1]*(5*p3) + prev[v+1]*(7*p2) +
+				prev[v-side]*(9*p1) + prev[v+side]*11
+			i := v*m + a
+			cell := mem[i]
+			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+			if a++; a == m {
+				a = 0
+			}
+		}
+	case 3:
+		s0 *= p6
+		sq := side * side
+		for v := lo; v < hi; v++ {
+			s := s0 + prev[v]*(3*p6) + prev[v-1]*(5*p5) + prev[v+1]*(7*p4) +
+				prev[v-side]*(9*p3) + prev[v+side]*(11*p2) +
+				prev[v-sq]*(13*p1) + prev[v+sq]*15
+			i := v*m + a
+			cell := mem[i]
+			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+			if a++; a == m {
+				a = 0
+			}
+		}
+	}
+	return a
 }
 
 // AsNetwork adapts a guest to the network.Program interface. The adapter

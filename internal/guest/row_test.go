@@ -2,7 +2,9 @@ package guest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bsmp/internal/network"
@@ -26,54 +28,100 @@ func mixcaOn(d, side int, seed uint64) (AsNetwork, topology.Topology) {
 	return prog, topology.NewMesh(d, n, n)
 }
 
-// splitRow hands the row kernel each step as two ranges, [Lo, k) and
-// then [k, Hi), clipped to the step's range.
-type splitRow struct {
-	AsNetwork
-	k int
+// offsets is MixCA with Row.Side cleared before its kernel runs: every
+// node goes through the Adj fold, the path of a guest with no stencil.
+type offsets struct{ AsNetwork }
+
+func (o offsets) StepRow(r *network.Row) bool {
+	adjOnly := *r
+	adjOnly.Side = 0
+	return o.AsNetwork.StepRow(&adjOnly)
 }
 
-func (s splitRow) StepRow(r *network.Row) bool {
+// rowProgram is a network program with a row path.
+type rowProgram interface {
+	network.Program
+	network.RowProgram
+}
+
+// splitRow hands the row kernel each step as two ranges, [Lo, k) and
+// then [k, Hi), clipped to the step's range, and keeps the Row.Side it
+// was last handed.
+type splitRow struct {
+	rowProgram
+	k, side int
+}
+
+func (s *splitRow) StepRow(r *network.Row) bool {
+	s.side = r.Side
 	k := min(max(s.k, r.Lo), r.Hi)
 	lower, upper := *r, *r
 	lower.Hi, upper.Lo = k, k
-	return s.AsNetwork.StepRow(&lower) && s.AsNetwork.StepRow(&upper)
+	return s.rowProgram.StepRow(&lower) && s.rowProgram.StepRow(&upper)
+}
+
+// sameState reports the first output, addressed cell or memory word in
+// which guest g differs from ref, or nil when they agree.
+func sameState(g, ref *network.Guest) error {
+	for v, w := range ref.Outputs() {
+		if got := g.Outputs()[v]; got != w {
+			return fmt.Errorf("node %d output %d, per-vertex %d", v, got, w)
+		}
+		if got, want := g.Addr(v), ref.Addr(v); got != want {
+			return fmt.Errorf("node %d addressed %d, per-vertex %d", v, got, want)
+		}
+	}
+	for i, w := range ref.Memory() {
+		if got := g.Memory()[i]; got != w {
+			return fmt.Errorf("memory word %d = %d, per-vertex %d", i, got, w)
+		}
+	}
+	return nil
+}
+
+// checkSteps steps g and its per-vertex twin ref side by side and fails
+// at the first step after which they differ.
+func checkSteps(t testing.TB, name string, g, ref *network.Guest, steps int) {
+	t.Helper()
+	for s := 1; s <= steps; s++ {
+		g.Step()
+		ref.Step()
+		if err := sameState(g, ref); err != nil {
+			t.Fatalf("%s: step %d: %v", name, s, err)
+		}
+	}
 }
 
 // checkRowKernel steps MixCA through its row kernel, split at node k,
 // and through the per-vertex path side by side, and fails at the first
 // step after which an output, an addressed cell or any memory word
-// differs.
-func checkRowKernel(t testing.TB, d, side, m, steps int, seed uint64, k int) {
+// differs. With adj set the kernel runs as its offsets twin. The mesh
+// guest must hand the kernel its side, so that the stencil path runs.
+func checkRowKernel(t testing.TB, d, side, m, steps int, seed uint64, k int, adj bool) {
 	t.Helper()
 	prog, topo := mixcaOn(d, side, seed)
-	row := network.NewGuest(topo, m, splitRow{prog, k})
+	var kernel rowProgram = prog
+	if adj {
+		kernel = offsets{prog}
+	}
+	split := &splitRow{rowProgram: kernel, k: k}
+	row := network.NewGuest(topo, m, split)
 	ref := network.NewGuest(topo, m, perVertex{prog})
-	name := fmt.Sprintf("d=%d side=%d m=%d seed=%d split=%d", d, side, m, seed, k)
-	for s := 1; s <= steps; s++ {
-		row.Step()
-		ref.Step()
-		for v, w := range ref.Outputs() {
-			if got := row.Outputs()[v]; got != w {
-				t.Fatalf("%s: step %d node %d output %d, per-vertex %d", name, s, v, got, w)
-			}
-			if got, want := row.Addr(v), ref.Addr(v); got != want {
-				t.Fatalf("%s: step %d node %d addressed %d, per-vertex %d", name, s, v, got, want)
-			}
-		}
-		for i, w := range ref.Memory() {
-			if got := row.Memory()[i]; got != w {
-				t.Fatalf("%s: step %d memory word %d = %d, per-vertex %d", name, s, i, got, w)
-			}
-		}
+	name := fmt.Sprintf("d=%d side=%d m=%d seed=%d split=%d offsets=%v", d, side, m, seed, k, adj)
+	checkSteps(t, name, row, ref, steps)
+	if split.side != side {
+		t.Fatalf("%s: kernel handed Side %d, want the mesh side %d", name, split.side, side)
 	}
 }
 
 // TestRowKernelMatchesPerVertex pins the row kernel's contract: MixCA's
 // StepRow, over [0, k) and then [k, n), leaves outputs, addresses and
 // memory exactly as the per-vertex Address/Step2 path does, after every
-// step. Sides 1, 2 and 3 put every node on the boundary; the larger side
-// adds an interior. The split points k = 0 and k = n are whole rows.
+// step, on the mesh stencil and as its offsets twin. Sides 1, 2 and 3
+// put every node on the boundary; the larger side adds an interior. The
+// split points k = 0 and k = n are whole rows (splitRow clips k to the
+// row); the others start and end ranges at a line's first, last and
+// middle node.
 func TestRowKernelMatchesPerVertex(t *testing.T) {
 	const steps = 32
 	large := []int{0, 257, 17, 9}
@@ -85,8 +133,10 @@ func TestRowKernelMatchesPerVertex(t *testing.T) {
 			}
 			for _, m := range []int{1, 2, 3, 4, 7} {
 				for _, seed := range []uint64{0, 7} {
-					for _, k := range []int{0, n / 3, n} {
-						checkRowKernel(t, d, side, m, steps, seed, k)
+					for _, k := range []int{0, side - 1, side, side + 1, n / 3, n / 2, n - side, n} {
+						for _, adj := range []bool{false, true} {
+							checkRowKernel(t, d, side, m, steps, seed, k, adj)
+						}
 					}
 				}
 			}
@@ -100,6 +150,7 @@ func FuzzRowKernel(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint64(0), uint16(0))
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(31), uint64(7), uint16(5))
 	f.Add(uint8(2), uint8(8), uint8(6), uint8(40), uint64(1801), uint16(400))
+	f.Add(uint8(2), uint8(8), uint8(3), uint8(24), uint64(11), uint16(364)) // d = 3, side 9: node 364 is x = 4 of its line
 	f.Fuzz(func(t *testing.T, d, side, m, steps uint8, seed uint64, split uint16) {
 		dd := 1 + int(d)%3
 		maxSide := []int{0, 257, 17, 9}[dd]
@@ -108,8 +159,97 @@ func FuzzRowKernel(f *testing.F) {
 		for i := 1; i < dd; i++ {
 			n *= sd
 		}
-		checkRowKernel(t, dd, sd, 1+int(m)%7, 1+int(steps)%48, seed, int(split)%(n+1))
+		checkRowKernel(t, dd, sd, 1+int(m)%7, 1+int(steps)%48, seed, int(split)%(n+1), false)
 	})
+}
+
+// TestRowKernelFaultMask builds MixCA's guest on fault-masked meshes with
+// dead nodes: their neighbor lists are not the mesh stencil, so the
+// kernel must be handed no side, and its Adj fold must still match the
+// per-vertex path after every step.
+func TestRowKernelFaultMask(t *testing.T) {
+	const steps, m = 24, 3
+	for _, c := range []struct{ d, side int }{{1, 257}, {2, 17}, {3, 9}} {
+		for _, seed := range []uint64{1, 7} {
+			d, side := c.d, c.side
+			prog, mesh := mixcaOn(d, side, seed)
+			topo, err := topology.NewFaultMask(mesh, 0.2, seed, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("d=%d side=%d seed=%d", d, side, seed)
+			if topo.DeadProcs() == 0 {
+				t.Fatalf("%s: the mask killed no node", name)
+			}
+			split := &splitRow{rowProgram: prog, k: topo.Nodes() / 2, side: -1}
+			row := network.NewGuest(topo, m, split)
+			checkSteps(t, name, row, network.NewGuest(topo, m, perVertex{prog}), steps)
+			if split.side != 0 {
+				t.Fatalf("%s: kernel handed Side %d on a masked mesh, want 0", name, split.side)
+			}
+		}
+	}
+}
+
+// handoff makes every split step of MixCA's kernel run on two
+// goroutines at once: the lower half waits until the helper has begun
+// the upper half of the same step, so the helper takes every split step
+// on any number of Ps, and the race detector sees a write either half
+// makes outside its range.
+type handoff struct {
+	AsNetwork
+	upper *atomic.Int64 // the last step whose upper half began
+}
+
+func (h handoff) StepRow(r *network.Row) bool {
+	if r.Lo > 0 {
+		h.upper.Store(int64(r.T))
+	} else if r.Hi < len(r.Out) {
+		for h.upper.Load() != int64(r.T) {
+			runtime.Gosched()
+		}
+	}
+	return h.AsNetwork.StepRow(r)
+}
+
+// TestRowKernelHelped steps MixCA's kernel split across two goroutines,
+// the stepping one and a helper lent by oneHelper, at d = 1, 2 and 3
+// with n at least SplitMin and both halves ending mid-line, and compares
+// it with the per-vertex path after every step.
+func TestRowKernelHelped(t *testing.T) {
+	const steps, m = 24, 3
+	for _, c := range []struct{ d, side int }{{1, 1031}, {2, 33}, {3, 11}} {
+		d, side := c.d, c.side
+		prog, topo := mixcaOn(d, side, 3)
+		if topo.Nodes() < network.SplitMin {
+			t.Fatalf("d=%d: %d nodes, below SplitMin", d, topo.Nodes())
+		}
+		g := network.NewGuest(topo, m, handoff{prog, new(atomic.Int64)})
+		ref := network.NewGuest(topo, m, perVertex{prog})
+		h := new(oneHelper)
+		g.SetHelpers(h)
+		check := func(int) error {
+			for ref.Steps() < g.Steps() {
+				ref.Step()
+			}
+			if err := sameState(g, ref); err != nil {
+				return fmt.Errorf("step %d: %v", g.Steps(), err)
+			}
+			runtime.Gosched() // on one P, lets a lent helper attach
+			return nil
+		}
+		err := g.Run(steps, check)
+		h.wg.Wait()
+		if err == nil {
+			err = check(0)
+		}
+		if err != nil {
+			t.Fatalf("d=%d side=%d: %v", d, side, err)
+		}
+		if g.Helped() == 0 {
+			t.Fatalf("d=%d side=%d: no step was split across goroutines", d, side)
+		}
+	}
 }
 
 // oneHelper lends a guest one helper goroutine per lend, which stays
@@ -128,8 +268,9 @@ func (h *oneHelper) Lend(g *network.Guest) bool {
 // BenchmarkGuestStep times one guest step of MixCA (m = 4) at the three
 // shapes a sweep-heavy op replays, through the row kernel, through the
 // row kernel with each step split with a helper goroutine (the split
-// path a sweep's idle worker runs), and through the per-vertex path, and
-// reports the wall per vertex.
+// path a sweep's idle worker runs), through the kernel's Adj fold alone
+// (its offsets twin, the path of a guest with no stencil), and through
+// the per-vertex path, and reports the wall per vertex.
 func BenchmarkGuestStep(b *testing.B) {
 	for _, c := range []struct{ d, side int }{{1, 4096}, {2, 32}, {3, 16}} {
 		prog, topo := mixcaOn(c.d, c.side, 5)
@@ -137,7 +278,7 @@ func BenchmarkGuestStep(b *testing.B) {
 		for _, path := range []struct {
 			name string
 			prog network.Program
-		}{{"row", prog}, {"split", prog}, {"vertex", perVertex{prog}}} {
+		}{{"row", prog}, {"split", prog}, {"offsets", offsets{prog}}, {"vertex", perVertex{prog}}} {
 			b.Run(fmt.Sprintf("d=%d/%s", c.d, path.name), func(b *testing.B) {
 				g := network.NewGuest(topo, 4, path.prog)
 				h := new(oneHelper)

@@ -15,10 +15,17 @@ import (
 
 // SplitMin is the smallest guest, in nodes, whose steps a helper splits.
 // Below it a half row is too short to pay for the per-step handshake and
-// for the worker the helper holds: BenchmarkGuestStep's split path
-// (internal/guest), at d = 1, MixCA, m = 4 on a 2-vCPU host, medians of
-// 5, measured a helped step at 1.52× a lone one at n = 1024, 1.28× at
-// 768, 1.05× at 512 and 0.78× at 256.
+// for the worker the helper holds. BenchmarkGuestStep's split and row
+// paths (internal/guest), run at other sizes with MixCA's stencil kernel,
+// m = 4, on a 2-vCPU host at GOMAXPROCS=2, medians of 9, measured a
+// helped step at 1.51× a lone one at d = 1, n = 2048, 1.26× at n = 1024
+// (by the minima 1.06× and 0.90×: n = 1024 is a tie) and 0.42× at
+// n = 512; at d = 2, n = 1024 it was 0.98×, and at d = 3, n = 2197,
+// 1.70× (median of 5). Against the one-loop kernel before the stencil
+// runs, a helped d = 1 step was 1.52× a lone one at n = 1024, 1.28× at
+// 768, 1.05× at 512 and 0.78× at 256. A sweep-heavy op replays about
+// 1 M of its 8.9 M vertices at n = 1024, too few for its end-to-end
+// pairs to tell this bound from 2048, so it stays.
 const SplitMin = 1024
 
 // Helpers lends a running guest helper goroutines (SetHelpers).

@@ -159,12 +159,23 @@ type StepHook func(vertices int) error
 // operand order (-x, +x, -y, +y, -z, +z, clipped), are
 // Adj[Off[v]:Off[v+1]], and len(Off) is len(Out)+1. A whole step is the
 // range [0, len(Out)).
+//
+// D and Side give the lists' shape. Side > 0 means they are exactly the
+// clipped D-mesh stencil of that side over len(Out) = Side^D nodes:
+// node v, at x = v mod Side on the x-line of nodes [v−x, v−x+Side), has
+// v−1 if x > 0, then v+1 if x < Side−1, then v∓Side when its y is not
+// 0 (resp. Side−1), then v∓Side² likewise for its z. A kernel may then
+// read a node whose coordinates are all inside (0, Side−1) at the fixed
+// offsets ±1, ±Side, ±Side², in that order, instead of through Adj.
+// Side is 0 for any other lists, such as a fault-masked mesh with dead
+// nodes; Adj is then the only source of neighbors.
 type Row struct {
 	T, M           int
 	Lo, Hi         int
 	Prev, Out, Mem []hram.Word
 	Addr           []int
 	Off, Adj       []int32
+	D, Side        int
 }
 
 // RowProgram is implemented by a Program that can step a range of a
@@ -173,7 +184,8 @@ type Row struct {
 // their Out, Addr and memory words exactly as Guest's per-vertex loop
 // over the Program's own Address and Step would: node v addresses cell
 // Address(v, T, M), and its Step operands are Prev[v] followed by Prev[u]
-// for each u in Adj order. It writes nothing else, so calls over
+// for each u in Adj order (the stencil order, when Side > 0). It writes
+// nothing else, so calls over
 // disjoint ranges of one step may run at once. An out-of-range address
 // panics, as it does in Step. StepRow returns false, having written
 // nothing, to leave the step to the per-vertex loop; whether it accepts
@@ -195,6 +207,7 @@ type Guest struct {
 	row       RowProgram // prog's row path, nil when it has none
 	m         int
 	off, adj  []int32
+	d, side   int // Row.D and Row.Side: side is 0 off the mesh stencil
 	out, prev []hram.Word
 	mem       []hram.Word
 	addr      []int
@@ -216,7 +229,8 @@ type Guest struct {
 // initial load (prog.Init, the values of the dag vertices (v, 0)) is
 // free: inputs are assumed in place, as in the paper's model. Node v's
 // neighbors land at adj[off[v]:off[v+1]], enumerated once through one
-// reused buffer into an array sized to the 2d·n bound.
+// reused buffer into an array sized to the 2d·n bound; when they are
+// the clipped mesh stencil of topo.Side(), row kernels are told so.
 func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 	n := topo.Nodes()
 	bound := 2 * topo.Dim() * n
@@ -245,10 +259,56 @@ func NewGuest(topo topology.Topology, m int, prog Program) *Guest {
 		deg = max(deg, len(buf))
 	}
 	g.ops = make([]hram.Word, 1+deg)
+	if g.d, g.side = topo.Dim(), topo.Side(); !meshStencil(g.d, g.side, g.off, g.adj) {
+		g.side = 0
+	}
 	for v := range g.out {
 		g.out[v] = prog.Init(v, g.mem[v*m:(v+1)*m:(v+1)*m])
 	}
 	return g
+}
+
+// meshStencil reports whether node v's neighbors adj[off[v]:off[v+1]]
+// are, for every v, the clipped d-mesh stencil of the given side in
+// operand order (Row.Side): one walk over the nodes with their
+// coordinates kept by counting, O(n·d).
+func meshStencil(d, side int, off, adj []int32) bool {
+	n := len(off) - 1
+	if d < 1 || d > 3 || side < 1 {
+		return false
+	}
+	stride := [3]int{1, side, side * side}
+	if stride[d-1]*side != n {
+		return false
+	}
+	var c [3]int // v's coordinates
+	for v := 0; v < n; v++ {
+		nb, k := adj[off[v]:off[v+1]], 0
+		for i, s := range stride[:d] {
+			if c[i] > 0 {
+				if k == len(nb) || int(nb[k]) != v-s {
+					return false
+				}
+				k++
+			}
+			if c[i] < side-1 {
+				if k == len(nb) || int(nb[k]) != v+s {
+					return false
+				}
+				k++
+			}
+		}
+		if k != len(nb) {
+			return false
+		}
+		for i := range c[:d] {
+			if c[i]++; c[i] < side {
+				break
+			}
+			c[i] = 0
+		}
+	}
+	return true
 }
 
 // Step executes one synchronous step: every node v reads its addressed
@@ -278,7 +338,7 @@ func (g *Guest) stepRow(t int) bool {
 	if g.row == nil {
 		return false
 	}
-	g.args = Row{T: t, M: g.m, Lo: 0, Hi: len(g.out), Prev: g.prev, Out: g.out, Mem: g.mem, Addr: g.addr, Off: g.off, Adj: g.adj}
+	g.args = Row{T: t, M: g.m, Lo: 0, Hi: len(g.out), Prev: g.prev, Out: g.out, Mem: g.mem, Addr: g.addr, Off: g.off, Adj: g.adj, D: g.d, Side: g.side}
 	if g.help.state.Load() == helpAttached {
 		return g.stepSplit()
 	}

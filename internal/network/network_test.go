@@ -134,6 +134,50 @@ func TestGeometry2D(t *testing.T) {
 	}
 }
 
+// TestGuestMeshStencil: NewGuest hands row kernels the mesh's side
+// exactly when the neighbor lists are its clipped stencil: on every
+// mesh and on a fault mask that kills no node, but not on a mask with
+// dead nodes, and meshStencil refuses lists with one entry changed or
+// a wrong side.
+func TestGuestMeshStencil(t *testing.T) {
+	for d := 1; d <= 3; d++ {
+		for _, side := range []int{1, 2, 3, 5} {
+			n := side
+			for i := 1; i < d; i++ {
+				n *= side
+			}
+			mesh := topology.NewMesh(d, n, n)
+			g := NewGuest(mesh, 1, caProg{})
+			if g.d != d || g.side != side {
+				t.Fatalf("d=%d side=%d: guest shape (%d, %d)", d, side, g.d, g.side)
+			}
+			if meshStencil(d, side+1, g.off, g.adj) {
+				t.Fatalf("d=%d side=%d: lists taken for side %d", d, side, side+1)
+			}
+			for i := range g.adj {
+				adj := append([]int32(nil), g.adj...)
+				adj[i] = (adj[i] + 1) % int32(n)
+				if meshStencil(d, side, g.off, adj) {
+					t.Fatalf("d=%d side=%d: stencil with entry %d changed", d, side, i)
+				}
+			}
+			for _, density := range []float64{0, 0.5} {
+				masked, err := topology.NewFaultMask(mesh, density, 3, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := side
+				if masked.DeadProcs() > 0 {
+					want = 0
+				}
+				if g := NewGuest(masked, 1, caProg{}); g.side != want {
+					t.Fatalf("d=%d side=%d density %v (%d dead): side %d, want %d", d, side, density, masked.DeadProcs(), g.side, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSendChargesDistance(t *testing.T) {
 	ma := New(1, 12, 4, 1)
 	ma.Send(0, 2, 1)
