@@ -353,12 +353,7 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 			// Replay the whole subtree as one clock/ledger delta and
 			// rebind products to their recorded child-frame addresses.
 			a.meter.ApplyDelta(rec.dt, &rec.ledger)
-			for i, s := range kidSpans {
-				a.mem.set(memKey(s.Pos, s.Tb+1), rec.imgAddrs[i])
-			}
-			for i, v := range live {
-				a.bcast.set(v, rec.outAddrs[i])
-			}
+			rec.rebind(kidSpans, live, a.mem.set, a.bcast.set)
 			a.replayed++
 			if err := a.ec.step(kid.Size()); err != nil {
 				return err
@@ -370,29 +365,9 @@ func (a *analyticExec) exec(d lattice.Diamond, geo dag.Surface, space, depth int
 				return err // no publication on error: no poisoned records
 			}
 			if keyOK {
-				nr := &subtreeRecord{
-					dt: a.meter.Now() - t0, ledger: a.meter.Ledger.Sub(&led0),
-					space:    skid,
-					imgAddrs: make([]int, len(kidSpans)), outAddrs: make([]int, len(live)),
-				}
-				okAll := true
-				for i, s := range kidSpans {
-					addr, ok := a.mem.get(memKey(s.Pos, s.Tb+1))
-					if !ok {
-						okAll = false
-						break
-					}
-					nr.imgAddrs[i] = addr
-				}
-				for i, v := range live {
-					addr, ok := a.bcast.get(v)
-					if !ok {
-						okAll = false
-						break
-					}
-					nr.outAddrs[i] = addr
-				}
-				if okAll {
+				if nr, ok := newSubtreeRecord(subtreeRecord{
+					dt: a.meter.Now() - t0, ledger: a.meter.Ledger.Sub(&led0), space: skid,
+				}, kidSpans, live, a.mem.get, a.bcast.get); ok {
 					memo.store(memoAnalytic, memoLevel(kid.Span()), key, nr)
 				}
 			}

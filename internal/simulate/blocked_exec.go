@@ -427,12 +427,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			if n := len(b.recs); n > 0 {
 				b.recs[n-1].Child(rec.trace)
 			}
-			for i, s := range kidSpans {
-				b.mem.Set(memKey(s.Pos, s.Tb+1), rec.imgAddrs[i])
-			}
-			for i, v := range live {
-				b.bcast.Set(v, rec.outAddrs[i])
-			}
+			rec.rebind(kidSpans, live, b.mem.Set, b.bcast.Set)
 			b.replayed++
 			// Progress advances by the whole replayed subtree; the
 			// cancellation poll still fires here.
@@ -455,28 +450,18 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 				return err
 			}
 			if kr != nil {
-				nr := &subtreeRecord{trace: kr.Trace(), space: skid,
-					imgAddrs: make([]int, len(kidSpans)), outAddrs: make([]int, len(live))}
-				for i, s := range kidSpans {
-					a, ok := b.mem.Get(memKey(s.Pos, s.Tb+1))
-					if !ok {
-						return fmt.Errorf("simulate: produced image %v missing after %v", memKey(s.Pos, s.Tb+1), kid)
-					}
-					nr.imgAddrs[i] = a
+				// A declined record is not published; a missing product
+				// fails the staging below.
+				tr := kr.Trace()
+				if nr, ok := newSubtreeRecord(subtreeRecord{trace: tr, space: skid},
+					kidSpans, live, b.mem.Get, b.bcast.Get); ok {
+					memo.store(memoSubtree, memoLevel(kid.Span()), key, nr)
 				}
-				for i, v := range live {
-					a, ok := b.bcast.Get(v)
-					if !ok {
-						return fmt.Errorf("simulate: live-out %v missing after %v", v, kid)
-					}
-					nr.outAddrs[i] = a
-				}
-				memo.store(memoSubtree, memoLevel(kid.Span()), key, nr)
 				// The outer recorder (if any) saw none of the child's
 				// charges while the inner recorder held the tap; link the
 				// finished trace in its place.
 				if n := len(b.recs); n > 0 {
-					b.recs[n-1].Child(nr.trace)
+					b.recs[n-1].Child(tr)
 				}
 			}
 		}

@@ -2,10 +2,12 @@ package simulate
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 
 	"bsmp/internal/cost"
+	"bsmp/internal/lattice"
 )
 
 // This file is the unified memo store behind both caches the engines
@@ -275,13 +277,54 @@ type subtreeRecord struct {
 	ledger cost.Ledger
 	// space is the subtree's workspace requirement (spaceNeeded).
 	space int
-	// imgAddrs are the produced images' addresses Mem(v, tb+1) in column
-	// order; outAddrs the live-out broadcast addresses in the order of
-	// dag.Surface.Live. Both are child-frame absolute (the child
+	// addrs holds the produced images' addresses Mem(v, tb+1) in column
+	// order, then the live-out broadcast addresses in the order of
+	// dag.Surface.Live. They are child-frame absolute (the child
 	// workspace is always [0, space)), so they are valid verbatim at
 	// every congruent site.
-	imgAddrs []int
-	outAddrs []int
+	addrs []int32
+}
+
+// newSubtreeRecord completes r, a finished child's cost record, with the
+// addresses of the child's products: its images looked up in mem in
+// cols' order, then its live-outs looked up in bcast in live's order,
+// in one exactly sized list. It declines (ok = false) when a product has
+// no address or an address does not fit an int32, so an oversized
+// workspace costs a memo miss, never a truncated address.
+func newSubtreeRecord(r subtreeRecord, cols []lattice.Column, live []lattice.Point,
+	mem, bcast func(lattice.Point) (int, bool)) (*subtreeRecord, bool) {
+	r.addrs = make([]int32, 0, len(cols)+len(live))
+	add := func(a int, ok bool) bool {
+		if !ok || a < 0 || a > math.MaxInt32 {
+			return false
+		}
+		r.addrs = append(r.addrs, int32(a))
+		return true
+	}
+	for _, s := range cols {
+		if !add(mem(memKey(s.Pos, s.Tb+1))) {
+			return nil, false
+		}
+	}
+	for _, v := range live {
+		if !add(bcast(v)) {
+			return nil, false
+		}
+	}
+	return &r, true
+}
+
+// rebind binds a replayed child's products to the record's addresses at
+// a congruent site: cols and live are the site's geometry, which
+// congruence makes the recorded one's.
+func (r *subtreeRecord) rebind(cols []lattice.Column, live []lattice.Point,
+	mem, bcast func(lattice.Point, int)) {
+	for i, s := range cols {
+		mem(memKey(s.Pos, s.Tb+1), int(r.addrs[i]))
+	}
+	for i, v := range live {
+		bcast(v, int(r.addrs[len(cols)+i]))
+	}
 }
 
 // memoOffKey marks a context that opts out of subtree memoization.

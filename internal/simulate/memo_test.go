@@ -3,10 +3,13 @@ package simulate
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"bsmp/internal/guest"
 	"bsmp/internal/hram"
+	"bsmp/internal/lattice"
 	"bsmp/internal/network"
 )
 
@@ -162,5 +165,48 @@ func TestWithoutMemoDisables(t *testing.T) {
 	if before.Hits != after.Hits || before.Misses != after.Misses {
 		t.Errorf("memo-off run touched the store: hits %d->%d misses %d->%d",
 			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+}
+
+// TestNewSubtreeRecordAddrs pins the record's address list: the
+// images' addresses in column order, then the live-outs' in live order,
+// exactly sized, and rebind hands them back to the same keys. A product
+// without an address, or one at 2^31 or beyond, declines the record.
+func TestNewSubtreeRecordAddrs(t *testing.T) {
+	cols := []lattice.Column{{Pos: lattice.Point{X: 3}, Ta: 1, Tb: 4}, {Pos: lattice.Point{X: 1}, Ta: 0, Tb: 2}}
+	live := []lattice.Point{{X: 2, T: 5}, {X: 0, T: 1}, {X: 7, T: 3}}
+	mem := map[lattice.Point]int{memKey(cols[0].Pos, 5): 40, memKey(cols[1].Pos, 3): 10}
+	bcast := map[lattice.Point]int{live[0]: 7, live[1]: 1<<31 - 1, live[2]: 0}
+	lookup := func(tab map[lattice.Point]int) func(lattice.Point) (int, bool) {
+		return func(p lattice.Point) (int, bool) { a, ok := tab[p]; return a, ok }
+	}
+	rec, ok := newSubtreeRecord(subtreeRecord{space: 64}, cols, live, lookup(mem), lookup(bcast))
+	if !ok {
+		t.Fatal("record declined with every address in range")
+	}
+	want := []int32{40, 10, 7, 1<<31 - 1, 0}
+	if !slices.Equal(rec.addrs, want) || cap(rec.addrs) != len(want) || rec.space != 64 {
+		t.Fatalf("addrs %v (cap %d), space %d; want %v exactly sized, space 64", rec.addrs, cap(rec.addrs), rec.space, want)
+	}
+	gotMem, gotBcast := map[lattice.Point]int{}, map[lattice.Point]int{}
+	rec.rebind(cols, live,
+		func(p lattice.Point, a int) { gotMem[p] = a },
+		func(p lattice.Point, a int) { gotBcast[p] = a })
+	if !maps.Equal(gotMem, mem) || !maps.Equal(gotBcast, bcast) {
+		t.Fatalf("rebind set images %v and live-outs %v, want %v and %v", gotMem, gotBcast, mem, bcast)
+	}
+
+	bcast[live[1]] = 1 << 31
+	if _, ok := newSubtreeRecord(subtreeRecord{}, cols, live, lookup(mem), lookup(bcast)); ok {
+		t.Fatal("record published a live-out address of 2^31")
+	}
+	bcast[live[1]] = 1
+	mem[memKey(cols[1].Pos, 3)] = 1 << 40
+	if _, ok := newSubtreeRecord(subtreeRecord{}, cols, live, lookup(mem), lookup(bcast)); ok {
+		t.Fatal("record published an image address of 2^40")
+	}
+	delete(mem, memKey(cols[1].Pos, 3))
+	if _, ok := newSubtreeRecord(subtreeRecord{}, cols, live, lookup(mem), lookup(bcast)); ok {
+		t.Fatal("record published with an image missing")
 	}
 }
