@@ -1,9 +1,6 @@
 package cost
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // This file is the exact-replay substrate of the subtree memoization in
 // internal/simulate: a Trace records the precise charge sequence a meter
@@ -89,13 +86,8 @@ type Recorder struct {
 	t Trace
 }
 
-// Record appends one observed charge. It panics on a category outside
-// Categories(), which the tag could not hold (a meter's tap never sees
-// one: Ledger.Add panics first).
+// Record appends one observed charge.
 func (r *Recorder) Record(cat Category, dt Time) {
-	if cat < 0 || cat >= numCategories {
-		panic(fmt.Sprintf("cost: invalid category %d", int(cat)))
-	}
 	t := &r.t
 	if k := len(t.tags) - 1; k >= 0 {
 		tag := t.tags[k]

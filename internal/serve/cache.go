@@ -75,13 +75,12 @@ func (c *Cache) Len() int {
 }
 
 // flightGroup coalesces concurrent calls with the same key into one
-// execution: the first caller (the leader) starts it, every concurrent
-// duplicate waits for it to end and shares its result. A caller whose
-// context expires abandons the wait, the leader included, but the flight
-// stays open until the execution itself ends, so a later identical call
-// joins it instead of starting a second execution beside it. This is the
-// storm-absorber in front of the worker pool: a thousand identical
-// in-flight queries cost one simulation slot.
+// execution: the first caller (the leader) runs fn, every concurrent
+// duplicate blocks until the leader finishes and shares its result. A
+// waiter whose context expires abandons the wait (the leader still
+// completes and fills the cache). This is the storm-absorber in front of
+// the worker pool: a thousand identical in-flight queries cost one
+// simulation slot.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -94,50 +93,41 @@ type flightCall struct {
 	dups int
 }
 
-// Do executes start once per key among callers that overlap its
-// execution. start begins the execution and must call end exactly once,
-// with the execution's value and error, when it ends, which may be after
-// start has returned; the key stays taken until then. Do returns the
-// execution's value and error, or the caller's ctx.Err() if ctx ends
-// first, and whether the caller joined another caller's execution. A
-// leader's cancellation belongs to the leader's caller: a joined caller
-// whose own ctx is live calls again when the execution ends in
-// context.Canceled, leading a new execution or joining a newer one (the
-// key is gone before done closes). A deadline the execution ran into
-// stays shared.
-func (g *flightGroup) Do(ctx context.Context, key string, start func(end func(any, error))) (any, error, bool) {
+// Do executes fn once per key among concurrent callers. It returns fn's
+// value and error, and whether the result was shared from another
+// caller's execution. A leader's cancellation belongs to the leader's
+// caller: a waiter whose own ctx is live calls again when the leader's
+// call ends in context.Canceled, leading a new execution or joining a
+// newer one (the key is gone before done closes). A leader's deadline
+// stays shared, since a waiter has no more of its own budget left than
+// the leader had.
+func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (any, error, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
 	}
-	c, shared := g.calls[key]
-	if shared {
+	if c, ok := g.calls[key]; ok {
 		c.dups++
-	} else {
-		c = &flightCall{done: make(chan struct{})}
-		g.calls[key] = c
-	}
-	g.mu.Unlock()
-	if !shared {
-		start(func(val any, err error) {
-			c.val, c.err = val, err
-			g.mu.Lock()
-			delete(g.calls, key)
-			g.mu.Unlock()
-			close(c.done)
-		})
-	}
-	select {
-	case <-c.done:
-	case <-ctx.Done():
+		g.mu.Unlock()
 		select {
-		case <-c.done: // ended as ctx did: the result is there
-		default:
-			return nil, ctx.Err(), shared
+		case <-c.done:
+			if errors.Is(c.err, context.Canceled) && ctx.Err() == nil {
+				return g.Do(ctx, key, fn)
+			}
+			return c.val, c.err, true
+		case <-ctx.Done():
+			return nil, ctx.Err(), true
 		}
 	}
-	if shared && errors.Is(c.err, context.Canceled) && ctx.Err() == nil {
-		return g.Do(ctx, key, start)
-	}
-	return c.val, c.err, shared
+	c := &flightCall{done: make(chan struct{})}
+	g.calls[key] = c
+	g.mu.Unlock()
+
+	c.val, c.err = fn()
+
+	g.mu.Lock()
+	delete(g.calls, key)
+	g.mu.Unlock()
+	close(c.done)
+	return c.val, c.err, false
 }

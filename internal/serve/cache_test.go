@@ -76,11 +76,11 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, err, shared := g.Do(context.Background(), "k", func(end func(any, error)) {
+		v, err, shared := g.Do(context.Background(), "k", func() (any, error) {
 			calls.Add(1)
 			close(started)
 			<-release
-			end(42, nil)
+			return 42, nil
 		})
 		if err != nil || v.(int) != 42 || shared {
 			t.Errorf("leader got %v, %v, shared=%v", v, err, shared)
@@ -91,9 +91,9 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := g.Do(context.Background(), "k", func(end func(any, error)) {
+			v, err, shared := g.Do(context.Background(), "k", func() (any, error) {
 				calls.Add(1)
-				end(-1, nil)
+				return -1, nil
 			})
 			if err != nil || v.(int) != 42 {
 				t.Errorf("waiter %d got %v, %v", i, v, err)
@@ -121,15 +121,15 @@ func TestFlightGroupWaiterDeadline(t *testing.T) {
 	var g flightGroup
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do(context.Background(), "k", func(end func(any, error)) {
+	go g.Do(context.Background(), "k", func() (any, error) {
 		close(started)
 		<-release
-		end(1, nil)
+		return 1, nil
 	})
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err, shared := g.Do(ctx, "k", func(end func(any, error)) { end(-1, nil) })
+	_, err, shared := g.Do(ctx, "k", func() (any, error) { return -1, nil })
 	close(release)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -156,10 +156,10 @@ func TestFlightGroupLiveWaiterOutlivesCancelledLeader(t *testing.T) {
 		started := make(chan struct{})
 		leaderErr := make(chan error, 1)
 		go func() {
-			_, err, _ := g.Do(context.Background(), "k", func(end func(any, error)) {
+			_, err, _ := g.Do(context.Background(), "k", func() (any, error) {
 				close(started)
 				<-release
-				end(nil, tc.leaderErr)
+				return nil, tc.leaderErr
 			})
 			leaderErr <- err
 		}()
@@ -171,7 +171,7 @@ func TestFlightGroupLiveWaiterOutlivesCancelledLeader(t *testing.T) {
 		}
 		waiter := make(chan result, 1)
 		go func() {
-			v, err, shared := g.Do(context.Background(), "k", func(end func(any, error)) { end(2, nil) })
+			v, err, shared := g.Do(context.Background(), "k", func() (any, error) { return 2, nil })
 			waiter <- result{v, err, shared}
 		}()
 		for joined := false; !joined; time.Sleep(time.Millisecond) {
@@ -195,9 +195,9 @@ func TestFlightGroupSequentialCallsRunSeparately(t *testing.T) {
 	var g flightGroup
 	var calls int
 	for i := 0; i < 3; i++ {
-		_, _, shared := g.Do(context.Background(), "k", func(end func(any, error)) {
+		_, _, shared := g.Do(context.Background(), "k", func() (any, error) {
 			calls++
-			end(nil, nil)
+			return nil, nil
 		})
 		if shared {
 			t.Fatalf("sequential call %d marked shared", i)

@@ -251,8 +251,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// every in-flight simulation through the same context chain.
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
-	v, err, shared := s.flight.Do(ctx, key, func(end func(any, error)) {
-		s.runRecorded(ctx, req, key, "run", s.pool.Do, end)
+	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
+		return s.runRecorded(ctx, req, key, "run", s.pool.Do)
 	})
 	if shared {
 		s.ctr.add(ctrCoalesced)
@@ -282,23 +282,21 @@ func (s *Server) cached(key string) (*RunResponse, bool) {
 }
 
 // runRecorded executes req as one run-registry record, its job handed
-// to submit (the pool's Do, or the sweep's retrying submit), and reports
-// the run's result to end (the flight's end) when the run ends.
-// Coalesced followers share the leader's record, since the caller runs
-// it inside the flight closure. The job marks the record running, runs
-// the scheme, caches an untraced result under key, and finishes the
-// record and ends the flight when it returns — past the requester's
-// deadline, or with a panic recovered into a PanicError — so the record,
-// the run counts, the in-flight gauges and the flight see a run for
-// exactly as long as a worker executes it. The requester finishes only
-// a record whose job never started: shed, or given up while queued.
-// Whichever side claims the record first owns it; a job claimed late
-// returns without running.
+// to submit (the pool's Do, or the sweep's retrying submit). Coalesced
+// followers share the leader's record, since the caller runs it inside
+// the flight closure. The job marks the record running, runs the scheme,
+// caches an untraced result under key, and finishes the record when it
+// returns — past the requester's deadline, or with a panic recovered
+// into a PanicError — so the record, the run counts and the in-flight
+// gauges see a run for exactly as long as a worker executes it. The
+// requester finishes only a record whose job never started: shed, or
+// given up while queued. Whichever side claims the record first owns
+// it; a job claimed late returns without running.
 func (s *Server) runRecorded(ctx context.Context, req RunRequest, key, source string,
-	submit func(context.Context, func(context.Context) (any, error)) (any, error), end func(any, error)) {
+	submit func(context.Context, func(context.Context) (any, error)) (any, error)) (any, error) {
 	rec := s.beginRun(req, source)
 	var claimed atomic.Bool
-	_, err := submit(ctx, func(jctx context.Context) (v any, err error) {
+	v, err := submit(ctx, func(jctx context.Context) (v any, err error) {
 		if !claimed.CompareAndSwap(false, true) {
 			return nil, jctx.Err()
 		}
@@ -309,7 +307,6 @@ func (s *Server) runRecorded(ctx context.Context, req RunRequest, key, source st
 				err = &PanicError{Value: p}
 			}
 			s.finishRun(rec, resp, err)
-			end(v, err)
 		}()
 		if resp, err = s.runScheme(rec.attach(jctx), req); err != nil {
 			return nil, err
@@ -322,8 +319,8 @@ func (s *Server) runRecorded(ctx context.Context, req RunRequest, key, source st
 	})
 	if err != nil && claimed.CompareAndSwap(false, true) {
 		s.finishRun(rec, nil, err)
-		end(nil, err)
 	}
+	return v, err
 }
 
 // classifyRunError maps an execution failure onto the HTTP surface — the

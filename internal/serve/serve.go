@@ -56,8 +56,9 @@ type Config struct {
 	// disables caching).
 	CacheEntries int
 	// RequestTimeout is the per-request deadline for /v1/run (default
-	// 30s). Requests that exceed it get 504; their simulation finishes
-	// in the background and still fills the cache.
+	// 30s). Requests that exceed it get 504; their simulation runs under
+	// the request's context and stops at its next cancellation
+	// checkpoint.
 	RequestTimeout time.Duration
 	// MaxN, MaxM, MaxSteps cap request parameters so a single query
 	// cannot exhaust memory; violations get a structured 400 (defaults

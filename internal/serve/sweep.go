@@ -699,8 +699,8 @@ func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) swe
 	start := time.Now()
 	rreq := u.req.canonical()
 	rreq.Trace = trace
-	v, err, shared := s.flight.Do(ctx, u.key, func(end func(any, error)) {
-		s.runRecorded(ctx, rreq, u.key, "sweep", s.poolDoRetry, end)
+	v, err, shared := s.flight.Do(ctx, u.key, func() (any, error) {
+		return s.runRecorded(ctx, rreq, u.key, "sweep", s.poolDoRetry)
 	})
 	wait := time.Since(start)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"regexp"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,50 +108,6 @@ func TestRunRecordOutlivesDeadline(t *testing.T) {
 	}
 	if p := promRunsByState(t, s.Handler()); p[obs.RunDone] != 1 || p[obs.RunCancelled] != 0 {
 		t.Fatalf("bsmpd_runs_total by state = %v, want done 1 and no cancelled", p)
-	}
-}
-
-// A run's flight lasts as long as its job, not as long as its leader's
-// request: an identical request sent after the 504, while the job still
-// runs, joins that job instead of starting a second execution of the
-// tuple, and once the job lands, the next identical request is a cache
-// hit.
-func TestRunFlightOutlivesDeadline(t *testing.T) {
-	s := New(Config{RequestTimeout: 50 * time.Millisecond, Workers: 2})
-	release := make(chan struct{})
-	var started atomic.Int64
-	s.runScheme = func(_ context.Context, req RunRequest) (*RunResponse, error) {
-		started.Add(1)
-		<-release
-		return &RunResponse{Scheme: req.Scheme, Time: 7}, nil
-	}
-	for i := 0; i < 2; i++ {
-		if w := postRun(t, s.Handler(), validRun); w.Code != http.StatusGatewayTimeout {
-			t.Fatalf("request %d: status = %d, want 504; body: %s", i, w.Code, w.Body)
-		}
-	}
-	if n := started.Load(); n != 1 {
-		t.Fatalf("two sequential identical requests started %d executions, want 1", n)
-	}
-	if m := metricsNumbers(t, s.Handler()); m["coalesced"] != 1 {
-		t.Fatalf("coalesced = %v, want 1 (the second request joined the running job)", m["coalesced"])
-	}
-
-	close(release)
-	waitFor(t, "the job to end its flight", func() bool {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		return len(s.flight.calls) == 0
-	})
-	w := postRun(t, s.Handler(), validRun)
-	if w.Code != http.StatusOK {
-		t.Fatalf("third request status = %d; body: %s", w.Code, w.Body)
-	}
-	if resp := decodeRun(t, w); !resp.Cached || resp.Time != 7 {
-		t.Fatalf("third request = cached %t, time %v; want the cached result with time 7", resp.Cached, resp.Time)
-	}
-	if n := started.Load(); n != 1 {
-		t.Fatalf("executions after the cache hit = %d, want 1", n)
 	}
 }
 
