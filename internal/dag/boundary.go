@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"bsmp/internal/lattice"
 )
@@ -43,6 +44,28 @@ type Surface struct {
 	// simulation must keep when it finishes the domain (the
 	// generalization of Proposition 2's "Ui ∩ Γin(Ui+1 ∪ ... ∪ Uq)").
 	Live []lattice.Point
+}
+
+// EachDead calls fn for every point of pts that is not in s.Live. pts
+// must ascend in the order of lattice.Point.Less, (T, X, Y, Z), which is
+// s.Live's order too, so the two lists merge: after a binary search for
+// pts[0], each step passes one point of either list.
+func (s *Surface) EachDead(pts []lattice.Point, fn func(lattice.Point)) {
+	if len(pts) == 0 {
+		return
+	}
+	live := s.Live
+	i := sort.Search(len(live), func(j int) bool { return !live[j].Less(pts[0]) })
+	for _, p := range pts {
+		for i < len(live) && live[i].Less(p) {
+			i++
+		}
+		if i < len(live) && live[i] == p {
+			i++
+			continue
+		}
+		fn(p)
+	}
 }
 
 // ColumnOrder selects the order of Surface.Cols.

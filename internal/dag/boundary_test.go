@@ -9,33 +9,29 @@ import (
 	"bsmp/internal/lattice"
 )
 
-// volume holds the dedup set of the O(volume) oracle, drained after
-// every call so Reset is free.
-type volume struct{ seen *lattice.PointSet }
+// volume holds the dedup set of the O(volume) oracle, cleared after
+// every call so its buckets are reused.
+type volume struct{ seen map[lattice.Point]bool }
 
 // preboundary is the oracle of Surface.Pre: walk every vertex of the
 // domain in (T, X, Y, Z) order and keep each predecessor outside it the
 // first time it is met.
 func (v *volume) preboundary(g Graph, dom lattice.Domain) []lattice.Point {
-	ix := lattice.NewIndexer(g.Bounds())
 	if v.seen == nil {
-		v.seen = lattice.NewPointSet(ix)
-	} else {
-		v.seen.Reset(ix)
+		v.seen = make(map[lattice.Point]bool)
 	}
+	defer clear(v.seen)
 	var out, buf []lattice.Point
 	dom.Points(func(p lattice.Point) bool {
 		buf = g.Preds(p, buf[:0])
 		for _, q := range buf {
-			if !dom.Contains(q) && v.seen.Add(q) {
+			if !dom.Contains(q) && !v.seen[q] {
+				v.seen[q] = true
 				out = append(out, q)
 			}
 		}
 		return true
 	})
-	for _, q := range out {
-		v.seen.Remove(q)
-	}
 	return out
 }
 
@@ -309,6 +305,46 @@ func BenchmarkBoundary(b *testing.B) {
 				}
 			}
 			report(b, start)
+		})
+	}
+}
+
+// EachDead is the executors' cleanup rule: over a domain's points, and
+// over each child's live-out set, it names exactly the points that are
+// not the domain's live-outs, in order, at d = 1, 2, 3.
+func TestEachDead(t *testing.T) {
+	var b Boundary
+	for d := 1; d <= 3; d++ {
+		g := graphOf(d, 8, 7)
+		walkTree(rootOf(g, g.Bounds()), func(dom lattice.Domain) {
+			var s, ks Surface
+			b.Compute(g, dom, ByPosition, &s)
+			live := map[lattice.Point]bool{}
+			for _, v := range s.Live {
+				live[v] = true
+			}
+			check := func(pts []lattice.Point) {
+				var want, got []lattice.Point
+				for _, p := range pts {
+					if !live[p] {
+						want = append(want, p)
+					}
+				}
+				s.EachDead(pts, func(p lattice.Point) { got = append(got, p) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("d=%d %v: EachDead named %v, want %v", d, dom, got, want)
+				}
+			}
+			var pts []lattice.Point
+			dom.Points(func(p lattice.Point) bool {
+				pts = append(pts, p)
+				return true
+			})
+			check(pts)
+			for _, kid := range dom.Children() {
+				b.Compute(g, kid, ByPosition, &ks)
+				check(ks.Live)
+			}
 		})
 	}
 }

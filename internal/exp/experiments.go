@@ -742,9 +742,9 @@ func Coop(ctx context.Context, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// Brent validates the analytic fast path where no exact twin can reach:
-// for each size the blocked-analytic scheme's virtual time is checked
-// against the work/span laws (with p = 1: T >= T_1, T >= T_inf, and the
+// Brent validates the blocked recursion's analytic mode at sizes the
+// exact machine cannot reach: for each size the blocked-analytic
+// scheme's virtual time is checked against the work/span laws (with p = 1: T >= T_1, T >= T_inf, and the
 // greedy bound T <= (T_1 - T_inf)/p + T_inf collapse to the exact
 // identity T = T_1 alongside T >= T_inf) plus the model invariants the
 // replay must conserve exactly — one Compute unit per lattice vertex and

@@ -64,9 +64,11 @@ func Uniform() AccessFunc {
 }
 
 // Machine is an f(x)-H-RAM with a fixed-size memory. All activity is
-// charged into the attached meter.
+// charged into the attached meter. A charge-only machine (NewCharges)
+// has the same address space and charges but holds no words.
 type Machine struct {
-	mem       []Word
+	mem       []Word // nil on a charge-only machine
+	size      int
 	f         AccessFunc
 	meter     *cost.Meter
 	pipelined bool
@@ -87,13 +89,23 @@ func WithPipelinedBlocks() Option {
 // New returns an H-RAM with size words of zeroed memory, access function f,
 // charging into meter. It panics if size < 1 or any argument is nil.
 func New(size int, f AccessFunc, meter *cost.Meter, opts ...Option) *Machine {
+	m := NewCharges(size, f, meter, opts...)
+	m.mem = make([]Word, size)
+	return m
+}
+
+// NewCharges returns a charge-only H-RAM: it charges exactly what New's
+// machine charges and checks the same bounds, but holds no memory, so
+// reads return 0 and writes are dropped. It prices a computation whose
+// charges do not depend on its values without storing them.
+func NewCharges(size int, f AccessFunc, meter *cost.Meter, opts ...Option) *Machine {
 	if size < 1 {
 		panic(fmt.Sprintf("hram: size %d < 1", size))
 	}
 	if f == nil || meter == nil {
 		panic("hram: nil access function or meter")
 	}
-	m := &Machine{mem: make([]Word, size), f: f, meter: meter}
+	m := &Machine{size: size, f: f, meter: meter}
 	for _, o := range opts {
 		o(m)
 	}
@@ -101,7 +113,7 @@ func New(size int, f AccessFunc, meter *cost.Meter, opts ...Option) *Machine {
 }
 
 // Size reports the memory size in words.
-func (m *Machine) Size() int { return len(m.mem) }
+func (m *Machine) Size() int { return m.size }
 
 // Meter returns the attached meter.
 func (m *Machine) Meter() *cost.Meter { return m.meter }
@@ -111,8 +123,8 @@ func (m *Machine) Pipelined() bool { return m.pipelined }
 
 // check panics on an out-of-bounds address.
 func (m *Machine) check(addr int) {
-	if addr < 0 || addr >= len(m.mem) {
-		panic(fmt.Sprintf("hram: address %d out of bounds [0,%d)", addr, len(m.mem)))
+	if addr < 0 || addr >= m.size {
+		panic(fmt.Sprintf("hram: address %d out of bounds [0,%d)", addr, m.size))
 	}
 }
 
@@ -120,6 +132,9 @@ func (m *Machine) check(addr int) {
 func (m *Machine) Read(addr int) Word {
 	m.check(addr)
 	m.meter.Charge(cost.Access, m.f(addr))
+	if m.mem == nil {
+		return 0
+	}
 	return m.mem[addr]
 }
 
@@ -127,13 +142,18 @@ func (m *Machine) Read(addr int) Word {
 func (m *Machine) Write(addr int, w Word) {
 	m.check(addr)
 	m.meter.Charge(cost.Access, m.f(addr))
-	m.mem[addr] = w
+	if m.mem != nil {
+		m.mem[addr] = w
+	}
 }
 
 // Peek returns the word at addr without charging — for assertions and
 // verification only, never inside a measured simulation path.
 func (m *Machine) Peek(addr int) Word {
 	m.check(addr)
+	if m.mem == nil {
+		return 0
+	}
 	return m.mem[addr]
 }
 
@@ -142,7 +162,9 @@ func (m *Machine) Peek(addr int) Word {
 // away, as in the paper's preprocessing arguments).
 func (m *Machine) Poke(addr int, w Word) {
 	m.check(addr)
-	m.mem[addr] = w
+	if m.mem != nil {
+		m.mem[addr] = w
+	}
 }
 
 // Op charges one unit of Compute time — one RAM instruction's worth of
@@ -184,7 +206,9 @@ func (m *Machine) BlockCopy(dst, src, k int) {
 		}
 		m.meter.Charge(cost.Transfer, total)
 	}
-	copy(m.mem[dst:dst+k], m.mem[src:src+k])
+	if m.mem != nil {
+		copy(m.mem[dst:dst+k], m.mem[src:src+k])
+	}
 }
 
 // MoveWord moves one word from src to dst charging f(src) + f(dst) under
@@ -193,5 +217,7 @@ func (m *Machine) MoveWord(dst, src int) {
 	m.check(src)
 	m.check(dst)
 	m.meter.Charge(cost.Transfer, m.f(src)+m.f(dst))
-	m.mem[dst] = m.mem[src]
+	if m.mem != nil {
+		m.mem[dst] = m.mem[src]
+	}
 }

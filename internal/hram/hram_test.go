@@ -268,3 +268,64 @@ func TestPropertyBlockCopyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A charge-only machine makes exactly a memory machine's charges: fed
+// the same op sequence, per-word and pipelined, their meters match bit
+// for bit, it reads back zeros, and it panics on the same out-of-bounds
+// addresses.
+func TestNewChargesMatchesNew(t *testing.T) {
+	const size = 64
+	ops := func(m *Machine) {
+		m.Poke(40, 9)
+		m.Write(3, 7)
+		m.Read(3)
+		m.Op()
+		m.BlockCopy(10, 40, 8)
+		m.BlockCopy(5, 9, 4) // backward overlap
+		m.MoveWord(63, 0)
+		m.Read(63)
+		m.BlockCopy(0, 1, 0)
+		m.Write(0, 1)
+	}
+	for _, opts := range [][]Option{nil, {WithPipelinedBlocks()}} {
+		var full, charges cost.Meter
+		mem := New(size, Standard(2, 3), &full, opts...)
+		ch := NewCharges(size, Standard(2, 3), &charges, opts...)
+		if ch.Size() != mem.Size() || ch.Pipelined() != mem.Pipelined() {
+			t.Fatalf("NewCharges: size %d pipelined %v, New: %d %v", ch.Size(), ch.Pipelined(), mem.Size(), mem.Pipelined())
+		}
+		ops(mem)
+		ops(ch)
+		if full.Now() != charges.Now() {
+			t.Fatalf("pipelined=%v: clock %v, memory machine %v", mem.Pipelined(), charges.Now(), full.Now())
+		}
+		for _, c := range cost.Categories() {
+			if full.Total(c) != charges.Total(c) || full.Count(c) != charges.Count(c) {
+				t.Fatalf("pipelined=%v: %v = %v/%d, memory machine %v/%d", mem.Pipelined(), c,
+					charges.Total(c), charges.Count(c), full.Total(c), full.Count(c))
+			}
+		}
+		if got := ch.Read(3) + ch.Peek(40) + ch.Peek(10); got != 0 {
+			t.Fatalf("charge-only machine read back %d, want 0", got)
+		}
+		for _, bad := range []func(m *Machine){
+			func(m *Machine) { m.Read(size) },
+			func(m *Machine) { m.Write(-1, 0) },
+			func(m *Machine) { m.Poke(size, 0) },
+			func(m *Machine) { m.Peek(-1) },
+			func(m *Machine) { m.BlockCopy(size-2, 0, 4) },
+			func(m *Machine) { m.BlockCopy(5, 4, 4) },
+			func(m *Machine) { m.MoveWord(0, size) },
+		} {
+			if a, b := panics(func() { bad(mem) }), panics(func() { bad(ch) }); !a || !b {
+				t.Fatalf("out-of-bounds op: memory machine panics %v, charge-only %v", a, b)
+			}
+		}
+	}
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}

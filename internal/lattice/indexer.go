@@ -122,33 +122,45 @@ func (c Clip) Intersect(o Clip) Clip {
 	}
 }
 
-// AddrTable is a dense Point -> address table over an Indexer's box: the
-// flat-array replacement for the executors' map[Point]int location
-// tables. Absent entries are the sentinel -1; addresses must fit int32
-// (machine sizes here are far below 2³¹ words). The zero value is unusable;
+// denseSlots is the largest box an AddrTable backs with a dense slot
+// array: 2²⁴ points, 64 MiB of int32 slots. A larger box gets a map keyed
+// by the same index, so its cost follows the entries held, not the
+// box's volume.
+const denseSlots = 1 << 24
+
+// AddrTable is a Point -> address table over an Indexer's box: the
+// executors' location tables. Up to denseSlots points it is a flat int32
+// array indexed by Indexer.Index, absent entries the sentinel -1; above
+// that, a map keyed by the same index. Addresses must fit int32 (machine
+// sizes here are far below 2³¹ words). The zero value is unusable;
 // allocate with NewAddrTable and reuse via Reset.
 type AddrTable struct {
-	ix    Indexer
-	slots []int32
+	ix     Indexer
+	slots  []int32
+	sparse map[int]int32 // non-nil exactly when the box exceeds denseSlots
 }
 
 // NewAddrTable returns an empty table covering ix's box.
 func NewAddrTable(ix Indexer) *AddrTable {
-	t := &AddrTable{ix: ix}
-	t.slots = make([]int32, ix.Len())
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
+	t := &AddrTable{}
+	t.Reset(ix)
 	return t
 }
 
 // Indexer reports the table's index mapping.
 func (t *AddrTable) Indexer() Indexer { return t.ix }
 
-// Reset clears the table, reusing the backing array when the new box fits.
+// Reset clears the table and re-targets it to ix's box, reusing the
+// backing array when the new box is dense and fits.
 func (t *AddrTable) Reset(ix Indexer) {
 	t.ix = ix
-	if n := ix.Len(); n <= cap(t.slots) {
+	n := ix.Len()
+	if n > denseSlots {
+		t.slots, t.sparse = nil, make(map[int]int32)
+		return
+	}
+	t.sparse = nil
+	if n <= cap(t.slots) {
 		t.slots = t.slots[:n]
 	} else {
 		t.slots = make([]int32, n)
@@ -158,9 +170,15 @@ func (t *AddrTable) Reset(ix Indexer) {
 	}
 }
 
-// Get returns the address stored for p, if any.
+// Get returns the address stored for p, if any. The map lookup is a
+// runtime call, so the dense path stays inlinable.
 func (t *AddrTable) Get(p Point) (int, bool) {
-	a := t.slots[t.ix.Index(p)]
+	i := t.ix.Index(p)
+	if t.sparse != nil {
+		a, ok := t.sparse[i]
+		return int(a), ok
+	}
+	a := t.slots[i]
 	return int(a), a >= 0
 }
 
@@ -169,76 +187,20 @@ func (t *AddrTable) Set(p Point, addr int) {
 	if addr < 0 || int64(addr) > 1<<31-1 {
 		panic(fmt.Sprintf("lattice: address %d out of int32 range", addr))
 	}
-	t.slots[t.ix.Index(p)] = int32(addr)
+	i := t.ix.Index(p)
+	if t.sparse != nil {
+		t.sparse[i] = int32(addr)
+		return
+	}
+	t.slots[i] = int32(addr)
 }
 
 // Delete removes p's entry.
-func (t *AddrTable) Delete(p Point) { t.slots[t.ix.Index(p)] = -1 }
-
-// PointSet is a dense bitset of lattice points over an Indexer's box —
-// the flat replacement for map[Point]bool membership sets. Adds are
-// tracked so the set can be drained in O(elements added) rather than
-// O(box volume), which is what makes one scratch set reusable across
-// every recursion level of an execution.
-type PointSet struct {
-	ix    Indexer
-	words []uint64
-	n     int
-}
-
-// NewPointSet returns an empty set over ix's box.
-func NewPointSet(ix Indexer) *PointSet {
-	return &PointSet{ix: ix, words: make([]uint64, (ix.Len()+63)/64)}
-}
-
-// Reset empties the set and re-targets it to ix's box, reusing the
-// backing words when they fit. The zeroing is O(box volume) only when
-// elements remain; a set drained with Remove resets for free.
-func (s *PointSet) Reset(ix Indexer) {
-	need := (ix.Len() + 63) / 64
-	dirty := s.n != 0
-	if need <= cap(s.words) {
-		s.words = s.words[:need]
-	} else {
-		s.words = make([]uint64, need)
-		dirty = false
+func (t *AddrTable) Delete(p Point) {
+	i := t.ix.Index(p)
+	if t.sparse != nil {
+		delete(t.sparse, i)
+		return
 	}
-	if dirty {
-		for i := range s.words {
-			s.words[i] = 0
-		}
-	}
-	s.ix = ix
-	s.n = 0
-}
-
-// Len reports the number of points in the set.
-func (s *PointSet) Len() int { return s.n }
-
-// Add inserts p, reporting whether it was absent.
-func (s *PointSet) Add(p Point) bool {
-	i := s.ix.Index(p)
-	w, b := i>>6, uint64(1)<<(i&63)
-	if s.words[w]&b != 0 {
-		return false
-	}
-	s.words[w] |= b
-	s.n++
-	return true
-}
-
-// Has reports whether p is in the set.
-func (s *PointSet) Has(p Point) bool {
-	i := s.ix.Index(p)
-	return s.words[i>>6]&(uint64(1)<<(i&63)) != 0
-}
-
-// Remove deletes p if present.
-func (s *PointSet) Remove(p Point) {
-	i := s.ix.Index(p)
-	w, b := i>>6, uint64(1)<<(i&63)
-	if s.words[w]&b != 0 {
-		s.words[w] &^= b
-		s.n--
-	}
+	t.slots[i] = -1
 }

@@ -1,6 +1,9 @@
 package lattice
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // sampleDomains covers all three separator domain shapes, clipped and
 // unclipped, including recursion children (whose rotated-coordinate
@@ -120,43 +123,83 @@ func TestAddrTableSetPanicsOnNegative(t *testing.T) {
 	tab.Set(Point{}, -1)
 }
 
-func TestPointSet(t *testing.T) {
-	d := NewDiamond(0, 0, 8, UnboundedClip())
-	s := NewPointSet(IndexerFor(d))
+// A table over a box above denseSlots is a map keyed by the same index;
+// it must answer one Set/Get/Delete sequence exactly as a dense table
+// over a box below the bound, at the same points.
+func TestAddrTableSparseMatchesDense(t *testing.T) {
+	small := ClipAll1D(64, 64)
+	big := small
+	big.T1 = denseSlots/64 + 64 // same points, a box past the bound
+	dense, sparse := NewAddrTable(NewIndexer(small)), NewAddrTable(NewIndexer(big))
+	if dense.sparse != nil || sparse.sparse == nil {
+		t.Fatalf("representations: dense box sparse=%v, big box sparse=%v", dense.sparse != nil, sparse.sparse != nil)
+	}
 	var pts []Point
-	d.Points(func(p Point) bool {
+	NewDiamond(0, 0, 32, small).Points(func(p Point) bool {
 		pts = append(pts, p)
 		return true
 	})
+	check := func(stage string) {
+		t.Helper()
+		for _, p := range pts {
+			da, dok := dense.Get(p)
+			sa, sok := sparse.Get(p)
+			if dok != sok || (dok && da != sa) {
+				t.Fatalf("%s: Get(%v) = (%d, %v) dense, (%d, %v) sparse", stage, p, da, dok, sa, sok)
+			}
+		}
+	}
+	check("fresh")
 	for i, p := range pts {
-		if !s.Add(p) {
-			t.Fatalf("Add(%v) reported already present", p)
+		dense.Set(p, 3*i)
+		sparse.Set(p, 3*i)
+	}
+	check("set")
+	for i, p := range pts {
+		if i%3 == 0 {
+			dense.Delete(p)
+			sparse.Delete(p)
+		} else if i%3 == 1 {
+			dense.Set(p, i)
+			sparse.Set(p, i)
 		}
-		if s.Add(p) {
-			t.Fatalf("second Add(%v) reported newly added", p)
-		}
-		if s.Len() != i+1 {
-			t.Fatalf("Len() = %d after %d adds", s.Len(), i+1)
-		}
+	}
+	check("mixed")
+	if len(sparse.sparse) != len(pts)-(len(pts)+2)/3 {
+		t.Fatalf("sparse table holds %d entries, want %d", len(sparse.sparse), len(pts)-(len(pts)+2)/3)
 	}
 	for _, p := range pts {
-		if !s.Has(p) {
-			t.Fatalf("Has(%v) false after Add", p)
-		}
-		s.Remove(p)
-		if s.Has(p) {
-			t.Fatalf("Has(%v) true after Remove", p)
-		}
+		dense.Delete(p)
+		sparse.Delete(p)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len() = %d after draining", s.Len())
+	check("drained")
+	if len(sparse.sparse) != 0 {
+		t.Fatalf("drained sparse table holds %d entries", len(sparse.sparse))
 	}
-	// A drained set must Reset without stale bits even when re-targeted.
-	s.Add(pts[0])
-	s.Reset(s.ix) // dirty reset: zeroing path
-	for _, p := range pts {
-		if s.Has(p) {
-			t.Fatalf("stale bit at %v after dirty Reset", p)
-		}
+	// Reset moves a table between representations.
+	sparse.Reset(NewIndexer(small))
+	dense.Reset(NewIndexer(big))
+	if sparse.sparse != nil || dense.sparse == nil {
+		t.Fatal("Reset kept the representation of the old box")
+	}
+}
+
+// A sparse table's cost follows its entries, not its box: one over a
+// 2²⁵-point box allocates next to nothing up front.
+func TestAddrTableSparseAllocatesNothingUpFront(t *testing.T) {
+	box := ClipAll1D(1<<15, 1<<10)
+	if n := NewIndexer(box).Len(); n != 1<<25 {
+		t.Fatalf("box holds %d points, want 2^25", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := NewAddrTable(NewIndexer(box))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+		t.Fatalf("NewAddrTable over 2^25 points allocated %d bytes", grew)
+	}
+	tab.Set(Point{X: 1<<15 - 1, T: 1<<10 - 1}, 7)
+	if a, ok := tab.Get(Point{X: 1<<15 - 1, T: 1<<10 - 1}); !ok || a != 7 {
+		t.Fatalf("Get = (%d, %v), want (7, true)", a, ok)
 	}
 }

@@ -58,15 +58,15 @@ type Executor struct {
 	// value. It replaces the seed's map[lattice.Point]int and is allocated
 	// once per Execute, shared by every recursion level.
 	loc *lattice.AddrTable
-	// live is the scratch live-out membership set. One set suffices for
-	// the whole recursion: it is populated and fully drained between a
-	// child's return and the next child's descent, so no two recursion
-	// levels ever hold it at once (see exec).
-	live *lattice.PointSet
-	// ovStack arenas the per-depth preboundary-override buffers, so the
-	// recursion reuses one backing array per depth instead of allocating
-	// per partition node.
+	// ovStack arenas the per-depth preboundary-override buffers, and used
+	// the live-outs each depth's finished children handed it to consume
+	// (deleted when the depth's domain finishes), so the recursion
+	// reuses one backing array per depth instead of allocating per
+	// partition node.
 	ovStack [][]savedLoc
+	used    [][]lattice.Point
+	// leafPts is the running leaf's vertices, for its cleanup.
+	leafPts []lattice.Point
 
 	// bd and surf are the boundary enumeration's scratch and the
 	// planning recursion's result buffer; geo holds one Surface per
@@ -216,11 +216,9 @@ func (e *Executor) Execute(m *hram.Machine, root lattice.Domain) (Result, error)
 	ix := lattice.NewIndexer(e.G.Bounds())
 	if e.loc == nil {
 		e.loc = lattice.NewAddrTable(ix)
-		e.live = lattice.NewPointSet(ix)
 	} else {
-		// Executor reuse: retarget the arenas, keeping their storage.
+		// Executor reuse: retarget the arena, keeping its storage.
 		e.loc.Reset(ix)
-		e.live.Reset(ix)
 	}
 	e.maxAddrTouched = 0
 	e.levels = nil
@@ -230,7 +228,7 @@ func (e *Executor) Execute(m *hram.Machine, root lattice.Domain) (Result, error)
 	}
 	var top dag.Surface
 	e.bd.Compute(e.G, root, dag.ByPosition, &top)
-	if err := e.exec(root, space, len(top.Pre), 0); err != nil {
+	if err := e.exec(root, top, space, 0); err != nil {
 		return Result{}, err
 	}
 
@@ -285,24 +283,30 @@ func (e *Executor) touch(addr int) int {
 	return addr
 }
 
-// exec implements Proposition 2. Contract: on entry, every vertex of
-// Γin(dom) (gin of them) has a valid address in e.loc; on exit, every
-// vertex of dom's live-out set has a valid address in e.loc, and loc
-// entries for dead vertices of dom have been removed.
-func (e *Executor) exec(dom lattice.Domain, space, gin, depth int) error {
+// exec implements Proposition 2; geo is dom's geometry, enumerated by
+// the caller. Contract: on entry, every vertex of Γin(dom) has a valid
+// address in e.loc; on exit, every vertex of dom's live-out set has a
+// valid address in e.loc, and loc entries for dead vertices of dom have
+// been removed: a leaf deletes its vertices that are not live-outs, and
+// a domain, when it finishes, deletes its children's live-outs that it
+// consumed, so stale reads fail loudly.
+func (e *Executor) exec(dom lattice.Domain, geo dag.Surface, space, depth int) error {
 	kids := e.children(dom)
 	if kids == nil {
-		return e.execLeaf(dom)
+		return e.execLeaf(dom, &geo)
 	}
 	e.level(depth).Domains++
 
 	// Staging area below the incoming preboundary slot.
-	stagePtr := space - gin
+	stagePtr := space - len(geo.Pre)
 
 	for len(e.ovStack) <= depth {
 		e.ovStack = append(e.ovStack, nil)
 		e.geo = append(e.geo, dag.Surface{})
+		e.used = append(e.used, nil)
 	}
+	e.used[depth] = e.used[depth][:0]
+	consumed := func(p lattice.Point) { e.used[depth] = append(e.used[depth], p) }
 	for _, kid := range kids {
 		if e.Check != nil {
 			if err := e.Check(0); err != nil {
@@ -317,10 +321,10 @@ func (e *Executor) exec(dom lattice.Domain, space, gin, depth int) error {
 		// The child's geometry lives in this depth's Surface: deeper
 		// recursion uses its own, so ginKid and live stay valid across
 		// the exec(kid) call below.
-		geo := e.geo[depth]
-		e.bd.Compute(e.G, kid, dag.ByPosition, &geo)
-		e.geo[depth] = geo
-		ginKid, live := geo.Pre, geo.Live
+		kg := e.geo[depth]
+		e.bd.Compute(e.G, kid, dag.ByPosition, &kg)
+		e.geo[depth] = kg
+		ginKid, live := kg.Pre, kg.Live
 
 		// Step 1 (Prop 2): copy the child's preboundary into
 		// [skid - |Γin(kid)|, skid), overriding loc only within the
@@ -347,18 +351,14 @@ func (e *Executor) exec(dom lattice.Domain, space, gin, depth int) error {
 		st.TransferTime += float64(e.m.Meter().Total(cost.Transfer) - before)
 
 		// Step 2: execute the child in [0, skid).
-		if err := e.exec(kid, skid, len(ginKid), depth+1); err != nil {
+		if err := e.exec(kid, kg, skid, depth+1); err != nil {
 			return err
 		}
 
 		// Step 3: persist the child's live-outs into staging (below
 		// the parent's preboundary slot, above every child workspace).
-		// e.live is free here: the child's own exec drained it before
-		// returning, and it is drained again below before the next
-		// descent.
 		before = e.m.Meter().Total(cost.Transfer)
 		for _, v := range live {
-			e.live.Add(v)
 			src, ok := e.loc.Get(v)
 			if !ok {
 				return fmt.Errorf("separator: live-out value %v of %v unavailable", v, kid)
@@ -370,37 +370,34 @@ func (e *Executor) exec(dom lattice.Domain, space, gin, depth int) error {
 			e.m.MoveWord(e.touch(stagePtr), src)
 			e.loc.Set(v, stagePtr)
 		}
+		// The live-outs dom does not export are consumed inside it.
+		geo.EachDead(live, consumed)
 
 		st = e.level(depth)
 		st.WordsMoved += len(live)
 		st.TransferTime += float64(e.m.Meter().Total(cost.Transfer) - before)
 
-		// Restore the parent-level addresses of the child's preboundary
-		// and drop dead child vertices so stale reads fail loudly.
+		// Restore the parent-level addresses of the child's preboundary.
 		for _, s := range overrides {
 			e.loc.Set(s.p, s.addr)
 		}
-		kid.Points(func(p lattice.Point) bool {
-			if !e.live.Has(p) {
-				e.loc.Delete(p)
-			}
-			return true
-		})
-		for _, v := range live {
-			e.live.Remove(v)
-		}
 		e.ovStack[depth] = overrides
+	}
+	for _, p := range e.used[depth] {
+		e.loc.Delete(p)
 	}
 	return nil
 }
 
 // execLeaf executes every vertex of dom directly, in ascending (T, X, Y)
-// order, allocating result cells from address 0 upward.
-func (e *Executor) execLeaf(dom lattice.Domain) error {
+// order, allocating result cells from address 0 upward, then keeps only
+// its live-outs in loc.
+func (e *Executor) execLeaf(dom lattice.Domain, geo *dag.Surface) error {
 	next := 0
 	var buf []lattice.Point
 	ops := make([]dag.Value, 0, 5)
 	var fail error
+	e.leafPts = e.leafPts[:0]
 	dom.Points(func(p lattice.Point) bool {
 		buf = e.G.Preds(p, buf[:0])
 		ops = ops[:0]
@@ -423,10 +420,15 @@ func (e *Executor) execLeaf(dom lattice.Domain) error {
 		next++
 		e.m.Write(e.touch(addr), v)
 		e.loc.Set(p, addr)
+		e.leafPts = append(e.leafPts, p)
 		return true
 	})
 	if fail == nil && e.Check != nil {
 		fail = e.Check(dom.Size())
 	}
-	return fail
+	if fail != nil {
+		return fail
+	}
+	geo.EachDead(e.leafPts, e.loc.Delete)
+	return nil
 }

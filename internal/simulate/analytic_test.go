@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -18,24 +19,26 @@ var analyticGeometryCases = []struct{ n, steps, leafSpan int }{
 	{16, 8, 4}, {13, 5, 2}, {32, 3, 4}, {5, 12, 2},
 }
 
-// walkAnalytic visits every domain the analytic engine's recursion
-// visits on an n-node line over steps steps — the root and all its
-// descendants down to leaves — with the engine's geometry of each.
+// walkAnalytic visits every domain the blocked recursion visits on an
+// n-node line over steps steps — the root and all its descendants down
+// to leaves — with the geometry the engine computes for each, in both of
+// its modes.
 func walkAnalytic(n, steps, leafSpan int, visit func(lattice.Diamond, dag.Surface)) {
-	a := &analyticExec{n: n, steps: steps, leafSpan: leafSpan, g: dag.NewLineGraph(n, steps+1)}
-	var walk func(d lattice.Diamond)
-	walk = func(d lattice.Diamond) {
+	g, root := guestDag(1, n, steps+1)
+	b := newBlockedExec(context.Background(), g, nil, 1, 1, steps, leafSpan, newBlockedGeom(1, n))
+	var walk func(d lattice.Domain)
+	walk = func(d lattice.Domain) {
 		var s dag.Surface
-		a.surface(d, &s)
-		visit(d, s)
-		if a.isLeaf(d) {
+		b.bd.Compute(b.g, d, b.order, &s)
+		visit(d.(lattice.Diamond), s)
+		if b.isLeaf(d) {
 			return
 		}
 		for _, kd := range d.Children() {
-			walk(kd.(lattice.Diamond))
+			walk(kd)
 		}
 	}
-	walk(lattice.DiamondAround(n, steps+1))
+	walk(root)
 }
 
 // The engine's O(width) column geometry must agree with the O(volume)
@@ -116,49 +119,88 @@ func TestAnalyticBoundaryMatchesDag(t *testing.T) {
 	}
 }
 
-// The analytic engine charges the same work as the exact engine: Compute
-// is exactly one unit per lattice vertex, per-category charge counts are
-// identical, totals and the virtual time agree to float regrouping
-// (replay sums deltas, so bit-identity is not expected), and the space
-// bound is the same recursion invariant.
+// analyticCase is one shape of the analytic ≡ exact law.
+type analyticCase struct {
+	name                 string
+	d, n, m, steps, leaf int
+	memo                 bool
+	prog                 guest.AsNetwork
+}
+
+// analyticCases are the law's shapes: four small d = 1 anchors; d = 1
+// lines of 33–512 nodes (powers of two and not), m 1–16, the default
+// leaf span and spans 2 and 3, MixCA and Rule90; and d = 2 and 3 meshes,
+// which only the shared runner reaches (the registry serves the
+// analytic mode at d = 1). Every generated shape runs memo on and off.
+func analyticCases() []analyticCase {
+	mixca := guest.AsNetwork{G: guest.MixCA{Seed: 9}}
+	rule90 := guest.AsNetwork{G: guest.Rule90{Seed: 1}}
+	cases := []analyticCase{
+		{"mixca-memo", 1, 64, 4, 16, 0, true, mixca},
+		{"mixca-nomemo", 1, 64, 4, 16, 0, false, mixca},
+		{"mixca-m8", 1, 48, 8, 12, 0, true, mixca},
+		{"rule90", 1, 64, 4, 16, 0, true, rule90},
+	}
+	add := func(d, n, m, steps, leaf int, prog guest.AsNetwork) {
+		for _, memo := range []bool{true, false} {
+			name := fmt.Sprintf("d%d/n%d-m%d-steps%d-leaf%d-%T/memo=%v", d, n, m, steps, leaf, prog.G, memo)
+			cases = append(cases, analyticCase{name, d, n, m, steps, leaf, memo, prog})
+		}
+	}
+	progs := []guest.AsNetwork{mixca, rule90}
+	for i, n := range []int{33, 64, 100, 257, 512} {
+		for j, m := range []int{1, 4, 16} {
+			for k, leaf := range []int{0, 2, 3} {
+				add(1, n, m, min(n/4, 32), leaf, progs[(i+j+k)%2])
+			}
+		}
+	}
+	for i, m := range []int{1, 4} {
+		for _, side := range []int{4, 8} {
+			grid := progs[i]
+			grid.Side = side
+			add(2, side*side, m, 2*side, 0, grid)
+			add(2, side*side, m, side, 2, grid)
+		}
+		cube := progs[1-i]
+		cube.CubeSide = 4
+		add(3, 64, m, 8, 0, cube)
+		cube.CubeSide = 3
+		add(3, 27, m, 6, 2, cube)
+	}
+	return cases
+}
+
+// The analytic mode charges the same work as the exact engine: it is the
+// same recursion on a charge-only machine. With memoization off the two
+// are equal bit for bit — Time, Space, and every category's total and
+// count. With it on (from a cold store), congruent subtrees replay as
+// summed deltas, so the totals agree to float regrouping (1e-9
+// relative) and the counts exactly. Compute is exactly one unit per
+// lattice vertex either way.
 func TestAnalyticMatchesExact(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		n, m  int
-		steps int
-		memo  bool
-	}{
-		{"mixca-memo", 64, 4, 16, true},
-		{"mixca-nomemo", 64, 4, 16, false},
-		{"mixca-m8", 48, 8, 12, true},
-		{"rule90", 64, 4, 16, true},
-	} {
+	defer SetMemoCapacity(MemoCapacity())
+	for _, tc := range analyticCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			var prog = guest.AsNetwork{G: guest.MixCA{Seed: 9}}
-			if tc.name == "rule90" {
-				prog = guest.AsNetwork{G: guest.Rule90{Seed: 1}}
-			}
-			ctx := context.Background()
-			if !tc.memo {
-				ctx = WithoutMemo(ctx)
-			}
-			exact, err := BlockedContext(WithoutMemo(context.Background()), 1, tc.n, tc.m, tc.steps, 0, prog)
+			exact, err := BlockedContext(WithoutMemo(context.Background()), tc.d, tc.n, tc.m, tc.steps, tc.leaf, tc.prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BlockedAnalyticD1Context(ctx, tc.n, tc.m, tc.steps, 0, prog)
+			ctx := WithoutMemo(context.Background())
+			if tc.memo {
+				ctx = context.Background()
+				SetMemoCapacity(0)
+				SetMemoCapacity(DefaultMemoCapacity)
+			}
+			got, err := runBlocked(ctx, "blocked-analytic", tc.d, tc.n, tc.m, tc.steps, tc.leaf, tc.prog, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Outputs != nil || got.Memories != nil {
 				t.Error("analytic result carries guest outputs; want nil")
 			}
-			if got.Space != exact.Space {
-				t.Errorf("Space = %d, exact %d", got.Space, exact.Space)
-			}
-			rel := math.Abs(float64(got.Time-exact.Time)) / float64(exact.Time)
-			if rel > 1e-9 {
-				t.Errorf("Time = %v, exact %v (rel %g)", got.Time, exact.Time, rel)
+			if diff := chargesDiff(got, exact, !tc.memo); diff != "" {
+				t.Error(diff)
 			}
 			vol := int64(tc.n * (tc.steps + 1))
 			if c := got.Ledger.Count(cost.Compute); c != vol {
@@ -167,23 +209,29 @@ func TestAnalyticMatchesExact(t *testing.T) {
 			if tot := float64(got.Ledger.Total(cost.Compute)); tot != float64(vol) {
 				t.Errorf("Compute total = %v, want %d exactly", tot, vol)
 			}
-			for _, c := range cost.Categories() {
-				if got.Ledger.Count(c) != exact.Ledger.Count(c) {
-					t.Errorf("%v count = %d, exact %d", c, got.Ledger.Count(c), exact.Ledger.Count(c))
-				}
-				gt, et := float64(got.Ledger.Total(c)), float64(exact.Ledger.Total(c))
-				if et == 0 {
-					if gt != 0 {
-						t.Errorf("%v total = %v, exact 0", c, gt)
-					}
-					continue
-				}
-				if math.Abs(gt-et)/et > 1e-9 {
-					t.Errorf("%v total = %v, exact %v", c, gt, et)
-				}
-			}
 		})
 	}
+}
+
+// chargesDiff reports how got differs from want in Time, Space or any
+// category's total or count, "" when it does not. Counts and Space must
+// be equal; Time and totals bit for bit when exact, else within 1e-9
+// relative.
+func chargesDiff(got, want Result, exact bool) string {
+	near := func(a, b float64) bool { return a == b || !exact && math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	if !near(float64(got.Time), float64(want.Time)) {
+		return fmt.Sprintf("Time = %v, want %v", got.Time, want.Time)
+	}
+	if got.Space != want.Space {
+		return fmt.Sprintf("Space = %d, want %d", got.Space, want.Space)
+	}
+	for _, c := range cost.Categories() {
+		if !near(float64(got.Ledger.Total(c)), float64(want.Ledger.Total(c))) || got.Ledger.Count(c) != want.Ledger.Count(c) {
+			return fmt.Sprintf("%v = %v/%d, want %v/%d", c, got.Ledger.Total(c), got.Ledger.Count(c),
+				want.Ledger.Total(c), want.Ledger.Count(c))
+		}
+	}
+	return ""
 }
 
 // The analytic run must honor cancellation and progress like the exact

@@ -105,11 +105,11 @@ func BenchmarkMultiD1NoMemo(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyticD1 runs the analytic replay engine at the exact same
-// size as the BlockedD1Memo/NoMemo pair: same recursion, same model
-// charges (Time matches the exact engine to 1e-9 relative), but no
-// guest outputs — subtree hits replay as O(1) ledger deltas instead of
-// charge-trace playback.
+// BenchmarkAnalyticD1 runs the blocked recursion's analytic mode at the
+// exact same size as the BlockedD1Memo/NoMemo pair: same recursion, same
+// model charges (Time matches the exact engine to 1e-9 relative), but on
+// a charge-only machine with no guest outputs — subtree hits replay as
+// O(1) ledger deltas instead of charge-trace playback.
 func BenchmarkAnalyticD1(b *testing.B) {
 	prog := netProg(0)
 	for i := 0; i < b.N; i++ {
@@ -121,7 +121,8 @@ func BenchmarkAnalyticD1(b *testing.B) {
 
 // BenchmarkAnalyticD1Huge runs a size far beyond what the exact engines
 // can simulate (n=2^16, steps=2^8: ~16.8M lattice vertices) through the
-// analytic replay path.
+// analytic mode, whose address tables are past the dense bound (2^24
+// points) and so sparse.
 func BenchmarkAnalyticD1Huge(b *testing.B) {
 	defer SetMemoCapacity(MemoCapacity())
 	SetMemoCapacity(1 << 16)

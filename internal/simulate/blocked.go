@@ -61,7 +61,31 @@ import (
 // Progress. The checks are host-side only, so a never-cancelled run's
 // virtual times do not depend on ctx.
 func BlockedContext(ctx context.Context, d, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
-	if e := validateGuest("blocked", d, n, m, steps, 0); e != nil {
+	return runBlocked(ctx, "blocked", d, n, m, steps, leafSpan, prog, false, opts...)
+}
+
+// BlockedAnalyticD1Context computes the virtual time, ledger and space of
+// BlockedContext at d = 1 without guest values: the same recursion run on
+// a charge-only H-RAM (hram.NewCharges), which makes exactly the exact
+// machine's charges but stores no word, with congruent subtrees replayed
+// as one summed (clock, ledger) delta each. With memoization off it
+// equals BlockedContext bit for bit; with it on, up to float regrouping
+// (TestAnalyticMatchesExact). Above 2²⁴ lattice points the address tables
+// go sparse and hold O(surface) entries, so volumes of 10⁹ vertices
+// (n = 2²⁰, steps = 2¹⁰) finish in seconds.
+//
+// Result.Outputs and Result.Memories are nil: there is nothing to verify
+// guest-side, so callers validate against the work/span laws instead. It
+// has the same cancellation and progress contract as BlockedContext.
+func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program) (Result, error) {
+	return runBlocked(ctx, "blocked-analytic", 1, n, m, steps, leafWidth, prog, true)
+}
+
+// runBlocked is the one blocked run behind both entry points: it plans
+// the recursion, sizes the machine — a charge-only one when analytic —
+// executes the root, and collects the guest state on the exact machine.
+func runBlocked(ctx context.Context, scheme string, d, n, m, steps, leafSpan int, prog network.Program, analytic bool, opts ...hram.Option) (Result, error) {
+	if e := validateGuest(scheme, d, n, m, steps, 0); e != nil {
 		return Result{}, e
 	}
 	if leafSpan <= 0 {
@@ -81,29 +105,31 @@ func BlockedContext(ctx context.Context, d, n, m, steps, leafSpan int, prog netw
 	if err != nil {
 		return Result{}, err
 	}
+	// The planning buffer has grown to the run's largest surface, the
+	// root's, and execution only looks plans up: release it.
+	b.surf = dag.Surface{}
 	space := plan.space
 	var meter cost.Meter
-	b.mach = hram.New(space, hram.Standard(d, m), &meter, opts...)
+	newMachine := hram.New
+	if analytic {
+		newMachine = hram.NewCharges
+	}
+	b.mach, b.analytic = newMachine(space, hram.Standard(d, m), &meter, opts...), analytic
 	if memoEnabled(ctx) {
-		b.enableMemo(&meter)
+		b.enableMemo()
 	}
 	var geo dag.Surface
 	b.bd.Compute(g, root, b.order, &geo)
 	if err := b.exec(root, geo, space, 0); err != nil {
 		return Result{}, err
 	}
-	out, mems, err := b.collect()
-	if err != nil {
-		return Result{}, err
+	res := Result{Time: meter.Now(), Ledger: meter.Ledger, Steps: steps, Space: space}
+	if !analytic {
+		if res.Outputs, res.Memories, err = b.collect(); err != nil {
+			return Result{}, err
+		}
 	}
-	return Result{
-		Outputs:  out,
-		Memories: mems,
-		Time:     meter.Now(),
-		Ledger:   meter.Ledger,
-		Steps:    steps,
-		Space:    space,
-	}, nil
+	return res, nil
 }
 
 // MemUser is an optional interface for programs that touch only the first

@@ -12,14 +12,17 @@ import (
 	"bsmp/internal/topology"
 )
 
-// This file is the engine behind BlockedContext: one Proposition 2
-// recursion over the two-kind value flow (broadcast words and whole
-// column images), generic over the mesh dimension.
-// The seed carried three near-identical copies keyed by per-dimension structs
-// (bkey/b2key/b3key) hashed into maps on the innermost loops; here both value
-// kinds are addressed by dense lattice.AddrTable arrays indexed over the dag's
-// bounding box, and all scratch (live-sets, column indices, override stacks) is
-// arena-allocated once per run and reused across every recursion level.
+// This file is the engine behind BlockedContext and
+// BlockedAnalyticD1Context: one Proposition 2 recursion over the two-kind
+// value flow (broadcast words and whole column images), generic over the
+// mesh dimension and run on one of two machines. On hram.New's machine it
+// is the exact simulation, guest values included; on hram.NewCharges'
+// charge-only machine it is the analytic mode, which charges the same
+// sequence without storing a word. Both value kinds are addressed by
+// lattice.AddrTables indexed over the dag's bounding box (dense up to
+// 2²⁴ points, sparse above), and all scratch (column indices, override
+// stacks, child geometry) is arena-allocated once per run and reused
+// across every recursion level.
 //
 // Address-table layout. A broadcast value lives at its dag vertex
 // (x, t) (d = 2: (x, y, t); d = 3: (x, y, z, t)). A column image is keyed
@@ -28,25 +31,32 @@ import (
 // dag's bounding box extended one time layer past the final step, so one
 // Indexer serves both tables.
 //
+// Cleanup rule. A table holds only what is still to be read: a leaf
+// deletes its vertices that are not its live-outs, and a domain, when it
+// finishes, deletes its children's live-outs that it consumed (those
+// that are not its own live-outs). A vertex is a live-out of a domain if
+// it is on the last layer or a vertex outside the domain reads it. So a
+// stale read fails loudly, a replayed subtree leaves the tables as an
+// executed one would, and a sparse table holds O(surface) entries.
+//
 // Scratch lifetime rules — the invariants that make single arenas safe:
 //
-//   - live is populated and fully drained between a child's return and
-//     the next child's descent; recursion below never observes it held.
-//   - colIdx is populated and drained entirely within execLeaf(), which
-//     never overlaps a deeper use.
-//   - ovStack and geo hand each recursion depth its own override buffer
-//     and child geometry, so a parent's stay intact while its children
-//     recurse.
+//   - colIdx and leafPts are populated and drained entirely within
+//     execLeaf(), which never overlaps a deeper use.
+//   - ovStack, geo and used hand each recursion depth its own override
+//     buffer, child geometry and list of the live-outs its finished
+//     children handed it to consume, so a parent's stay intact while its
+//     children recurse.
 //
 // A domain's columns, preboundary and live-out set come from one
 // O(surface) enumeration (dag.Boundary) per visit: the planning pass
-// enumerates each domain once, and the execution pass once per child
-// visit, handing the child its geometry.
+// enumerates each domain shape once, and the execution pass once per
+// child visit, handing the child its geometry.
 //
-// The change is host-side only: the sequence of machine operations
-// (BlockCopy, MoveWord, Read, Write, Op) is identical to the seed's, so
-// every measured virtual time is bit-identical (enforced by the golden
-// assertions in golden_test.go).
+// The sequence of machine operations (BlockCopy, MoveWord, Read, Write,
+// Op) is part of the virtual-time contract: every measured virtual time
+// is pinned by the golden assertions in golden_test.go, and the analytic
+// mode's by TestAnalyticMatchesExact.
 
 // blockedGeom is the guest mesh as the blocked executor reads it: node
 // index and position come from the mesh topology, and the operand
@@ -116,14 +126,15 @@ type blockedExec struct {
 	steps    int
 	leafSpan int
 	mach     *hram.Machine
+	analytic bool // mach is charge-only: no guest values, delta memo records
 	geom     blockedGeom
 	ec       *execCtx // cancellation + progress; host-side only
 
 	bcast   *lattice.AddrTable // broadcast-word addresses per dag vertex
 	mem     *lattice.AddrTable // column-image addresses per (node, entry time)
-	live    *lattice.PointSet  // scratch live-out membership (drained after use)
 	colIdx  *lattice.AddrTable // scratch position -> image base in a leaf
 	ovStack [][]savedAddr      // per-depth override buffers
+	used    [][]lattice.Point  // per-depth consumed live-outs of finished children
 	space   map[lattice.Domain]blockedPlan
 
 	// Boundary geometry: the enumeration's scratch, the planning pass's
@@ -137,13 +148,16 @@ type blockedExec struct {
 	ptsBuf  []lattice.Point
 	opsBuf  []hram.Word
 	initMem []hram.Word
+	leafPts []lattice.Point // the running leaf's vertices
 
-	// Subtree memoization state (enableMemo). recs is the stack of active
-	// trace recorders: the machine meter's tap feeds the top entry, so a
-	// recording subtree captures exactly its own charge interval while
-	// nested recordings and replays link in as trace children. replayed
-	// counts memo hits; when nonzero, machine memory holds garbage at
-	// replayed addresses and collect recomputes outputs guest-side.
+	// Subtree memoization state (enableMemo). The exact machine records
+	// charge traces: recs is the stack of active trace recorders, and the
+	// meter's tap feeds the top entry, so a recording subtree captures
+	// exactly its own charge interval while nested recordings and replays
+	// link in as trace children. The charge-only machine records (clock,
+	// ledger) deltas instead. replayed counts memo hits; when nonzero,
+	// machine memory holds garbage at replayed addresses and collect
+	// recomputes outputs guest-side.
 	memoOn   bool
 	progFP   string
 	recs     []*cost.Recorder
@@ -151,22 +165,36 @@ type blockedExec struct {
 }
 
 // enableMemo arms subtree memoization: congruent recursion subtrees are
-// recorded once and analytically replayed (trace playback) at every later
-// congruent site. Requires a guest whose address pattern is classifiable
-// (addrClasser); otherwise the run proceeds unmemoized. The meter tap
-// only observes charges — it never charges — so arming it cannot perturb
-// virtual times.
-func (b *blockedExec) enableMemo(meter *cost.Meter) {
+// recorded once and replayed at every later congruent site, as trace
+// playback on the exact machine and as one (clock, ledger) delta on the
+// charge-only one. Requires a guest whose address pattern is
+// classifiable (addrClasser); otherwise the run proceeds unmemoized. The
+// meter tap only observes charges — it never charges — so arming it
+// cannot perturb virtual times.
+func (b *blockedExec) enableMemo() {
 	if _, ok := b.prog.(addrClasser); !ok {
 		return
 	}
 	b.memoOn = true
 	b.progFP = progFingerprint(b.prog)
-	meter.SetTap(func(cat cost.Category, dt cost.Time) {
+	if b.analytic {
+		return
+	}
+	b.mach.Meter().SetTap(func(cat cost.Category, dt cost.Time) {
 		if n := len(b.recs); n > 0 {
 			b.recs[n-1].Record(cat, dt)
 		}
 	})
+}
+
+// memoKind is the store partition of the run's records: traces
+// (memoSubtree) on the exact machine, deltas (memoAnalytic) on the
+// charge-only one.
+func (b *blockedExec) memoKind() memoKind {
+	if b.analytic {
+		return memoAnalytic
+	}
+	return memoSubtree
 }
 
 // subtreeKeyFor builds dom's congruence-class key in O(1): canonical
@@ -214,8 +242,8 @@ func memKey(pos lattice.Point, t int) lattice.Point {
 	return lattice.Point{X: pos.X, Y: pos.Y, Z: pos.Z, T: t}
 }
 
-// newBlockedExec allocates the dense tables for graph g. The index box is
-// g's bounds with one extra time layer, so the final images
+// newBlockedExec allocates the address tables for graph g. The index box
+// is g's bounds with one extra time layer, so the final images
 // Mem(v, steps+1) are addressable.
 func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, iw, steps, leafSpan int, geom blockedGeom) *blockedExec {
 	bounds := g.Bounds()
@@ -226,7 +254,6 @@ func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, i
 		ec:      newExecCtx(ctx),
 		bcast:   lattice.NewAddrTable(ix),
 		mem:     lattice.NewAddrTable(ix),
-		live:    lattice.NewPointSet(ix),
 		colIdx:  lattice.NewAddrTable(lattice.NewIndexer(spatialClip(bounds))),
 		space:   make(map[lattice.Domain]blockedPlan, 1024),
 		order:   columnOrder(geom.d),
@@ -284,13 +311,19 @@ func (b *blockedExec) isLeaf(dom lattice.Domain) bool {
 // plus one image per column).
 type blockedPlan struct{ space, stage int }
 
-// spaceNeeded mirrors separator.SpaceNeeded for the two-kind value flow,
-// memoized per (comparable) domain value. The planning recursion visits
-// the entire domain tree before a single vertex executes — at large
-// (n, steps) that is seconds of work — so it polls cancellation at every
-// node; a caller that has already given up never reaches execution.
+// spaceNeeded mirrors separator.SpaceNeeded for the two-kind value flow.
+// A plan depends only on the domain's geometry, so it is memoized by
+// canonical shape (canonicalDomain, the subtree memo's notion of
+// congruence) and the planning recursion expands each shape once. That
+// recursion runs before a single vertex executes — at large (n, steps)
+// that is seconds of work — so it polls cancellation at every node it
+// expands; a caller that has already given up never reaches execution.
 func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
-	if p, ok := b.space[dom]; ok {
+	shape, ok := canonicalDomain(dom)
+	if !ok {
+		shape = dom
+	}
+	if p, ok := b.space[shape]; ok {
 		return p, nil
 	}
 	if err := b.ec.poll(); err != nil {
@@ -315,7 +348,7 @@ func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
 		}
 		p.space = smax + stage + in
 	}
-	b.space[dom] = p
+	b.space[shape] = p
 	return p, nil
 }
 
@@ -323,10 +356,11 @@ func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
 // geo is dom's geometry, enumerated by the caller's visit.
 // Contract: incoming keys (preboundary broadcasts and consumed images)
 // have valid addresses on entry; on exit, live-out broadcasts and the
-// produced images Mem(v, tb+1) have valid addresses.
+// produced images Mem(v, tb+1) have valid addresses, and no other
+// broadcast of dom has one.
 func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int) error {
 	if b.isLeaf(dom) {
-		return b.execLeaf(dom, geo.Cols)
+		return b.execLeaf(dom, geo)
 	}
 	// The incoming slot occupies [space-inSize, space); staging grows
 	// downward from its floor.
@@ -334,23 +368,27 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 	for len(b.ovStack) <= depth {
 		b.ovStack = append(b.ovStack, nil)
 		b.geo = append(b.geo, dag.Surface{})
+		b.used = append(b.used, nil)
 	}
+	b.used[depth] = b.used[depth][:0]
+	consumed := func(p lattice.Point) { b.used[depth] = append(b.used[depth], p) }
+	meter := b.mach.Meter()
 
 	for _, kid := range dom.Children() {
 		if err := b.ec.checkpoint(); err != nil {
 			return err
 		}
-		// A memo hit replays the child's recorded charge trace instead of
-		// recursing; a classifiable miss records the recursion for future
-		// congruent sites. Either way the charge sequence the meter sees
-		// is identical to an unmemoized run (trace playback re-applies the
-		// exact per-event floats), so virtual times stay bit-identical.
+		// A memo hit replays the child's record instead of recursing; a
+		// classifiable miss records the recursion for future congruent
+		// sites. A trace replay re-applies the exact per-event floats, so
+		// the exact machine's virtual times stay bit-identical; a delta
+		// replay adds the interval's sums, equal up to float regrouping.
 		var key subtreeKey
 		var keyOK bool
 		var rec *subtreeRecord
 		if b.memoOn {
 			if key, keyOK = b.subtreeKeyFor(kid); keyOK {
-				if v, ok := memo.load(memoSubtree, memoLevel(kid.Span()), key); ok {
+				if v, ok := memo.load(b.memoKind(), memoLevel(kid.Span()), key); ok {
 					rec = v.(*subtreeRecord)
 				}
 			}
@@ -369,7 +407,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 		sp := b.ec.tr.Start(spanName)
 		var vt0 float64
 		if sp != nil {
-			vt0 = b.mach.Meter().Now()
+			vt0 = meter.Now()
 		}
 		// The child's geometry is this depth's arena slot, like its
 		// override buffer below; deeper recursion uses its own.
@@ -417,15 +455,19 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 		b.ovStack[depth] = overrides
 
 		if rec != nil {
-			// Replay: re-apply the recorded charge sequence and rebind the
-			// child's products to their recorded addresses. The child frame
-			// is always the absolute range [0, skid), so the recorded
+			// Replay: re-apply the recorded charges and rebind the child's
+			// products to their recorded addresses. The child frame is
+			// always the absolute range [0, skid), so the recorded
 			// addresses are valid verbatim at this congruent site. Machine
 			// memory is NOT written — the wrapper recomputes outputs
 			// guest-side when any subtree replayed.
-			rec.trace.Play(b.mach.Meter())
-			if n := len(b.recs); n > 0 {
-				b.recs[n-1].Child(rec.trace)
+			if rec.trace != nil {
+				rec.trace.Play(meter)
+				if n := len(b.recs); n > 0 {
+					b.recs[n-1].Child(rec.trace)
+				}
+			} else {
+				meter.ApplyDelta(rec.dt, &rec.ledger)
 			}
 			rec.rebind(kidSpans, live, b.mem.Set, b.bcast.Set)
 			b.replayed++
@@ -436,9 +478,15 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			}
 		} else {
 			var kr *cost.Recorder
+			var t0 cost.Time
+			var led0 cost.Ledger
 			if keyOK {
-				kr = &cost.Recorder{}
-				b.recs = append(b.recs, kr)
+				if b.analytic {
+					t0, led0 = meter.Now(), meter.Ledger
+				} else {
+					kr = &cost.Recorder{}
+					b.recs = append(b.recs, kr)
+				}
 			}
 			err := b.exec(kid, kg, skid, depth+1)
 			if kr != nil {
@@ -449,19 +497,23 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 				// subtree never poisons the memo.
 				return err
 			}
-			if kr != nil {
+			if keyOK {
+				r := subtreeRecord{space: skid}
+				if kr != nil {
+					r.trace = kr.Trace()
+					// The outer recorder (if any) saw none of the child's
+					// charges while the inner recorder held the tap; link
+					// the finished trace in its place.
+					if n := len(b.recs); n > 0 {
+						b.recs[n-1].Child(r.trace)
+					}
+				} else {
+					r.dt, r.ledger = meter.Now()-t0, meter.Ledger.Sub(&led0)
+				}
 				// A declined record is not published; a missing product
 				// fails the staging below.
-				tr := kr.Trace()
-				if nr, ok := newSubtreeRecord(subtreeRecord{trace: tr, space: skid},
-					kidSpans, live, b.mem.Get, b.bcast.Get); ok {
-					memo.store(memoSubtree, memoLevel(kid.Span()), key, nr)
-				}
-				// The outer recorder (if any) saw none of the child's
-				// charges while the inner recorder held the tap; link the
-				// finished trace in its place.
-				if n := len(b.recs); n > 0 {
-					b.recs[n-1].Child(tr)
+				if nr, ok := newSubtreeRecord(r, kidSpans, live, b.mem.Get, b.bcast.Get); ok {
+					memo.store(b.memoKind(), memoLevel(kid.Span()), key, nr)
 				}
 			}
 		}
@@ -483,7 +535,6 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			b.mem.Set(k, stagePtr)
 		}
 		for _, v := range live {
-			b.live.Add(v)
 			src, ok := b.bcast.Get(v)
 			if !ok {
 				return fmt.Errorf("simulate: live-out %v missing after %v", v, kid)
@@ -495,9 +546,11 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			b.mach.MoveWord(stagePtr, src)
 			b.bcast.Set(v, stagePtr)
 		}
+		// The live-outs dom does not export are consumed inside it.
+		geo.EachDead(live, consumed)
 
-		// Restore incoming keys to the parent copies, then drop dead
-		// entries: consumed images and non-live broadcasts of the child.
+		// Restore incoming keys to the parent copies, then drop the
+		// consumed images.
 		for _, s := range overrides {
 			if s.mem {
 				b.mem.Set(s.p, s.add)
@@ -510,21 +563,15 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 				b.mem.Delete(memKey(s.Pos, s.Ta))
 			}
 		}
-		kid.Points(func(p lattice.Point) bool {
-			if !b.live.Has(p) {
-				b.bcast.Delete(p)
-			}
-			return true
-		})
-		for _, v := range live {
-			b.live.Remove(v)
-		}
 		if sp != nil {
 			sp.SetAttr("depth", float64(depth))
 			sp.SetAttr("size", float64(kid.Size()))
-			sp.SetAttr("vtime", b.mach.Meter().Now()-vt0)
+			sp.SetAttr("vtime", meter.Now()-vt0)
 			sp.End()
 		}
+	}
+	for _, p := range b.used[depth] {
+		b.bcast.Delete(p)
 	}
 	return nil
 }
@@ -533,7 +580,8 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 // resident at the bottom of the workspace, broadcast values above them.
 // The colIdx scratch table holds each column's image base address for the
 // duration of the leaf.
-func (b *blockedExec) execLeaf(dom lattice.Domain, spans []lattice.Column) error {
+func (b *blockedExec) execLeaf(dom lattice.Domain, geo dag.Surface) error {
+	spans := geo.Cols
 	next := 0
 	for _, s := range spans {
 		b.colIdx.Set(s.Pos, next)
@@ -553,9 +601,11 @@ func (b *blockedExec) execLeaf(dom lattice.Domain, spans []lattice.Column) error
 		}
 	}
 	var fail error
+	b.leafPts = b.leafPts[:0]
 	dom.Points(func(p lattice.Point) bool {
 		base, _ := b.colIdx.Get(lattice.Point{X: p.X, Y: p.Y, Z: p.Z})
 		node := b.geom.nodeIndex(p)
+		b.leafPts = append(b.leafPts, p)
 		if p.T == 0 {
 			// Materialize the initial state. The initial memory image is
 			// an input: it sits in the host's memory from the start (the
@@ -616,6 +666,7 @@ func (b *blockedExec) execLeaf(dom lattice.Domain, spans []lattice.Column) error
 		b.mem.Delete(memKey(s.Pos, s.Ta))
 		b.mem.Set(memKey(s.Pos, s.Tb+1), base)
 	}
+	geo.EachDead(b.leafPts, b.bcast.Delete)
 	return b.drainLeaf(spans, nil)
 }
 

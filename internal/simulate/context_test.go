@@ -71,6 +71,24 @@ func TestBlockedPlanningCancellable(t *testing.T) {
 	}
 }
 
+// The analytic mode plans through the same spaceNeeded, so a
+// pre-cancelled run at E-BRENT's full-scale shape (n = 2^20, 10^9
+// lattice points) stops at planning's first node instead of planning
+// the whole recursion first, which took ~1 s when the analytic planner
+// did not poll.
+func TestAnalyticPlanningCancellable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := BlockedAnalyticD1Context(ctx, 1<<20, 8, 1<<10, 0, guest.AsNetwork{G: guest.MixCA{Seed: 3}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("BlockedAnalyticD1Context with pre-cancelled ctx = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("cancelled planning took %v, want under 250ms", elapsed)
+	}
+}
+
 // UniDCContext plans once, through the separator executor's Plan, and
 // that plan polls the Check hook at every node. A pre-cancelled context
 // must abort out of planning; unpolled, planning this tuple twice took

@@ -13,7 +13,7 @@ import (
 // This file is the unified memo store behind both caches the engines
 // keep: the measured-kernel cache of the multiprocessor engine (formerly
 // a dedicated boundedKernelCache) and the subtree-record memo of the
-// blocked/analytic engines. One bounded-FIFO store with one shared,
+// blocked recursion, exact and analytic. One bounded-FIFO store with one shared,
 // settable capacity serves all kinds; per-(kind, level) hit/miss/
 // eviction statistics feed the daemon's /metrics and /metrics.prom.
 //
@@ -29,10 +29,11 @@ const (
 	// memoKernel entries are measured multiprocessor kernels (float64).
 	memoKernel memoKind = iota
 	// memoSubtree entries are exact-trace subtree records of the blocked
-	// engine (*subtreeRecord with a trace).
+	// recursion on the exact machine (*subtreeRecord with a trace).
 	memoSubtree
 	// memoAnalytic entries are summed-delta subtree records of the
-	// analytic engine (*subtreeRecord without a trace).
+	// recursion on the charge-only machine (*subtreeRecord without a
+	// trace).
 	memoAnalytic
 )
 
@@ -268,11 +269,11 @@ func memoLevel(span int) int {
 // congruent site needs to skip the recursion while leaving the meter and
 // the address tables in the exact state a real execution would have.
 type subtreeRecord struct {
-	// trace is the exact charge sequence (exact engine records); nil for
-	// analytic records, which replay dt/ledger as one summed delta.
+	// trace is the exact charge sequence (exact-machine records); nil for
+	// charge-only records, which replay dt/ledger as one summed delta.
 	trace *cost.Trace
 	// dt and ledger are the interval's clock advance and per-category
-	// charge delta (analytic replay).
+	// charge delta (charge-only records).
 	dt     cost.Time
 	ledger cost.Ledger
 	// space is the subtree's workspace requirement (spaceNeeded).

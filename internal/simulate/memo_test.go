@@ -21,7 +21,10 @@ import (
 func TestMemoBitIdentityAllSchemes(t *testing.T) {
 	for _, sc := range Schemes {
 		if sc.Name == "blocked-analytic" {
-			continue // no exact twin: validated against Brent bounds instead
+			// Its memo replays summed (clock, ledger) deltas, so memo on
+			// equals memo off only up to float regrouping; its exact twin
+			// is blocked at d = 1 (TestAnalyticMatchesExact).
+			continue
 		}
 		var n, p, m, steps, side int
 		switch sc.D {

@@ -138,12 +138,13 @@ func blockedScheme(d int) Scheme {
 	}
 }
 
-// analyticScheme registers the d = 1 analytic fast path: same recursion
-// and charge model as "blocked", but costs are computed without machine
-// state and congruent subtrees replay as summed deltas, so volumes of
-// 10^9+ vertices finish in seconds. Results carry no guest outputs
-// (Outputs/Memories nil) — callers validate against the work/span laws
-// and the Theorem 3 predictions instead of output comparison.
+// analyticScheme registers the d = 1 analytic mode of the blocked
+// recursion (BlockedAnalyticD1Context): "blocked"'s recursion on a
+// charge-only machine, with congruent subtrees replayed as summed
+// deltas, so volumes of 10^9+ vertices finish in seconds. Results carry
+// no guest outputs (Outputs/Memories nil) — callers validate against the
+// work/span laws and the Theorem 3 predictions instead of output
+// comparison.
 func analyticScheme() Scheme {
 	return Scheme{
 		Name: "blocked-analytic", D: 1, Multiproc: false,
