@@ -77,8 +77,9 @@ type DagProgram = dag.Program
 // Point is a dag vertex position (X, Y, T).
 type Point = lattice.Point
 
-// Result reports a simulation: outputs, final memories, virtual time, and
-// a cost ledger.
+// Result reports a simulation: outputs, final memory (node v's m words
+// at [v·m, (v+1)·m)), virtual time, and a cost ledger; Digest is the
+// final state's outputs digest.
 type Result = simulate.Result
 
 // MultiOptions configures the Theorem 4 simulation; zero value = full
@@ -283,10 +284,13 @@ func ProgressFrom(ctx context.Context) *Progress { return simulate.ProgressFrom(
 // WithSharedReplay returns a context carrying a fresh replay share:
 // runs of registry entries with SharedReplay set, started under it, that
 // replay the same guest — equal (d, n, m) and program, any p, Θ or fault
-// density — step it once. A later run of as many steps copies the kept
-// state, and one of more steps resumes from it and steps only the rest.
-// Results are exactly those of unshared runs. The share keeps one guest
-// state; scope it to one family of runs.
+// density — step it once. A later run of as many steps takes the digest
+// the share keeps for that state, and one of more steps resumes from it,
+// steps only the rest and digests the new state once. A run that replays
+// under the share carries its final state as Result.Digest alone, with
+// nil Outputs and Memory: the state stays the share's, and no run copies
+// it. Times, ledgers and digests are exactly those of unshared runs. The
+// share keeps one guest state; scope it to one family of runs.
 func WithSharedReplay(ctx context.Context) context.Context {
 	return simulate.WithSharedReplay(ctx)
 }

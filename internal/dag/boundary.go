@@ -112,6 +112,11 @@ const offGraph = math.MinInt32
 // Compute fills s with dom's columns (in the given order), preboundary
 // and live-out set in g, reusing s's slices. g is a LineGraph,
 // MeshGraph or CubeGraph of dom's dimension, and dom lies within g.
+// Each list is reserved once before it is filled, so a Surface too small
+// for dom grows by one allocation per list, not by append's doublings:
+// the columns by the position box's volume, the live-out set by its
+// band, which holds every candidate, and the preboundary by its band,
+// which it exceeds only on domains a few vertices across.
 func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Surface) {
 	s.Cols, s.Pre, s.Live = s.Cols[:0], s.Pre[:0], s.Live[:0]
 	v := dom.Columns()
@@ -141,6 +146,7 @@ func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Su
 	size := n[0] * n[1] * n[2]
 	b.ta, b.tb = resize(b.ta, size), resize(b.tb, size)
 	b.at = b.at[:0]
+	s.Cols = resize(s.Cols, (boxHi[0]-boxLo[0])*(boxHi[1]-boxLo[1])*(boxHi[2]-boxLo[2]))[:0]
 	i := 0
 	for x := lo[0]; x < lo[0]+n[0]; x++ {
 		for y := lo[1]; y < lo[1]+n[1]; y++ {
@@ -179,6 +185,7 @@ func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Su
 	// Preboundary: a predecessor (v', t-1) is reached only from layer t,
 	// and the sorted band ascends in t, so stamp[v'] == t marks it
 	// emitted.
+	s.Pre = resize(s.Pre, len(b.preBand))[:0]
 	b.stamp = resize(b.stamp, size)
 	clear(b.stamp)
 	for _, p := range b.sortBand(b.preBand, box.T0, box.T1) {
@@ -202,6 +209,7 @@ func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Su
 	}
 
 	last := int32(g.Steps() - 1)
+	s.Live = resize(s.Live, len(b.liveBand))[:0]
 	for _, p := range b.sortBand(b.liveBand, box.T0, box.T1) {
 		if p.t != last && !b.leaves(b.at[p.col], p.t+1, off) {
 			continue

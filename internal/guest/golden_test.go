@@ -8,25 +8,9 @@ import (
 	"bsmp/internal/network"
 )
 
-// wordsDigest is the word-wise FNV-1a digest of outs followed by every
-// memory word, node by node, the way a served run's outputs_digest is
-// computed.
-func wordsDigest(outs []hram.Word, mems [][]hram.Word) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, w := range outs {
-		h = (h ^ w) * prime
-	}
-	for _, mem := range mems {
-		for _, w := range mem {
-			h = (h ^ w) * prime
-		}
-	}
-	return fmt.Sprintf("%016x", h)
-}
-
 // TestGoldenGuestOutputs pins what the functional replay computes: the
-// digest of RunGuestPure's outputs and final memories for MixCA, Rule90
+// digest (network.Digest, a served run's outputs_digest) of
+// RunGuestPure's outputs and final memory for MixCA, Rule90
 // and Diffusion at d = 1, 2 and 3 (n = 64 on a mesh of side 64, 8 and 4)
 // with m = 1 and 4, after 16 steps. The values were recorded before the
 // replay gained a row path and must stay bit-identical.
@@ -76,7 +60,7 @@ func TestGoldenGuestOutputs(t *testing.T) {
 			}
 			for _, m := range []int{1, 4} {
 				name := fmt.Sprintf("%s/d=%d/m=%d", gc.name, d, m)
-				got := wordsDigest(network.RunGuestPure(d, n, m, steps, prog))
+				got := network.Digest(network.RunGuestPure(d, n, m, steps, prog))
 				if want := golden[name]; got != want {
 					t.Errorf("%s: digest %s, golden %s", name, got, want)
 				}

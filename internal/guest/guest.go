@@ -148,12 +148,11 @@ func (c MixCA) Step2(node, step int, cell hram.Word, prev []hram.Word) (hram.Wor
 // as per-vertex Address and Step2 calls would, and takes every step,
 // whatever the range. The step's seed term T·0x9E3779B1·31 is computed
 // once, and the address (v+T) mod m starts at (Lo+T) mod m and advances
-// by one per node with no division. On a mesh stencil (r.Side > 0) it
-// walks the range one x-line at a time, so a range may start or end
-// mid-line: the middle run of an interior line, every node of which has
-// all 2d neighbors, goes through stencilRun at fixed offsets, and the
-// line's two ends, the boundary lines and guests with no stencil go
-// through fold over the Adj lists.
+// by one per node with no division. On a mesh stencil of side at least 3
+// it makes one stepLine call per x-line the range touches, so a range
+// may start or end mid-line; guests with no stencil (r.Side == 0, such
+// as a fault mask with dead nodes) and sides 1 and 2 go through fold
+// over the Adj lists.
 func (c MixCA) StepRow(r *network.Row) bool {
 	n, m, lo, hi, side := len(r.Out), r.M, r.Lo, r.Hi, r.Side
 	if lo < 0 || hi > n {
@@ -164,24 +163,17 @@ func (c MixCA) StepRow(r *network.Row) bool {
 	if uint(a) >= uint(m) {
 		panic(fmt.Sprintf("guest: node %d addressed cell %d of %d at step %d", lo, a, m, r.T))
 	}
-	if side < 3 { // no stencil, or no node with all 2d neighbors
+	if side < 3 { // no stencil, or an axis with no middle class
 		fold(r, lo, hi, a, s0)
 		return true
 	}
 	// (y, z) are the coordinates of the line that starts at node x0,
-	// kept by counting: a line is interior when neither is on the
-	// boundary (d = 1 has one line, and d = 2 no z).
-	line := lo / side
+	// kept by counting (d = 1 has one line, and d = 2 no z). A whole
+	// line advances the address by side mod m.
+	line, wrap := lo/side, side%m
 	y, z := line%side, line/side
 	for x0 := line * side; x0 < hi; x0 += side {
-		v0, v1 := max(lo, x0), min(hi, x0+side)
-		if (r.D < 2 || 0 < y && y < side-1) && (r.D < 3 || 0 < z && z < side-1) {
-			b0, b1 := max(v0, x0+1), min(v1, x0+side-1)
-			a = fold(r, v0, b0, a, s0)
-			a = stencilRun(r, b0, b1, a, s0)
-			v0 = b1
-		}
-		a = fold(r, v0, v1, a, s0)
+		a = stepLine(r, x0, max(lo, x0), min(hi, x0+side), y, z, a, wrap, s0)
 		if y++; y == side {
 			y, z = 0, z+1
 		}
@@ -221,31 +213,102 @@ func fold(r *network.Row, lo, hi, a int, s0 hram.Word) int {
 	return a
 }
 
-// stencilRun steps the nodes [lo, hi) of one interior line's middle
-// run, every one of which has all 2d neighbors, at the fixed offsets
-// ±1, ±Side, ±Side² (Row.Side). Over 2d neighbors fold's chain is
-// s0·31^(2d) + self·3·31^(2d) + Σ_i neighbor_i·(5+2i)·31^(2d−1−i), an
-// identity of polynomials that holds in any commutative ring, uint64
-// arithmetic mod 2⁶⁴ included: so the independent products below, with
-// their multipliers folded at compile time, equal the chain bit for bit
-// and need no serial multiply per neighbor. a is node lo's address, in
-// [0, m); stencilRun returns node hi's.
-func stencilRun(r *network.Row, lo, hi, a int, s0 hram.Word) int {
+// Powers of fold's multiplier.
+const (
+	p1 = 31
+	p2 = p1 * 31
+	p3 = p2 * 31
+	p4 = p3 * 31
+	p5 = p4 * 31
+	p6 = p5 * 31
+)
+
+// stepLine steps the nodes [v0, v1) of the x-line that starts at node
+// x0 and sits at (y, z), on a mesh stencil of side r.Side ≥ 3, at the
+// stencil's fixed offsets ±1, ±Side, ±Side². A line's nodes fall in
+// three runs, each of one of the mesh's 3^d classes (per axis: low, with
+// no − neighbor; middle; high, with no + neighbor): the x = 0 node, the
+// middle run and the x = side−1 node. All three share the line's y and
+// z neighbors, cyz of them, at offsets o0..o3 in Adj order; an end adds
+// one x neighbor first, and the middle run two.
+//
+// Over c neighbors fold's chain is s0·31^c + self·3·31^c +
+// Σ_j neighbor_j·(5+2j)·31^(c−1−j), an identity of polynomials that
+// holds in any commutative ring, uint64 arithmetic mod 2⁶⁴ included. The
+// multipliers depend on c alone, never on the side, so each class's are
+// folded at compile time below, and the independent products need no
+// serial multiply per neighbor. The two ends are stepped first, each at
+// its own address, and the middle run last, through the loop of its
+// line's cyz (cyz = 2(d−1) is an interior line's), so that nothing but
+// the loop's own values is live in it. a is node v0's address, in
+// [0, m), and wrap is side mod m; stepLine returns node v1's address.
+func stepLine(r *network.Row, x0, v0, v1, y, z, a, wrap int, s0 hram.Word) int {
 	n, m, side := len(r.Out), r.M, r.Side
 	prev, out, mem, addr := r.Prev[:n], r.Out[:n], r.Mem, r.Addr[:n]
-	if lo < 0 || hi > n {
-		panic(fmt.Sprintf("guest: row range [%d, %d) outside [0, %d)", lo, hi, n))
+	if x0 < 0 || v0 < x0 || v1 > x0+side || x0+side > n {
+		panic(fmt.Sprintf("guest: line range [%d, %d) outside [%d, %d) of [0, %d)", v0, v1, x0, x0+side, n))
 	}
-	const ( // powers of fold's multiplier
-		p1 = 31
-		p2 = p1 * 31
-		p3 = p2 * 31
-		p4 = p3 * 31
-		p5 = p4 * 31
-		p6 = p5 * 31
-	)
-	switch r.D {
-	case 1:
+	var o [4]int
+	cyz := 0
+	yz, stride := [2]int{y, z}, [2]int{side, side * side}
+	for i, c := range yz[:r.D-1] {
+		if c > 0 {
+			o[cyz], cyz = -stride[i], cyz+1
+		}
+		if c < side-1 {
+			o[cyz], cyz = stride[i], cyz+1
+		}
+	}
+	o0, o1, o2, o3 := o[0], o[1], o[2], o[3]
+	// next is node v1's address; node v's is a + v − v0, mod m.
+	next := a + wrap
+	if v0 != x0 || v1 != x0+side {
+		next = a + (v1-v0)%m
+	}
+	if next >= m {
+		next -= m
+	}
+	lo, hi := max(v0, x0+1), min(v1, x0+side-1)
+	for _, end := range [2]struct{ v, ox int }{{x0, 1}, {x0 + side - 1, -1}} {
+		v, ox := end.v, end.ox
+		if v < v0 || v >= v1 {
+			continue
+		}
+		var s hram.Word
+		switch cyz {
+		case 0:
+			s = s0*p1 + prev[v]*(3*p1) + prev[v+ox]*5
+		case 1:
+			s = s0*p2 + prev[v]*(3*p2) + prev[v+ox]*(5*p1) + prev[v+o0]*7
+		case 2:
+			s = s0*p3 + prev[v]*(3*p3) + prev[v+ox]*(5*p2) + prev[v+o0]*(7*p1) + prev[v+o1]*9
+		case 3:
+			s = s0*p4 + prev[v]*(3*p4) + prev[v+ox]*(5*p3) + prev[v+o0]*(7*p2) + prev[v+o1]*(9*p1) +
+				prev[v+o2]*11
+		default:
+			s = s0*p5 + prev[v]*(3*p5) + prev[v+ox]*(5*p4) + prev[v+o0]*(7*p3) + prev[v+o1]*(9*p2) +
+				prev[v+o2]*(11*p1) + prev[v+o3]*13
+		}
+		c := a // the x = 0 node is v0 itself; the x = side−1 node precedes v1
+		if ox < 0 {
+			if c = next - 1; c < 0 {
+				c += m
+			}
+		}
+		i := v*m + c
+		cell := mem[i]
+		out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), c
+	}
+	if lo >= hi {
+		return next
+	}
+	if lo > v0 {
+		if a++; a == m {
+			a = 0
+		}
+	}
+	switch cyz {
+	case 0:
 		s0 *= p2
 		for v := lo; v < hi; v++ {
 			s := s0 + prev[v]*(3*p2) + prev[v-1]*(5*p1) + prev[v+1]*7
@@ -256,11 +319,22 @@ func stencilRun(r *network.Row, lo, hi, a int, s0 hram.Word) int {
 				a = 0
 			}
 		}
+	case 1:
+		s0 *= p3
+		for v := lo; v < hi; v++ {
+			s := s0 + prev[v]*(3*p3) + prev[v-1]*(5*p2) + prev[v+1]*(7*p1) + prev[v+o0]*9
+			i := v*m + a
+			cell := mem[i]
+			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+			if a++; a == m {
+				a = 0
+			}
+		}
 	case 2:
 		s0 *= p4
 		for v := lo; v < hi; v++ {
-			s := s0 + prev[v]*(3*p4) + prev[v-1]*(5*p3) + prev[v+1]*(7*p2) +
-				prev[v-side]*(9*p1) + prev[v+side]*11
+			s := s0 + prev[v]*(3*p4) + prev[v-1]*(5*p3) + prev[v+1]*(7*p2) + prev[v+o0]*(9*p1) +
+				prev[v+o1]*11
 			i := v*m + a
 			cell := mem[i]
 			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
@@ -269,12 +343,23 @@ func stencilRun(r *network.Row, lo, hi, a int, s0 hram.Word) int {
 			}
 		}
 	case 3:
+		s0 *= p5
+		for v := lo; v < hi; v++ {
+			s := s0 + prev[v]*(3*p5) + prev[v-1]*(5*p4) + prev[v+1]*(7*p3) + prev[v+o0]*(9*p2) +
+				prev[v+o1]*(11*p1) + prev[v+o2]*13
+			i := v*m + a
+			cell := mem[i]
+			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
+			if a++; a == m {
+				a = 0
+			}
+		}
+	default:
 		s0 *= p6
 		sq := side * side
 		for v := lo; v < hi; v++ {
-			s := s0 + prev[v]*(3*p6) + prev[v-1]*(5*p5) + prev[v+1]*(7*p4) +
-				prev[v-side]*(9*p3) + prev[v+side]*(11*p2) +
-				prev[v-sq]*(13*p1) + prev[v+sq]*15
+			s := s0 + prev[v]*(3*p6) + prev[v-1]*(5*p5) + prev[v+1]*(7*p4) + prev[v-side]*(9*p3) +
+				prev[v+side]*(11*p2) + prev[v-sq]*(13*p1) + prev[v+sq]*15
 			i := v*m + a
 			cell := mem[i]
 			out[v], mem[i], addr[v] = s+cell*2654435761, cell^(s|1), a
@@ -283,7 +368,7 @@ func stencilRun(r *network.Row, lo, hi, a int, s0 hram.Word) int {
 			}
 		}
 	}
-	return a
+	return next
 }
 
 // AsNetwork adapts a guest to the network.Program interface. The adapter

@@ -265,24 +265,43 @@ func (h *oneHelper) Lend(g *network.Guest) bool {
 	return true
 }
 
-// BenchmarkGuestStep times one guest step of MixCA (m = 4) at the three
-// shapes a sweep-heavy op replays, through the row kernel, through the
-// row kernel with each step split with a helper goroutine (the split
-// path a sweep's idle worker runs), through the kernel's Adj fold alone
-// (its offsets twin, the path of a guest with no stencil), and through
-// the per-vertex path, and reports the wall per vertex.
+// BenchmarkGuestStep times one guest step of MixCA (m = 4) and reports
+// the wall per vertex. At the three shapes a sweep-heavy op replays (d = 1
+// at n = 4096, d = 2 at side 32, d = 3 at side 16) it runs every path:
+// the row kernel, the row kernel with each step split with a helper
+// goroutine (the split path a sweep's idle worker runs), the kernel's Adj
+// fold alone (its offsets twin, the path of a guest with no stencil) and
+// the per-vertex path. The small meshes run-mix replays (d = 2 at side 8,
+// d = 3 at sides 4 and 8), where most nodes are on the boundary, compare
+// the row kernel with its fold; d = 1 at n = 1024 compares a lone and a
+// helped step at network.SplitMin.
 func BenchmarkGuestStep(b *testing.B) {
-	for _, c := range []struct{ d, side int }{{1, 4096}, {2, 32}, {3, 16}} {
+	all := []string{"row", "split", "offsets", "vertex"}
+	for _, c := range []struct {
+		name    string
+		d, side int
+		paths   []string
+	}{
+		{"d=1", 1, 4096, all}, {"d=2", 2, 32, all}, {"d=3", 3, 16, all},
+		{"d=2/side=8", 2, 8, []string{"row", "offsets"}},
+		{"d=3/side=4", 3, 4, []string{"row", "offsets"}},
+		{"d=3/side=8", 3, 8, []string{"row", "offsets"}},
+		{"d=1/n=1024", 1, 1024, []string{"row", "split"}},
+	} {
 		prog, topo := mixcaOn(c.d, c.side, 5)
 		n := topo.Nodes()
-		for _, path := range []struct {
-			name string
-			prog network.Program
-		}{{"row", prog}, {"split", prog}, {"offsets", offsets{prog}}, {"vertex", perVertex{prog}}} {
-			b.Run(fmt.Sprintf("d=%d/%s", c.d, path.name), func(b *testing.B) {
-				g := network.NewGuest(topo, 4, path.prog)
+		for _, path := range c.paths {
+			var p network.Program = prog
+			switch path {
+			case "offsets":
+				p = offsets{prog}
+			case "vertex":
+				p = perVertex{prog}
+			}
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				g := network.NewGuest(topo, 4, p)
 				h := new(oneHelper)
-				if path.name == "split" {
+				if path == "split" {
 					g.SetHelpers(h)
 					g.Step() // a fresh guest asks once a step went through the row path
 				}

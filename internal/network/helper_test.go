@@ -147,8 +147,8 @@ func checkHelperLaws(t *testing.T) {
 						}
 					}
 					for i, w := range g.Memory() {
-						if w != wantMem[i/m][i%m] {
-							t.Fatalf("%s: memory word %d = %d, unhelped %d", name, i, w, wantMem[i/m][i%m])
+						if w != wantMem[i] {
+							t.Fatalf("%s: memory word %d = %d, unhelped %d", name, i, w, wantMem[i])
 						}
 					}
 					if window {

@@ -165,8 +165,9 @@ type StepHook func(vertices int) error
 // node v, at x = v mod Side on the x-line of nodes [v−x, v−x+Side), has
 // v−1 if x > 0, then v+1 if x < Side−1, then v∓Side when its y is not
 // 0 (resp. Side−1), then v∓Side² likewise for its z. A kernel may then
-// read a node whose coordinates are all inside (0, Side−1) at the fixed
-// offsets ±1, ±Side, ±Side², in that order, instead of through Adj.
+// read any node's neighbors at those fixed offsets, ±1, ±Side, ±Side²
+// in that order, each one present exactly when the node's coordinates
+// say so, instead of through Adj.
 // Side is 0 for any other lists, such as a fault-masked mesh with dead
 // nodes; Adj is then the only source of neighbors.
 type Row struct {
@@ -408,9 +409,6 @@ func (g *Guest) Outputs() []hram.Word { return g.out }
 // The slice is the guest's own.
 func (g *Guest) Memory() []hram.Word { return g.mem }
 
-// Memories returns per-node views of Memory.
-func (g *Guest) Memories() [][]hram.Word { return NodeMemories(g.mem, g.m) }
-
 // Neighbors returns node v's neighbors, in operand order. The slice is
 // the guest's own.
 func (g *Guest) Neighbors(v int) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
@@ -421,16 +419,6 @@ func (g *Guest) Addr(v int) int { return g.addr[v] }
 // Cell reports the content node v wrote to its addressed cell at the
 // last step.
 func (g *Guest) Cell(v int) hram.Word { return g.mem[v*g.m+g.addr[v]] }
-
-// NodeMemories splits a flat memory of m words per node into per-node
-// views that share its backing array.
-func NodeMemories(mem []hram.Word, m int) [][]hram.Word {
-	mems := make([][]hram.Word, len(mem)/m)
-	for v := range mems {
-		mems[v] = mem[v*m : (v+1)*m : (v+1)*m]
-	}
-	return mems
-}
 
 // RunGuest executes prog for steps synchronous steps on the fully parallel
 // machine (P == N required), with full cost accounting: after each step
@@ -476,11 +464,31 @@ func RunGuest(ma *Machine, prog Program, steps int, hook StepHook) ([]hram.Word,
 
 // RunGuestPure executes prog functionally with no cost accounting — the
 // ground truth against which hosted simulations are verified. It returns
-// the final broadcast values and final per-node memories. Adjacency
-// comes from a bare topology mesh: no machine (and no O(n·m) H-RAM
-// memory) is ever built for the functional replay.
-func RunGuestPure(d, n, m, steps int, prog Program) ([]hram.Word, [][]hram.Word) {
+// the final broadcast values and every node's final memory, node v's m
+// words at [v·m, (v+1)·m) (Guest.Memory). Adjacency comes from a bare
+// topology mesh: no machine (and no O(n·m) H-RAM memory) is ever built
+// for the functional replay.
+func RunGuestPure(d, n, m, steps int, prog Program) ([]hram.Word, []hram.Word) {
 	g := NewGuest(topology.NewMesh(d, n, n), m, prog)
 	g.Run(steps, nil)
-	return g.out, g.Memories()
+	return g.out, g.mem
+}
+
+// Digest is the one digest of a guest state: the word-wise 64-bit FNV-1a
+// hash of the broadcast values outs followed by the flat memory mem, in
+// 16 hex digits. It is a served run's outputs_digest. A nil outs, a run
+// that carries no guest state, digests to "".
+func Digest(outs, mem []hram.Word) string {
+	if outs == nil {
+		return ""
+	}
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, w := range outs {
+		h = (h ^ w) * prime
+	}
+	for _, w := range mem {
+		h = (h ^ w) * prime
+	}
+	return fmt.Sprintf("%016x", h)
 }

@@ -258,7 +258,7 @@ func TestRunGuestFinalMemoriesMatch(t *testing.T) {
 	_, mems := RunGuestPure(d, n, m, steps, caProg{})
 	for v := 0; v < n; v++ {
 		for a := 0; a < ma.NodeMemory(); a++ {
-			if got, want := ma.Nodes[v].Peek(a), mems[v][a]; got != want {
+			if got, want := ma.Nodes[v].Peek(a), mems[v*m+a]; got != want {
 				t.Fatalf("node %d cell %d: got %d, want %d", v, a, got, want)
 			}
 		}
@@ -335,7 +335,7 @@ func TestGuestStepperLaws(t *testing.T) {
 // checkStepperLaws asserts TestGuestStepperLaws' laws for one program
 // against caProg's pure replay (wantOut, wantMem). The resumed guest
 // takes its helpers from lend (none when nil).
-func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k int, wantOut []hram.Word, wantMem [][]hram.Word, lend Helpers) {
+func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k int, wantOut []hram.Word, wantMem []hram.Word, lend Helpers) {
 	t.Helper()
 	pureOut, pureMem := RunGuestPure(d, n, m, steps, prog)
 	for v := 0; v < n; v++ {
@@ -343,8 +343,8 @@ func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k
 			t.Fatalf("%s: node %d pure output %d, caProg %d", name, v, pureOut[v], wantOut[v])
 		}
 		for a := 0; a < m; a++ {
-			if pureMem[v][a] != wantMem[v][a] {
-				t.Fatalf("%s: node %d pure cell %d = %d, caProg %d", name, v, a, pureMem[v][a], wantMem[v][a])
+			if pureMem[v*m+a] != wantMem[v*m+a] {
+				t.Fatalf("%s: node %d pure cell %d = %d, caProg %d", name, v, a, pureMem[v*m+a], wantMem[v*m+a])
 			}
 		}
 	}
@@ -359,8 +359,8 @@ func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k
 			t.Fatalf("%s: node %d output %d, pure %d", name, v, out[v], wantOut[v])
 		}
 		for a := 0; a < m; a++ {
-			if got := base.Nodes[v].Peek(a); got != wantMem[v][a] {
-				t.Fatalf("%s: node %d cell %d = %d, pure %d", name, v, a, got, wantMem[v][a])
+			if got := base.Nodes[v].Peek(a); got != wantMem[v*m+a] {
+				t.Fatalf("%s: node %d cell %d = %d, pure %d", name, v, a, got, wantMem[v*m+a])
 			}
 		}
 	}
@@ -423,7 +423,7 @@ func checkStepperLaws(t *testing.T, name string, prog Program, d, n, m, steps, k
 		}
 	}
 	for i, w := range g.Memory() {
-		if w != wantMem[i/m][i%m] {
+		if w != wantMem[i] {
 			t.Fatalf("%s: resumed memory word %d differs", name, i)
 		}
 	}

@@ -572,7 +572,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		"n", req.N, "p", req.P, "m", req.M, "steps", req.Steps,
 		"theta", req.Config.Theta, "traced", req.Trace)
 	start := time.Now()
-	res, err := bsmp.RunSchemeContext(ctx, req.Scheme, req.D, req.N, req.P, req.M, req.Steps, buildGuest(req), req.schemeConfig())
+	res, err := bsmp.RunSchemeContext(ctx, req.Scheme, req.D, req.N, req.P, req.M, req.Steps, s.guest(req), req.schemeConfig())
 	elapsed := time.Since(start)
 	if err != nil {
 		s.log.Warn("run failed", "id", id, "scheme", req.Scheme,
@@ -602,7 +602,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		StripWidth: res.StripWidth, Span: res.Span,
 		Regime1Levels: res.Regime1Levels, Domains: res.Domains,
 		Phases: phases, Ledger: ledger,
-		OutputsDigest: outputsDigest(res.Outputs, res.Memories),
+		OutputsDigest: res.Digest(),
 	}
 	// The inline timeline stays opt-in: untraced runs carry the record's
 	// small-cap tracer for the flight recorder, but their responses (and
@@ -612,24 +612,6 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 		resp.traceEpoch = tr.Epoch()
 	}
 	return resp, nil
-}
-
-// outputsDigest renders RunResponse.OutputsDigest; "" when outs is nil.
-func outputsDigest(outs []bsmp.Word, mems [][]bsmp.Word) string {
-	if outs == nil {
-		return ""
-	}
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, w := range outs {
-		h = (h ^ w) * prime
-	}
-	for _, mem := range mems {
-		for _, w := range mem {
-			h = (h ^ w) * prime
-		}
-	}
-	return fmt.Sprintf("%016x", h)
 }
 
 // handleBounds serves GET /v1/bounds?d=&n=&p=&m= — the closed-form

@@ -169,6 +169,9 @@ type Server struct {
 	// substitute it to inject blocking or panicking work behind the full
 	// middleware, cache, and pool stack.
 	runScheme func(ctx context.Context, req RunRequest) (*RunResponse, error)
+	// guest builds the program execute runs (buildGuest); tests wrap it
+	// to see inside the real engine's replay.
+	guest func(RunRequest) bsmp.Program
 }
 
 // New builds a Server from cfg (zero fields defaulted).
@@ -186,7 +189,7 @@ func New(cfg Config) *Server {
 	}
 	s.ctr.sweepRowLatency = obs.NewHistogram(obs.LatencyBounds...)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.runScheme = s.execute
+	s.runScheme, s.guest = s.execute, buildGuest
 	if cfg.MemoCapacity != 0 {
 		bsmp.SetMemoCapacity(cfg.MemoCapacity)
 	}

@@ -29,3 +29,23 @@ func BenchmarkSweepStream(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepReplayGroup measures one cold /v1/sweep of a single
+// 4-row replay group, sweep-heavy's d = 3 grid: n = 4096 (a 16³ cube),
+// p {64, 512}, m = 4, steps {256, 512}. The group steps its guest 512
+// times in all; two rows take the share's digest and one resumes. A
+// fresh server per iteration keeps the result cache cold; kernels
+// calibrate once, in the first iteration.
+func BenchmarkSweepReplayGroup(b *testing.B) {
+	const body = `{"schemes": ["multi"], "d": 3, "n": 4096, "p": [64, 512], "m": 4, "steps": [256, 512], "seed": 7}`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(Config{})
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"done":true`) {
+			b.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+	}
+}

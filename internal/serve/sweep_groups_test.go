@@ -97,7 +97,7 @@ func TestSweepReplayGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := outputsDigest(res.Outputs, res.Memories); got.OutputsDigest != d {
+		if d := res.Digest(); got.OutputsDigest != d {
 			t.Fatalf("row %d digest %s, direct run %s", row.Index, got.OutputsDigest, d)
 		}
 		if d, ok := digests[got.N]; ok && d != got.OutputsDigest {

@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bsmp"
+	"bsmp/internal/network"
 )
 
 // serveSweep serves one sweep on s and returns its rows and summary,
@@ -41,7 +43,7 @@ func directDigest(t *testing.T, d, n, p, m, steps int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outputsDigest(res.Outputs, res.Memories)
+	return res.Digest()
 }
 
 // checkDigests fails unless every row carries the outputs digest of a
@@ -98,11 +100,44 @@ func TestSweepLendingCompletes(t *testing.T) {
 	}
 }
 
+// awaitHelper is a served guest whose replay waits for its lent helper
+// instead of racing it. On a loaded host the two goroutines of a helped
+// replay need not run at once: a helper attached for all of a 4096-node
+// replay's ~1,800 split steps can still claim none of them, since it only
+// sees an offered upper half while the stepping goroutine is inside the
+// step's lower half (23 of 800 runs failed that way beside two busy
+// loops on a 2-vCPU host). So the lower half of a split step waits until the
+// helper has begun the upper half, and every whole-row step of a guest
+// that may take a helper sleeps a millisecond, which gives the lend a
+// second, not ~30 ms, to attach before the replay ends. Outputs are
+// MixCA's: only the timing changes.
+type awaitHelper struct {
+	bsmp.Program
+	upper *atomic.Int64 // the last step whose upper half began
+}
+
+func (w awaitHelper) StepRow(r *network.Row) bool {
+	switch {
+	case r.Lo > 0:
+		w.upper.Store(int64(r.T))
+	case r.Hi < len(r.Out):
+		for w.upper.Load() != int64(r.T) {
+			runtime.Gosched()
+		}
+	case r.T > 1 && len(r.Out) >= network.SplitMin:
+		time.Sleep(time.Millisecond)
+	}
+	return w.Program.(network.RowProgram).StepRow(r)
+}
+
 // One replay group on two workers and two sweep slots: the group's
 // longer row resumes from the shorter one's state, the idle slot is lent
-// to the running replay, and every row equals a direct run.
+// to the running replay, a helper takes half of its steps, and every row
+// equals a direct run.
 func TestSweepLendsIdleSlot(t *testing.T) {
 	s := New(Config{Workers: 2, SweepParallel: 2})
+	upper := new(atomic.Int64)
+	s.guest = func(req RunRequest) bsmp.Program { return awaitHelper{buildGuest(req), upper} }
 	body := `{"schemes": ["multi"], "d": 1, "n": 4096, "p": [8, 16], "m": 4, "steps": [1024, 2048], "seed": 3}`
 	rows, sum := serveSweep(t, s, body, "?trace=1", 120*time.Second)
 	if len(rows) != 4 || !sum.Done || sum.Errors != 0 {

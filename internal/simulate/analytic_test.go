@@ -196,7 +196,7 @@ func TestAnalyticMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Outputs != nil || got.Memories != nil {
+			if got.Outputs != nil || got.Memory != nil {
 				t.Error("analytic result carries guest outputs; want nil")
 			}
 			if diff := chargesDiff(got, exact, !tc.memo); diff != "" {

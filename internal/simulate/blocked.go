@@ -74,7 +74,7 @@ func BlockedContext(ctx context.Context, d, n, m, steps, leafSpan int, prog netw
 // go sparse and hold O(surface) entries, so volumes of 10⁹ vertices
 // (n = 2²⁰, steps = 2¹⁰) finish in seconds.
 //
-// Result.Outputs and Result.Memories are nil: there is nothing to verify
+// Result.Outputs and Result.Memory are nil: there is nothing to verify
 // guest-side, so callers validate against the work/span laws instead. It
 // has the same cancellation and progress contract as BlockedContext.
 func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program) (Result, error) {
@@ -125,7 +125,7 @@ func runBlocked(ctx context.Context, scheme string, d, n, m, steps, leafSpan int
 	}
 	res := Result{Time: meter.Now(), Ledger: meter.Ledger, Steps: steps, Space: space}
 	if !analytic {
-		if res.Outputs, res.Memories, err = b.collect(); err != nil {
+		if res.Outputs, res.Memory, err = b.collect(); err != nil {
 			return Result{}, err
 		}
 	}

@@ -255,7 +255,7 @@ func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, i
 		bcast:   lattice.NewAddrTable(ix),
 		mem:     lattice.NewAddrTable(ix),
 		colIdx:  lattice.NewAddrTable(lattice.NewIndexer(spatialClip(bounds))),
-		space:   make(map[lattice.Domain]blockedPlan, 1024),
+		space:   make(map[lattice.Domain]blockedPlan),
 		order:   columnOrder(geom.d),
 		opsBuf:  make([]hram.Word, 0, 7),
 		initMem: make([]hram.Word, m),
@@ -684,17 +684,17 @@ func (b *blockedExec) drainLeaf(spans []lattice.Column, err error) error {
 // meter without writing machine memory, so when any subtree replayed
 // the outputs are recomputed guest-side instead (value-independent
 // charges make this sound; Verify still works).
-func (b *blockedExec) collect() ([]hram.Word, [][]hram.Word, error) {
+func (b *blockedExec) collect() ([]hram.Word, []hram.Word, error) {
 	n := b.geom.mesh.Nodes()
 	if b.replayed > 0 {
 		g, err := stepGuest(b.ec, b.geom.d, n, b.m, b.steps, b.prog)
 		if err != nil {
 			return nil, nil, err
 		}
-		return g.Outputs(), g.Memories(), nil
+		return g.Outputs(), g.Memory(), nil
 	}
 	out := make([]hram.Word, n)
-	mems := make([][]hram.Word, n)
+	mem := make([]hram.Word, n*b.m)
 	staticBuf := make([]hram.Word, b.m)
 	for node := 0; node < n; node++ {
 		pos := b.geom.nodePos(node)
@@ -707,9 +707,9 @@ func (b *blockedExec) collect() ([]hram.Word, [][]hram.Word, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("simulate: missing final memory of node %d", node)
 		}
-		mems[node] = make([]hram.Word, b.m)
+		cells := mem[node*b.m : (node+1)*b.m]
 		for i := 0; i < b.iw; i++ {
-			mems[node][i] = b.mach.Peek(base + i)
+			cells[i] = b.mach.Peek(base + i)
 		}
 		if b.iw < b.m {
 			// Cells beyond the declared live region are never addressed;
@@ -718,10 +718,10 @@ func (b *blockedExec) collect() ([]hram.Word, [][]hram.Word, error) {
 				staticBuf[i] = 0
 			}
 			b.prog.Init(node, staticBuf)
-			copy(mems[node][b.iw:], staticBuf[b.iw:])
+			copy(cells[b.iw:], staticBuf[b.iw:])
 		}
 	}
-	return out, mems, nil
+	return out, mem, nil
 }
 
 // imageWords resolves the relocated image width m' for prog on an m-dense

@@ -45,11 +45,9 @@ func TestBlockedD1MatchesNaiveFunctionally(t *testing.T) {
 			t.Fatalf("output %d: blocked %d vs naive %d", i, blk.Outputs[i], nv.Outputs[i])
 		}
 	}
-	for v := range blk.Memories {
-		for a := range blk.Memories[v] {
-			if blk.Memories[v][a] != nv.Memories[v][a] {
-				t.Fatalf("memory %d/%d mismatch", v, a)
-			}
+	for i := range blk.Memory {
+		if blk.Memory[i] != nv.Memory[i] {
+			t.Fatalf("memory word %d mismatch", i)
 		}
 	}
 }

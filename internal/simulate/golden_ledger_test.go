@@ -11,22 +11,12 @@ import (
 )
 
 // renderGoldenRun renders a run's Time, Space, every ledger category's
-// total and count, and the word-wise FNV-1a digest of its outputs
-// followed by its memories, node by node. Floats use shortest
-// round-trip formatting, so two renderings are equal exactly when every
-// pinned number is bit-identical. A ledger category with neither time
-// nor charges is omitted, which loses nothing.
+// total and count, and the digest of its outputs and memory
+// (Result.Digest). Floats use shortest round-trip formatting, so two
+// renderings are equal exactly when every pinned number is
+// bit-identical. A ledger category with neither time nor charges is
+// omitted, which loses nothing.
 func renderGoldenRun(r Result) string {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, w := range r.Outputs {
-		h = (h ^ w) * prime
-	}
-	for _, mem := range r.Memories {
-		for _, w := range mem {
-			h = (h ^ w) * prime
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%v space=%d", r.Time, r.Space)
 	for _, c := range cost.Categories() {
@@ -34,7 +24,7 @@ func renderGoldenRun(r Result) string {
 			fmt.Fprintf(&b, " %s=%v/%d", c, r.Ledger.Total(c), r.Ledger.Count(c))
 		}
 	}
-	fmt.Fprintf(&b, " digest=%016x", h)
+	fmt.Fprintf(&b, " digest=%s", r.Digest())
 	return b.String()
 }
 

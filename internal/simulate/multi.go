@@ -192,8 +192,7 @@ func MultiContext(ctx context.Context, d, n, p, m, steps int, prog network.Progr
 	}
 	// Functional execution (exact): the schedule is a topological
 	// execution of the same dag, so the state evolution is the guest's.
-	res.Outputs, res.Memories, err = replayGuest(ec, 1, n, m, steps, prog)
-	if err != nil {
+	if err := replayGuest(ec, &res.Result, 1, n, m, steps, prog); err != nil {
 		return MultiResult{}, err
 	}
 	return res, nil
@@ -351,8 +350,7 @@ func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network
 	if err != nil {
 		return MultiResult{}, err
 	}
-	res.Outputs, res.Memories, err = replayGuest(ec, 1, n, m, cycles*n, prog)
-	if err != nil {
+	if err := replayGuest(ec, &res.Result, 1, n, m, cycles*n, prog); err != nil {
 		return MultiResult{}, err
 	}
 	res.Time = res.PrepTime + cost.Time(cycles)*res.Time

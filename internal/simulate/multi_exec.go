@@ -523,18 +523,12 @@ func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog netwo
 		exchCat: cost.Message,
 	}, opts.delayModel())
 
-	outs, mems, err := replayGuest(ec, g.d, n, m, steps, prog)
-	if err != nil {
+	res := Result{Time: bank.MaxNow(), Ledger: bank.Ledgers(), Steps: steps}
+	if err := replayGuest(ec, &res, g.d, n, m, steps, prog); err != nil {
 		return MultiResult{}, err
 	}
 	return MultiResult{
-		Result: Result{
-			Outputs:  outs,
-			Memories: mems,
-			Time:     bank.MaxNow(),
-			Ledger:   bank.Ledgers(),
-			Steps:    steps,
-		},
+		Result:        res,
 		Span:          bestSpan,
 		Regime1Levels: bestLevels,
 		Phases:        bank.Phases(),

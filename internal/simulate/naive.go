@@ -114,10 +114,10 @@ func NaiveContext(ctx context.Context, d, n, p, m, steps int, prog network.Progr
 		host.Bank.Barrier()
 	}
 	return Result{
-		Outputs:  g.Outputs(),
-		Memories: g.Memories(),
-		Time:     host.Elapsed() - start,
-		Ledger:   host.Bank.Ledgers(),
-		Steps:    steps,
+		Outputs: g.Outputs(),
+		Memory:  g.Memory(),
+		Time:    host.Elapsed() - start,
+		Ledger:  host.Bank.Ledgers(),
+		Steps:   steps,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"bsmp/internal/hram"
 	"bsmp/internal/network"
 	"bsmp/internal/topology"
 )
@@ -32,14 +31,15 @@ type replayKey struct {
 }
 
 // replayShare holds the live guest of the most recent successful replay
-// made under it, at the step that replay stopped. One slot bounds its
-// memory by construction: a share costs at most one guest (its outputs,
-// n·m memory words and neighbor offsets) however many guests its holder
-// runs.
+// made under it, at the step that replay stopped, with the digest of
+// that state. One slot bounds its memory by construction: a share costs
+// at most one guest (its outputs, n·m memory words and neighbor
+// offsets) however many guests its holder runs.
 type replayShare struct {
-	mu  sync.Mutex
-	key replayKey
-	g   *network.Guest // nil when empty
+	mu     sync.Mutex
+	key    replayKey
+	g      *network.Guest // nil when empty
+	digest string         // network.Digest of g's state
 }
 
 type replayShareKeyType struct{}
@@ -48,11 +48,14 @@ type replayShareKeyType struct{}
 // Multiprocessor runs started under it that replay the same guest —
 // equal (d, n, m) and program — after the first continue from the
 // share's state instead of stepping the guest from step 0: a run of as
-// many steps copies it, and a run of more steps advances it in place
-// and copies the result. Their virtual times, ledgers and outputs are
-// exactly those of a run without the share. The share keeps the last
-// successful replay only and lives as long as the context: scope it to
-// one family of runs, never to a process.
+// many steps takes the digest the share holds for that state, and a run
+// of more steps advances the guest in place and digests the new state
+// once. Every run that replays under the share returns its final state
+// as Result.Digest alone, with nil Outputs and Memory, since the state
+// stays the share's: no run copies the guest. Their virtual times,
+// ledgers and digests are exactly those of a run without the share. The
+// share keeps the last successful replay only and lives as long as the
+// context: scope it to one family of runs, never to a process.
 func WithSharedReplay(ctx context.Context) context.Context {
 	return context.WithValue(ctx, replayShareKeyType{}, new(replayShare))
 }
@@ -62,25 +65,27 @@ func replayShareFrom(ctx context.Context) *replayShare {
 	return s
 }
 
-// take empties the share and returns its guest when that guest is key's
-// at no more than steps steps; otherwise it leaves the share as it is.
-// The taker owns the guest until it stores it back, so a concurrent run
-// of the same guest replays from step 0 instead of waiting.
-func (s *replayShare) take(key replayKey, steps int) *network.Guest {
+// take empties the share and returns its guest and that guest's digest
+// when the guest is key's at no more than steps steps; otherwise it
+// leaves the share as it is and returns nil. The taker owns the guest
+// until it stores it back, so a concurrent run of the same guest
+// replays from step 0 instead of waiting.
+func (s *replayShare) take(key replayKey, steps int) (*network.Guest, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.g
 	if g == nil || s.key != key || g.Steps() > steps {
-		return nil
+		return nil, ""
 	}
 	s.g = nil
-	return g
+	return g, s.digest
 }
 
-// store keeps g, a successful replay of key, replacing the slot.
-func (s *replayShare) store(key replayKey, g *network.Guest) {
+// store keeps g, a successful replay of key, and the digest of its
+// state, replacing the slot.
+func (s *replayShare) store(key replayKey, g *network.Guest, digest string) {
 	s.mu.Lock()
-	s.key, s.g = key, g
+	s.key, s.g, s.digest = key, g, digest
 	s.mu.Unlock()
 }
 
@@ -99,11 +104,6 @@ func replayHelpersFrom(ctx context.Context) network.Helpers {
 	return h
 }
 
-// cloneGuestState copies a guest's outputs and flat memory.
-func cloneGuestState(outs, mem []hram.Word) ([]hram.Word, []hram.Word) {
-	return append([]hram.Word(nil), outs...), append([]hram.Word(nil), mem...)
-}
-
 // stepGuest advances a fresh guest on the d-dimensional n-node mesh
 // exactly for steps steps under ec's cancellation hook.
 func stepGuest(ec *execCtx, d, n, m, steps int, prog network.Program) (*network.Guest, error) {
@@ -116,25 +116,28 @@ func stepGuest(ec *execCtx, d, n, m, steps int, prog network.Program) (*network.
 
 // replayGuest advances the guest functionally (exactly) for steps steps
 // under ec's cancellation hook, with the context's replay helpers
-// (WithReplayHelpers), inside a "replay" span. The span's "vertices"
-// counts the vertices actually stepped, "resumed_from" the step the
-// replay continued from and "helped_steps" the steps a helper took half
-// of. Under a replay share (WithSharedReplay) a stored guest of the same
-// (d, n, m) and program at k ≤ steps steps is advanced from k, and a
-// successful replay is kept for the next run; the run gets a private
-// copy. "shared" then reports 1 when the share held exactly steps steps,
-// so nothing was stepped. A failed or cancelled advance keeps nothing,
-// leaving the share empty, and a shorter run than the share's replays
-// from step 0.
-func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.Word, [][]hram.Word, error) {
+// (WithReplayHelpers), inside a "replay" span, and puts its final state
+// in r. The span's "vertices" counts the vertices actually stepped,
+// "resumed_from" the step the replay continued from and "helped_steps"
+// the steps a helper took half of. Without a replay share r gets the
+// guest's own outputs and memory. Under one (WithSharedReplay) a stored
+// guest of the same (d, n, m) and program at k ≤ steps steps is advanced
+// from k, a successful replay is kept for the next run with the digest
+// of its state, taken once after the advance, and r gets that digest
+// alone. "shared" then reports 1 when the share held exactly steps
+// steps, so nothing was stepped or digested. A failed or cancelled
+// advance keeps nothing, leaving the share empty, and a shorter run than
+// the share's replays from step 0.
+func replayGuest(ec *execCtx, r *Result, d, n, m, steps int, prog network.Program) error {
 	sp := ec.tr.Start("replay")
 	defer sp.End()
 	share := replayShareFrom(ec.ctx)
 	var key replayKey
 	var g *network.Guest
+	var digest string
 	if share != nil {
 		key = replayKey{d, n, m, progFingerprint(prog)}
-		g = share.take(key, steps)
+		g, digest = share.take(key, steps)
 	}
 	if g == nil {
 		g = network.NewGuest(topology.NewMesh(d, n, n), m, prog)
@@ -142,20 +145,22 @@ func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.
 	from, helped := g.Steps(), g.Helped()
 	g.SetHelpers(replayHelpersFrom(ec.ctx))
 	if err := g.Run(steps, ec.hook()); err != nil {
-		return nil, nil, err
+		return err
 	}
 	sp.SetAttr("vertices", float64(n)*float64(steps-from))
 	sp.SetAttr("resumed_from", float64(from))
 	sp.SetAttr("helped_steps", float64(g.Helped()-helped))
 	if share == nil {
-		return g.Outputs(), g.Memories(), nil
+		r.Outputs, r.Memory = g.Outputs(), g.Memory()
+		return nil
 	}
-	if from == steps {
+	if digest != "" && from == steps {
 		sp.SetAttr("shared", 1)
 	} else {
 		sp.SetAttr("shared", 0)
+		digest = network.Digest(g.Outputs(), g.Memory())
 	}
-	share.store(key, g)
-	outs, mem := cloneGuestState(g.Outputs(), g.Memory())
-	return outs, network.NodeMemories(mem, m), nil
+	share.store(key, g, digest)
+	r.digest = digest
+	return nil
 }

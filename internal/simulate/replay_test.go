@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -59,10 +60,27 @@ func sharedReplayCase(sc Scheme) (n, p1, p2, m, steps int, prog network.Program,
 	return
 }
 
+// sharedDigest returns the digest a run under a replay share carries,
+// failing unless the run carries that digest alone.
+func sharedDigest(t *testing.T, res MultiResult) string {
+	t.Helper()
+	if res.Outputs != nil || res.Memory != nil || res.digest == "" {
+		t.Fatalf("a run under a share carries outputs %v, memory %v, digest %q; want the digest alone",
+			res.Outputs != nil, res.Memory != nil, res.digest)
+	}
+	return res.Digest()
+}
+
+// pureDigest is the digest of RunGuestPure's final state.
+func pureDigest(d, n, m, steps int, prog network.Program) string {
+	return network.Digest(network.RunGuestPure(d, n, m, steps, prog))
+}
+
 // Every registry entry that takes its outputs from the replay shares it:
 // a second run of the same guest at another p (and Θ or fault density)
-// copies the stored state, stepping nothing, and returns exactly what an
-// unshared run returns. Results never alias the share or each other.
+// takes the stored state's digest, stepping nothing, and returns exactly
+// what an unshared run returns, with the digest in place of the state.
+// A third run at the first p takes the same digest again.
 func TestSharedReplayRegistry(t *testing.T) {
 	entries := 0
 	for _, sc := range Schemes {
@@ -90,24 +108,21 @@ func TestSharedReplayRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := solo.Digest()
+			if got := sharedDigest(t, second); got != want {
+				t.Fatalf("shared run digest %s, solo run %s", got, want)
+			}
+			solo.Outputs, solo.Memory, solo.digest = nil, nil, want
 			if !reflect.DeepEqual(second, solo) {
 				t.Fatalf("shared run differs from a solo run:\n%+v\n%+v", second.Result, solo.Result)
 			}
-			if !reflect.DeepEqual(first.Outputs, solo.Outputs) || !reflect.DeepEqual(first.Memories, solo.Memories) {
+			if sharedDigest(t, first) != want {
 				t.Fatal("outputs depend on p")
 			}
-
-			first.Outputs[0] ^= 1
-			first.Memories[0][0] ^= 1
-			if !reflect.DeepEqual(second.Outputs, solo.Outputs) || !reflect.DeepEqual(second.Memories, solo.Memories) {
-				t.Fatal("mutating one result changed another")
-			}
-			second.Outputs[1] ^= 1
-			second.Memories[n-1][m-1] ^= 1
 			third, sp := replaySpan(t, ctx, run(p1, cfg1))
 			wantReplay(t, sp, 1, 0)
-			if !reflect.DeepEqual(third.Outputs, solo.Outputs) || !reflect.DeepEqual(third.Memories, solo.Memories) {
-				t.Fatal("mutating a result changed the share's copy")
+			if sharedDigest(t, third) != want {
+				t.Fatal("the share's digest changed between runs")
 			}
 		})
 	}
@@ -116,10 +131,40 @@ func TestSharedReplayRegistry(t *testing.T) {
 	}
 }
 
+// A row at the share's step count costs no copy of the guest: a shared
+// run of an n = 4096, m = 4 guest allocates fewer bytes than the guest's
+// n·m memory words, where a copy of them and of the outputs, with a
+// slice header per node, once cost more than twice that.
+func TestSharedReplayRowAllocs(t *testing.T) {
+	const n, m, steps = 4096, 4, 32
+	prog := netProg(0)
+	// The unshared run measures the kernel the shared one prices with.
+	if _, err := MultiContext(context.Background(), 1, n, 16, m, steps, prog, MultiOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := WithSharedReplay(context.Background())
+	if _, err := MultiContext(ctx, 1, n, 8, m, steps, prog, MultiOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := MultiContext(ctx, 1, n, 16, m, steps, prog, MultiOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharedDigest(t, res) != pureDigest(1, n, m, steps, prog) {
+		t.Fatal("digest differs from RunGuestPure's")
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(n*m*8); got >= bound {
+		t.Fatalf("a shared row allocated %d bytes, want fewer than the guest's %d memory bytes", got, bound)
+	}
+}
+
 // A share holds one guest: another seed, memory density or program
 // under the same share replays from step 0, as does a shorter run of
 // the held guest, while a longer one resumes from the held step; every
-// run gets the guest's own outputs.
+// run gets the digest of the guest's own state.
 func TestSharedReplayKey(t *testing.T) {
 	ctx := WithSharedReplay(context.Background())
 	const n, p = 64, 4
@@ -148,9 +193,8 @@ func TestSharedReplayKey(t *testing.T) {
 		if got := sp.Attrs["resumed_from"]; got != float64(tc.from) {
 			t.Fatalf("run %d: resumed_from %v, want %d", i, got, tc.from)
 		}
-		outs, mems := network.RunGuestPure(1, n, tc.m, tc.steps, prog)
-		if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
-			t.Fatalf("run %d: outputs differ from RunGuestPure", i)
+		if sharedDigest(t, res) != pureDigest(1, n, tc.m, tc.steps, prog) {
+			t.Fatalf("run %d: digest differs from RunGuestPure's", i)
 		}
 	}
 }
@@ -192,16 +236,15 @@ func TestSharedReplayCancelledStoresNothing(t *testing.T) {
 		return MultiContext(ctx, 2, n, 16, m, steps, prog, MultiOptions{})
 	})
 	wantReplay(t, sp, 0, n*steps)
-	outs, mems := network.RunGuestPure(2, n, m, steps, prog)
-	if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
-		t.Fatal("outputs differ from RunGuestPure")
+	if sharedDigest(t, res) != pureDigest(2, n, m, steps, prog) {
+		t.Fatal("digest differs from RunGuestPure's")
 	}
 }
 
 // Under one share, a guest resumes across step counts: 16 steps, then 32
 // steps stepping only the 16 new ones, then 16 steps from step 0 again.
 // An advance cancelled midway empties the share, so the next run steps
-// in full. Every run's outputs equal RunGuestPure's at its own steps.
+// in full. Every run's digest equals RunGuestPure's at its own steps.
 // (d = 2 calibrates on a fixed internal guest, so the wrapped program
 // runs only in the replay.)
 func TestSharedReplayResumes(t *testing.T) {
@@ -218,9 +261,8 @@ func TestSharedReplayResumes(t *testing.T) {
 		if sp.Attrs["resumed_from"] != from {
 			t.Fatalf("steps %d: resumed_from %v, want %v", steps, sp.Attrs["resumed_from"], from)
 		}
-		outs, mems := network.RunGuestPure(2, n, m, steps, prog)
-		if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
-			t.Fatalf("steps %d: outputs differ from RunGuestPure", steps)
+		if sharedDigest(t, res) != pureDigest(2, n, m, steps, prog) {
+			t.Fatalf("steps %d: digest differs from RunGuestPure's", steps)
 		}
 	}
 	run(share, 16, 0)
@@ -247,19 +289,19 @@ func TestMultiD1CyclesReplaysOnce(t *testing.T) {
 	if got := sp.Attrs["vertices"]; got != n*cycles*n {
 		t.Fatalf("replay vertices = %v, want %d", got, n*cycles*n)
 	}
-	outs, mems := network.RunGuestPure(1, n, m, cycles*n, prog)
-	if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
+	outs, mem := network.RunGuestPure(1, n, m, cycles*n, prog)
+	if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memory, mem) {
 		t.Fatal("outputs differ from RunGuestPure at cycles·n steps")
 	}
 }
 
-// Concurrent runs of one guest under one share all return the guest's
-// state, whichever of them replays.
+// Concurrent runs of one guest under one share all return the digest of
+// the guest's state, whichever of them replays.
 func TestSharedReplayConcurrent(t *testing.T) {
 	ctx := WithSharedReplay(context.Background())
 	const n, m, steps = 64, 4, 16
 	prog := netProg(0)
-	outs, mems := network.RunGuestPure(1, n, m, steps, prog)
+	want := pureDigest(1, n, m, steps, prog)
 	var wg sync.WaitGroup
 	for _, p := range []int{2, 4, 8, 16} {
 		wg.Add(1)
@@ -270,11 +312,10 @@ func TestSharedReplayConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !reflect.DeepEqual(res.Outputs, outs) || !reflect.DeepEqual(res.Memories, mems) {
-				t.Errorf("p=%d: outputs differ from RunGuestPure", p)
+			if res.Outputs != nil || res.Memory != nil || res.Digest() != want {
+				t.Errorf("p=%d: digest %s with outputs %v, want RunGuestPure's %s alone",
+					p, res.Digest(), res.Outputs != nil, want)
 			}
-			res.Outputs[0] ^= 1
-			res.Memories[0][0] ^= 1
 		}(p)
 	}
 	wg.Wait()

@@ -40,9 +40,10 @@ import (
 type Result struct {
 	// Outputs holds the guest's final broadcast values per node.
 	Outputs []hram.Word
-	// Memories holds the guest's final per-node memories (nil when the
-	// scheme does not carry node memories, i.e. pure m = 1 dag runs).
-	Memories [][]hram.Word
+	// Memory holds the guest's final memories, node v's m words at
+	// [v·m, (v+1)·m) (nil when the scheme does not carry node memories,
+	// i.e. pure m = 1 dag runs).
+	Memory []hram.Word
 	// Time is the host's elapsed virtual time.
 	Time cost.Time
 	// Ledger attributes the host time by category.
@@ -52,12 +53,34 @@ type Result struct {
 	// Space is the host memory allowance used, when the scheme manages
 	// real addresses (separator-based runs); 0 otherwise.
 	Space int
+
+	// digest is the final state's Digest when the run took it from a
+	// replay share instead of carrying Outputs and Memory.
+	digest string
 }
 
-// Verify checks r's outputs (and memories, when present) against the pure
+// Digest is the digest of the run's final guest state,
+// network.Digest(Outputs, Memory): "" for a run that carries no guest
+// state. A run under a replay share (WithSharedReplay) carries this
+// digest alone, with nil Outputs and Memory.
+func (r Result) Digest() string {
+	if r.digest != "" {
+		return r.digest
+	}
+	return network.Digest(r.Outputs, r.Memory)
+}
+
+// Verify checks r's outputs (and memory, when present) against the pure
 // reference run of the same guest and returns an error on any mismatch.
+// A run that carries only its digest is checked by digest.
 func (r Result) Verify(d, n, m int, prog network.Program) error {
 	wantB, wantM := network.RunGuestPure(d, n, m, r.Steps, prog)
+	if r.digest != "" {
+		if want := network.Digest(wantB, wantM); r.digest != want {
+			return fmt.Errorf("simulate: digest %s, want %s", r.digest, want)
+		}
+		return nil
+	}
 	if len(r.Outputs) != len(wantB) {
 		return fmt.Errorf("simulate: %d outputs, want %d", len(r.Outputs), len(wantB))
 	}
@@ -66,13 +89,14 @@ func (r Result) Verify(d, n, m int, prog network.Program) error {
 			return fmt.Errorf("simulate: output[%d] = %d, want %d", i, r.Outputs[i], wantB[i])
 		}
 	}
-	if r.Memories != nil {
-		for v := range wantM {
-			for a := range wantM[v] {
-				if r.Memories[v][a] != wantM[v][a] {
-					return fmt.Errorf("simulate: memory[%d][%d] = %d, want %d",
-						v, a, r.Memories[v][a], wantM[v][a])
-				}
+	if r.Memory != nil {
+		if len(r.Memory) != len(wantM) {
+			return fmt.Errorf("simulate: %d memory words, want %d", len(r.Memory), len(wantM))
+		}
+		for i := range wantM {
+			if r.Memory[i] != wantM[i] {
+				return fmt.Errorf("simulate: memory[%d][%d] = %d, want %d",
+					i/m, i%m, r.Memory[i], wantM[i])
 			}
 		}
 	}
