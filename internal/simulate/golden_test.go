@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"bsmp/internal/cost"
+	"bsmp/internal/dag"
 	"bsmp/internal/guest"
+	"bsmp/internal/hram"
+	"bsmp/internal/separator"
 )
 
 // These golden values were recorded from the seed implementation (hash-map
@@ -21,32 +24,84 @@ import (
 // model, the new values must be re-derived and the change called out as
 // model-affecting, never absorbed silently.
 
+// TestGoldenUniDC pins the m = 1 divide-and-conquer runs (Theorems 2
+// and 5 and the d = 3 extension) bit-exactly at leaf sizes 1, 4, 8 and
+// 16 and on shapes that are not powers of two: Time, Space, every
+// ledger category's total and count, and the digest of the final dag
+// layer (renderGoldenRun). The leaf-8 n = 64 cases keep the names of
+// the three tuples pinned since the seed.
 func TestGoldenUniDC(t *testing.T) {
 	cases := []struct {
-		name      string
-		d, n, stp int
-		leaf      int
-		seed      uint64
-		time      cost.Time
-		space     int
+		name        string
+		d, n, steps int
+		leaf        int
+		seed        uint64
+		want        string
 	}{
-		{"d1_n64", 1, 64, 64, 8, 1, 2.831097e+06, 892},
-		{"d2_n64", 2, 64, 8, 8, 2, 59415.13316371092, 596},
-		{"d3_n64", 3, 64, 4, 8, 3, 12645.595148408436, 360},
+		{"d1_n64_leaf1", 1, 64, 64, 1, 1,
+			"time=3.458261e+06 space=902 compute=4096/4096 access=27910/16066 transfer=3.426255e+06/42492 digest=5d9115691e117223"},
+		{"d2_n64_leaf1", 2, 64, 8, 1, 2,
+			"time=79506.45240775189 space=602 compute=512/512 access=3773.0155680639286/2528 transfer=75221.43683968834/6416 digest=e0e59191d07bc812"},
+		{"d3_n64_leaf1", 3, 64, 4, 1, 3,
+			"time=20425.685943168686 space=368 compute=256/256 access=1779.2276453968518/1312 transfer=18390.458297771776/3008 digest=8ff9bcc1bb3d1755"},
+		{"d1_n64_leaf4", 1, 64, 64, 4, 1,
+			"time=3.127769e+06 space=898 compute=4096/4096 access=46055/16066 transfer=3.077618e+06/26234 digest=5d9115691e117223"},
+		{"d2_n64_leaf4", 2, 64, 8, 4, 2,
+			"time=60508.12270783484 space=596 compute=512/512 access=5881.552617978171/2528 transfer=54114.570089856374/3376 digest=e0e59191d07bc812"},
+		{"d3_n64_leaf4", 3, 64, 4, 4, 3,
+			"time=15213.894674922014 space=368 compute=256/256 access=2041.3170102882793/1312 transfer=12916.577664633764/1904 digest=8ff9bcc1bb3d1755"},
+		{"d1_n64", 1, 64, 64, 8, 1,
+			"time=2.831097e+06 space=892 compute=4096/4096 access=94871/16066 transfer=2.73213e+06/14518 digest=5d9115691e117223"},
+		{"d2_n64", 2, 64, 8, 8, 2,
+			"time=59415.13316371092 space=596 compute=512/512 access=5975.0548945924775/2528 transfer=52928.078269118254/3216 digest=e0e59191d07bc812"},
+		{"d3_n64", 3, 64, 4, 8, 3,
+			"time=12645.595148408436 space=360 compute=256/256 access=2589.541215865338/1312 transfer=9800.053932543105/1256 digest=8ff9bcc1bb3d1755"},
+		{"d1_n64_leaf16", 1, 64, 64, 16, 1,
+			"time=2.817253e+06 space=892 compute=4096/4096 access=99215/16066 transfer=2.713942e+06/13978 digest=5d9115691e117223"},
+		{"d2_n64_leaf16", 2, 64, 8, 16, 2,
+			"time=56234.15312225939 space=596 compute=512/512 access=6568.366351613728/2528 transfer=49153.78677064552/2864 digest=e0e59191d07bc812"},
+		{"d3_n64_leaf16", 3, 64, 4, 16, 3,
+			"time=10804.47144647843 space=360 compute=256/256 access=2688.8588395039656/1312 transfer=7859.61260697449/952 digest=8ff9bcc1bb3d1755"},
+		{"d1_n37_steps21", 1, 37, 21, 8, 1,
+			"time=345208 space=333 compute=777/777 access=14811/2957 transfer=329620/2929 digest=9803aa02c7823dc5"},
+		{"d2_side5", 2, 25, 5, 4, 2,
+			"time=10174.155308864352 space=191 compute=125/125 access=892.2490384930643/545 transfer=9156.906270371286/897 digest=8ef92dcd460cd314"},
+		{"d3_side5", 3, 125, 5, 2, 3,
+			"time=53505.7042544182 space=883 compute=625/625 access=4974.423646943898/3525 transfer=47906.280607473986/6603 digest=3d5ee4799ef43b04"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := UniDCContext(context.Background(), c.d, c.n, c.stp, c.leaf, guest.Rule90{Seed: c.seed})
+			r, err := UniDCContext(context.Background(), c.d, c.n, c.steps, c.leaf, guest.Rule90{Seed: c.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Time != c.time {
-				t.Errorf("Time = %v, golden %v", r.Time, c.time)
-			}
-			if r.Space != c.space {
-				t.Errorf("Space = %d, golden %d", r.Space, c.space)
+			if got := renderGoldenRun(r); got != c.want {
+				t.Errorf("\n got: %s\nwant: %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestGoldenLevels pins E-LEV's per-depth relocation profile of the
+// d = 1 divide-and-conquer run at n = steps = 64, leaf size 8, bit-exactly:
+// each inner depth's domain count, words moved and Transfer time.
+func TestGoldenLevels(t *testing.T) {
+	const want = "0: 1 562 663691; 1: 4 1052 674975; 2: 12 2008 614868; 3: 40 3824 486176; 4: 144 7072 292420"
+	g := dag.NewLineGraph(64, 64)
+	root := g.Domain()
+	var meter cost.Meter
+	mach := hram.New(separator.SpaceNeeded(g, root, 8), hram.Standard(1, 1), &meter)
+	ex := &separator.Executor{G: g, Prog: guest.Rule90{Seed: 1}, LeafSize: 8}
+	res, err := ex.Execute(mach, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for depth, l := range res.Levels {
+		rows = append(rows, fmt.Sprintf("%d: %d %d %v", depth, l.Domains, l.WordsMoved, l.TransferTime))
+	}
+	if got := strings.Join(rows, "; "); got != want {
+		t.Errorf("\n got: %s\nwant: %s", got, want)
 	}
 }
 
