@@ -121,8 +121,8 @@ func BenchmarkTheorem1D1(b *testing.B) {
 	b.ReportMetric(ameas/analytic.A(1, n, m, p), "A_meas/A_bound")
 }
 
-// BenchmarkTheorem5 reproduces E-T5: d = 2, m = 1 uniprocessor via
-// octahedral separators.
+// BenchmarkTheorem5 reproduces E-T5: d = 2, m = 1 uniprocessor
+// divide-and-conquer via octahedral separators.
 func BenchmarkTheorem5(b *testing.B) {
 	side := 16
 	prog := Rule90{Seed: 2}
@@ -304,7 +304,8 @@ func BenchmarkFigure4(b *testing.B) {
 }
 
 // BenchmarkConjectureD3 reproduces E-D3: the paper's open question made
-// executable — the d = 3 separator executor over Box6 domains.
+// executable — the d = 3 divide-and-conquer (UniDCContext) over Box6
+// domains.
 func BenchmarkConjectureD3(b *testing.B) {
 	side := 8
 	prog := guest.Rule90{Seed: 3}
@@ -339,9 +340,10 @@ func BenchmarkConjectureD3Multi(b *testing.B) {
 	b.ReportMetric(ameas/analytic.A(3, n, m, p), "A_meas/A_conj")
 }
 
-// BenchmarkSeparatorExecutor measures the core executor itself (vertices
-// per second of real Go time), the repository's hottest loop.
-func BenchmarkSeparatorExecutor(b *testing.B) {
+// BenchmarkUniDCExecutor measures the Proposition 2 recursion's vertex
+// flow at d = 1 (vertices per second of real Go time): the host cost of
+// the copy-downs, stagings and vertex-by-vertex leaves behind E-T2.
+func BenchmarkUniDCExecutor(b *testing.B) {
 	n := 64
 	prog := guest.Rule90{Seed: 1}
 	for i := 0; i < b.N; i++ {

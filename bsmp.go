@@ -18,12 +18,12 @@
 //     Md(n, p, m) (network), and the virtual-time cost engine (cost);
 //   - the computation model: the dags G_T(H) of Definition 3 (dag), the
 //     diamond/octahedron/tetrahedron domains and the Figure 1–4
-//     decompositions (lattice), and the topological-separator executor of
-//     Propositions 2–3 (separator);
+//     decompositions (lattice);
 //   - the paper's simulation algorithms: naive (Prop. 1), uniprocessor
-//     divide-and-conquer for d = 1 and 2 (Thms. 2, 5), the blocked
-//     general-m scheme (Thm. 3), and the multiprocessor scheme with
-//     memory rearrangement and cooperating mode (Thm. 4 / Thm. 1);
+//     divide-and-conquer for d = 1 and 2 (Thms. 2, 5) and the blocked
+//     general-m scheme (Thm. 3), both run by one topological-separator
+//     recursion (Prop. 2), and the multiprocessor scheme with memory
+//     rearrangement and cooperating mode (Thm. 4 / Thm. 1);
 //   - the closed-form bounds (analytic) and the experiment harness that
 //     reproduces every theorem and figure (exp).
 //

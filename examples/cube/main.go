@@ -6,8 +6,8 @@
 // This repository's rotated-coordinate construction (t±x, t±y, t±z)
 // provides exactly that separator: the central 4-polytope splits into 46
 // topologically ordered children (10 central analogs + 36 wedges) with
-// preboundary Θ(|U|^(3/4)). Here we run the real separator executor over
-// it, simulating a 3-D cube mesh CA on a single processor, and compare
+// preboundary Θ(|U|^(3/4)). Here we run the divide-and-conquer recursion
+// over it, simulating a 3-D cube mesh CA on a single processor, and compare
 // with the naive order.
 package main
 

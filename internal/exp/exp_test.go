@@ -190,3 +190,19 @@ func TestRenderFigure4Slice(t *testing.T) {
 		t.Fatal("uncovered node in slice t=3")
 	}
 }
+
+// E-LEV runs through UniDCContext, whose planning polls the context: a
+// pre-cancelled context returns its error instead of a table, as E-T2
+// does.
+func TestLevelsHonoursCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func(context.Context, Scale) (*Table, error){
+		"Levels": Levels, "T2": T2,
+	} {
+		tab, err := run(ctx, Scale{Quick: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a pre-cancelled context = (%v, %v), want context.Canceled", name, tab != nil, err)
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"bsmp/internal/lattice"
 	"bsmp/internal/network"
 	"bsmp/internal/ram"
-	"bsmp/internal/separator"
 	"bsmp/internal/simulate"
 )
 
@@ -83,8 +82,9 @@ func P1(ctx context.Context, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// T2 reproduces Theorem 2: T1/Tn = O(n log n) for d = 1, m = 1, via the
-// real separator executor, against the naive baseline.
+// T2 reproduces Theorem 2: T1/Tn = O(n log n) for d = 1, m = 1, via
+// UniDCContext (the Proposition 2 recursion's vertex flow, with real
+// address management), against the naive baseline.
 func T2(ctx context.Context, s Scale) (*Table, error) {
 	t := &Table{
 		ID:         "E-T2",
@@ -374,7 +374,7 @@ func ISA(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // D3 addresses the paper's concluding open question: whether the locality
-// slowdown extends to d = 3. It runs the real separator executor over the
+// slowdown extends to d = 3. It runs UniDCContext's recursion over the
 // four-dimensional Box6 domains (the topological separator the paper
 // conjectured) and compares with the naive order.
 func D3(ctx context.Context, s Scale) (*Table, error) {
@@ -666,8 +666,9 @@ func MPrime(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // Levels exposes Proposition 2/3's internal structure: the per-recursion-
-// depth relocation profile of a real separator execution, whose per-level
-// transfer time is flat — the decomposition that yields τ(k) = O(k·log k).
+// depth relocation profile (Result.Levels) of a real d = 1
+// divide-and-conquer run through UniDCContext, whose per-level transfer
+// time is flat — the decomposition that yields τ(k) = O(k·log k).
 func Levels(ctx context.Context, s Scale) (*Table, error) {
 	n := 256
 	if s.Quick {
@@ -680,13 +681,7 @@ func Levels(ctx context.Context, s Scale) (*Table, error) {
 			"per recursion level over ~log k levels, giving τ(k) = O(k·log k)",
 		Header: []string{"depth", "domains", "words moved", "transfer time"},
 	}
-	g := dag.NewLineGraph(n, n)
-	root := g.Domain()
-	space := separator.SpaceNeeded(g, root, 8)
-	var meter cost.Meter
-	mach := hram.New(space, hram.Standard(1, 1), &meter)
-	ex := &separator.Executor{G: g, Prog: guest.Rule90{Seed: 1}, LeafSize: 8}
-	res, err := ex.Execute(mach, root)
+	res, err := simulate.UniDCContext(ctx, 1, n, n, 8, guest.Rule90{Seed: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@
 // of a computation:
 //
 //   - dag.Program — the pure dag semantics of Definition 3 (used by the
-//     separator executor and the m = 1 theorems), and
+//     m = 1 divide-and-conquer runs of Theorems 2 and 5), and
 //   - network.Program — the machine semantics with per-node m-cell
 //     memories and broadcast values (used by guest-time measurement and the
 //     m > 1 simulations).

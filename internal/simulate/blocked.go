@@ -3,8 +3,6 @@ package simulate
 import (
 	"context"
 
-	"bsmp/internal/cost"
-	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/network"
 )
@@ -81,9 +79,9 @@ func BlockedAnalyticD1Context(ctx context.Context, n, m, steps, leafWidth int, p
 	return runBlocked(ctx, "blocked-analytic", 1, n, m, steps, leafWidth, prog, true)
 }
 
-// runBlocked is the one blocked run behind both entry points: it plans
-// the recursion, sizes the machine — a charge-only one when analytic —
-// executes the root, and collects the guest state on the exact machine.
+// runBlocked is the one blocked run behind both entry points: it
+// validates the tuple and runs the image flow of the recursion
+// (blockedExec.run), on a charge-only machine when analytic.
 func runBlocked(ctx context.Context, scheme string, d, n, m, steps, leafSpan int, prog network.Program, analytic bool, opts ...hram.Option) (Result, error) {
 	if e := validateGuest(scheme, d, n, m, steps, 0); e != nil {
 		return Result{}, e
@@ -99,37 +97,7 @@ func runBlocked(ctx context.Context, scheme string, d, n, m, steps, leafSpan int
 	if err != nil {
 		return Result{}, err
 	}
-	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, newBlockedGeom(d, n))
-	defer b.ec.publish()
-	plan, err := b.spaceNeeded(root)
-	if err != nil {
-		return Result{}, err
-	}
-	// The planning buffer has grown to the run's largest surface, the
-	// root's, and execution only looks plans up: release it.
-	b.surf = dag.Surface{}
-	space := plan.space
-	var meter cost.Meter
-	newMachine := hram.New
-	if analytic {
-		newMachine = hram.NewCharges
-	}
-	b.mach, b.analytic = newMachine(space, hram.Standard(d, m), &meter, opts...), analytic
-	if memoEnabled(ctx) {
-		b.enableMemo()
-	}
-	var geo dag.Surface
-	b.bd.Compute(g, root, b.order, &geo)
-	if err := b.exec(root, geo, space, 0); err != nil {
-		return Result{}, err
-	}
-	res := Result{Time: meter.Now(), Ledger: meter.Ledger, Steps: steps, Space: space}
-	if !analytic {
-		if res.Outputs, res.Memory, err = b.collect(); err != nil {
-			return Result{}, err
-		}
-	}
-	return res, nil
+	return newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, newBlockedGeom(d, n)).run(root, analytic, opts...)
 }
 
 // MemUser is an optional interface for programs that touch only the first

@@ -12,17 +12,24 @@ import (
 	"bsmp/internal/topology"
 )
 
-// This file is the engine behind BlockedContext and
-// BlockedAnalyticD1Context: one Proposition 2 recursion over the two-kind
-// value flow (broadcast words and whole column images), generic over the
-// mesh dimension and run on one of two machines. On hram.New's machine it
-// is the exact simulation, guest values included; on hram.NewCharges'
-// charge-only machine it is the analytic mode, which charges the same
-// sequence without storing a word. Both value kinds are addressed by
-// lattice.AddrTables indexed over the dag's bounding box (dense up to
-// 2²⁴ points, sparse above), and all scratch (column indices, override
-// stacks, child geometry) is arena-allocated once per run and reused
-// across every recursion level.
+// This file is the one Proposition 2 recursion, behind BlockedContext,
+// BlockedAnalyticD1Context and UniDCContext: it copies each piece's
+// preboundary down, executes the piece in [0, S(piece)), and stages its
+// live-outs below S(domain), generic over the mesh dimension and run on
+// one of two machines. On hram.New's machine it is exact, guest values
+// included; on hram.NewCharges' charge-only machine it is the analytic
+// mode, which charges the same sequence without storing a word.
+//
+// Two value flows run through it. The image flows (blocked and
+// blocked-analytic) move broadcast words and whole column images, and
+// execute leaves of span at most leafSpan with every image resident. The
+// vertex flow (UniDC, m = 1) moves broadcast words alone (iw = 0) and
+// executes a leaf vertex by vertex over a dag.Program; a domain of at
+// most leafSize vertices, or one too small to split, is its leaf.
+// Values are addressed by lattice.AddrTables indexed over the dag's
+// bounding box (dense up to 2²⁴ points, sparse above), and all scratch
+// (column indices, override stacks, child geometry) is arena-allocated
+// once per run and reused across every recursion level.
 //
 // Address-table layout. A broadcast value lives at its dag vertex
 // (x, t) (d = 2: (x, y, t); d = 3: (x, y, z, t)). A column image is keyed
@@ -42,7 +49,7 @@ import (
 // Scratch lifetime rules — the invariants that make single arenas safe:
 //
 //   - colIdx and leafPts are populated and drained entirely within
-//     execLeaf(), which never overlaps a deeper use.
+//     a leaf, which never overlaps a deeper use.
 //   - ovStack, geo and used hand each recursion depth its own override
 //     buffer, child geometry and list of the live-outs its finished
 //     children handed it to consume, so a parent's stay intact while its
@@ -117,14 +124,17 @@ func shift(p lattice.Point, a, delta int) lattice.Point {
 	return p
 }
 
-// blockedExec runs the blocked simulation of one guest on one H-RAM.
+// blockedExec runs one Proposition 2 recursion on one H-RAM. Exactly one
+// of prog (an image flow) and dprog (the vertex flow) is set.
 type blockedExec struct {
 	g        dag.Graph
 	prog     network.Program
+	dprog    dag.Program
 	m        int // guest memory density
-	iw       int // image words actually relocated: m' <= m (MemUser)
+	iw       int // image words actually relocated: m' <= m (MemUser); 0 in the vertex flow
 	steps    int
 	leafSpan int
+	leafSize int // vertex flow: a domain of at most leafSize vertices is a leaf; 0 otherwise
 	mach     *hram.Machine
 	analytic bool // mach is charge-only: no guest values, delta memo records
 	geom     blockedGeom
@@ -149,6 +159,7 @@ type blockedExec struct {
 	opsBuf  []hram.Word
 	initMem []hram.Word
 	leafPts []lattice.Point // the running leaf's vertices
+	levels  []LevelStat     // the relocation profile per recursion depth
 
 	// Subtree memoization state (enableMemo). The exact machine records
 	// charge traces: recs is the stack of active trace recorders, and the
@@ -168,7 +179,8 @@ type blockedExec struct {
 // recorded once and replayed at every later congruent site, as trace
 // playback on the exact machine and as one (clock, ledger) delta on the
 // charge-only one. Requires a guest whose address pattern is
-// classifiable (addrClasser); otherwise the run proceeds unmemoized. The
+// classifiable (addrClasser); otherwise the run proceeds unmemoized, as
+// the vertex flow always does (a dag program has no address class). The
 // meter tap only observes charges — it never charges — so arming it
 // cannot perturb virtual times.
 func (b *blockedExec) enableMemo() {
@@ -242,9 +254,9 @@ func memKey(pos lattice.Point, t int) lattice.Point {
 	return lattice.Point{X: pos.X, Y: pos.Y, Z: pos.Z, T: t}
 }
 
-// newBlockedExec allocates the address tables for graph g. The index box
-// is g's bounds with one extra time layer, so the final images
-// Mem(v, steps+1) are addressable.
+// newBlockedExec allocates an image flow's address tables for graph g.
+// The index box is g's bounds with one extra time layer, so the final
+// images Mem(v, steps+1) are addressable.
 func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, iw, steps, leafSpan int, geom blockedGeom) *blockedExec {
 	bounds := g.Bounds()
 	bounds.T1++
@@ -259,6 +271,28 @@ func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, i
 		order:   columnOrder(geom.d),
 		opsBuf:  make([]hram.Word, 0, 7),
 		initMem: make([]hram.Word, m),
+	}
+}
+
+// defaultLeafSize is the vertex flow's leaf size when the caller passes
+// none: any small constant keeps the asymptotics, and 8 keeps the
+// recursion overhead low.
+const defaultLeafSize = 8
+
+// newVertexExec allocates the vertex flow for prog's dag g: no images,
+// so only the broadcast table, over g's own bounds. Its columns carry
+// no images, so their order does not matter; ByPosition is the cheaper.
+func newVertexExec(ctx context.Context, g dag.Graph, prog dag.Program, leafSize int, geom blockedGeom) *blockedExec {
+	if leafSize <= 0 {
+		leafSize = defaultLeafSize
+	}
+	return &blockedExec{
+		g: g, dprog: prog, m: 1, steps: g.Steps(), leafSpan: 1, leafSize: leafSize, geom: geom,
+		ec:     newExecCtx(ctx),
+		bcast:  lattice.NewAddrTable(lattice.NewIndexer(g.Bounds())),
+		space:  make(map[lattice.Domain]blockedPlan),
+		order:  dag.ByPosition,
+		opsBuf: make([]hram.Word, 0, 5),
 	}
 }
 
@@ -299,11 +333,13 @@ func inSize(geo *dag.Surface, iw int) int {
 	return len(geo.Pre) + iw*memInCount(geo.Cols)
 }
 
-// isLeaf reports whether dom is executed naively in place. leafSpan is
-// at least 2, and a domain of span 2 or more can always be split, so
-// the span alone decides.
+// isLeaf reports whether dom is executed directly. An image flow's
+// leafSpan is at least 2, and a domain of span 2 or more can always be
+// split, so there the span alone decides. The vertex flow's leafSpan is
+// 1, the span below which a domain cannot be split, and a domain of at
+// most leafSize vertices is a leaf too.
 func (b *blockedExec) isLeaf(dom lattice.Domain) bool {
-	return dom.Span() <= b.leafSpan
+	return dom.Span() <= b.leafSpan || (b.leafSize > 0 && dom.Size() <= b.leafSize)
 }
 
 // blockedPlan is the planning pass's record of one domain: its space
@@ -311,13 +347,16 @@ func (b *blockedExec) isLeaf(dom lattice.Domain) bool {
 // plus one image per column).
 type blockedPlan struct{ space, stage int }
 
-// spaceNeeded mirrors separator.SpaceNeeded for the two-kind value flow.
-// A plan depends only on the domain's geometry, so it is memoized by
-// canonical shape (canonicalDomain, the subtree memo's notion of
-// congruence) and the planning recursion expands each shape once. That
-// recursion runs before a single vertex executes — at large (n, steps)
-// that is seconds of work — so it polls cancellation at every node it
-// expands; a caller that has already given up never reaches execution.
+// spaceNeeded computes Proposition 2's space allowance S(dom): a leaf
+// needs its resident images, one word per vertex and its incoming data;
+// an inner domain its largest child's allowance, plus the words it
+// stages for its children, plus its incoming data. A plan depends only
+// on the domain's geometry, so it is memoized by canonical shape
+// (canonicalDomain, the subtree memo's notion of congruence) and the
+// planning recursion expands each shape once. That recursion runs
+// before a single vertex executes — at large (n, steps) that is seconds
+// of work — so it polls cancellation at every node it expands; a caller
+// that has already given up never reaches execution.
 func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
 	shape, ok := canonicalDomain(dom)
 	if !ok {
@@ -352,16 +391,21 @@ func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
 	return p, nil
 }
 
-// exec implements the Proposition 2 recursion for the blocked value flow;
-// geo is dom's geometry, enumerated by the caller's visit.
-// Contract: incoming keys (preboundary broadcasts and consumed images)
-// have valid addresses on entry; on exit, live-out broadcasts and the
-// produced images Mem(v, tb+1) have valid addresses, and no other
-// broadcast of dom has one.
+// exec implements the Proposition 2 recursion; geo is dom's geometry,
+// enumerated by the caller's visit. Contract: incoming keys (preboundary
+// broadcasts and consumed images) have valid addresses on entry; on
+// exit, live-out broadcasts and the produced images Mem(v, tb+1) have
+// valid addresses, and no other broadcast of dom has one. An inner
+// domain counts itself, and the words and Transfer time of its
+// children's copy-downs and stagings, in its depth's LevelStat.
 func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int) error {
 	if b.isLeaf(dom) {
+		if b.dprog != nil {
+			return b.execVertexLeaf(dom, geo)
+		}
 		return b.execLeaf(dom, geo)
 	}
+	b.level(depth).Domains++
 	// The incoming slot occupies [space-inSize, space); staging grows
 	// downward from its floor.
 	stagePtr := space - inSize(&geo, b.iw)
@@ -415,6 +459,10 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 		b.bd.Compute(b.g, kid, b.order, &kg)
 		b.geo[depth] = kg
 		kidSpans, kidGin, live := kg.Cols, kg.Pre, kg.Live
+		if b.iw == 0 {
+			// The vertex flow moves no images: skip the image loops.
+			kidSpans = nil
+		}
 		kp, err := b.spaceNeeded(kid)
 		if err != nil {
 			return err
@@ -424,10 +472,12 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 		// Copy incoming data into the child's top slot: images first,
 		// then broadcast words.
 		overrides := b.ovStack[depth][:0]
-		dst := skid - inSize(&kg, b.iw)
+		in := inSize(&kg, b.iw)
+		dst := skid - in
 		if dst < 0 {
 			return fmt.Errorf("simulate: child slot underflow in %v", kid)
 		}
+		t0 := meter.Total(cost.Transfer)
 		for _, s := range kidSpans {
 			if s.Ta < 1 {
 				continue
@@ -453,6 +503,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			dst++
 		}
 		b.ovStack[depth] = overrides
+		b.tally(depth, in, t0)
 
 		if rec != nil {
 			// Replay: re-apply the recorded charges and rebind the child's
@@ -521,6 +572,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 
 		// Persist the child's products into staging: produced images and
 		// live-out broadcasts.
+		t0 = meter.Total(cost.Transfer)
 		for _, s := range kidSpans {
 			k := memKey(s.Pos, s.Tb+1)
 			src, ok := b.mem.Get(k)
@@ -546,6 +598,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 			b.mach.MoveWord(stagePtr, src)
 			b.bcast.Set(v, stagePtr)
 		}
+		b.tally(depth, kp.stage, t0)
 		// The live-outs dom does not export are consumed inside it.
 		geo.EachDead(live, consumed)
 
@@ -574,6 +627,22 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 		b.bcast.Delete(p)
 	}
 	return nil
+}
+
+// level returns depth's LevelStat, growing the profile.
+func (b *blockedExec) level(depth int) *LevelStat {
+	for len(b.levels) <= depth {
+		b.levels = append(b.levels, LevelStat{})
+	}
+	return &b.levels[depth]
+}
+
+// tally adds words relocated at depth, and the Transfer time charged
+// since t0, to the level profile.
+func (b *blockedExec) tally(depth, words int, t0 cost.Time) {
+	st := b.level(depth)
+	st.WordsMoved += words
+	st.TransferTime += b.mach.Meter().Total(cost.Transfer) - t0
 }
 
 // execLeaf simulates the domain naively in place: all column images
@@ -679,11 +748,56 @@ func (b *blockedExec) drainLeaf(spans []lattice.Column, err error) error {
 	return err
 }
 
-// collect gathers the final broadcast values and memory images in node
-// index order after the root execution. Replayed subtrees charge the
-// meter without writing machine memory, so when any subtree replayed
-// the outputs are recomputed guest-side instead (value-independent
-// charges make this sound; Verify still works).
+// execVertexLeaf is the vertex flow's leaf: it executes dom's vertices
+// in dom.Points order, reading each one's operands in Graph.Preds order.
+// An input vertex (t = 0) takes its value from Input, any other from
+// Step. Each vertex costs one op and one write, at addresses counting
+// up from 0. The leaf then keeps only its live-outs in the broadcast
+// table.
+func (b *blockedExec) execVertexLeaf(dom lattice.Domain, geo dag.Surface) error {
+	next := 0
+	var fail error
+	b.leafPts = b.leafPts[:0]
+	dom.Points(func(p lattice.Point) bool {
+		b.ptsBuf = b.g.Preds(p, b.ptsBuf[:0])
+		b.opsBuf = b.opsBuf[:0]
+		for _, q := range b.ptsBuf {
+			a, ok := b.bcast.Get(q)
+			if !ok {
+				fail = fmt.Errorf("simulate: operand %v of %v unavailable in leaf", q, p)
+				return false
+			}
+			b.opsBuf = append(b.opsBuf, b.mach.Read(a))
+		}
+		var v dag.Value
+		if p.T == 0 {
+			v = b.dprog.Input(p)
+		} else {
+			v = b.dprog.Step(p, b.opsBuf)
+		}
+		b.mach.Op()
+		b.mach.Write(next, v)
+		b.bcast.Set(p, next)
+		next++
+		b.leafPts = append(b.leafPts, p)
+		return true
+	})
+	if fail == nil {
+		fail = b.ec.step(dom.Size())
+	}
+	if fail != nil {
+		return fail
+	}
+	geo.EachDead(b.leafPts, b.bcast.Delete)
+	return nil
+}
+
+// collect gathers the final layer's broadcast values and, in an image
+// flow, the final memory images, in node index order after the root
+// execution. Replayed subtrees charge the meter without writing machine
+// memory, so when any subtree replayed the outputs are recomputed
+// guest-side instead (value-independent charges make this sound; Verify
+// still works).
 func (b *blockedExec) collect() ([]hram.Word, []hram.Word, error) {
 	n := b.geom.mesh.Nodes()
 	if b.replayed > 0 {
@@ -694,15 +808,21 @@ func (b *blockedExec) collect() ([]hram.Word, []hram.Word, error) {
 		return g.Outputs(), g.Memory(), nil
 	}
 	out := make([]hram.Word, n)
-	mem := make([]hram.Word, n*b.m)
-	staticBuf := make([]hram.Word, b.m)
+	var mem, staticBuf []hram.Word
+	if b.iw > 0 {
+		mem, staticBuf = make([]hram.Word, n*b.m), make([]hram.Word, b.m)
+	}
+	last := b.g.Steps() - 1
 	for node := 0; node < n; node++ {
 		pos := b.geom.nodePos(node)
-		addr, ok := b.bcast.Get(memKey(pos, b.steps))
+		addr, ok := b.bcast.Get(memKey(pos, last))
 		if !ok {
 			return nil, nil, fmt.Errorf("simulate: missing final broadcast of node %d", node)
 		}
 		out[node] = b.mach.Peek(addr)
+		if mem == nil {
+			continue
+		}
 		base, ok := b.mem.Get(memKey(pos, b.steps+1))
 		if !ok {
 			return nil, nil, fmt.Errorf("simulate: missing final memory of node %d", node)
@@ -722,6 +842,42 @@ func (b *blockedExec) collect() ([]hram.Word, []hram.Word, error) {
 		}
 	}
 	return out, mem, nil
+}
+
+// run is the one run sequence behind every entry point: it plans root,
+// releases the planning buffer, sizes the machine to root's allowance
+// (a charge-only one when analytic), executes root, and collects the
+// guest state on the machine that stores words.
+func (b *blockedExec) run(root lattice.Domain, analytic bool, opts ...hram.Option) (Result, error) {
+	defer b.ec.publish()
+	plan, err := b.spaceNeeded(root)
+	if err != nil {
+		return Result{}, err
+	}
+	// The planning buffer has grown to the run's largest surface, the
+	// root's, and execution only looks plans up: release it.
+	b.surf = dag.Surface{}
+	var meter cost.Meter
+	newMachine := hram.New
+	if analytic {
+		newMachine = hram.NewCharges
+	}
+	b.mach, b.analytic = newMachine(plan.space, hram.Standard(b.geom.d, b.m), &meter, opts...), analytic
+	if memoEnabled(b.ec.ctx) {
+		b.enableMemo()
+	}
+	var geo dag.Surface
+	b.bd.Compute(b.g, root, b.order, &geo)
+	if err := b.exec(root, geo, plan.space, 0); err != nil {
+		return Result{}, err
+	}
+	res := Result{Time: meter.Now(), Ledger: meter.Ledger, Steps: b.steps, Space: plan.space, Levels: b.levels}
+	if !analytic {
+		if res.Outputs, res.Memory, err = b.collect(); err != nil {
+			return Result{}, err
+		}
+	}
+	return res, nil
 }
 
 // imageWords resolves the relocated image width m' for prog on an m-dense

@@ -133,7 +133,7 @@ func TestBlockedD1LeafWidthAblation(t *testing.T) {
 
 func TestBlockedD1Rule90MatchesDagForM1(t *testing.T) {
 	// With m = 1 and an order-insensitive rule, the blocked scheme must
-	// agree with the dag-level separator executor.
+	// agree with the dag-level divide-and-conquer run (UniDCContext).
 	r := guest.Rule90{Seed: 8}
 	n := 16
 	blk, err := BlockedContext(context.Background(), 1, n, 1, n-1, 0, guest.AsNetwork{G: r})
@@ -146,7 +146,7 @@ func TestBlockedD1Rule90MatchesDagForM1(t *testing.T) {
 	}
 	for i := range blk.Outputs {
 		if blk.Outputs[i] != dc.Outputs[i] {
-			t.Fatalf("node %d: blocked %d vs separator %d", i, blk.Outputs[i], dc.Outputs[i])
+			t.Fatalf("node %d: blocked %d vs unidc %d", i, blk.Outputs[i], dc.Outputs[i])
 		}
 	}
 }

@@ -89,8 +89,8 @@ func TestAnalyticPlanningCancellable(t *testing.T) {
 	}
 }
 
-// UniDCContext plans once, through the separator executor's Plan, and
-// that plan polls the Check hook at every node. A pre-cancelled context
+// UniDCContext plans once, through the recursion's spaceNeeded, which
+// polls cancellation at every node it expands. A pre-cancelled context
 // must abort out of planning; unpolled, planning this tuple twice took
 // ~13 s before the first execution checkpoint saw the cancellation.
 func TestUniDCPlanningCancellable(t *testing.T) {

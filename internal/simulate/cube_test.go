@@ -59,7 +59,7 @@ func TestD3GuestTimeMatchesDagView(t *testing.T) {
 
 func TestD3SeparatorBeatsNaiveExponent(t *testing.T) {
 	// The conjecture, measured: on the d = 3 dag (k = n^(4/3) vertices
-	// for T = side), the separator executor's time grows like k·log k
+	// for T = side), the divide-and-conquer time grows like k·log k
 	// (exponent ~4/3 in n = side³ plus log drift) while the naive order
 	// pays f(n·m) = n^(1/3) per access on top: k·n^(1/3) = n^(5/3).
 	prog := guest.Rule90{Seed: 3}
@@ -85,14 +85,52 @@ func TestD3SeparatorBeatsNaiveExponent(t *testing.T) {
 		t.Errorf("naive d=3 exponent %v, want ~5/3", nvSlope)
 	}
 	// At these sizes both schemes carry transients; the verifiable
-	// conjecture signals are (a) naive/separator improves toward the
-	// separator as n grows and (b) separator time normalized by the
-	// conjectured k·log k bound stays within a narrow band.
+	// conjecture signals are (a) naive/dc improves toward the
+	// divide-and-conquer run as n grows and (b) its time normalized by
+	// the conjectured k·log k bound stays within a narrow band.
 	if nvOverDC[len(nvOverDC)-1] <= nvOverDC[0] {
-		t.Errorf("naive/separator ratio not improving: %v", nvOverDC)
+		t.Errorf("naive/dc ratio not improving: %v", nvOverDC)
 	}
 	if band := dcNorm[len(dcNorm)-1] / dcNorm[0]; band > 3 {
-		t.Errorf("separator τ/(k·log k) band %vx — inconsistent with k·log k: %v", band, dcNorm)
+		t.Errorf("dc τ/(k·log k) band %vx — inconsistent with k·log k: %v", band, dcNorm)
+	}
+}
+
+// Proposition 3's space σ(k) = O(k^γ) on the line, γ = 1/2: quadrupling
+// n grows the n² dag 16x, and the allowance ~4x, not 16x.
+func TestD1SpaceScalesAsSqrt(t *testing.T) {
+	prog := guest.Rule90{Seed: 1}
+	res16, err := UniDCContext(context.Background(), 1, 16, 16, 8, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res64, err := UniDCContext(context.Background(), 1, 64, 64, 8, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(res64.Space) / float64(res16.Space); ratio > 6.5 {
+		t.Errorf("space ratio %v for 16x dag growth; want ~4 (σ = O(√k))", ratio)
+	}
+	if res64.Space < 64 {
+		t.Errorf("space %d smaller than one row", res64.Space)
+	}
+}
+
+// On the mesh, γ = 2/3: quadrupling the side grows the dag 64x, and the
+// allowance ~16x.
+func TestD2SpaceScalesAsTwoThirds(t *testing.T) {
+	prog := guest.Rule90{Seed: 2}
+	res4, err := UniDCContext(context.Background(), 2, 16, 4, 8, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res16, err := UniDCContext(context.Background(), 2, 256, 16, 8, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Pow(64, 2.0/3)
+	if ratio := float64(res16.Space) / float64(res4.Space); ratio > want*2 {
+		t.Errorf("space ratio %v for 64x dag growth; want ~%v (k^(2/3))", ratio, want)
 	}
 }
 

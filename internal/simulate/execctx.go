@@ -19,7 +19,8 @@ type Progress struct {
 	// simulated nodes, leaf kernel points, functional-replay work).
 	Vertices atomic.Int64
 	// Phases counts completed phase/recursion boundaries: one per
-	// blocked-recursion child, per separator child, per schedule phase.
+	// child of the Proposition 2 recursion (unidc and blocked runs) and
+	// one per schedule phase.
 	Phases atomic.Int64
 }
 

@@ -8,10 +8,7 @@ import (
 	"testing"
 
 	"bsmp/internal/cost"
-	"bsmp/internal/dag"
 	"bsmp/internal/guest"
-	"bsmp/internal/hram"
-	"bsmp/internal/separator"
 )
 
 // These golden values were recorded from the seed implementation (hash-map
@@ -19,8 +16,8 @@ import (
 // the repository's scientific contract: the optimization work changes how
 // the host computes addresses, never what the simulated machine does, so
 // every Time below must stay BIT-identical — not approximately equal.
-// Space allowances are structural (separator.SpaceNeeded / spaceNeeded)
-// and must match exactly too. If a change legitimately alters the cost
+// Space allowances are structural (spaceNeeded, the one planning pass of
+// the Proposition 2 recursion) and must match exactly too. If a change legitimately alters the cost
 // model, the new values must be re-derived and the change called out as
 // model-affecting, never absorbed silently.
 
@@ -87,12 +84,7 @@ func TestGoldenUniDC(t *testing.T) {
 // each inner depth's domain count, words moved and Transfer time.
 func TestGoldenLevels(t *testing.T) {
 	const want = "0: 1 562 663691; 1: 4 1052 674975; 2: 12 2008 614868; 3: 40 3824 486176; 4: 144 7072 292420"
-	g := dag.NewLineGraph(64, 64)
-	root := g.Domain()
-	var meter cost.Meter
-	mach := hram.New(separator.SpaceNeeded(g, root, 8), hram.Standard(1, 1), &meter)
-	ex := &separator.Executor{G: g, Prog: guest.Rule90{Seed: 1}, LeafSize: 8}
-	res, err := ex.Execute(mach, root)
+	res, err := UniDCContext(context.Background(), 1, 64, 64, 8, guest.Rule90{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@
 //     mimics the guest step by step, paying the full memory-access
 //     latency for every simulated node. Slowdown Θ((n/p)^(1+1/d)).
 //   - Uniprocessor divide-and-conquer (uni.go): Theorems 2 (d = 1) and 5
-//     (d = 2) for m = 1, built directly on the separator executor with
-//     real address management. Slowdown Θ(n log n).
+//     (d = 2) for m = 1, the vertex flow of the Proposition 2 recursion
+//     (blocked_exec.go) with real address management. Slowdown
+//     Θ(n log n).
 //   - Blocked uniprocessor (blocked.go): Theorem 3 for general m —
-//     divide-and-conquer down to "executable domains" of span m (the
+//     the same recursion down to "executable domains" of span m (the
 //     diamonds D(m) at d = 1), whole node-memories relocated as blocks.
 //     Slowdown Θ(n·min(n, m·Log(n/m))) at d = 1.
 //   - Multiprocessor (multi.go): Theorem 4 / Theorem 1 — the memory
@@ -51,12 +52,35 @@ type Result struct {
 	// Steps is the number of guest steps simulated.
 	Steps int
 	// Space is the host memory allowance used, when the scheme manages
-	// real addresses (separator-based runs); 0 otherwise.
+	// real addresses (the Proposition 2 recursion: unidc, blocked and
+	// blocked-analytic); 0 otherwise.
 	Space int
+	// Levels is the recursion's relocation profile, one entry per depth
+	// that holds an inner domain (nil for the other schemes). The inner
+	// depths of a memo-replayed subtree are not counted: its copy-downs
+	// and stagings count at its parent's depth, its own recursion at
+	// none.
+	Levels []LevelStat
 
 	// digest is the final state's Digest when the run took it from a
 	// replay share instead of carrying Outputs and Memory.
 	digest string
+}
+
+// LevelStat records the relocation work done at one recursion depth of
+// Proposition 2's procedure. Proposition 3's τ(k) = O(k·log k) bound rests
+// on every depth moving O(k) worth of (words × access cost); experiment
+// E-LEV checks that measured per-level Transfer time is flat across
+// depths.
+type LevelStat struct {
+	// Domains is the number of inner domains executed at this depth.
+	Domains int
+	// WordsMoved counts the words copied down to and staged from this
+	// depth's children: preboundary and live-out broadcasts, plus the
+	// image words in an image flow.
+	WordsMoved int
+	// TransferTime is the virtual time those moves cost.
+	TransferTime float64
 }
 
 // Digest is the digest of the run's final guest state,

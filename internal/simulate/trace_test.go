@@ -63,6 +63,20 @@ func TestTraceGoldenBitIdentical(t *testing.T) {
 	if blocks == 0 {
 		t.Error("traced BlockedD1 recorded no block or block:replayed spans")
 	}
+
+	// UniDC runs the same recursion, so it emits the same per-child
+	// spans; it is never memoized, so none of them is a replay.
+	tr3 := obs.NewTracer()
+	dc, err := UniDCContext(obs.WithTracer(context.Background(), tr3), 1, 64, 64, 8, guest.Rule90{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dc.Time != 2.831097e+06 {
+		t.Errorf("traced UniDC d=1: Time = %v, golden 2.831097e+06", dc.Time)
+	}
+	if len(findSpans(tr3.Roots(), "block")) == 0 || len(findSpans(tr3.Roots(), "block:replayed")) != 0 {
+		t.Error("traced UniDC d=1 recorded no block spans, or a replay")
+	}
 }
 
 // The schedule span's phase children carry virtual-time deltas sampled

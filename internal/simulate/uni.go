@@ -8,56 +8,45 @@ import (
 	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
-	"bsmp/internal/separator"
 	"bsmp/internal/topology"
 )
 
 // UniDCContext runs the uniprocessor divide-and-conquer simulation for m = 1:
 // Theorem 2 (d = 1, guest M1(n, n, 1)) or Theorem 5 (d = 2, guest
-// M2(n, n, 1), n = side²), executing the guest's T-step computation dag on
-// a single f(x) = x^(1/d) H-RAM via the topological-separator technique
-// with real address management. steps is T; the paper's canonical choice
-// is T = n^(1/d) per simulation cycle, repeated for longer computations.
+// M2(n, n, 1), n = side²), and the d = 3 extension, executing the guest's
+// T-step computation dag on a single f(x) = x^(1/d) H-RAM via the
+// topological-separator technique with real address management. steps
+// is T; the paper's canonical choice is T = n^(1/d) per simulation
+// cycle, repeated for longer computations.
 //
-// The returned Result carries the final dag layer as Outputs; verify with
-// VerifyDag. The expected slowdown over the guest's Θ(T) time is
-// Θ(n·Log n) — the n for lost parallelism times Log n for lost locality.
+// It is the vertex flow of the one Proposition 2 recursion
+// (blocked_exec.go): no column images, and leaves executed vertex by
+// vertex. A leaf is a domain of at most leafSize vertices, or one too
+// small to split; leafSize <= 0 selects 8.
 //
-// The separator executor polls cancellation at every node of its
-// planning recursion, at every partition boundary and (amortized) per
-// executed leaf via its Check hook, and reports step progress to any
-// attached Progress. The hook runs between charged
-// operations, so a never-cancelled run's virtual times do not depend on
-// ctx.
+// The returned Result carries the final dag layer as Outputs, verified
+// with VerifyDag, and the per-depth relocation profile as Levels. The
+// expected slowdown over the guest's Θ(T) time is Θ(n·Log n) — the n for
+// lost parallelism times Log n for lost locality.
+//
+// Cancellation is polled at every node of the planning recursion, at
+// every recursion child and (amortized) per executed leaf, and step
+// progress is reported to any attached Progress. The checks run between
+// charged operations, so a never-cancelled run's virtual times do not
+// depend on ctx.
 func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Program) (Result, error) {
 	if e := validateGuest("unidc", d, n, 1, steps, 1); e != nil {
 		return Result{}, e
 	}
 	g, root := guestDag(d, n, steps)
-	ec := newExecCtx(ctx)
-	defer ec.publish()
-	// One plan sizes the machine and drives the execution. Planning
-	// polls cancellation without counting phases, as blockedExec's does.
-	ex := &separator.Executor{G: g, Prog: prog, LeafSize: leafSize,
-		Check: func(int) error { return ec.poll() }}
-	space, err := ex.Plan(root)
-	if err != nil {
-		return Result{}, err
-	}
-	var meter cost.Meter
-	mach := hram.New(space, hram.Standard(d, 1), &meter)
-	ex.Check = ec.separatorCheck
-	res, err := ex.Execute(mach, root)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Outputs: res.Outputs,
-		Time:    meter.Now(),
-		Ledger:  meter.Ledger,
-		Steps:   steps,
-		Space:   res.Space,
-	}, nil
+	return runVertices(ctx, g, root, leafSize, prog)
+}
+
+// runVertices runs prog's dag g from root on the vertex flow of the
+// recursion. It is UniDCContext's runner, with the graph and the root
+// domain as parameters.
+func runVertices(ctx context.Context, g dag.Graph, root lattice.Domain, leafSize int, prog dag.Program) (Result, error) {
+	return newVertexExec(ctx, g, prog, leafSize, newBlockedGeom(root.Dim(), g.Nodes())).run(root, false)
 }
 
 // UniNaiveDagContext executes the same m = 1 guest dag on the same uniprocessor
@@ -139,16 +128,6 @@ func VerifyDag(r Result, d, n int, prog dag.Program) error {
 		}
 	}
 	return nil
-}
-
-// separatorCheck is the separator executor's Check hook: vertices = 0
-// marks a phase boundary (unconditional poll), a positive count is
-// amortized vertex progress.
-func (e *execCtx) separatorCheck(vertices int) error {
-	if vertices == 0 {
-		return e.checkpoint()
-	}
-	return e.step(vertices)
 }
 
 // guestDag builds the computation dag of the n-node d-dimensional guest

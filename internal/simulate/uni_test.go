@@ -3,34 +3,51 @@ package simulate
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
+	"bsmp/internal/cost"
+	"bsmp/internal/dag"
 	"bsmp/internal/guest"
+	"bsmp/internal/lattice"
 )
 
+// The m = 1 runs reproduce dag.Reference over (n, steps, leaf): powers
+// of two and odd shapes, wide and tall, leaf sizes from 1 to past the
+// whole dag, and leaf 0 (the default, 8). The machine is sized to the
+// planned allowance and the H-RAM panics on any address past it, so
+// every run that returns also shows the allowance is never exceeded.
 func TestUniDCFunctionalD1(t *testing.T) {
 	prog := guest.MixCA{Seed: 4}
-	for _, n := range []int{8, 16, 32, 48} {
-		res, err := UniDCContext(context.Background(), 1, n, n, 8, prog)
+	for _, c := range []struct{ n, steps, leaf int }{
+		{8, 8, 8}, {16, 16, 8}, {32, 32, 8}, {48, 48, 8},
+		{4, 4, 1}, {13, 9, 4}, {7, 20, 2},
+		{12, 12, 1}, {12, 12, 2}, {12, 12, 4}, {12, 12, 16}, {12, 12, 64},
+		{8, 8, 0}, {24, 24, 4},
+	} {
+		res, err := UniDCContext(context.Background(), 1, c.n, c.steps, c.leaf, prog)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatalf("%+v: %v", c, err)
 		}
-		if err := VerifyDag(res, 1, n, prog); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		if err := VerifyDag(res, 1, c.n, prog); err != nil {
+			t.Fatalf("%+v: %v", c, err)
 		}
 	}
 }
 
 func TestUniDCFunctionalD2(t *testing.T) {
 	prog := guest.MixCA{Seed: 5}
-	for _, side := range []int{3, 4, 6, 8} {
-		n := side * side
-		res, err := UniDCContext(context.Background(), 2, n, side, 8, prog)
+	for _, c := range []struct{ side, steps, leaf int }{
+		{3, 3, 8}, {4, 4, 8}, {6, 6, 8}, {8, 8, 8},
+		{5, 9, 4}, {8, 8, 16}, {4, 4, 1}, {5, 3, 2},
+	} {
+		n := c.side * c.side
+		res, err := UniDCContext(context.Background(), 2, n, c.steps, c.leaf, prog)
 		if err != nil {
-			t.Fatalf("side=%d: %v", side, err)
+			t.Fatalf("%+v: %v", c, err)
 		}
 		if err := VerifyDag(res, 2, n, prog); err != nil {
-			t.Fatalf("side=%d: %v", side, err)
+			t.Fatalf("%+v: %v", c, err)
 		}
 	}
 }
@@ -79,7 +96,18 @@ func TestTheorem2ShapeBeatsNaiveAsymptotically(t *testing.T) {
 		t.Errorf("naive exponent %v, want ~3", nvSlope)
 	}
 	if dcSlope > nvSlope-0.5 {
-		t.Errorf("separator exponent %v not clearly below naive %v", dcSlope, nvSlope)
+		t.Errorf("divide-and-conquer exponent %v not clearly below naive %v", dcSlope, nvSlope)
+	}
+	// Θ(n² log n) itself: the fitted exponent is ~2 up to the log
+	// factor, and τ/(n² log n) does not drift up across the dyadic sweep.
+	if dcSlope < 1.7 || dcSlope > 2.6 {
+		t.Errorf("divide-and-conquer exponent %v, want ~2.1 (n² log n)", dcSlope)
+	}
+	for i := 1; i < len(logN); i++ {
+		prev := math.Exp2(logDC[i-1]-2*logN[i-1]) / logN[i-1]
+		if cur := math.Exp2(logDC[i]-2*logN[i]) / logN[i]; cur > prev*1.6 {
+			t.Errorf("τ/(n² log n) drifting up at n = %v: %v after %v", math.Exp2(logN[i]), cur, prev)
+		}
 	}
 }
 
@@ -111,7 +139,7 @@ func TestTheorem5ShapeD2(t *testing.T) {
 		t.Errorf("naive d=2 exponent %v, want ~2", nvSlope)
 	}
 	if dcSlope >= nvSlope {
-		t.Errorf("separator d=2 exponent %v not below naive %v", dcSlope, nvSlope)
+		t.Errorf("divide-and-conquer d=2 exponent %v not below naive %v", dcSlope, nvSlope)
 	}
 	// Consistency with Θ(k·log k): the ratio τ/(k·Log k) converges — its
 	// successive increments shrink (pure power-law excess would grow them).
@@ -137,5 +165,162 @@ func TestGuestTimePositiveAndLinear(t *testing.T) {
 func TestUniDCBadDimension(t *testing.T) {
 	if _, err := UniDCContext(context.Background(), 4, 8, 8, 8, guest.Rule90{}); err == nil {
 		t.Fatal("d=4 did not error")
+	}
+}
+
+// Transfer (the recursion's copy-downs and stagings) and Access (the
+// leaves' operand reads) are both charged, and every vertex costs one
+// Compute unit, at d = 1, 2 and 3.
+func TestTransferAndAccessBothCharged(t *testing.T) {
+	for _, c := range []struct{ d, n, steps int }{{1, 16, 16}, {2, 16, 4}, {3, 27, 3}} {
+		r, err := UniDCContext(context.Background(), c.d, c.n, c.steps, 4, guest.MixCA{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Ledger.Total(cost.Transfer) == 0 {
+			t.Errorf("d=%d: no Transfer charges: preboundary copies not happening", c.d)
+		}
+		if r.Ledger.Total(cost.Access) == 0 {
+			t.Errorf("d=%d: no Access charges", c.d)
+		}
+		vertices := c.n * c.steps
+		if r.Ledger.Total(cost.Compute) != float64(vertices) || r.Ledger.Count(cost.Compute) != int64(vertices) {
+			t.Errorf("d=%d: compute = %v over %d ops, want one unit op per vertex = %d",
+				c.d, r.Ledger.Total(cost.Compute), r.Ledger.Count(cost.Compute), vertices)
+		}
+	}
+}
+
+// The recursion's level profile: every inner depth counts at least
+// twice the domains of the one above (the d = 1 split is four-way), the
+// middle depths' Transfer time stays within a modest band — neither
+// growing geometrically (k^(1+ε)) nor collapsing, the ~log k levels of
+// O(k) each behind τ(k) = O(k·log k) — and, since the vertex flow
+// charges Transfer only in copy-downs and stagings, the depths' Transfer
+// times sum to the ledger's.
+func TestPerLevelTransferFlat(t *testing.T) {
+	r, err := UniDCContext(context.Background(), 1, 128, 128, 8, guest.MixCA{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Levels) < 4 {
+		t.Fatalf("only %d levels recorded", len(r.Levels))
+	}
+	if r.Levels[0].Domains != 1 {
+		t.Errorf("depth 0 has %d domains, want the root alone", r.Levels[0].Domains)
+	}
+	// Skip the outermost and innermost level (boundary effects).
+	mid := r.Levels[1 : len(r.Levels)-1]
+	lo, hi := mid[0].TransferTime, mid[0].TransferTime
+	for _, l := range mid {
+		lo, hi = min(lo, l.TransferTime), max(hi, l.TransferTime)
+	}
+	if hi/lo > 6 {
+		t.Errorf("per-level transfer band %.1fx across %d middle levels — not O(k) per level: %+v",
+			hi/lo, len(mid), mid)
+	}
+	for i := 1; i < len(r.Levels)-1; i++ {
+		if r.Levels[i].Domains < 2*r.Levels[i-1].Domains {
+			t.Errorf("level %d has %d domains, want >= 2x previous %d",
+				i, r.Levels[i].Domains, r.Levels[i-1].Domains)
+		}
+	}
+	var sum float64
+	for _, l := range r.Levels {
+		sum += l.TransferTime
+	}
+	if want := r.Ledger.Total(cost.Transfer); math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("levels' Transfer time sums to %v, ledger %v", sum, want)
+	}
+}
+
+// Failure injection: the recursion must fail loudly, never fabricate
+// operands, when the partition it is handed breaks the topological
+// partition contract of Proposition 2. runVertices takes the graph and
+// the root domain, so a test can hand it a broken one.
+
+// reversedDomain reverses its children's order, breaking Definition 4:
+// earlier pieces now need values of later ones.
+type reversedDomain struct{ lattice.Domain }
+
+func (r reversedDomain) Children() []lattice.Domain {
+	kids := r.Domain.Children()
+	out := make([]lattice.Domain, len(kids))
+	for i, k := range kids {
+		out[len(kids)-1-i] = reversedDomain{k}
+	}
+	return out
+}
+
+func TestReversedChildrenFailLoudly(t *testing.T) {
+	g := dag.NewLineGraph(16, 16)
+	_, err := runVertices(context.Background(), g, reversedDomain{g.Domain()}, 8, guest.MixCA{Seed: 1})
+	if err == nil {
+		t.Fatal("reversed topological order executed without error")
+	}
+	if !strings.Contains(err.Error(), "unavailable") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// overlappingDomain duplicates its first child, so the same vertices
+// execute twice.
+type overlappingDomain struct{ lattice.Domain }
+
+func (o overlappingDomain) Children() []lattice.Domain {
+	kids := o.Domain.Children()
+	return append([]lattice.Domain{kids[0]}, kids...)
+}
+
+func TestOverlappingChildrenDetected(t *testing.T) {
+	g := dag.NewLineGraph(8, 8)
+	prog := guest.MixCA{Seed: 1}
+	r, err := runVertices(context.Background(), g, overlappingDomain{g.Domain()}, 8, prog)
+	if err != nil {
+		return
+	}
+	// If it survives, the outputs must still be correct (idempotent
+	// re-execution); anything else is silent corruption.
+	if err := VerifyDag(r, 1, 8, prog); err != nil {
+		t.Fatalf("overlapping children corrupted outputs silently: %v", err)
+	}
+}
+
+func TestExecuteSubdomainFailsWithoutPreboundary(t *testing.T) {
+	// An interior diamond run without its preboundary loaded must fail,
+	// not fabricate operands.
+	g := dag.NewLineGraph(16, 16)
+	d := lattice.NewDiamond(10, -4, 6, lattice.ClipAll1D(16, 16))
+	if d.Size() == 0 {
+		t.Fatal("test domain empty")
+	}
+	if _, err := runVertices(context.Background(), g, d, 8, guest.MixCA{Seed: 1}); err == nil {
+		t.Fatal("interior domain executed without preboundary")
+	}
+}
+
+// corruptProg returns a wrong value at one vertex.
+type corruptProg struct {
+	guest.MixCA
+	target lattice.Point
+}
+
+func (c corruptProg) Step(v lattice.Point, ops []dag.Value) dag.Value {
+	if v == c.target {
+		return c.MixCA.Step(v, ops) ^ 1
+	}
+	return c.MixCA.Step(v, ops)
+}
+
+// VerifyDag, the oracle of every functional test above, must catch a
+// single corrupted vertex.
+func TestOracleDetectsSingleVertexCorruption(t *testing.T) {
+	prog := corruptProg{target: lattice.Point{X: 5, T: 6}}
+	r, err := UniDCContext(context.Background(), 1, 12, 12, 8, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if VerifyDag(r, 1, 12, prog.MixCA) == nil {
+		t.Fatal("single-vertex corruption did not propagate to outputs — oracle too weak")
 	}
 }
