@@ -191,6 +191,10 @@ func TestAddrTableSparseAllocatesNothingUpFront(t *testing.T) {
 	if n := NewIndexer(box).Len(); n != 1<<25 {
 		t.Fatalf("box holds %d points, want 2^25", n)
 	}
+	// Measure on one P, as testing.AllocsPerRun does: with a P idle, the
+	// world restart in ReadMemStats can start an OS thread, and the
+	// runtime's ~5 KB of bookkeeping for it would count here.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tab := NewAddrTable(NewIndexer(box))

@@ -12,43 +12,84 @@ import (
 	"bsmp/internal/lattice"
 )
 
-// The m = 1 runs reproduce dag.Reference over (n, steps, leaf): powers
-// of two and odd shapes, wide and tall, leaf sizes from 1 to past the
-// whole dag, and leaf 0 (the default, 8). The machine is sized to the
-// planned allowance and the H-RAM panics on any address past it, so
-// every run that returns also shows the allowance is never exceeded.
 func TestUniDCFunctionalD1(t *testing.T) {
 	prog := guest.MixCA{Seed: 4}
-	for _, c := range []struct{ n, steps, leaf int }{
-		{8, 8, 8}, {16, 16, 8}, {32, 32, 8}, {48, 48, 8},
-		{4, 4, 1}, {13, 9, 4}, {7, 20, 2},
-		{12, 12, 1}, {12, 12, 2}, {12, 12, 4}, {12, 12, 16}, {12, 12, 64},
-		{8, 8, 0}, {24, 24, 4},
-	} {
-		res, err := UniDCContext(context.Background(), 1, c.n, c.steps, c.leaf, prog)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		if err := VerifyDag(res, 1, c.n, prog); err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
+	for _, n := range []int{8, 16, 32, 48} {
+		uniDCVerified(t, 1, n, n, 8, prog)
 	}
 }
 
 func TestUniDCFunctionalD2(t *testing.T) {
 	prog := guest.MixCA{Seed: 5}
 	for _, c := range []struct{ side, steps, leaf int }{
-		{3, 3, 8}, {4, 4, 8}, {6, 6, 8}, {8, 8, 8},
-		{5, 9, 4}, {8, 8, 16}, {4, 4, 1}, {5, 3, 2},
+		{3, 3, 8}, {4, 4, 8}, {6, 6, 8}, {8, 8, 8}, {4, 4, 1}, {5, 3, 2},
 	} {
-		n := c.side * c.side
-		res, err := UniDCContext(context.Background(), 2, n, c.steps, c.leaf, prog)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
+		uniDCVerified(t, 2, c.side*c.side, c.steps, c.leaf, prog)
+	}
+}
+
+// uniDCVerified runs UniDC on the n-node d-dimensional guest over steps
+// layers at the given leaf size and checks its outputs against
+// dag.Reference. The machine is sized to the planned allowance and the
+// H-RAM panics on any address past it, so a run that returns also kept
+// within its allowance.
+func uniDCVerified(t *testing.T, d, n, steps, leaf int, prog dag.Program) Result {
+	t.Helper()
+	res, err := UniDCContext(context.Background(), d, n, steps, leaf, prog)
+	if err != nil {
+		t.Fatalf("d=%d n=%d steps=%d leaf=%d: %v", d, n, steps, leaf, err)
+	}
+	if err := VerifyDag(res, d, n, prog); err != nil {
+		t.Fatalf("d=%d n=%d steps=%d leaf=%d: %v", d, n, steps, leaf, err)
+	}
+	return res
+}
+
+// Line dags of powers of two and odd shapes, wide and tall.
+func TestLineOutputsMatchReference(t *testing.T) {
+	for _, c := range []struct{ n, steps, leaf int }{
+		{4, 4, 1}, {8, 8, 8}, {16, 16, 8}, {13, 9, 4}, {32, 32, 8}, {7, 20, 2},
+	} {
+		uniDCVerified(t, 1, c.n, c.steps, c.leaf, guest.MixCA{Seed: 4})
+	}
+}
+
+// Mesh dags of square and odd sides, tall and at leaf sizes 4 to 16.
+func TestMeshOutputsMatchReference(t *testing.T) {
+	for _, c := range []struct{ side, steps, leaf int }{
+		{3, 3, 8}, {4, 4, 8}, {6, 6, 8}, {5, 9, 4}, {8, 8, 16},
+	} {
+		uniDCVerified(t, 2, c.side*c.side, c.steps, c.leaf, guest.MixCA{Seed: 5})
+	}
+}
+
+// The leaf size changes the cost constants, never the outputs: leaves
+// from one vertex to past the whole dag.
+func TestLeafSizeInvariance(t *testing.T) {
+	for _, leaf := range []int{1, 2, 4, 16, 64} {
+		uniDCVerified(t, 1, 12, 12, leaf, guest.MixCA{Seed: 4})
+	}
+}
+
+// Runs at small leaves, where the recursion is deepest, fit the machine
+// sized to the planned allowance, which holds at least the final layer.
+func TestExactAllowanceNeverOverflows(t *testing.T) {
+	for _, n := range []int{8, 12, 16, 24} {
+		res := uniDCVerified(t, 1, n, n, 4, guest.MixCA{Seed: 4})
+		if res.Space < n {
+			t.Errorf("n=%d: allowance %d smaller than one layer", n, res.Space)
 		}
-		if err := VerifyDag(res, 2, n, prog); err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
+	}
+}
+
+// Leaf 0 selects the default leaf size, 8: the same run, cost for cost.
+func TestZeroLeafSizeDefaults(t *testing.T) {
+	prog := guest.MixCA{Seed: 4}
+	def := uniDCVerified(t, 1, 8, 8, 0, prog)
+	eight := uniDCVerified(t, 1, 8, 8, 8, prog)
+	if def.Time != eight.Time || def.Space != eight.Space || def.Ledger != eight.Ledger {
+		t.Errorf("leaf 0 ran at time %v, space %d; leaf 8 at time %v, space %d",
+			def.Time, def.Space, eight.Time, eight.Space)
 	}
 }
 
@@ -98,14 +139,27 @@ func TestTheorem2ShapeBeatsNaiveAsymptotically(t *testing.T) {
 	if dcSlope > nvSlope-0.5 {
 		t.Errorf("divide-and-conquer exponent %v not clearly below naive %v", dcSlope, nvSlope)
 	}
-	// Θ(n² log n) itself: the fitted exponent is ~2 up to the log
-	// factor, and τ/(n² log n) does not drift up across the dyadic sweep.
-	if dcSlope < 1.7 || dcSlope > 2.6 {
-		t.Errorf("divide-and-conquer exponent %v, want ~2.1 (n² log n)", dcSlope)
+}
+
+// Theorem 2's Θ(n² log n) itself, for the n-node, T = n line dag: the
+// fitted log-log exponent is ~2 up to the log factor, and τ/(n² log n)
+// does not drift up across the dyadic sweep.
+func TestTimeNearNSquaredLogN(t *testing.T) {
+	var logN, logT []float64
+	for _, n := range []int{16, 32, 64, 128} {
+		res, err := UniDCContext(context.Background(), 1, n, n, 8, guest.Rule90{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logN = append(logN, math.Log2(float64(n)))
+		logT = append(logT, math.Log2(float64(res.Time)))
+	}
+	if slope := fitSlope(logN, logT); slope < 1.7 || slope > 2.6 {
+		t.Errorf("growth exponent %v, want ~2.1 (n² log n), far below naive's 3", slope)
 	}
 	for i := 1; i < len(logN); i++ {
-		prev := math.Exp2(logDC[i-1]-2*logN[i-1]) / logN[i-1]
-		if cur := math.Exp2(logDC[i]-2*logN[i]) / logN[i]; cur > prev*1.6 {
+		prev := math.Exp2(logT[i-1]-2*logN[i-1]) / logN[i-1]
+		if cur := math.Exp2(logT[i]-2*logN[i]) / logN[i]; cur > prev*1.6 {
 			t.Errorf("τ/(n² log n) drifting up at n = %v: %v after %v", math.Exp2(logN[i]), cur, prev)
 		}
 	}
