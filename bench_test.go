@@ -304,8 +304,8 @@ func BenchmarkFigure4(b *testing.B) {
 }
 
 // BenchmarkConjectureD3 reproduces E-D3: the paper's open question made
-// executable — the d = 3 divide-and-conquer (UniDCContext) over Box6
-// domains.
+// executable — the d = 3 divide-and-conquer (UniDCContext) over the
+// four-dimensional separator domains.
 func BenchmarkConjectureD3(b *testing.B) {
 	side := 8
 	prog := guest.Rule90{Seed: 3}

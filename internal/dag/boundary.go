@@ -12,8 +12,8 @@ import (
 // in O(surface) rather than O(volume), the bound Proposition 2's
 // recursion assumes of the preboundary.
 //
-// The band argument. A domain's column view (lattice.ColumnView) gives
-// each spatial position one time interval [ta, tb], and a unit step
+// The band argument. A domain's columns (lattice.Domain.At) give each
+// spatial position one time interval [ta, tb], and a unit step
 // along an axis moves either end by at most one. Every arc of the dags
 // here joins (v, t-1) to (v', t) with v' = v or a mesh neighbor of v.
 // So a vertex (v, t) with t >= ta(v)+2 has every predecessor inside the
@@ -119,8 +119,7 @@ const offGraph = math.MinInt32
 // which it exceeds only on domains a few vertices across.
 func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Surface) {
 	s.Cols, s.Pre, s.Live = s.Cols[:0], s.Pre[:0], s.Live[:0]
-	v := dom.Columns()
-	box := v.Box()
+	box := dom.Box()
 	if box.Empty() {
 		return
 	}
@@ -132,13 +131,13 @@ func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Su
 	boxHi := [3]int{box.X1, box.Y1, box.Z1}
 	for a := range 3 {
 		h := 0
-		if a < v.Dim {
+		if a < dom.Dim {
 			h = 1
 		}
 		lo[a], n[a] = boxLo[a]-h, boxHi[a]-boxLo[a]+2*h
 	}
 	stride := [3]int{n[1] * n[2], n[2], 1}
-	delta := stencilOf(g, v.Dim)
+	delta := stencilOf(g, dom.Dim)
 	off := b.off[:len(delta)]
 	for k, d := range delta {
 		off[k] = int32(d[0]*stride[0] + d[1]*stride[1] + d[2]*stride[2])
@@ -155,7 +154,7 @@ func (b *Boundary) Compute(g Graph, dom lattice.Domain, order ColumnOrder, s *Su
 					z < bounds.Z0 || z >= bounds.Z1 {
 					b.ta[i], b.tb[i] = 0, offGraph
 				} else {
-					ta, tb := v.At(x, y, z)
+					ta, tb := dom.At(x, y, z)
 					b.ta[i], b.tb[i] = int32(ta), int32(tb)
 					if ta <= tb {
 						s.Cols = append(s.Cols, lattice.Column{Pos: lattice.Point{X: x, Y: y, Z: z}, Ta: ta, Tb: tb})

@@ -137,20 +137,9 @@ func graphOf(d, side, steps int) Graph {
 
 // rootOf returns g's full domain with its clip replaced by clip.
 func rootOf(g Graph, clip lattice.Clip) lattice.Domain {
-	switch d := g.(type) {
-	case LineGraph:
-		r := d.Domain().(lattice.Diamond)
-		r.Clip = clip
-		return r
-	case MeshGraph:
-		r := d.Domain().(lattice.Box4)
-		r.Clip = clip
-		return r
-	default:
-		r := g.(CubeGraph).Domain().(lattice.Box6)
-		r.Clip = clip
-		return r
-	}
+	r := g.(interface{ Domain() lattice.Domain }).Domain()
+	r.Clip = clip
+	return r
 }
 
 // narrowed returns the graph's bounds shrunk on axis a (0..2 spatial,
@@ -205,10 +194,10 @@ func TestBoundaryMatchesVolume(t *testing.T) {
 	t.Logf("%d domains", domains)
 }
 
-// Every family is a clip cut by half-spaces, so the law holds for
+// Every domain is a clip cut by half-spaces, so the law holds for
 // arbitrary boxes, not only the ones halving produces: any corner, any
-// side lengths (including empty and unequal ones, and Box4/Box6 pair
-// sums that disagree) and any clip inside the graph.
+// side lengths (including empty and unequal ones, and pair sums that
+// disagree at d = 2, 3) and any clip inside the graph.
 func FuzzBoundary(f *testing.F) {
 	f.Add(uint8(1), uint8(8), uint8(5), []byte{})
 	f.Add(uint8(2), uint8(5), uint8(3), []byte{2, 9, 3, 1, 7, 7, 7, 7, 1, 4, 0, 2, 1, 3})
@@ -239,19 +228,21 @@ func FuzzBoundary(f *testing.F) {
 		if dim == 3 {
 			clip.Z0, clip.Z1 = c.Z0+next(4), c.Z1-next(4)
 		}
-		// Rotated corners around the graph and sides up to its span.
+		// Rotated corners around the graph, then sides up to its span,
+		// each drawn in range order P[0], M[0], P[1], M[1], P[2], M[2].
 		span := g.Steps() + int(side)%maxSide + 2
-		corner := func() int { return next(2*span+1) - span }
-		var dom lattice.Domain
-		switch dim {
-		case 1:
-			dom = lattice.Diamond{U0: corner(), W0: corner(), RU: next(span), RW: next(span), Clip: clip}
-		case 2:
-			dom = lattice.Box4{A0: corner(), B0: corner(), E0: corner(), F0: corner(),
-				RA: next(span), RB: next(span), RE: next(span), RF: next(span), Clip: clip}
-		default:
-			dom = lattice.Box6{A0: corner(), B0: corner(), E0: corner(), F0: corner(), G0: corner(), H0: corner(),
-				RA: next(span), RB: next(span), RE: next(span), RF: next(span), RG: next(span), RH: next(span), Clip: clip}
+		dom := lattice.Domain{Dim: dim, Clip: clip}
+		var corner [6]int
+		for r := range 2 * dim {
+			corner[r] = next(2*span+1) - span
+		}
+		for r := range 2 * dim {
+			rg := [2]int{corner[r], corner[r] + next(span)}
+			if r%2 == 0 {
+				dom.P[r/2] = rg
+			} else {
+				dom.M[r/2] = rg
+			}
 		}
 		var b Boundary
 		checkBoundary(t, &b, g, dom)

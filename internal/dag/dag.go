@@ -7,7 +7,7 @@
 // Dags are represented implicitly (by predecessor functions over lattice
 // points), since the simulations operate on dags with up to billions of
 // vertices conceptually; the concrete instances here are the linear array
-// (LineGraph) and the square mesh (MeshGraph).
+// (LineGraph), the square mesh (MeshGraph) and the cube mesh (CubeGraph).
 //
 // The package also carries the value semantics used for functional
 // verification: a Program assigns input values to the t = 0 vertices and a
@@ -108,7 +108,7 @@ func (g LineGraph) Nodes() int { return g.N }
 
 // Domain returns the full computation domain of the dag as a lattice
 // domain (the bounding diamond clipped to V).
-func (g LineGraph) Domain() lattice.Domain { return lattice.DiamondAround(g.N, g.T) }
+func (g LineGraph) Domain() lattice.Domain { return lattice.Around(1, g.N, g.T) }
 
 // Bounds implements Graph.
 func (g LineGraph) Bounds() lattice.Clip { return lattice.ClipAll1D(g.N, g.T) }
@@ -187,7 +187,7 @@ func (g MeshGraph) Nodes() int { return g.Side * g.Side }
 
 // Domain returns the full computation domain of the dag as a lattice
 // domain (the bounding octahedron clipped to V).
-func (g MeshGraph) Domain() lattice.Domain { return lattice.Box4Around(g.Side, g.T) }
+func (g MeshGraph) Domain() lattice.Domain { return lattice.Around(2, g.Side, g.T) }
 
 // Bounds implements Graph.
 func (g MeshGraph) Bounds() lattice.Clip { return lattice.ClipAll2D(g.Side, g.T) }
@@ -259,9 +259,9 @@ func (g CubeGraph) Steps() int { return g.T }
 // Nodes implements Graph.
 func (g CubeGraph) Nodes() int { return g.Side * g.Side * g.Side }
 
-// Domain returns the full computation domain of the dag (the bounding
-// central Box6 clipped to V).
-func (g CubeGraph) Domain() lattice.Domain { return lattice.Box6Around(g.Side, g.T) }
+// Domain returns the full computation domain of the dag as a lattice
+// domain (the bounding central polytope clipped to V).
+func (g CubeGraph) Domain() lattice.Domain { return lattice.Around(3, g.Side, g.T) }
 
 // Bounds implements Graph.
 func (g CubeGraph) Bounds() lattice.Clip { return lattice.ClipAll3D(g.Side, g.T) }
@@ -307,7 +307,8 @@ func IsTopologicalOrder(g Graph, order []lattice.Point) bool {
 
 // Reference executes the full dag directly, layer by layer, and returns
 // the values of the final layer (t = Steps()-1) indexed by node: for
-// LineGraph index x; for MeshGraph index y*Side + x. This is the
+// LineGraph index x; for MeshGraph index y*Side + x; for CubeGraph index
+// (z*Side + y)*Side + x. This is the
 // infinitely-fast executor used as ground truth by every simulation.
 func Reference(g Graph, prog Program) []Value {
 	switch gr := g.(type) {

@@ -375,7 +375,7 @@ func ISA(ctx context.Context, s Scale) (*Table, error) {
 
 // D3 addresses the paper's concluding open question: whether the locality
 // slowdown extends to d = 3. It runs UniDCContext's recursion over the
-// four-dimensional Box6 domains (the topological separator the paper
+// four-dimensional domains (the topological separator the paper
 // conjectured) and compares with the naive order.
 func D3(ctx context.Context, s Scale) (*Table, error) {
 	t := &Table{
@@ -420,7 +420,7 @@ func D3(ctx context.Context, s Scale) (*Table, error) {
 }
 
 // D3Multi evaluates the conjectured Theorem 1 at d = 3 with the
-// multiprocessor cost model over the Box6 separator.
+// multiprocessor cost model over the four-dimensional separator.
 func D3Multi(ctx context.Context, s Scale) (*Table, error) {
 	side, p, steps := 16, 64, 8
 	ms := s.pick([]int{1, 8}, []int{1, 4, 16, 64})

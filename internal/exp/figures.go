@@ -71,12 +71,8 @@ func F1() (*Table, error) {
 	}
 	for _, n := range []int{16, 64, 256} {
 		pieces := lattice.FigureOnePartition(n)
-		doms := make([]lattice.Domain, len(pieces))
-		for i, p := range pieces {
-			doms[i] = p
-		}
 		g := dag.NewLineGraph(n, n)
-		err := validatePartition(g, g.Domain(), doms)
+		err := validatePartition(g, g.Domain(), pieces)
 		ok := "yes"
 		if err != nil {
 			ok = "NO: " + err.Error()
@@ -133,7 +129,7 @@ func F3() (*Table, error) {
 	g := unboundedMesh{} // canonical P/W domains live off the machine grid
 	for _, r := range []int{16, 32} {
 		for _, kind := range []string{"P", "W"} {
-			var dom lattice.Box4
+			var dom lattice.Domain
 			if kind == "P" {
 				dom = lattice.FigureThreeOctahedron(r)
 			} else {
@@ -148,8 +144,7 @@ func F3() (*Table, error) {
 			}
 			var ratios []string
 			seenKind := map[lattice.Kind]bool{}
-			for _, k := range kids {
-				b := k.(lattice.Box4)
+			for _, b := range kids {
 				if !seenKind[b.Kind()] {
 					seenKind[b.Kind()] = true
 					ratios = append(ratios, fmt.Sprintf("%s:1/%.1f",
@@ -179,23 +174,14 @@ func F4() (*Table, error) {
 	for _, side := range []int{8, 16, 32} {
 		pieces := lattice.FigureFourPartition(side)
 		g := dag.NewMeshGraph(side, side)
-		doms := make([]lattice.Domain, len(pieces))
-		nP, nW := 0, 0
-		for i, p := range pieces {
-			doms[i] = p
-			switch p.Kind() {
-			case lattice.Octahedron:
-				nP++
-			case lattice.Tetrahedron:
-				nW++
-			}
-		}
-		err := validatePartition(g, g.Domain(), doms)
+		counts := lattice.KindCount(pieces)
+		err := validatePartition(g, g.Domain(), pieces)
 		ok := "yes"
 		if err != nil {
 			ok = "NO: " + err.Error()
 		}
-		t.Rows = append(t.Rows, []string{d(side), d(len(pieces)), d(nP), d(nW), ok})
+		t.Rows = append(t.Rows, []string{d(side), d(len(pieces)),
+			d(counts[lattice.Octahedron]), d(counts[lattice.Tetrahedron]), ok})
 	}
 	return t, nil
 }
@@ -335,23 +321,14 @@ func FD3() (*Table, error) {
 	for _, r := range []int{8, 16} {
 		b := lattice.CentralBox6(r)
 		kids := b.Children()
-		central, wedges := 0, 0
-		doms := make([]lattice.Domain, len(kids))
-		for i, k := range kids {
-			doms[i] = k
-			if k.(lattice.Box6).IsCentral() {
-				central++
-			} else {
-				wedges++
-			}
-		}
-		err := validatePartition(unboundedCube{}, b, doms)
+		central := lattice.KindCount(kids)[lattice.Octahedron]
+		err := validatePartition(unboundedCube{}, b, kids)
 		ok := "yes"
 		if err != nil {
 			ok = "NO: " + err.Error()
 		}
 		t.Rows = append(t.Rows, []string{
-			d(r), d(len(kids)), d(central), d(wedges), ok,
+			d(r), d(len(kids)), d(central), d(len(kids) - central), ok,
 		})
 	}
 	t.Notes = append(t.Notes,

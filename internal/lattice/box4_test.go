@@ -23,11 +23,11 @@ func preds2D(p Point) []Point {
 
 func TestBox4SizeMatchesEnumeration(t *testing.T) {
 	clip := ClipAll2D(6, 6)
-	for _, b := range []Box4{
-		Box4Around(6, 6),
+	for _, b := range []Domain{
+		Around(2, 6, 6),
 		NewOctahedron(2, -2, 1, -1, 4, clip),
 		NewTetrahedron(4, 0, 0, 0, 4, clip),
-		{A0: 0, B0: -1, E0: 1, F0: -2, RA: 3, RB: 4, RE: 2, RF: 5, Clip: clip},
+		box(clip, []int{0, -1, 1, -2}, []int{3, 4, 2, 5}),
 	} {
 		pts := collect(b)
 		if len(pts) != b.Size() {
@@ -43,7 +43,7 @@ func TestBox4SizeMatchesEnumeration(t *testing.T) {
 
 func TestBox4SizeBruteForce(t *testing.T) {
 	clip := ClipAll2D(7, 7)
-	b := Box4{A0: 1, B0: -3, E0: 0, F0: -2, RA: 6, RB: 5, RE: 7, RF: 4, Clip: clip}
+	b := box(clip, []int{1, -3, 0, -2}, []int{6, 5, 7, 4})
 	want := 0
 	for x := 0; x < 7; x++ {
 		for y := 0; y < 7; y++ {
@@ -62,15 +62,15 @@ func TestBox4SizeBruteForce(t *testing.T) {
 func TestBox4AroundCoversV(t *testing.T) {
 	for _, st := range [][2]int{{4, 4}, {5, 3}, {2, 6}} {
 		side, T := st[0], st[1]
-		b := Box4Around(side, T)
+		b := Around(2, side, T)
 		if got, want := b.Size(), side*side*T; got != want {
-			t.Errorf("Box4Around(%d,%d).Size() = %d, want %d", side, T, got, want)
+			t.Errorf("Around(2,%d,%d).Size() = %d, want %d", side, T, got, want)
 		}
 	}
 }
 
 func TestBox4PointsOrdered(t *testing.T) {
-	b := Box4Around(4, 4)
+	b := Around(2, 4, 4)
 	pts := collect(b)
 	for i := 1; i < len(pts); i++ {
 		if !pts[i-1].Less(pts[i]) {
@@ -114,8 +114,7 @@ func TestFigure3OctahedronDecomposition(t *testing.T) {
 	}
 	checkPartition(t, p, kids, preds2D)
 	// Measure ratios (paper): |P(r/2)| = |P(r)|/8, |W(r/2)| = |P(r)|/32.
-	for _, k := range kids {
-		b := k.(Box4)
+	for _, b := range kids {
 		ratio := float64(b.Size()) / float64(p.Size())
 		var want float64
 		if b.Kind() == Octahedron {
@@ -140,8 +139,7 @@ func TestFigure3TetrahedronDecomposition(t *testing.T) {
 	}
 	checkPartition(t, w, kids, preds2D)
 	// Measure ratios (paper): |P(r/2)| = |W(r)|/2, |W(r/2)| = |W(r)|/8.
-	for _, k := range kids {
-		b := k.(Box4)
+	for _, b := range kids {
 		ratio := float64(b.Size()) / float64(w.Size())
 		var want float64
 		if b.Kind() == Octahedron {
@@ -184,19 +182,9 @@ func TestFigureFourPartition(t *testing.T) {
 		if len(pieces) == 0 {
 			t.Fatalf("side=%d: empty partition", side)
 		}
-		parent := Box4Around(side, side)
-		doms := make([]Domain, len(pieces))
-		hasP, hasW := false, false
-		for i, p := range pieces {
-			doms[i] = p
-			switch p.Kind() {
-			case Octahedron:
-				hasP = true
-			case Tetrahedron:
-				hasW = true
-			}
-		}
-		checkPartition(t, parent, doms, preds2D)
+		counts := KindCount(pieces)
+		hasP, hasW := counts[Octahedron] > 0, counts[Tetrahedron] > 0
+		checkPartition(t, Around(2, side, side), pieces, preds2D)
 		if !hasP || !hasW {
 			t.Errorf("side=%d: partition should mix octahedra and tetrahedra (P:%v W:%v)",
 				side, hasP, hasW)
@@ -205,40 +193,7 @@ func TestFigureFourPartition(t *testing.T) {
 }
 
 func TestBox4RecursiveDecompositionExact(t *testing.T) {
-	b := Box4Around(6, 6)
-	var leaves []Point
-	var rec func(dom Domain)
-	rec = func(dom Domain) {
-		kids := dom.Children()
-		if kids == nil {
-			dom.Points(func(p Point) bool {
-				leaves = append(leaves, p)
-				return true
-			})
-			return
-		}
-		for _, k := range kids {
-			rec(k)
-		}
-	}
-	rec(b)
-	if len(leaves) != b.Size() {
-		t.Fatalf("recursion yields %d points, want %d", len(leaves), b.Size())
-	}
-	pos := make(map[Point]int, len(leaves))
-	for i, p := range leaves {
-		if _, dup := pos[p]; dup {
-			t.Fatalf("duplicate leaf %v", p)
-		}
-		pos[p] = i
-	}
-	for p, i := range pos {
-		for _, q := range preds2D(p) {
-			if j, in := pos[q]; in && j > i {
-				t.Fatalf("leaf order violates dependency: %v at %d needs %v at %d", p, i, q, j)
-			}
-		}
-	}
+	checkRecursion(t, Around(2, 6, 6), preds2D)
 }
 
 func TestNewOctahedronPanics(t *testing.T) {
@@ -274,12 +229,7 @@ func TestPropertyBox4ChildrenPartition(t *testing.T) {
 		if r%2 == 1 {
 			off = span // tetrahedron
 		}
-		b := Box4{
-			A0: int(a0), B0: int(b0),
-			E0: int(a0) - off, F0: int(b0),
-			RA: span, RB: span, RE: span, RF: span,
-			Clip: UnboundedClip(),
-		}
+		b := box(UnboundedClip(), []int{int(a0), int(b0), int(a0) - off, int(b0)}, []int{span, span, span, span})
 		if b.Size() == 0 {
 			return true
 		}

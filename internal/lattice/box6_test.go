@@ -20,23 +20,13 @@ func preds3D(p Point) []Point {
 	}
 }
 
-func collect6(d Domain) []Point {
-	var pts []Point
-	d.Points(func(p Point) bool {
-		pts = append(pts, p)
-		return true
-	})
-	return pts
-}
-
 func TestBox6SizeMatchesEnumeration(t *testing.T) {
-	for _, b := range []Box6{
-		Box6Around(4, 4),
+	for _, b := range []Domain{
+		Around(3, 4, 4),
 		CentralBox6(6),
-		{A0: 2, B0: -1, E0: 0, F0: 1, G0: -2, H0: 4,
-			RA: 4, RB: 5, RE: 3, RF: 4, RG: 6, RH: 2, Clip: UnboundedClip()},
+		box(UnboundedClip(), []int{2, -1, 0, 1, -2, 4}, []int{4, 5, 3, 4, 6, 2}),
 	} {
-		pts := collect6(b)
+		pts := collect(b)
 		if len(pts) != b.Size() {
 			t.Errorf("%v: Size() = %d but enumerated %d", b, b.Size(), len(pts))
 		}
@@ -50,8 +40,7 @@ func TestBox6SizeMatchesEnumeration(t *testing.T) {
 
 func TestBox6SizeBruteForce(t *testing.T) {
 	clip := ClipAll3D(5, 5)
-	b := Box6{A0: 1, B0: -3, E0: 0, F0: -2, G0: 2, H0: -4,
-		RA: 6, RB: 5, RE: 7, RF: 4, RG: 5, RH: 8, Clip: clip}
+	b := box(clip, []int{1, -3, 0, -2, 2, -4}, []int{6, 5, 7, 4, 5, 8})
 	want := 0
 	for x := 0; x < 5; x++ {
 		for y := 0; y < 5; y++ {
@@ -72,16 +61,16 @@ func TestBox6SizeBruteForce(t *testing.T) {
 func TestBox6AroundCoversV(t *testing.T) {
 	for _, st := range [][2]int{{3, 3}, {4, 5}, {2, 7}} {
 		side, T := st[0], st[1]
-		b := Box6Around(side, T)
+		b := Around(3, side, T)
 		if got, want := b.Size(), side*side*side*T; got != want {
-			t.Errorf("Box6Around(%d,%d).Size() = %d, want %d", side, T, got, want)
+			t.Errorf("Around(3,%d,%d).Size() = %d, want %d", side, T, got, want)
 		}
 	}
 }
 
 func TestBox6PointsOrdered(t *testing.T) {
-	b := Box6Around(3, 3)
-	pts := collect6(b)
+	b := Around(3, 3, 3)
+	pts := collect(b)
 	for i := 1; i < len(pts); i++ {
 		if !pts[i-1].Less(pts[i]) {
 			t.Fatalf("points out of order: %v then %v", pts[i-1], pts[i])
@@ -128,85 +117,15 @@ func TestBox6CentralDecomposition(t *testing.T) {
 	// 46 children — 10 central analogs and 36 wedges.
 	b := CentralBox6(16)
 	kids := b.Children()
-	central, wedges := 0, 0
-	for _, k := range kids {
-		if k.(Box6).IsCentral() {
-			central++
-		} else {
-			wedges++
-		}
-	}
-	if central != 10 || wedges != 36 {
+	central := KindCount(kids)[Octahedron]
+	if wedges := len(kids) - central; central != 10 || wedges != 36 {
 		t.Errorf("central split: %d central + %d wedges, want 10 + 36", central, wedges)
 	}
-	checkPartition6(t, b, kids)
-}
-
-// checkPartition6 verifies exact tiling and topological order for d = 3.
-func checkPartition6(t *testing.T, parent Domain, children []Domain) {
-	t.Helper()
-	seen := make(map[Point]int)
-	total := 0
-	for i, c := range children {
-		c.Points(func(p Point) bool {
-			if !parent.Contains(p) {
-				t.Fatalf("child %d point %v outside parent", i, p)
-			}
-			if j, dup := seen[p]; dup {
-				t.Fatalf("point %v in children %d and %d", p, j, i)
-			}
-			seen[p] = i
-			total++
-			return true
-		})
-	}
-	if total != parent.Size() {
-		t.Fatalf("children cover %d of %d points", total, parent.Size())
-	}
-	for p, i := range seen {
-		for _, q := range preds3D(p) {
-			if j, in := seen[q]; in && j > i {
-				t.Fatalf("dependency violation: %v (child %d) needs %v (child %d)", p, i, q, j)
-			}
-		}
-	}
+	checkPartition(t, b, kids, preds3D)
 }
 
 func TestBox6RecursiveDecompositionExact(t *testing.T) {
-	b := Box6Around(4, 4)
-	var leaves []Point
-	var rec func(dom Domain)
-	rec = func(dom Domain) {
-		kids := dom.Children()
-		if kids == nil {
-			dom.Points(func(p Point) bool {
-				leaves = append(leaves, p)
-				return true
-			})
-			return
-		}
-		for _, k := range kids {
-			rec(k)
-		}
-	}
-	rec(b)
-	if len(leaves) != b.Size() {
-		t.Fatalf("recursion yields %d points, want %d", len(leaves), b.Size())
-	}
-	pos := make(map[Point]int, len(leaves))
-	for i, p := range leaves {
-		if _, dup := pos[p]; dup {
-			t.Fatalf("duplicate leaf %v", p)
-		}
-		pos[p] = i
-	}
-	for p, i := range pos {
-		for _, q := range preds3D(p) {
-			if j, in := pos[q]; in && j > i {
-				t.Fatalf("leaf order violates dependency: %v at %d needs %v at %d", p, i, q, j)
-			}
-		}
-	}
+	checkRecursion(t, Around(3, 4, 4), preds3D)
 }
 
 // Property: random Box6 children always exactly tile the parent and
@@ -216,13 +135,8 @@ func TestPropertyBox6ChildrenPartition(t *testing.T) {
 		span := int(r%8) + 2
 		o1 := (int(off%3) - 1) * span
 		o2 := (int(off/3%3) - 1) * span
-		b := Box6{
-			A0: int(a0), B0: int(b0),
-			E0: int(a0) - o1, F0: int(b0),
-			G0: int(a0) - o2, H0: int(b0),
-			RA: span, RB: span, RE: span, RF: span, RG: span, RH: span,
-			Clip: UnboundedClip(),
-		}
+		b := box(UnboundedClip(), []int{int(a0), int(b0), int(a0) - o1, int(b0), int(a0) - o2, int(b0)},
+			[]int{span, span, span, span, span, span})
 		if b.Size() == 0 {
 			return true
 		}

@@ -20,6 +20,21 @@ func preds1D(p Point) []Point {
 	}
 }
 
+// box is the domain with the given range corners and side lengths, both
+// listed P[0], M[0], P[1], M[1], P[2], M[2]; its dimension is half their
+// number.
+func box(clip Clip, corner, sides []int) Domain {
+	d := Domain{Dim: len(corner) / 2, Clip: clip}
+	for r, lo := range corner {
+		if r%2 == 0 {
+			d.P[r/2] = [2]int{lo, lo + sides[r]}
+		} else {
+			d.M[r/2] = [2]int{lo, lo + sides[r]}
+		}
+	}
+	return d
+}
+
 // collect returns all points of a domain.
 func collect(d Domain) []Point {
 	var pts []Point
@@ -32,12 +47,12 @@ func collect(d Domain) []Point {
 
 func TestDiamondSizeMatchesEnumeration(t *testing.T) {
 	clip := ClipAll1D(8, 8)
-	for _, d := range []Diamond{
+	for _, d := range []Domain{
 		NewDiamond(0, -7, 15, clip),
 		NewDiamond(3, -2, 5, clip),
 		NewDiamond(2, 0, 1, clip),
 		NewDiamond(0, 0, 0, clip),
-		{U0: 1, W0: -3, RU: 4, RW: 7, Clip: clip},
+		box(clip, []int{1, -3}, []int{4, 7}),
 	} {
 		pts := collect(d)
 		if len(pts) != d.Size() {
@@ -53,7 +68,7 @@ func TestDiamondSizeMatchesEnumeration(t *testing.T) {
 
 func TestDiamondSizeBruteForce(t *testing.T) {
 	clip := ClipAll1D(10, 10)
-	d := Diamond{U0: 2, W0: -5, RU: 9, RW: 6, Clip: clip}
+	d := box(clip, []int{2, -5}, []int{9, 6})
 	want := 0
 	for x := 0; x < 10; x++ {
 		for tt := 0; tt < 10; tt++ {
@@ -68,7 +83,7 @@ func TestDiamondSizeBruteForce(t *testing.T) {
 }
 
 func TestDiamondPointsAreTopologicallyOrdered(t *testing.T) {
-	d := DiamondAround(6, 6)
+	d := Around(1, 6, 6)
 	pts := collect(d)
 	for i := 1; i < len(pts); i++ {
 		if !pts[i-1].Less(pts[i]) {
@@ -80,15 +95,15 @@ func TestDiamondPointsAreTopologicallyOrdered(t *testing.T) {
 func TestDiamondAroundCoversV(t *testing.T) {
 	for _, nt := range [][2]int{{4, 4}, {5, 7}, {1, 3}, {8, 1}} {
 		n, T := nt[0], nt[1]
-		d := DiamondAround(n, T)
+		d := Around(1, n, T)
 		if got, want := d.Size(), n*T; got != want {
-			t.Errorf("DiamondAround(%d,%d).Size() = %d, want %d", n, T, got, want)
+			t.Errorf("Around(1,%d,%d).Size() = %d, want %d", n, T, got, want)
 		}
 		// Every machine vertex is contained.
 		for x := 0; x < n; x++ {
 			for tt := 0; tt < T; tt++ {
 				if !d.Contains(Point{X: x, T: tt}) {
-					t.Errorf("DiamondAround(%d,%d) misses (%d,%d)", n, T, x, tt)
+					t.Errorf("Around(1,%d,%d) misses (%d,%d)", n, T, x, tt)
 				}
 			}
 		}
@@ -130,11 +145,11 @@ func checkPartition(t *testing.T, parent Domain, children []Domain, preds func(P
 
 func TestDiamondChildrenPartition(t *testing.T) {
 	clip := ClipAll1D(16, 16)
-	for _, d := range []Diamond{
+	for _, d := range []Domain{
 		NewDiamond(4, -4, 8, clip),
 		NewDiamond(0, -15, 31, clip),
 		NewDiamond(3, -3, 7, clip), // odd width
-		{U0: 1, W0: -5, RU: 6, RW: 9, Clip: clip},
+		box(clip, []int{1, -5}, []int{6, 9}),
 	} {
 		if d.Size() == 0 {
 			t.Fatalf("test domain %v empty", d)
@@ -170,9 +185,13 @@ func TestDiamondAtomic(t *testing.T) {
 }
 
 func TestDiamondRecursiveDecompositionExact(t *testing.T) {
-	// Fully recurse and check the leaf order is a topological order of the
-	// whole domain with exact coverage.
-	d := DiamondAround(12, 12)
+	checkRecursion(t, Around(1, 12, 12), preds1D)
+}
+
+// checkRecursion fully recurses d and checks that the leaf order is a
+// topological order of the whole domain with exact coverage.
+func checkRecursion(t *testing.T, d Domain, preds func(Point) []Point) {
+	t.Helper()
 	var leaves []Point
 	var rec func(dom Domain)
 	rec = func(dom Domain) {
@@ -200,7 +219,7 @@ func TestDiamondRecursiveDecompositionExact(t *testing.T) {
 		pos[p] = i
 	}
 	for p, i := range pos {
-		for _, q := range preds1D(p) {
+		for _, q := range preds(p) {
 			if j, in := pos[q]; in && j > i {
 				t.Fatalf("leaf order violates dependency: %v at %d needs %v at %d", p, i, q, j)
 			}
@@ -236,12 +255,7 @@ func TestFigureOnePartition(t *testing.T) {
 		if len(pieces) != 5 {
 			t.Errorf("n=%d: got %d pieces, want 5", n, len(pieces))
 		}
-		parent := DiamondAround(n, n)
-		doms := make([]Domain, len(pieces))
-		for i, p := range pieces {
-			doms[i] = p
-		}
-		checkPartition(t, parent, doms, preds1D)
+		checkPartition(t, Around(1, n, n), pieces, preds1D)
 		// The central piece is the full diamond D(n): measure ~ n²/2.
 		central := pieces[2]
 		ratio := float64(central.Size()) / (float64(n) * float64(n) / 2)
@@ -294,16 +308,16 @@ func TestZigZagBandsCoverAllCells(t *testing.T) {
 	}
 }
 
-// Property: Contains agrees with membership in the enumerated point set.
+// Property: Size counts the enumerated point set, Points enumerates it in
+// strictly ascending (T, X, Y, Z) order, and Contains agrees with
+// membership in it, at d = 1 on square-ish unclipped rectangles and at
+// d = 2 and 3 on boxes with unequal sides, disagreeing pair sums and
+// clips inside the machine.
 func TestPropertyDiamondContainsMatchesPoints(t *testing.T) {
 	f := func(u0, w0 int8, r uint8) bool {
-		d := Diamond{
-			U0: int(u0), W0: int(w0), RU: int(r % 16), RW: int(r%16) + 1,
-			Clip: UnboundedClip(),
-		}
-		set := make(map[Point]bool)
-		d.Points(func(p Point) bool { set[p] = true; return true })
-		if len(set) != d.Size() {
+		d := box(UnboundedClip(), []int{int(u0), int(w0)}, []int{int(r % 16), int(r%16) + 1})
+		set, ok := pointSet(d)
+		if !ok {
 			return false
 		}
 		// Probe the bounding region around the rectangle.
@@ -315,11 +329,86 @@ func TestPropertyDiamondContainsMatchesPoints(t *testing.T) {
 				}
 			}
 		}
-		return true
+		return containsMatches(d, set)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+
+	nonEmpty := 0
+	g := func(d3 bool, center [4]uint8, back, sides [6]uint8, cut [8]uint8) bool {
+		dim, side, clip := 2, 8, ClipAll2D(8, 8)
+		if d3 {
+			dim, side, clip = 3, 6, ClipAll3D(6, 6)
+		}
+		// Each bound of the clip moves in by up to 2 on the mesh's axes
+		// and on time.
+		lo := []*int{&clip.X0, &clip.Y0, &clip.Z0, &clip.T0}
+		hi := []*int{&clip.X1, &clip.Y1, &clip.Z1, &clip.T1}
+		for a := range 4 {
+			if a < dim || a == 3 {
+				*lo[a] += int(cut[2*a] % 3)
+				*hi[a] -= int(cut[2*a+1] % 3)
+			}
+		}
+		// Each range starts up to 5 below the value of t ± x_a at a
+		// drawn machine point, so the pair sums disagree by up to 10,
+		// and is 1 to 12 long.
+		tc := int(center[3]) % side
+		var c, n []int
+		for r := range 2 * dim {
+			x := int(center[r/2]) % side
+			if r%2 == 1 {
+				x = -x
+			}
+			c, n = append(c, tc+x-int(back[r]%6)), append(n, int(sides[r]%12)+1)
+		}
+		d := box(clip, c, n)
+		set, ok := pointSet(d)
+		if len(set) > 0 {
+			nonEmpty++
+		}
+		return ok && containsMatches(d, set)
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if nonEmpty < 100 {
+		t.Fatalf("only %d of 300 drawn d = 2, 3 boxes hold a point", nonEmpty)
+	}
+}
+
+// pointSet returns d's enumerated points as a set, and whether Points
+// enumerated them in strictly ascending order and Size counts them.
+func pointSet(d Domain) (map[Point]bool, bool) {
+	set := make(map[Point]bool)
+	var prev Point
+	ok := true
+	d.Points(func(p Point) bool {
+		ok = ok && (len(set) == 0 || prev.Less(p))
+		prev, set[p] = p, true
+		return ok
+	})
+	return set, ok && len(set) == d.Size()
+}
+
+// containsMatches reports whether Contains agrees with membership in set
+// over d's bounding box inflated by 1 on every axis.
+func containsMatches(d Domain, set map[Point]bool) bool {
+	c := d.BoundingClip()
+	for tt := c.T0 - 1; tt <= c.T1; tt++ {
+		for x := c.X0 - 1; x <= c.X1; x++ {
+			for y := c.Y0 - 1; y <= c.Y1; y++ {
+				for z := c.Z0 - 1; z <= c.Z1; z++ {
+					p := Point{X: x, Y: y, Z: z, T: tt}
+					if d.Contains(p) != set[p] {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Property: the measure of an unclipped D(r) tends to r²/2.

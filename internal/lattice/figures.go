@@ -26,7 +26,7 @@ func UnboundedClip() Clip {
 // ordered topologically, as in Figure 1 of the paper: U3 is a full diamond
 // of width n inscribed at the center of V; U1/U2/U4/U5 are the truncated
 // corner diamonds. n must be at least 2.
-func FigureOnePartition(n int) []Diamond {
+func FigureOnePartition(n int) []Domain {
 	if n < 2 {
 		panic(fmt.Sprintf("lattice: FigureOnePartition needs n >= 2, got %d", n))
 	}
@@ -39,12 +39,15 @@ func FigureOnePartition(n int) []Diamond {
 	uc1 := uc0 + n
 	wc0 := -n / 2
 	wc1 := wc0 + n
-	pieces := []Diamond{
-		{U0: uLo, W0: wLo, RU: uc0 - uLo, RW: wHi - wLo, Clip: clip}, // U1: low-u truncation
-		{U0: uc0, W0: wLo, RU: n, RW: wc0 - wLo, Clip: clip},         // U2: mid-u, low-w truncation
-		{U0: uc0, W0: wc0, RU: n, RW: n, Clip: clip},                 // U3: full central D(n)
-		{U0: uc0, W0: wc1, RU: n, RW: wHi - wc1, Clip: clip},         // U4: mid-u, high-w truncation
-		{U0: uc1, W0: wLo, RU: uHi - uc1, RW: wHi - wLo, Clip: clip}, // U5: high-u truncation
+	rect := func(u0, u1, w0, w1 int) Domain {
+		return Domain{Dim: 1, P: [3][2]int{{u0, u1}}, M: [3][2]int{{w0, w1}}, Clip: clip}
+	}
+	pieces := []Domain{
+		rect(uLo, uc0, wLo, wHi), // U1: low-u truncation
+		rect(uc0, uc1, wLo, wc0), // U2: mid-u, low-w truncation
+		rect(uc0, uc1, wc0, wc1), // U3: full central D(n)
+		rect(uc0, uc1, wc1, wHi), // U4: mid-u, high-w truncation
+		rect(uc1, uHi, wLo, wHi), // U5: high-u truncation
 	}
 	out := pieces[:0]
 	for _, p := range pieces {
@@ -59,21 +62,25 @@ func FigureOnePartition(n int) []Diamond {
 // its integer grid coordinates in rotated space.
 type GridCell struct {
 	I, J int // u-index and w-index: u in [I*s, (I+1)*s), w in [J*s+w0, ...)
-	D    Diamond
+	D    Domain
+}
+
+// mids returns the centers of the cell's u and w ranges.
+func (g GridCell) mids() (uMid, wMid float64) {
+	u, w := g.D.P[0], g.D.M[0]
+	return float64(u[0]+u[1]) / 2, float64(w[0]+w[1]) / 2
 }
 
 // CenterX reports the x coordinate of the cell's diamond center,
 // x = (u - w)/2 evaluated at the cell center.
 func (g GridCell) CenterX() float64 {
-	uMid := float64(g.D.U0) + float64(g.D.RU)/2
-	wMid := float64(g.D.W0) + float64(g.D.RW)/2
+	uMid, wMid := g.mids()
 	return (uMid - wMid) / 2
 }
 
 // CenterT reports the t coordinate of the cell's diamond center.
 func (g GridCell) CenterT() float64 {
-	uMid := float64(g.D.U0) + float64(g.D.RU)/2
-	wMid := float64(g.D.W0) + float64(g.D.RW)/2
+	uMid, wMid := g.mids()
 	return (uMid + wMid) / 2
 }
 
@@ -93,7 +100,7 @@ func DiamondGrid(n, t, s int) []GridCell {
 	var cells []GridCell
 	for i := 0; i*s < uSpan; i++ {
 		for j := 0; j*s < wSpan; j++ {
-			d := Diamond{U0: i * s, W0: w0 + j*s, RU: s, RW: s, Clip: clip}
+			d := NewDiamond(i*s, w0+j*s, s, clip)
 			if d.Size() > 0 {
 				cells = append(cells, GridCell{I: i, J: j, D: d})
 			}
@@ -145,25 +152,21 @@ func ZigZagBands(n, p, s int) [][]GridCell {
 
 // FigureThreeOctahedron returns the canonical unclipped octahedron P(r)
 // with low corner at the origin of (a,b,e,f) space.
-func FigureThreeOctahedron(r int) Box4 {
+func FigureThreeOctahedron(r int) Domain {
 	return NewOctahedron(0, 0, 0, 0, r, UnboundedClip())
 }
 
 // FigureThreeTetrahedron returns the canonical unclipped tetrahedron W(r)
 // (pair-sum offset +r).
-func FigureThreeTetrahedron(r int) Box4 {
+func FigureThreeTetrahedron(r int) Domain {
 	return NewTetrahedron(r, 0, 0, 0, r, UnboundedClip())
 }
 
-// KindCount tallies the children of a Box4 partition by kind.
-func KindCount(children []Domain) map[Kind]int {
+// KindCount tallies domains by kind.
+func KindCount(doms []Domain) map[Kind]int {
 	out := make(map[Kind]int)
-	for _, c := range children {
-		b, ok := c.(Box4)
-		if !ok {
-			panic("lattice: KindCount on non-Box4 child")
-		}
-		out[b.Kind()]++
+	for _, d := range doms {
+		out[d.Kind()]++
 	}
 	return out
 }
@@ -177,15 +180,9 @@ func KindCount(children []Domain) map[Kind]int {
 // piece count that depends on how ties at the cube faces are drawn. The
 // topological-partition property, which is what the simulation needs, is
 // verified in tests for both.)
-func FigureFourPartition(side int) []Box4 {
+func FigureFourPartition(side int) []Domain {
 	if side < 2 {
 		panic(fmt.Sprintf("lattice: FigureFourPartition needs side >= 2, got %d", side))
 	}
-	root := Box4Around(side, side)
-	kids := root.Children()
-	out := make([]Box4, 0, len(kids))
-	for _, k := range kids {
-		out = append(out, k.(Box4))
-	}
-	return out
+	return Around(2, side, side).Children()
 }

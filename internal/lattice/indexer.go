@@ -22,7 +22,7 @@ type Indexer struct {
 
 // NewIndexer returns the Indexer of the given box. The box must be
 // bounded and small enough that its volume fits in an int; use
-// BoundingClip to derive a tight finite box from a domain.
+// Domain.BoundingClip to derive a tight finite box from a domain.
 func NewIndexer(c Clip) Indexer {
 	if c.Empty() {
 		return Indexer{}
@@ -34,8 +34,8 @@ func NewIndexer(c Clip) Indexer {
 }
 
 // IndexerFor returns the Indexer of the domain's bounding box: an O(1)
-// Point<->int bijection covering every point of a Diamond, Box4, or Box6.
-func IndexerFor(dom Domain) Indexer { return NewIndexer(BoundingClip(dom)) }
+// Point<->int bijection covering every point of the domain.
+func IndexerFor(dom Domain) Indexer { return NewIndexer(dom.BoundingClip()) }
 
 // Len reports the number of lattice points the Indexer covers.
 func (ix Indexer) Len() int { return ix.nx * ix.ny * ix.nz * ix.nt }
@@ -74,51 +74,13 @@ func (ix Indexer) Deindex(i int) Point {
 	return Point{X: x, Y: y, Z: z, T: i/ix.nz + ix.t0}
 }
 
-// BoundingClip returns a tight finite box containing every lattice point
-// of the domain, intersecting the domain's rotated-coordinate ranges with
-// its Clip — finite even under UnboundedClip, because the rotated ranges
-// themselves bound every machine coordinate.
-func BoundingClip(dom Domain) Clip {
-	switch d := dom.(type) {
-	case Diamond:
-		// x = (u-w)/2, t = (u+w)/2 over u in [U0,U0+RU), w in [W0,W0+RW).
-		c := Clip{
-			X0: ceilDiv(d.U0-(d.W0+d.RW-1), 2), X1: floorDiv(d.U0+d.RU-1-d.W0, 2) + 1,
-			Y0: 0, Y1: 1, Z0: 0, Z1: 1,
-			T0: ceilDiv(d.U0+d.W0, 2), T1: floorDiv(d.U0+d.RU-1+d.W0+d.RW-1, 2) + 1,
-		}
-		return c.Intersect(d.Clip)
-	case Box4:
-		c := Clip{
-			X0: ceilDiv(d.A0-(d.B0+d.RB-1), 2), X1: floorDiv(d.A0+d.RA-1-d.B0, 2) + 1,
-			Y0: ceilDiv(d.E0-(d.F0+d.RF-1), 2), Y1: floorDiv(d.E0+d.RE-1-d.F0, 2) + 1,
-			Z0: 0, Z1: 1,
-			T0: ceilDiv(maxInt(d.A0+d.B0, d.E0+d.F0), 2),
-			T1: floorDiv(minInt(d.A0+d.RA-1+d.B0+d.RB-1, d.E0+d.RE-1+d.F0+d.RF-1), 2) + 1,
-		}
-		return c.Intersect(d.Clip)
-	case Box6:
-		c := Clip{
-			X0: ceilDiv(d.A0-(d.B0+d.RB-1), 2), X1: floorDiv(d.A0+d.RA-1-d.B0, 2) + 1,
-			Y0: ceilDiv(d.E0-(d.F0+d.RF-1), 2), Y1: floorDiv(d.E0+d.RE-1-d.F0, 2) + 1,
-			Z0: ceilDiv(d.G0-(d.H0+d.RH-1), 2), Z1: floorDiv(d.G0+d.RG-1-d.H0, 2) + 1,
-			T0: ceilDiv(maxInt(maxInt(d.A0+d.B0, d.E0+d.F0), d.G0+d.H0), 2),
-			T1: floorDiv(minInt(minInt(d.A0+d.RA-1+d.B0+d.RB-1,
-				d.E0+d.RE-1+d.F0+d.RF-1), d.G0+d.RG-1+d.H0+d.RH-1), 2) + 1,
-		}
-		return c.Intersect(d.Clip)
-	default:
-		panic(fmt.Sprintf("lattice: BoundingClip does not support %T", dom))
-	}
-}
-
 // Intersect returns the box common to c and o.
 func (c Clip) Intersect(o Clip) Clip {
 	return Clip{
-		X0: maxInt(c.X0, o.X0), X1: minInt(c.X1, o.X1),
-		Y0: maxInt(c.Y0, o.Y0), Y1: minInt(c.Y1, o.Y1),
-		Z0: maxInt(c.Z0, o.Z0), Z1: minInt(c.Z1, o.Z1),
-		T0: maxInt(c.T0, o.T0), T1: minInt(c.T1, o.T1),
+		X0: max(c.X0, o.X0), X1: min(c.X1, o.X1),
+		Y0: max(c.Y0, o.Y0), Y1: min(c.Y1, o.Y1),
+		Z0: max(c.Z0, o.Z0), Z1: min(c.Z1, o.Z1),
+		T0: max(c.T0, o.T0), T1: min(c.T1, o.T1),
 	}
 }
 

@@ -58,7 +58,7 @@ func TestBoundingClipTight(t *testing.T) {
 	// Every face of the bounding box must touch at least one domain point:
 	// the box is tight, not merely containing.
 	for _, dom := range sampleDomains() {
-		c := BoundingClip(dom)
+		c := dom.BoundingClip()
 		var hitX0, hitX1, hitT0, hitT1 bool
 		dom.Points(func(p Point) bool {
 			hitX0 = hitX0 || p.X == c.X0

@@ -1,8 +1,11 @@
 // Package lattice implements the geometric machinery of Bilardi & Preparata
-// (SPAA 1995): the convex lattice domains — diamonds for d = 1, octahedra and
-// tetrahedra for d = 2 — together with their ordered topological partitions
-// (Figures 1–4 of the paper) used by the topological-separator simulation
-// technique.
+// (SPAA 1995): the convex lattice domains of the computation dags of the
+// d-dimensional mesh for d = 1, 2, 3 — diamonds for d = 1, octahedra and
+// tetrahedra for d = 2, and the four-dimensional separator the paper's
+// conclusions ask for at d = 3 — together with their ordered topological
+// partitions (Figures 1–4 of the paper) used by the topological-separator
+// simulation technique. One type, Domain, is all of them, with the mesh
+// dimension a field of the value.
 //
 // # Rotated coordinates
 //
@@ -31,7 +34,20 @@
 // tetrahedron W(R) is the same box with the two pair-sums offset by R
 // (|a0+b0 - (e0+f0)| = R). Halving all four ranges yields exactly the
 // paper's Figure 3 decompositions: 6 octahedra + 8 tetrahedra for P, and
-// 1 octahedron + 4 tetrahedra for W (see box4.go).
+// 1 octahedron + 4 tetrahedra for W.
+//
+// For d = 3 the dag vertices are (x, y, z, t), and the six coordinates
+// t ± x, t ± y, t ± z (all three pair sums 2t) are again non-decreasing
+// along every arc, so any semi-open box in them is convex and halving its
+// six ranges is an ordered topological partition: the four-dimensional
+// topological separator the paper conjectured. The equal-sided box with
+// all pair sums equal is the d = 3 analog of the octahedron, of measure
+// Θ(R⁴) and preboundary Θ(R³) = Θ(|U|^(3/4)), the γ = d/(d+1) separator
+// exponent; it splits into 10 such central polytopes and 36 wedges.
+//
+// A Domain stores the ranges as P[a] (of t + x_a) and M[a] (of t - x_a)
+// per spatial axis a < d, so u, w are P[0], M[0] and a, b, e, f are
+// P[0], M[0], P[1], M[1].
 //
 // All domains are semi-open from below, which realizes the paper's
 // convention that a domain "does not contain those points of its frontier
@@ -113,70 +129,6 @@ func (c Clip) Volume() int {
 		return 0
 	}
 	return (c.X1 - c.X0) * (c.Y1 - c.Y0) * (c.Z1 - c.Z0) * (c.T1 - c.T0)
-}
-
-// Domain is a convex set of dag vertices equipped with an ordered
-// topological partition (Definition 4 of the paper): executing the children
-// in order, each child's preboundary is covered by the parent's preboundary
-// plus earlier children. Concrete implementations are Diamond (d = 1),
-// Box4 (d = 2), and Box6 (d = 3).
-type Domain interface {
-	// Dim is the mesh dimension d (1, 2, or 3); the dag lives in d+1
-	// dimensions.
-	Dim() int
-	// Size is the exact number of dag vertices in the domain.
-	Size() int
-	// Points enumerates the domain's vertices in ascending (T, X, Y)
-	// order — a topological order of the dag — stopping early if yield
-	// returns false.
-	Points(yield func(Point) bool)
-	// Children returns the ordered topological partition of the domain,
-	// or nil if the domain is atomic (cannot be split further). Empty
-	// children are omitted; the concatenation of the children's point
-	// sets equals the domain's point set exactly.
-	Children() []Domain
-	// Contains reports whether p is a vertex of the domain.
-	Contains(p Point) bool
-	// Span is the linear extent r of the domain (the paper's diamond
-	// width or octahedron diameter), before clipping.
-	Span() int
-	// Columns is the domain's column view: the time interval each
-	// spatial position holds.
-	Columns() ColumnView
-	// String describes the domain for diagnostics.
-	String() string
-}
-
-// overlap returns the number of integers in [lo1,hi1) ∩ [lo2,hi2).
-func overlap(lo1, hi1, lo2, hi2 int) int {
-	lo := lo1
-	if lo2 > lo {
-		lo = lo2
-	}
-	hi := hi1
-	if hi2 < hi {
-		hi = hi2
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
-// maxInt returns the larger of a and b.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// minInt returns the smaller of a and b.
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ceilDiv returns ceil(a/b) for b > 0.

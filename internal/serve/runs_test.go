@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -475,13 +476,16 @@ func TestRunsListingFiltersAndPagination(t *testing.T) {
 // a full pool queue still leaves a terminal record.
 func TestShedRunRecorded(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: -1})
-	block := make(chan struct{})
+	block, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	s.runScheme = func(ctx context.Context, req RunRequest) (*RunResponse, error) {
+		once.Do(func() { close(started) })
 		<-block
 		return &RunResponse{Scheme: req.Scheme, Time: 1}, nil
 	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	defer close(block) // before srv.Close, which waits for the first request
 
 	go func() {
 		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(validRun))
@@ -489,14 +493,12 @@ func TestShedRunRecorded(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		var list RunsResponse
-		getJSON(t, s.Handler(), "/v1/runs?state=running", &list)
-		if list.Total > 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The stub runs on the pool's one worker, so once it has started the
+	// worker is held until block closes.
+	select {
+	case <-started:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the first run did not reach the worker within 60 s")
 	}
 
 	// A distinct tuple cannot coalesce, cannot hit the cache, and finds
@@ -513,7 +515,6 @@ func TestShedRunRecorded(t *testing.T) {
 	if shed.Runs[0].Error == "" {
 		t.Fatal("shed record carries no error")
 	}
-	close(block)
 }
 
 // TestMetricsPromRegistrySeries checks the registry's Prometheus

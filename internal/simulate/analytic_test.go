@@ -23,14 +23,14 @@ var analyticGeometryCases = []struct{ n, steps, leafSpan int }{
 // n-node line over steps steps — the root and all its descendants down
 // to leaves — with the geometry the engine computes for each, in both of
 // its modes.
-func walkAnalytic(n, steps, leafSpan int, visit func(lattice.Diamond, dag.Surface)) {
+func walkAnalytic(n, steps, leafSpan int, visit func(lattice.Domain, dag.Surface)) {
 	g, root := guestDag(1, n, steps+1)
 	b := newBlockedExec(context.Background(), g, nil, 1, 1, steps, leafSpan, newBlockedGeom(1, n))
 	var walk func(d lattice.Domain)
 	walk = func(d lattice.Domain) {
 		var s dag.Surface
 		b.bd.Compute(b.g, d, b.order, &s)
-		visit(d.(lattice.Diamond), s)
+		visit(d, s)
 		if b.isLeaf(d) {
 			return
 		}
@@ -46,7 +46,7 @@ func walkAnalytic(n, steps, leafSpan int, visit func(lattice.Diamond, dag.Surfac
 // order, same time spans, and each column a contiguous interval.
 func TestAnalyticColumnsMatchPoints(t *testing.T) {
 	for _, tc := range analyticGeometryCases {
-		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Diamond, s dag.Surface) {
+		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Domain, s dag.Surface) {
 			type span struct{ ta, tb, count int }
 			byX := map[int]*span{}
 			d.Points(func(p lattice.Point) bool {
@@ -88,7 +88,7 @@ func TestAnalyticColumnsMatchPoints(t *testing.T) {
 func TestAnalyticBoundaryMatchesDag(t *testing.T) {
 	for _, tc := range analyticGeometryCases {
 		g := dag.NewLineGraph(tc.n, tc.steps+1)
-		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Diamond, s dag.Surface) {
+		walkAnalytic(tc.n, tc.steps, tc.leafSpan, func(d lattice.Domain, s dag.Surface) {
 			var wantPre, wantLive, buf []lattice.Point
 			seen := map[lattice.Point]bool{}
 			d.Points(func(p lattice.Point) bool {

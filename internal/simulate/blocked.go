@@ -14,7 +14,7 @@ import (
 // on the guest dag's domains down to "executable domains" of span ~m
 // that are simulated naively in place. The domains are diamonds at
 // d = 1, the octahedra and tetrahedra of Section 5 at d = 2, and the
-// four-dimensional Box6 separator at d = 3. The paper states only the
+// four-dimensional separator at d = 3. The paper states only the
 // d = 1 construction explicitly (Theorem 3) and the combined d = 2 bound
 // (Theorem 1); the same recursion carries over verbatim once the
 // separator of the dimension replaces the diamond, and together with

@@ -147,6 +147,10 @@ type blockedExec struct {
 	used    [][]lattice.Point  // per-depth consumed live-outs of finished children
 	space   map[lattice.Domain]blockedPlan
 
+	// children partitions a domain: lattice.Domain.Children, or a
+	// broken partition a failure-injection test hands the recursion.
+	children func(lattice.Domain) []lattice.Domain
+
 	// Boundary geometry: the enumeration's scratch, the planning pass's
 	// result buffer, one child geometry per recursion depth, and the
 	// column order (see columnOrder).
@@ -214,10 +218,6 @@ func (b *blockedExec) memoKind() memoKind {
 // pricing mode, recursion cutoff, and the guest's address class at the
 // domain's reference vertex. ok = false disables memoization for dom.
 func (b *blockedExec) subtreeKeyFor(dom lattice.Domain) (subtreeKey, bool) {
-	shape, ok := canonicalDomain(dom)
-	if !ok {
-		return subtreeKey{}, false
-	}
 	ref, ok := refPoint(dom)
 	if !ok {
 		return subtreeKey{}, false
@@ -235,9 +235,9 @@ func (b *blockedExec) subtreeKeyFor(dom lattice.Domain) (subtreeKey, bool) {
 		side = b.geom.side
 	}
 	return subtreeKey{
-		d: dom.Dim(), m: b.m, iw: b.iw, leafSpan: b.leafSpan,
+		m: b.m, iw: b.iw, leafSpan: b.leafSpan,
 		pipelined: b.mach.Pipelined(), side: side,
-		shape: shape, class: class, prog: b.progFP,
+		shape: canonicalDomain(dom), class: class, prog: b.progFP,
 	}, true
 }
 
@@ -263,14 +263,15 @@ func newBlockedExec(ctx context.Context, g dag.Graph, prog network.Program, m, i
 	ix := lattice.NewIndexer(bounds)
 	return &blockedExec{
 		g: g, prog: prog, m: m, iw: iw, steps: steps, leafSpan: leafSpan, geom: geom,
-		ec:      newExecCtx(ctx),
-		bcast:   lattice.NewAddrTable(ix),
-		mem:     lattice.NewAddrTable(ix),
-		colIdx:  lattice.NewAddrTable(lattice.NewIndexer(spatialClip(bounds))),
-		space:   make(map[lattice.Domain]blockedPlan),
-		order:   columnOrder(geom.d),
-		opsBuf:  make([]hram.Word, 0, 7),
-		initMem: make([]hram.Word, m),
+		ec:       newExecCtx(ctx),
+		bcast:    lattice.NewAddrTable(ix),
+		mem:      lattice.NewAddrTable(ix),
+		colIdx:   lattice.NewAddrTable(lattice.NewIndexer(spatialClip(bounds))),
+		space:    make(map[lattice.Domain]blockedPlan),
+		children: lattice.Domain.Children,
+		order:    columnOrder(geom.d),
+		opsBuf:   make([]hram.Word, 0, 7),
+		initMem:  make([]hram.Word, m),
 	}
 }
 
@@ -288,11 +289,12 @@ func newVertexExec(ctx context.Context, g dag.Graph, prog dag.Program, leafSize 
 	}
 	return &blockedExec{
 		g: g, dprog: prog, m: 1, steps: g.Steps(), leafSpan: 1, leafSize: leafSize, geom: geom,
-		ec:     newExecCtx(ctx),
-		bcast:  lattice.NewAddrTable(lattice.NewIndexer(g.Bounds())),
-		space:  make(map[lattice.Domain]blockedPlan),
-		order:  dag.ByPosition,
-		opsBuf: make([]hram.Word, 0, 5),
+		ec:       newExecCtx(ctx),
+		bcast:    lattice.NewAddrTable(lattice.NewIndexer(g.Bounds())),
+		space:    make(map[lattice.Domain]blockedPlan),
+		children: lattice.Domain.Children,
+		order:    dag.ByPosition,
+		opsBuf:   make([]hram.Word, 0, 5),
 	}
 }
 
@@ -358,10 +360,7 @@ type blockedPlan struct{ space, stage int }
 // of work — so it polls cancellation at every node it expands; a caller
 // that has already given up never reaches execution.
 func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
-	shape, ok := canonicalDomain(dom)
-	if !ok {
-		shape = dom
-	}
+	shape := canonicalDomain(dom)
 	if p, ok := b.space[shape]; ok {
 		return p, nil
 	}
@@ -377,7 +376,7 @@ func (b *blockedExec) spaceNeeded(dom lattice.Domain) (blockedPlan, error) {
 		p.space = len(b.surf.Cols)*b.iw + dom.Size() + in
 	} else {
 		smax, stage := 0, 0
-		for _, kid := range dom.Children() {
+		for _, kid := range b.children(dom) {
 			kp, err := b.spaceNeeded(kid)
 			if err != nil {
 				return blockedPlan{}, err
@@ -418,7 +417,7 @@ func (b *blockedExec) exec(dom lattice.Domain, geo dag.Surface, space, depth int
 	consumed := func(p lattice.Point) { b.used[depth] = append(b.used[depth], p) }
 	meter := b.mach.Meter()
 
-	for _, kid := range dom.Children() {
+	for _, kid := range b.children(dom) {
 		if err := b.ec.checkpoint(); err != nil {
 			return err
 		}

@@ -10,8 +10,8 @@ import (
 
 // These tests exercise the d = 3 extension: the paper's concluding
 // conjecture that Theorem 1 extends to three-dimensional machines via a
-// four-dimensional topological separator, which internal/lattice.Box6
-// provides.
+// four-dimensional topological separator, which lattice.Domain provides
+// at Dim 3.
 
 func TestUniDCFunctionalD3(t *testing.T) {
 	prog := guest.MixCA{Seed: 7}

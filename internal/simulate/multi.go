@@ -157,8 +157,9 @@ type MultiResult struct {
 // ablates it). The paper states the d = 2 bound and the octahedral
 // separator (Section 5) but defers the multiprocessor orchestration to
 // the companion technical report, and only conjectures d = 3; there,
-// with the Box6 separator in hand (lattice), the same mechanisms make
-// the conjectured four-range structure of A(3, n, m, p) measurable.
+// with the four-dimensional separator in hand (lattice), the same
+// mechanisms make the conjectured four-range structure of A(3, n, m, p)
+// measurable.
 //
 // Fidelity: the guest state advances functionally (exactly); costs are
 // charged per phase, with the per-domain execution kernel measured by a

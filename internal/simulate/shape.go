@@ -34,10 +34,9 @@ func progClass(prog network.Program, node, step, m int) (uint64, bool) {
 }
 
 // subtreeKey identifies a congruence class of recursion subtrees. All
-// fields are comparable; shape holds the canonical translated Domain value
-// (a Diamond, Box4 or Box6 struct).
+// fields are comparable; shape is the canonical translated domain, whose
+// Dim is the mesh dimension.
 type subtreeKey struct {
-	d         int  // mesh dimension
 	m         int  // words per guest node
 	iw        int  // image words per column
 	leafSpan  int  // recursion cutoff — fixes the subtree's inner shape
@@ -71,56 +70,36 @@ func shiftClip(c lattice.Clip, dx, dy, dz, dt int) lattice.Clip {
 	}
 }
 
-// canonicalDomain translates dom so its low rotated corners sit at the
-// canonical position (primary coordinates at 0, partners at 0 or 1 to
-// preserve lattice parity) and clamps its clip to the domain's bounding
-// box inflated by 2 — wide enough that every computation the engines
-// derive from the clip (point membership, preboundary preds one step
-// outside the domain, live-out successor tests, the machine-boundary
-// relation when the clip equals the graph bounds) is unchanged, and
-// narrow enough that congruent translated domains canonicalize to the
-// same comparable value. The clamp runs BEFORE the translation so
-// effectively-unbounded clip edges never overflow when shifted.
-//
-// The second result is false for domain families the memo does not
-// canonicalize.
-func canonicalDomain(dom lattice.Domain) (lattice.Domain, bool) {
-	switch d := dom.(type) {
-	case lattice.Diamond:
-		clip := d.Clip.Intersect(inflateClip(lattice.BoundingClip(d), 2))
-		w0 := mod2(d.U0 + d.W0) // du + dw must be even for an integer (dx, dt)
-		du, dw := -d.U0, w0-d.W0
-		dt, dx := (du+dw)/2, (du-dw)/2
-		d.U0, d.W0 = 0, w0
-		d.Clip = shiftClip(clip, dx, 0, 0, dt)
-		return d, true
-	case lattice.Box4:
-		clip := d.Clip.Intersect(inflateClip(lattice.BoundingClip(d), 2))
-		b0 := mod2(d.A0 + d.B0)
-		da, db := -d.A0, b0-d.B0
-		dt, dx := (da+db)/2, (da-db)/2
-		dy := -d.E0 - dt // de = dt + dy = -E0, so E0' = 0
-		d.A0, d.B0 = 0, b0
-		d.F0 = d.F0 + 2*dt + d.E0 // df = dt - dy = 2dt + E0
-		d.E0 = 0
-		d.Clip = shiftClip(clip, dx, dy, 0, dt)
-		return d, true
-	case lattice.Box6:
-		clip := d.Clip.Intersect(inflateClip(lattice.BoundingClip(d), 2))
-		b0 := mod2(d.A0 + d.B0)
-		da, db := -d.A0, b0-d.B0
-		dt, dx := (da+db)/2, (da-db)/2
-		dy := -d.E0 - dt
-		dz := -d.G0 - dt
-		d.A0, d.B0 = 0, b0
-		d.F0 = d.F0 + 2*dt + d.E0
-		d.E0 = 0
-		d.H0 = d.H0 + 2*dt + d.G0
-		d.G0 = 0
-		d.Clip = shiftClip(clip, dx, dy, dz, dt)
-		return d, true
+// canonicalDomain translates d so its low rotated corners sit at the
+// canonical position (the ranges of t + x_a at 0, that of t - x at 0 or
+// 1 to preserve lattice parity, and the other ranges of t - x_a wherever
+// the translation takes them) and clamps its clip to the domain's
+// bounding box inflated by 2 — wide enough that every computation the
+// engines derive from the clip (point membership, preboundary preds one
+// step outside the domain, live-out successor tests, the
+// machine-boundary relation when the clip equals the graph bounds) is
+// unchanged, and narrow enough that congruent translated domains
+// canonicalize to the same comparable value. The clamp runs BEFORE the
+// translation so effectively-unbounded clip edges never overflow when
+// shifted.
+func canonicalDomain(d lattice.Domain) lattice.Domain {
+	clip := d.Clip.Intersect(inflateClip(d.BoundingClip(), 2))
+	// (dt, dx) moves t + x by dp and t - x by dm; dp + dm is even, so
+	// both are integers. Each other axis moves so t + x_a lands at 0.
+	dp, dm := -d.P[0][0], mod2(d.P[0][0]+d.M[0][0])-d.M[0][0]
+	dt := (dp + dm) / 2
+	dx := [3]int{(dp - dm) / 2}
+	for a := 1; a < d.Dim; a++ {
+		dx[a] = -d.P[a][0] - dt
 	}
-	return nil, false
+	for a := 0; a < d.Dim; a++ {
+		for i := range 2 {
+			d.P[a][i] += dt + dx[a]
+			d.M[a][i] += dt - dx[a]
+		}
+	}
+	d.Clip = shiftClip(clip, dx[0], dx[1], dx[2], dt)
+	return d
 }
 
 // refPoint is the canonical reference vertex of a domain — its first

@@ -46,7 +46,7 @@ func UniDCContext(ctx context.Context, d, n, steps, leafSize int, prog dag.Progr
 // recursion. It is UniDCContext's runner, with the graph and the root
 // domain as parameters.
 func runVertices(ctx context.Context, g dag.Graph, root lattice.Domain, leafSize int, prog dag.Program) (Result, error) {
-	return newVertexExec(ctx, g, prog, leafSize, newBlockedGeom(root.Dim(), g.Nodes())).run(root, false)
+	return newVertexExec(ctx, g, prog, leafSize, newBlockedGeom(root.Dim, g.Nodes())).run(root, false)
 }
 
 // UniNaiveDagContext executes the same m = 1 guest dag on the same uniprocessor

@@ -3,6 +3,7 @@ package simulate
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -290,25 +291,26 @@ func TestPerLevelTransferFlat(t *testing.T) {
 
 // Failure injection: the recursion must fail loudly, never fabricate
 // operands, when the partition it is handed breaks the topological
-// partition contract of Proposition 2. runVertices takes the graph and
-// the root domain, so a test can hand it a broken one.
+// partition contract of Proposition 2. The recursion partitions domains
+// through blockedExec.children, so a test can hand it a broken one.
 
-// reversedDomain reverses its children's order, breaking Definition 4:
-// earlier pieces now need values of later ones.
-type reversedDomain struct{ lattice.Domain }
-
-func (r reversedDomain) Children() []lattice.Domain {
-	kids := r.Domain.Children()
-	out := make([]lattice.Domain, len(kids))
-	for i, k := range kids {
-		out[len(kids)-1-i] = reversedDomain{k}
-	}
-	return out
+// runPartitioned runs prog's line dag g from its full domain on the
+// vertex flow with leaf size 8, partitioning every domain by children.
+func runPartitioned(g dag.LineGraph, prog dag.Program, children func(lattice.Domain) []lattice.Domain) (Result, error) {
+	b := newVertexExec(context.Background(), g, prog, 8, newBlockedGeom(1, g.Nodes()))
+	b.children = children
+	return b.run(g.Domain(), false)
 }
 
+// TestReversedChildrenFailLoudly reverses every domain's children,
+// breaking Definition 4: earlier pieces now need values of later ones.
 func TestReversedChildrenFailLoudly(t *testing.T) {
 	g := dag.NewLineGraph(16, 16)
-	_, err := runVertices(context.Background(), g, reversedDomain{g.Domain()}, 8, guest.MixCA{Seed: 1})
+	_, err := runPartitioned(g, guest.MixCA{Seed: 1}, func(d lattice.Domain) []lattice.Domain {
+		kids := d.Children()
+		slices.Reverse(kids)
+		return kids
+	})
 	if err == nil {
 		t.Fatal("reversed topological order executed without error")
 	}
@@ -317,19 +319,19 @@ func TestReversedChildrenFailLoudly(t *testing.T) {
 	}
 }
 
-// overlappingDomain duplicates its first child, so the same vertices
-// execute twice.
-type overlappingDomain struct{ lattice.Domain }
-
-func (o overlappingDomain) Children() []lattice.Domain {
-	kids := o.Domain.Children()
-	return append([]lattice.Domain{kids[0]}, kids...)
-}
-
+// TestOverlappingChildrenDetected duplicates the root's first child, so
+// the same vertices execute twice.
 func TestOverlappingChildrenDetected(t *testing.T) {
 	g := dag.NewLineGraph(8, 8)
 	prog := guest.MixCA{Seed: 1}
-	r, err := runVertices(context.Background(), g, overlappingDomain{g.Domain()}, 8, prog)
+	root := g.Domain()
+	r, err := runPartitioned(g, prog, func(d lattice.Domain) []lattice.Domain {
+		kids := d.Children()
+		if d == root {
+			kids = append([]lattice.Domain{kids[0]}, kids...)
+		}
+		return kids
+	})
 	if err != nil {
 		return
 	}
